@@ -26,7 +26,7 @@ from .errors import (
     TrainingAborted,
     UndefinedRatioError,
 )
-from .evaluate import alpha_sweep, select_alpha, sweep_from_csv, sweep_to_csv
+from .evaluate import EXTENDED_ALPHA_RANGE, alpha_grid, alpha_sweep, select_alpha, sweep_from_csv, sweep_to_csv
 from .model import latent_values
 from .pendulum import PENDULUM_CSV_COLUMNS
 from .train import fit
@@ -111,33 +111,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _sweep_grid_from_args(args, cfg: ExperimentConfig) -> list[float]:
-    if args.extended:
-        start, stop, step = -0.2, 1.4, float(cfg.raw["sweep"]["step"])
-    else:
-        start = float(cfg.raw["sweep"]["start"])
-        stop = float(cfg.raw["sweep"]["stop"])
-        step = float(cfg.raw["sweep"]["step"])
-    if args.start is not None:
-        start = args.start
-    if args.stop is not None:
-        stop = args.stop
-    if args.step is not None:
-        step = args.step
-    n = int(round((stop - start) / step))
-    return [round(start + i * step, 10) for i in range(n + 1)]
-
-
 def cmd_sweep(args) -> int:
     ck: Checkpoint = load_checkpoint(args.checkpoint)
     cfg = config_from_dict(ck.config)
+    s = cfg.raw["sweep"]
+    start, stop = EXTENDED_ALPHA_RANGE if args.extended else (s["start"], s["stop"])
+    grid = alpha_grid(
+        start if args.start is None else args.start,
+        stop if args.stop is None else args.stop,
+        s["step"] if args.step is None else args.step,
+    )
     if args.data_csv:
         cfg.raw["data"]["csv"] = args.data_csv
     dataset = cfg.build_dataset()
     rule = cfg.rule()
     if rule is None:
         raise ConfigError("sweep needs a rule for verification; config has rule.kind=none")
-    grid = _sweep_grid_from_args(args, cfg)
     splits = args.splits.split(",") if args.splits else cfg.raw["sweep"]["splits"]
     records = []
     for split in splits:
@@ -215,9 +204,10 @@ def cmd_ablate(args) -> int:
         tag = f"{args.what}_{value}".replace("/", "_")
         save_checkpoint(out_dir / f"checkpoint_{tag}.npz", result, sub.raw, sub.seed)
         x, y = dataset.subset("test")
+        s = sub.raw["sweep"]
         records = alpha_sweep(
-            sub.model_spec(), result.params, x, y, sub.rule(), sub.sweep_grid(),
-            sub.metric_kind, split="test", perturb_seed=int(sub.raw["sweep"]["perturb_seed"]),
+            sub.model_spec(), result.params, x, y, sub.rule(), alpha_grid(s["start"], s["stop"], s["step"]),
+            sub.metric_kind, split="test", perturb_seed=int(s["perturb_seed"]),
         )
         sweep_to_csv(records, out_dir / f"sweep_{tag}.csv")
         best = min(records, key=lambda r: r.task_metric)
@@ -256,7 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out")
     p.add_argument("--splits", help="comma-separated splits (default from config)")
-    p.add_argument("--extended", action="store_true", help="use the extrapolation grid [-0.2, 1.4]")
+    p.add_argument(
+        "--extended", action="store_true",
+        help=f"use the extrapolation grid [{EXTENDED_ALPHA_RANGE[0]}, {EXTENDED_ALPHA_RANGE[1]}]",
+    )
     p.add_argument("--start", type=float)
     p.add_argument("--stop", type=float)
     p.add_argument("--step", type=float)

@@ -16,6 +16,7 @@ import yaml
 
 from .data import Dataset, read_dataset_csv
 from .errors import ConfigError
+from .evaluate import alpha_grid
 from .model import ModelSpec
 from .pendulum import PendulumParams, build_pendulum_dataset
 from .rules import EnergyDampingRule, MonotonicRule, RuleSpec, ThresholdRule
@@ -247,9 +248,9 @@ class ExperimentConfig:
             if self.task != "pendulum":
                 raise ConfigError("rule.kind: energy rule needs pendulum state data")
             return EnergyDampingRule(self.pendulum_params())
-        if kind == "threshold":
-            return ThresholdRule(fn=r["fn"], limit=float(r["limit"]))
         try:
+            if kind == "threshold":
+                return ThresholdRule(fn=r["fn"], limit=float(r["limit"]))
             return MonotonicRule(
                 feature=int(r["feature"]),
                 direction=r["direction"],
@@ -295,14 +296,6 @@ class ExperimentConfig:
         fractions = (0.0, 0.0, 1.0) if d["eval_only"] else (0.7, 0.1, 0.2)
         return synth_shifted_classification(spec, seed=int(d["seed"]), split_fractions=fractions)
 
-    def sweep_grid(self) -> list[float]:
-        s = self.raw["sweep"]
-        start, stop, step = float(s["start"]), float(s["stop"]), float(s["step"])
-        if step <= 0 or stop < start:
-            raise ConfigError("sweep: need step > 0 and stop >= start")
-        n = int(round((stop - start) / step))
-        return [round(start + i * step, 10) for i in range(n + 1)]
-
 
 def _validate(cfg: ExperimentConfig) -> None:
     """Run every derived-object constructor so bad fields fail at load time."""
@@ -314,7 +307,11 @@ def _validate(cfg: ExperimentConfig) -> None:
     cfg.train_config()
     cfg.model_spec()
     cfg.rule()
-    cfg.sweep_grid()
+    s = cfg.raw["sweep"]
+    try:
+        alpha_grid(s["start"], s["stop"], s["step"])
+    except ConfigError as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
     csv = cfg.raw["data"].get("csv")
     if csv and not Path(csv).exists():
         raise ConfigError(f"data.csv: file not found: {csv}")

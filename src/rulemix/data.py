@@ -38,6 +38,9 @@ class Dataset:
         n = self.x.shape[0]
         if self.y.shape[0] != n or self.split.shape[0] != n:
             raise ValueError("x, y, and split must have the same number of rows")
+        unknown = set(self.split.tolist()) - set(SPLITS)
+        if unknown:
+            raise ValueError(f"unknown split labels {sorted(unknown, key=str)}, expected labels from {SPLITS}")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise ValueError("dataset contains non-finite values")
 

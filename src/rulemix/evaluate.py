@@ -8,16 +8,18 @@ optionally restricted to points above a verification floor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleSelectionError
-from .model import ModelSpec, predict_values
+from .errors import ConfigError, InfeasibleSelectionError
+from .model import ModelSpec, forward_per_alpha, predict_values  # noqa: F401  (evaluate.predict_values stays importable)
 from .rules import MonotonicRule, PerturbedBatch, RuleSpec, perturb_batch, verification_ratio
 
 METRICS = ("mae", "cross_entropy", "accuracy")
 PROB_CLAMP = 1e-12
+EXTENDED_ALPHA_RANGE = (-0.2, 1.4)  # reaches beyond the training range on both sides
 
 
 def task_metric(kind: str, y_hat: np.ndarray, y: np.ndarray) -> float:
@@ -38,14 +40,28 @@ def task_metric(kind: str, y_hat: np.ndarray, y: np.ndarray) -> float:
 
 
 def alpha_grid(start: float = 0.0, stop: float = 1.0, step: float = 0.05) -> list[float]:
-    """Inclusive grid, rounded to avoid float drift in the endpoints."""
+    """Inclusive grid, rounded to avoid float drift in the endpoints.
+
+    The one builder of strength grids: config sweeps, CLI overrides and the
+    extended grid all come through here, so every grid is validated alike.
+    """
+    try:
+        start, stop, step = float(start), float(stop), float(step)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"alpha grid bounds must be numbers: {exc}") from exc
+    finite = all(math.isfinite(v) for v in (start, stop, step))
+    if not (finite and step > 0 and stop >= start):
+        raise ConfigError(
+            f"alpha grid needs finite bounds with step > 0 and stop >= start, "
+            f"got start={start} stop={stop} step={step}"
+        )
     n = int(round((stop - start) / step))
     return [round(start + i * step, 10) for i in range(n + 1)]
 
 
 def extended_alpha_grid(step: float = 0.05) -> list[float]:
-    """Extrapolation grid reaching beyond the training range on both sides."""
-    return alpha_grid(-0.2, 1.4, step)
+    """Extrapolation grid over EXTENDED_ALPHA_RANGE."""
+    return alpha_grid(*EXTENDED_ALPHA_RANGE, step)
 
 
 @dataclass(frozen=True)
@@ -69,18 +85,22 @@ def alpha_sweep(
 ) -> list[SweepRecord]:
     """Evaluate the frozen model at each strength; parameters are never touched.
 
-    For monotonicity rules one seeded perturbation set is drawn up front and
-    reused at every grid point so records are comparable across strengths.
+    The input (and, for monotonicity rules, its perturbed copy) is encoded
+    once; see ``forward_per_alpha``. For monotonicity rules one seeded
+    perturbation set is drawn up front and reused at every grid point so
+    records are comparable across strengths.
     """
+    def outputs(inputs: np.ndarray):
+        return (tape.value(fwd.output) for tape, fwd in forward_per_alpha(spec, params, inputs, alphas))
+
     pert: PerturbedBatch | None = None
     if isinstance(rule, MonotonicRule):
         pert = perturb_batch(x, rule, np.random.default_rng(perturb_seed))
+        perturbed = outputs(pert.x_p)
     records = []
-    for alpha in alphas:
-        y_hat = predict_values(spec, params, x, alpha)
+    for alpha, y_hat in zip(alphas, outputs(x)):
         if pert is not None:
-            y_hat_p = predict_values(spec, params, pert.x_p, alpha)
-            ver = verification_ratio(rule, x, y_hat, y_hat_p, pert.valid)
+            ver = verification_ratio(rule, x, y_hat, next(perturbed), pert.valid)
         else:
             ver = verification_ratio(rule, x, y_hat)
         records.append(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -78,21 +79,22 @@ class ModelSpec:
         out: dict[str, list[LayerSpec]] = {}
         if self.shared_units:
             out["shared"] = dense_chain(self.input_dim, self.shared_units)
-        final = "sigmoid" if self.task == "classification" else "linear"
-        decision = self.decision_units + (self.output_dim,)
         if self.coupling == "single":
             out["data"] = dense_chain(self.encoder_in, self.encoder_units)
-            out["decision"] = dense_chain(self.latent_dim, decision, final)
         elif self.coupling == "input_concat_alpha":
             units = width_matched_units(self.encoder_in, self.encoder_units)
             out["encoder"] = dense_chain(self.encoder_in + 1, units)
-            out["decision"] = dense_chain(2 * self.latent_dim, decision, final)
         else:
             out["rule"] = dense_chain(self.encoder_in, self.encoder_units)
             out["data"] = dense_chain(self.encoder_in, self.encoder_units)
-            fan_in = self.latent_dim if self.coupling == "add" else 2 * self.latent_dim
-            out["decision"] = dense_chain(fan_in, decision, final)
+        out["decision"] = self.decision_layers()
         return out
+
+    def decision_layers(self) -> list[LayerSpec]:
+        """The decision block alone, without building the encoder specs."""
+        final = "sigmoid" if self.task == "classification" else "linear"
+        fan_in = self.latent_dim if self.coupling in ("single", "add") else 2 * self.latent_dim
+        return dense_chain(fan_in, self.decision_units + (self.output_dim,), final)
 
 
 def width_matched_units(encoder_in: int, encoder_units: tuple[int, ...]) -> tuple[int, ...]:
@@ -181,6 +183,63 @@ class Forward:
     z_data: int | None = None
 
 
+def _strength(alpha: float) -> float:
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError("rule strength must be finite")
+    return alpha
+
+
+def encode(
+    tape: Tape,
+    spec: ModelSpec,
+    params: dict[str, np.ndarray],
+    x: np.ndarray | int,
+    alpha: float | None = None,
+) -> tuple[int, ...]:
+    """Shared block and encoders; returns (z_rule, z_data), or (z,) for one passage.
+
+    Only the ``input_concat_alpha`` encoder reads ``alpha``; under every other
+    coupling the encoding is the same at all strengths.
+    """
+    blocks = spec.blocks()
+    x_id = x if isinstance(x, int) else tape.constant(as_matrix(x, "input"), "input")
+    if tape.value(x_id).shape[1] != spec.input_dim:
+        raise ShapeError(
+            f"input has {tape.value(x_id).shape[1]} columns, model expects {spec.input_dim}"
+        )
+    h = mlp_forward(tape, blocks["shared"], params, "shared", x_id) if "shared" in blocks else x_id
+    if spec.coupling == "single":
+        return (mlp_forward(tape, blocks["data"], params, "data", h),)
+    if spec.coupling == "input_concat_alpha":
+        n = tape.value(h).shape[0]
+        alpha_col = tape.constant(np.full((n, 1), _strength(alpha)), "alpha")
+        return (mlp_forward(tape, blocks["encoder"], params, "encoder", tape.concat(h, alpha_col)),)
+    return (
+        mlp_forward(tape, blocks["rule"], params, "rule", h),
+        mlp_forward(tape, blocks["data"], params, "data", h),
+    )
+
+
+def decode(
+    tape: Tape,
+    spec: ModelSpec,
+    params: dict[str, np.ndarray],
+    latents: tuple[int, ...],
+    alpha: float,
+) -> Forward:
+    """Coupling and decision block over the latents that ``encode`` returned."""
+    alpha = _strength(alpha)
+    z_rule = z_data = None
+    if len(latents) == 1:
+        z = latents[0]
+    else:
+        z_rule, z_data = latents
+        z = couple(tape, z_rule, z_data, alpha, spec.coupling)
+    y = mlp_forward(tape, spec.decision_layers(), params, "decision", z)
+    return Forward(output=y, latent=z, z_rule=z_rule, z_data=z_data)
+
+
 def predict(
     tape: Tape,
     spec: ModelSpec,
@@ -189,29 +248,36 @@ def predict(
     alpha: float,
 ) -> Forward:
     """Full forward pass recorded on the tape; returns output/latent node ids."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError("rule strength must be finite")
-    blocks = spec.blocks()
-    x_id = x if isinstance(x, int) else tape.constant(as_matrix(x, "input"), "input")
-    if tape.value(x_id).shape[1] != spec.input_dim:
-        raise ShapeError(
-            f"input has {tape.value(x_id).shape[1]} columns, model expects {spec.input_dim}"
-        )
-    h = mlp_forward(tape, blocks["shared"], params, "shared", x_id) if "shared" in blocks else x_id
-    z_rule = z_data = None
-    if spec.coupling == "single":
-        z = mlp_forward(tape, blocks["data"], params, "data", h)
-    elif spec.coupling == "input_concat_alpha":
-        n = tape.value(h).shape[0]
-        alpha_col = tape.constant(np.full((n, 1), alpha), "alpha")
-        z = mlp_forward(tape, blocks["encoder"], params, "encoder", tape.concat(h, alpha_col))
-    else:
-        z_rule = mlp_forward(tape, blocks["rule"], params, "rule", h)
-        z_data = mlp_forward(tape, blocks["data"], params, "data", h)
-        z = couple(tape, z_rule, z_data, alpha, spec.coupling)
-    y = mlp_forward(tape, blocks["decision"], params, "decision", z)
-    return Forward(output=y, latent=z, z_rule=z_rule, z_data=z_data)
+    alpha = _strength(alpha)
+    return decode(tape, spec, params, encode(tape, spec, params, x, alpha), alpha)
+
+
+def forward_per_alpha(
+    spec: ModelSpec,
+    params: dict[str, np.ndarray],
+    x: np.ndarray,
+    alphas: Iterable[float],
+) -> Iterator[tuple[Tape, Forward]]:
+    """Inference passes at each strength in turn, one fresh tape per strength.
+
+    The encoding is computed once and only the decode step reruns per
+    strength, except under ``input_concat_alpha``, whose encoder reads alpha.
+    The outputs equal those of ``predict`` bit for bit. Only the latent
+    values outlive the encoding tape, and each strength's tape is dropped
+    once the caller moves on.
+    """
+    if spec.coupling == "input_concat_alpha":
+        for alpha in alphas:
+            tape = Tape()
+            yield tape, predict(tape, spec, params, x, alpha)
+        return
+    enc_tape = Tape()
+    values = [enc_tape.value(z) for z in encode(enc_tape, spec, params, x)]
+    del enc_tape
+    for alpha in alphas:
+        tape = Tape()
+        latents = tuple(tape.constant(v, "latent") for v in values)
+        yield tape, decode(tape, spec, params, latents, alpha)
 
 
 def predict_values(

@@ -48,35 +48,76 @@ class PendulumParams:
 DEFAULT_PARAMS = PendulumParams()
 
 
+def _accelerations(params: PendulumParams):
+    """The equations of motion as ``(t1, w1, t2, w2) -> (alpha1, alpha2)``.
+
+    The parameters are read once, and only left-hand prefixes of products are
+    precomputed, so every expression rounds exactly as if written out term
+    by term with the constants inline.
+    """
+    m1, m2, l1, l2, g, b = params.m1, params.m2, params.l1, params.l2, params.g, params.b
+    neg_m2_l1_l2 = -m2 * l1 * l2
+    m2_l1_l2 = m2 * l1 * l2
+    m12_g_l1 = (m1 + m2) * g * l1
+    m2_g_l2 = m2 * g * l2
+    m2_l1_l1_l2_l2 = m2 * l1 * l1 * l2 * l2
+    m12 = m1 + m2
+    sin, cos = math.sin, math.cos
+
+    def accelerations(t1, w1, t2, w2):
+        d = t1 - t2
+        cd = cos(d)
+        sd = sin(d)
+        # generalized forces, including the viscous joint torques
+        f1 = neg_m2_l1_l2 * w2 * w2 * sd - m12_g_l1 * sin(t1) - b * w1
+        f2 = m2_l1_l2 * w1 * w1 * sd - m2_g_l2 * sin(t2) - b * w2
+        # mass-matrix solve; determinant is bounded below by m1*m2*(l1*l2)^2 > 0
+        det = m2_l1_l1_l2_l2 * (m1 + m2 * sd * sd)
+        a1 = (f1 * m2 * l2 * l2 - f2 * m2 * l1 * l2 * cd) / det
+        a2 = (f2 * m12 * l1 * l1 - f1 * m2 * l1 * l2 * cd) / det
+        return a1, a2
+
+    return accelerations
+
+
+def _rk4_stepper(params: PendulumParams, dt: float):
+    """One classic RK4 step as ``(t1, w1, t2, w2) -> next state tuple``."""
+    accelerations = _accelerations(params)
+    half = 0.5 * dt
+    sixth = dt / 6.0
+
+    def step(t1, w1, t2, w2):
+        # stage k_i is (u_i, p_i, v_i, q_i): the stage's angular velocities
+        # are the angle rates, p and q its angular accelerations
+        p1, q1 = accelerations(t1, w1, t2, w2)
+        u2 = w1 + half * p1
+        v2 = w2 + half * q1
+        p2, q2 = accelerations(t1 + half * w1, u2, t2 + half * w2, v2)
+        u3 = w1 + half * p2
+        v3 = w2 + half * q2
+        p3, q3 = accelerations(t1 + half * u2, u3, t2 + half * v2, v3)
+        u4 = w1 + dt * p3
+        v4 = w2 + dt * q3
+        p4, q4 = accelerations(t1 + dt * u3, u4, t2 + dt * v3, v4)
+        return (
+            t1 + sixth * (w1 + 2.0 * u2 + 2.0 * u3 + u4),
+            w1 + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
+            t2 + sixth * (w2 + 2.0 * v2 + 2.0 * v3 + v4),
+            w2 + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
+        )
+
+    return step
+
+
 def eom_derivatives(state, params: PendulumParams):
     """Time derivative (omega1, alpha1, omega2, alpha2) of a state tuple."""
     t1, w1, t2, w2 = state
-    p = params
-    d = t1 - t2
-    cd = math.cos(d)
-    sd = math.sin(d)
-    # generalized forces, including the viscous joint torques
-    f1 = -p.m2 * p.l1 * p.l2 * w2 * w2 * sd - (p.m1 + p.m2) * p.g * p.l1 * math.sin(t1) - p.b * w1
-    f2 = p.m2 * p.l1 * p.l2 * w1 * w1 * sd - p.m2 * p.g * p.l2 * math.sin(t2) - p.b * w2
-    # mass-matrix solve; determinant is bounded below by m1*m2*(l1*l2)^2 > 0
-    det = p.m2 * p.l1 * p.l1 * p.l2 * p.l2 * (p.m1 + p.m2 * sd * sd)
-    a1 = (f1 * p.m2 * p.l2 * p.l2 - f2 * p.m2 * p.l1 * p.l2 * cd) / det
-    a2 = (f2 * (p.m1 + p.m2) * p.l1 * p.l1 - f1 * p.m2 * p.l1 * p.l2 * cd) / det
+    a1, a2 = _accelerations(params)(t1, w1, t2, w2)
     return (w1, a1, w2, a2)
 
 
 def rk4_step(state, dt: float, params: PendulumParams):
-    k1 = eom_derivatives(state, params)
-    s2 = tuple(s + 0.5 * dt * k for s, k in zip(state, k1))
-    k2 = eom_derivatives(s2, params)
-    s3 = tuple(s + 0.5 * dt * k for s, k in zip(state, k2))
-    k3 = eom_derivatives(s3, params)
-    s4 = tuple(s + dt * k for s, k in zip(state, k3))
-    k4 = eom_derivatives(s4, params)
-    return tuple(
-        s + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-    )
+    return _rk4_stepper(params, dt)(*state)
 
 
 def energy(states, params: PendulumParams):
@@ -114,12 +155,14 @@ def energy_gradient(states, params: PendulumParams) -> np.ndarray:
 
 def simulate_states(s0, params: PendulumParams, n_steps: int, dt: float) -> np.ndarray:
     """Integrate n_steps of RK4 from s0; returns (n_steps+1, 4) states."""
-    state = tuple(float(v) for v in s0)
+    step = _rk4_stepper(params, dt)
+    isfinite = math.isfinite
+    t1, w1, t2, w2 = state = tuple(float(v) for v in s0)
     out = np.empty((n_steps + 1, 4))
     out[0] = state
     for i in range(1, n_steps + 1):
-        state = rk4_step(state, dt, params)
-        if not all(math.isfinite(v) for v in state):
+        t1, w1, t2, w2 = state = step(t1, w1, t2, w2)
+        if not (isfinite(t1) and isfinite(w1) and isfinite(t2) and isfinite(w2)):
             raise SimulationBlowup(i)
         out[i] = state
     return out

@@ -33,6 +33,10 @@ class ThresholdRule:
     fn: str
     limit: float
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.fn, str) or self.fn not in THRESHOLD_FUNCTIONS:
+            raise ValueError(f"unknown threshold function {self.fn!r}, expected one of {sorted(THRESHOLD_FUNCTIONS)}")
+
 
 @dataclass(frozen=True)
 class EnergyDampingRule:

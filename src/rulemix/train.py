@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, TrainingAborted
-from .model import ModelSpec, Forward, init_params, predict
+from .model import ModelSpec, Forward, forward_per_alpha, init_params, predict
 from .optim import AdamState, adam_update
 from .autodiff import Tape
 from .rules import (
@@ -217,11 +217,13 @@ def evaluate_task_loss(
     params: dict[str, np.ndarray],
     x: np.ndarray,
     y: np.ndarray,
-    alpha: float,
-) -> float:
-    tape = Tape()
-    fwd = predict(tape, spec, params, x, alpha)
-    return tape.scalar(_task_loss_node(tape, spec, fwd.output, y))
+    alphas: tuple[float, ...],
+) -> list[float]:
+    """Task loss at each strength; the input is encoded once where the coupling allows."""
+    return [
+        tape.scalar(_task_loss_node(tape, spec, fwd.output, y))
+        for tape, fwd in forward_per_alpha(spec, params, x, alphas)
+    ]
 
 
 def evaluate_rule_loss(
@@ -319,11 +321,10 @@ def _validation_metric(
     val_pert: PerturbedBatch | None,
 ) -> float:
     if cfg.mode in ("controlled", "controlled_perturb"):
-        losses = [evaluate_task_loss(spec, params, x_val, y_val, a) for a in cfg.val_alphas]
-        return float(np.mean(losses))
+        return float(np.mean(evaluate_task_loss(spec, params, x_val, y_val, cfg.val_alphas)))
     if cfg.mode == "rule_only":
         return evaluate_rule_loss(spec, params, x_val, rule, 1.0, val_pert)
-    return evaluate_task_loss(spec, params, x_val, y_val, 0.0)
+    return evaluate_task_loss(spec, params, x_val, y_val, (0.0,))[0]
 
 
 def fit(

@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 
-from rulemix.model import ModelSpec, init_params
+from rulemix.autodiff import Tape
+from rulemix.evaluate import SweepRecord, task_metric
+from rulemix.model import ModelSpec, init_params, predict, predict_values
 from rulemix.pendulum import PendulumParams
+from rulemix.rules import MonotonicRule, perturb_batch, verification_ratio
 
 
 def tiny_model(
@@ -50,3 +53,73 @@ def cartesian_energy(state, p: PendulumParams) -> float:
     kinetic = 0.5 * p.m1 * (vx1**2 + vy1**2) + 0.5 * p.m2 * (vx2**2 + vy2**2)
     potential = p.m1 * p.g * y1 + p.m2 * p.g * y2
     return kinetic + potential
+
+
+def reference_eom(state, p: PendulumParams):
+    """Equations of motion written out term by term, reading each constant
+    from ``p`` at every use. The simulator must match this bit for bit, so
+    every product keeps its left-to-right evaluation order."""
+    t1, w1, t2, w2 = state
+    d = t1 - t2
+    cd = math.cos(d)
+    sd = math.sin(d)
+    f1 = -p.m2 * p.l1 * p.l2 * w2 * w2 * sd - (p.m1 + p.m2) * p.g * p.l1 * math.sin(t1) - p.b * w1
+    f2 = p.m2 * p.l1 * p.l2 * w1 * w1 * sd - p.m2 * p.g * p.l2 * math.sin(t2) - p.b * w2
+    det = p.m2 * p.l1 * p.l1 * p.l2 * p.l2 * (p.m1 + p.m2 * sd * sd)
+    a1 = (f1 * p.m2 * p.l2 * p.l2 - f2 * p.m2 * p.l1 * p.l2 * cd) / det
+    a2 = (f2 * (p.m1 + p.m2) * p.l1 * p.l1 - f1 * p.m2 * p.l1 * p.l2 * cd) / det
+    return (w1, a1, w2, a2)
+
+
+def reference_rk4_step(state, dt: float, p: PendulumParams):
+    """Classic RK4 over 4-tuples, one generator expression per stage."""
+    k1 = reference_eom(state, p)
+    s2 = tuple(s + 0.5 * dt * k for s, k in zip(state, k1))
+    k2 = reference_eom(s2, p)
+    s3 = tuple(s + 0.5 * dt * k for s, k in zip(state, k2))
+    k3 = reference_eom(s3, p)
+    s4 = tuple(s + dt * k for s, k in zip(state, k3))
+    k4 = reference_eom(s4, p)
+    return tuple(
+        s + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+        for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+    )
+
+
+def reference_states(step, s0, n_steps: int) -> np.ndarray:
+    """(n_steps+1, 4) states from repeated calls of ``step(state)``."""
+    state = tuple(float(v) for v in s0)
+    out = [state]
+    for _ in range(n_steps):
+        state = step(state)
+        out.append(state)
+    return np.array(out)
+
+
+def direct_sweep(spec, params, x, y, rule, alphas, metric_kind, split="test", perturb_seed=0):
+    """Sweep records from one full ``predict_values`` pass per strength."""
+    pert = None
+    if isinstance(rule, MonotonicRule):
+        pert = perturb_batch(x, rule, np.random.default_rng(perturb_seed))
+    records = []
+    for alpha in alphas:
+        y_hat = predict_values(spec, params, x, alpha)
+        if pert is None:
+            ver = verification_ratio(rule, x, y_hat)
+        else:
+            y_hat_p = predict_values(spec, params, pert.x_p, alpha)
+            ver = verification_ratio(rule, x, y_hat, y_hat_p, pert.valid)
+        records.append(SweepRecord(float(alpha), task_metric(metric_kind, y_hat, y), ver, split))
+    return records
+
+
+def full_pass_task_losses(spec, params, x, y, alphas) -> list[float]:
+    """Task loss at each strength from one full ``predict`` pass per strength."""
+    losses = []
+    for alpha in alphas:
+        tape = Tape()
+        out = predict(tape, spec, params, x, alpha).output
+        target = tape.constant(y, "target")
+        node = tape.bce(out, target) if spec.task == "classification" else tape.mse(out, target)
+        losses.append(tape.scalar(node))
+    return losses

@@ -182,6 +182,56 @@ class TestErrorsAndUsage:
         assert "beta" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A tiny pendulum checkpoint plus its dataset CSV, shared by the sweep tests."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    cfg = tiny_pendulum_config(tmp_path)
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data.csv")]) == 0
+    return tmp_path / "out" / "checkpoint_seed0.npz", tmp_path / "data.csv"
+
+
+class TestSweepInputs:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--step", "0"],
+            ["--step", "-0.1"],
+            ["--start", "1", "--stop", "0"],
+            ["--stop", "inf"],
+            ["--extended", "--step", "nan"],
+        ],
+    )
+    def test_bad_grid_is_one_line_config_error(self, trained, tmp_path, capsys, flags):
+        ck, _ = trained
+        out = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        assert main(["sweep", "--checkpoint", str(ck), "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError:")
+        assert not out.exists()
+
+    def test_extended_grid_spans_the_fixed_bounds(self, trained, tmp_path):
+        ck, _ = trained
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--checkpoint", str(ck), "--out", str(out), "--extended", "--step", "0.4"]) == 0
+        alphas = [r.alpha for r in sweep_from_csv(out) if r.split == "val"]
+        assert alphas == [-0.2, 0.2, 0.6, 1.0, 1.4]
+
+    def test_unknown_split_label_in_data_csv_is_one_line_error(self, trained, tmp_path, capsys):
+        ck, data = trained
+        lines = data.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",vall"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["sweep", "--checkpoint", str(ck), "--out", str(tmp_path / "s.csv"), "--data-csv", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ValueError:") and "vall" in err[0]
+
+
 class TestAblate:
     def test_coupling_ablation_writes_summary(self, tmp_path):
         cfg = tiny_pendulum_config(tmp_path, sweep={"step": 0.5})

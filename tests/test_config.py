@@ -3,6 +3,7 @@
 import pytest
 
 from rulemix.config import config_from_dict, default_config, load_config
+from rulemix.evaluate import alpha_grid
 from rulemix.errors import ConfigError
 from rulemix.rules import EnergyDampingRule, MonotonicRule, ThresholdRule
 
@@ -65,6 +66,15 @@ class TestValidation:
         assert isinstance(rule, ThresholdRule)
         assert rule.limit == 2.0 and rule.fn == "row_mean"
 
+    def test_unknown_threshold_function_rejected(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            config_from_dict({"task": "pendulum", "rule": {"kind": "threshold", "fn": "bogus"}})
+
+    @pytest.mark.parametrize("sweep", [{"step": 0.0}, {"start": 1.0, "stop": 0.0}, {"step": None}])
+    def test_bad_sweep_grid_rejected(self, sweep):
+        with pytest.raises(ConfigError, match="sweep"):
+            config_from_dict({"task": "pendulum", "sweep": sweep})
+
     def test_rule_none_supported(self):
         cfg = config_from_dict(
             {"task": "pendulum", "rule": {"kind": "none"}, "train": {"mode": "task_only"}}
@@ -111,7 +121,8 @@ class TestDatasetConstruction:
 
     def test_sweep_grid_from_config(self):
         cfg = config_from_dict({"task": "pendulum", "sweep": {"start": 0.0, "stop": 0.2, "step": 0.1}})
-        assert cfg.sweep_grid() == [0.0, 0.1, 0.2]
+        s = cfg.raw["sweep"]
+        assert alpha_grid(s["start"], s["stop"], s["step"]) == [0.0, 0.1, 0.2]
 
     def test_shifted_classification_eval_only(self):
         cfg = config_from_dict(

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import tiny_model
-from rulemix.errors import InfeasibleSelectionError
+import rulemix.model
+from helpers import direct_sweep, tiny_model
+from rulemix.errors import ConfigError, InfeasibleSelectionError
 from rulemix.evaluate import (
+    EXTENDED_ALPHA_RANGE,
     SweepRecord,
     alpha_grid,
     alpha_sweep,
@@ -18,8 +20,9 @@ from rulemix.evaluate import (
     sweep_to_csv,
     task_metric,
 )
+from rulemix.model import COUPLINGS, ModelSpec, init_params
 from rulemix.pendulum import DEFAULT_PARAMS
-from rulemix.rules import EnergyDampingRule, MonotonicRule
+from rulemix.rules import EnergyDampingRule, MonotonicRule, ThresholdRule
 
 ENERGY_RULE = EnergyDampingRule(DEFAULT_PARAMS)
 
@@ -67,6 +70,18 @@ class TestGrids:
         grid = extended_alpha_grid()
         assert grid[0] == -0.2 and grid[-1] == 1.4
         assert len(grid) == 33
+        assert (grid[0], grid[-1]) == EXTENDED_ALPHA_RANGE
+
+    @pytest.mark.parametrize(
+        "start,stop,step",
+        [(0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (1.0, 0.0, 0.1), (0.0, math.inf, 0.1), (0.0, 1.0, math.nan)],
+    )
+    def test_bad_bounds_rejected(self, start, stop, step):
+        with pytest.raises(ConfigError, match="step > 0 and stop >= start"):
+            alpha_grid(start, stop, step)
+
+    def test_single_point_when_start_equals_stop(self):
+        assert alpha_grid(0.3, 0.3, 0.1) == [0.3]
 
 
 class TestAlphaSweep:
@@ -115,6 +130,59 @@ class TestAlphaSweep:
         path = tmp_path / "sweep.csv"
         sweep_to_csv(records, path)
         assert sweep_from_csv(path) == records
+
+
+# rule, output columns, task, metric
+SWEEP_RULES = {
+    "energy": (EnergyDampingRule(DEFAULT_PARAMS), 4, "regression", "mae"),
+    "threshold": (ThresholdRule("row_sumsq", 2.0), 4, "regression", "mae"),
+    "monotonic": (MonotonicRule(feature=0, direction="increase"), 1, "classification", "cross_entropy"),
+}
+
+
+class TestSweepMatchesFullPasses:
+    """The sweep reuses the alpha-free layers; its records must equal, bit for
+    bit, records built from one full forward pass per strength."""
+
+    def make(self, coupling, family, seed=21):
+        rule, out_dim, task, metric = SWEEP_RULES[family]
+        rng = np.random.default_rng(seed)
+        spec = ModelSpec(
+            input_dim=4, output_dim=out_dim, task=task, coupling=coupling,
+            shared_units=(6,), encoder_units=(8, 5), decision_units=(7,),
+        )
+        x = rng.uniform(0.5, 1.5, (50, 4))  # feature 0 is non-zero, so every perturbation is valid
+        y = (rng.uniform(size=(50, out_dim)) > 0.5).astype(float) if task == "classification" else x.copy()
+        return spec, init_params(spec, rng), x, y, rule, metric
+
+    @pytest.mark.parametrize("family", sorted(SWEEP_RULES))
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    def test_records_equal_per_alpha_predict_values(self, coupling, family):
+        spec, params, x, y, rule, metric = self.make(coupling, family)
+        alphas = alpha_grid(*EXTENDED_ALPHA_RANGE, 0.1)
+        got = alpha_sweep(spec, params, x, y, rule, alphas, metric, split="val", perturb_seed=5)
+        want = direct_sweep(spec, params, x, y, rule, alphas, metric, split="val", perturb_seed=5)
+        assert got == want
+
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    def test_encoders_run_once_unless_they_read_alpha(self, coupling, monkeypatch):
+        spec, params, x, y, rule, metric = self.make(coupling, "monotonic")
+        calls = []
+        original = rulemix.model.mlp_forward
+
+        def counting(tape, layers, params, block, node):
+            calls.append(block)
+            return original(tape, layers, params, block, node)
+
+        monkeypatch.setattr(rulemix.model, "mlp_forward", counting)
+        alpha_sweep(spec, params, x, y, rule, alpha_grid(), metric)
+        # the input and its perturbed copy: two encodings, two decodes per strength
+        per_alpha = 2 if coupling == "input_concat_alpha" else 0
+        n = len(alpha_grid())
+        assert calls.count("shared") == 2 + per_alpha * (n - 1)
+        assert calls.count("decision") == 2 * n
+        encoder = "encoder" if coupling == "input_concat_alpha" else "data"
+        assert calls.count(encoder) == calls.count("shared")
 
 
 class TestSelectAlpha:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import cartesian_energy
+from helpers import cartesian_energy, reference_eom, reference_rk4_step, reference_states
 from rulemix.errors import SimulationBlowup
 from rulemix.pendulum import (
     DEFAULT_PARAMS,
@@ -12,6 +12,7 @@ from rulemix.pendulum import (
     energy,
     eom_derivatives,
     rk4_simulate,
+    rk4_step,
     simulate_states,
 )
 
@@ -88,6 +89,43 @@ class TestSimulation:
         with pytest.raises(SimulationBlowup) as info:
             simulate_states((2.0, 1e9, -2.0, 1e9), p, 10000, 0.05)
         assert info.value.step >= 1
+
+
+class TestIntegratorMatchesReference:
+    """The simulator's arithmetic is pinned to a term-by-term reference, so
+    datasets stay byte-identical; comparisons are exact, not approximate."""
+
+    PARAMS = (DEFAULT_PARAMS, PendulumParams(m1=1.7, m2=0.6, l1=1.3, l2=0.4, g=9.2, b=0.3))
+
+    def test_derivatives_and_step_equal_reference(self):
+        rng = np.random.default_rng(3)
+        for p in self.PARAMS:
+            for _ in range(200):
+                s = tuple(float(v) for v in rng.uniform(-3, 3, 4))
+                assert eom_derivatives(s, p) == reference_eom(s, p)
+                assert rk4_step(s, 0.005, p) == reference_rk4_step(s, 0.005, p)
+
+    def test_simulate_states_equals_loop_of_steps(self):
+        dt = 1.0 / 200
+        for p in self.PARAMS:
+            for s0 in ((2.0, 0.0, 1.99, 0.0), (0.3, -1.0, -2.5, 4.0)):
+                got = simulate_states(s0, p, 2000, dt)
+                assert np.array_equal(got, reference_states(lambda s: reference_rk4_step(s, dt, p), s0, 2000))
+                assert np.array_equal(got, reference_states(lambda s: rk4_step(s, dt, p), s0, 2000))
+
+    def test_blowup_step_index_equals_reference(self):
+        p = PendulumParams(m1=1e-12, m2=1e12, l1=1e-6, l2=1e6, g=9.81, b=0.0)
+        s0 = (2.0, 1e9, -2.0, 1e9)
+        state, first_bad = s0, None
+        for i in range(1, 10001):
+            state = reference_rk4_step(state, 0.05, p)
+            if not all(np.isfinite(state)):
+                first_bad = i
+                break
+        assert first_bad is not None, "setup assumption: the reference diverges"
+        with pytest.raises(SimulationBlowup) as info:
+            simulate_states(s0, p, 10000, 0.05)
+        assert info.value.step == first_bad
 
 
 class TestDatasetBuilder:

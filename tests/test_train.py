@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import tiny_model
+import rulemix.train
+from helpers import full_pass_task_losses, tiny_model
 from rulemix.data import Dataset, assign_splits
 from rulemix.errors import ConfigError
+from rulemix.model import ModelSpec
 from rulemix.optim import AdamState
 from rulemix.pendulum import DEFAULT_PARAMS
 from rulemix.rules import EnergyDampingRule, MonotonicRule
@@ -221,11 +223,29 @@ class TestFit:
         cfg = self.quick_cfg(max_epochs=10, patience=4)
         result = fit(spec, cfg, ds, ENERGY_RULE)
         x_val, y_val = ds.subset("val")
-        revalidated = float(
-            np.mean([evaluate_task_loss(spec, result.params, x_val, y_val, a) for a in cfg.val_alphas])
-        )
+        revalidated = float(np.mean(evaluate_task_loss(spec, result.params, x_val, y_val, cfg.val_alphas)))
         assert revalidated == pytest.approx(result.report.best_val, rel=1e-12)
         assert result.report.best_val == min(r.val_metric for r in result.report.records)
+
+    @pytest.mark.parametrize(
+        "coupling,mode",
+        [("scaled_concat", "controlled"), ("input_concat_alpha", "controlled"), ("single", "task_only")],
+    )
+    def test_validation_equals_full_pass_reference(self, coupling, mode, monkeypatch):
+        spec = ModelSpec(
+            input_dim=4, output_dim=4, coupling=coupling,
+            shared_units=(6,), encoder_units=(8, 6), decision_units=(8,),
+        )
+        ds = identity_dataset()
+        cfg = self.quick_cfg(mode=mode, max_epochs=4, patience=3)
+        rule = None if mode == "task_only" else ENERGY_RULE
+        got = fit(spec, cfg, ds, rule)
+        monkeypatch.setattr(rulemix.train, "evaluate_task_loss", full_pass_task_losses)
+        want = fit(spec, cfg, ds, rule)
+        assert [r.val_metric for r in got.report.records] == [r.val_metric for r in want.report.records]
+        assert got.report.best_val == want.report.best_val
+        for k in want.params:
+            assert np.array_equal(got.params[k], want.params[k])
 
     def test_improving_validation_runs_to_max_epochs(self):
         rng = np.random.default_rng(10)
