@@ -81,10 +81,12 @@ class Tape:
 
         The sharing rule is what lets two forward passes (e.g. an input and
         its perturbed copy) accumulate gradients into one parameter set.
+        ``value`` is taken as it is: parameters are validated where they
+        enter (``model.check_params``), not on every tape leaf.
         """
         if name in self._params:
             return self._params[name]
-        nid = self._append(Node(as_matrix(value, name), (), None, param=name))
+        nid = self._append(Node(value, (), None, param=name))
         self._params[name] = nid
         return nid
 
@@ -289,11 +291,11 @@ class Tape:
             node = self.nodes[nid]
             if node.backward is None:
                 continue
+            # never accumulate in place: a backward closure may hand the
+            # same array to two parents, or a view of its incoming gradient
             for pid, pg in zip(node.parents, node.backward(g)):
-                if grads[pid] is None:
-                    grads[pid] = pg.copy()
-                else:
-                    grads[pid] += pg
+                prev = grads[pid]
+                grads[pid] = pg if prev is None else prev + pg
         out: dict[str, np.ndarray] = {}
         for name, nid in self._params.items():
             g = grads[nid] if nid <= loss else None

@@ -3,13 +3,17 @@
 A checkpoint is a .npz archive holding the format version, a JSON snapshot
 of the resolved experiment config, the model layout, the loss-scale pair,
 seed/epoch metadata, and every parameter tensor. The version is checked
-before anything else is touched; unreadable or truncated files raise without
-producing a partial model.
+before anything else is touched; unreadable or truncated files, and
+parameters that do not match the model layout or are not finite, raise
+without producing a partial model. Writes are atomic: the archive goes to a
+temporary file in the target directory and is then renamed onto the path.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import secrets
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, UnsupportedVersionError
-from .model import ModelSpec
+from .model import ModelSpec, check_params
 from .train import FitResult, LossScale
 
 FORMAT_VERSION = 1
@@ -74,7 +78,17 @@ def save_checkpoint(
     }
     for name, value in result.params.items():
         arrays[f"param:{name}"] = value
-    np.savez(path, **arrays)
+    # written through a handle, so np.savez adds no ".npz" to the path
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -98,6 +112,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 for key in archive.files
                 if key.startswith("param:")
             }
+            try:
+                check_params(spec, params)
+            except ValueError as exc:
+                raise CheckpointError(f"{path}: invalid parameters: {exc}") from exc
             return Checkpoint(
                 spec=spec,
                 params=params,

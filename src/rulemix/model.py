@@ -12,13 +12,16 @@ to one width-matched encoder instead of using two passages.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .autodiff import Tape, as_matrix
 from .errors import ShapeError
+from .optim import param_views
 
 COUPLINGS = ("scaled_concat", "concat", "add", "input_concat_alpha", "single")
 TASKS = ("regression", "classification")
@@ -42,7 +45,7 @@ def dense_chain(fan_in: int, units: tuple[int, ...], final_activation: str = "li
     return layers
 
 
-def chain_param_count(layers: list[LayerSpec]) -> int:
+def chain_param_count(layers: Sequence[LayerSpec]) -> int:
     return sum(l.fan_in * l.fan_out + l.fan_out for l in layers)
 
 
@@ -74,27 +77,51 @@ class ModelSpec:
     def latent_dim(self) -> int:
         return self.encoder_units[-1]
 
-    def blocks(self) -> dict[str, list[LayerSpec]]:
-        """Layer specs per named block, in parameter-initialization order."""
-        out: dict[str, list[LayerSpec]] = {}
+    def blocks(self) -> Mapping[str, tuple[LayerSpec, ...]]:
+        """Layer specs per named block, in parameter-initialization order.
+
+        Built once per spec (the spec is frozen) and returned read-only.
+        """
+        return self._blocks
+
+    def decision_layers(self) -> tuple[LayerSpec, ...]:
+        """The decision block alone, without building the encoder specs."""
+        return self._decision_layers
+
+    def param_shapes(self) -> Mapping[str, tuple[int, int]]:
+        """Shape of every named parameter, in parameter-initialization order."""
+        return self._param_shapes
+
+    @cached_property
+    def _blocks(self) -> Mapping[str, tuple[LayerSpec, ...]]:
+        out: dict[str, tuple[LayerSpec, ...]] = {}
         if self.shared_units:
-            out["shared"] = dense_chain(self.input_dim, self.shared_units)
+            out["shared"] = tuple(dense_chain(self.input_dim, self.shared_units))
         if self.coupling == "single":
-            out["data"] = dense_chain(self.encoder_in, self.encoder_units)
+            out["data"] = tuple(dense_chain(self.encoder_in, self.encoder_units))
         elif self.coupling == "input_concat_alpha":
             units = width_matched_units(self.encoder_in, self.encoder_units)
-            out["encoder"] = dense_chain(self.encoder_in + 1, units)
+            out["encoder"] = tuple(dense_chain(self.encoder_in + 1, units))
         else:
-            out["rule"] = dense_chain(self.encoder_in, self.encoder_units)
-            out["data"] = dense_chain(self.encoder_in, self.encoder_units)
-        out["decision"] = self.decision_layers()
-        return out
+            out["rule"] = tuple(dense_chain(self.encoder_in, self.encoder_units))
+            out["data"] = tuple(dense_chain(self.encoder_in, self.encoder_units))
+        out["decision"] = self._decision_layers
+        return MappingProxyType(out)
 
-    def decision_layers(self) -> list[LayerSpec]:
-        """The decision block alone, without building the encoder specs."""
+    @cached_property
+    def _decision_layers(self) -> tuple[LayerSpec, ...]:
         final = "sigmoid" if self.task == "classification" else "linear"
         fan_in = self.latent_dim if self.coupling in ("single", "add") else 2 * self.latent_dim
-        return dense_chain(fan_in, self.decision_units + (self.output_dim,), final)
+        return tuple(dense_chain(fan_in, self.decision_units + (self.output_dim,), final))
+
+    @cached_property
+    def _param_shapes(self) -> Mapping[str, tuple[int, int]]:
+        shapes: dict[str, tuple[int, int]] = {}
+        for block, layers in self._blocks.items():
+            for i, layer in enumerate(layers):
+                shapes[f"{block}.{i}.w"] = (layer.fan_in, layer.fan_out)
+                shapes[f"{block}.{i}.b"] = (1, layer.fan_out)
+        return MappingProxyType(shapes)
 
 
 def width_matched_units(encoder_in: int, encoder_units: tuple[int, ...]) -> tuple[int, ...]:
@@ -122,14 +149,38 @@ def width_matched_units(encoder_in: int, encoder_units: tuple[int, ...]) -> tupl
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Uniform fan-in-scaled init, U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
-    params: dict[str, np.ndarray] = {}
+    """Uniform fan-in-scaled init, U(-1/sqrt(fan_in), 1/sqrt(fan_in)).
+
+    The arrays are views into one contiguous float64 vector.
+    """
+    shapes = spec.param_shapes()
+    params = param_views(np.empty(sum(math.prod(s) for s in shapes.values())), shapes)
     for block, layers in spec.blocks().items():
         for i, layer in enumerate(layers):
             bound = 1.0 / math.sqrt(layer.fan_in)
-            params[f"{block}.{i}.w"] = rng.uniform(-bound, bound, size=(layer.fan_in, layer.fan_out))
-            params[f"{block}.{i}.b"] = rng.uniform(-bound, bound, size=(1, layer.fan_out))
+            params[f"{block}.{i}.w"][...] = rng.uniform(-bound, bound, size=(layer.fan_in, layer.fan_out))
+            params[f"{block}.{i}.b"][...] = rng.uniform(-bound, bound, size=(1, layer.fan_out))
+    check_params(spec, params)
     return params
+
+
+def check_params(spec: ModelSpec, params: dict[str, np.ndarray]) -> None:
+    """Require exactly the spec's parameters, each a finite float64 matrix.
+
+    Parameters are validated where they enter: here at init and at load,
+    and by ``adam_update`` after each step, not on every tape leaf.
+    """
+    shapes = spec.param_shapes()
+    if params.keys() != shapes.keys():
+        missing = sorted(shapes.keys() - params.keys())
+        extra = sorted(params.keys() - shapes.keys())
+        raise ShapeError(f"parameters do not match the model: missing {missing}, unexpected {extra}")
+    for name, shape in shapes.items():
+        value = params[name]
+        if value.dtype != np.float64 or value.shape != shape:
+            raise ShapeError(f"{name}: expected float64 of shape {shape}, got {value.dtype} of shape {value.shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name}: non-finite entries rejected")
 
 
 def param_count(params: dict[str, np.ndarray]) -> int:
@@ -138,7 +189,7 @@ def param_count(params: dict[str, np.ndarray]) -> int:
 
 def mlp_forward(
     tape: Tape,
-    layers: list[LayerSpec],
+    layers: Sequence[LayerSpec],
     params: dict[str, np.ndarray],
     block: str,
     x: int,

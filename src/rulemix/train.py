@@ -74,7 +74,13 @@ class TrainConfig:
 
 
 def sample_alpha(beta: float, rng: np.random.Generator) -> float:
-    """One Beta(beta, beta) draw built from two Gamma(beta, 1) draws."""
+    """One Beta(beta, beta) draw built from two Gamma(beta, 1) draws.
+
+    The ratio g1 / (g1 + g2) is independent of the sum, so retrying when
+    both draws underflow to 0 keeps the distribution. At tiny beta nearly
+    every draw can underflow; after 100 tries the result is 0 or 1 by a fair
+    draw, which is where Beta(beta, beta) puts its mass as beta -> 0.
+    """
     if beta <= 0:
         raise ValueError("beta must be positive")
     for _ in range(100):
@@ -82,7 +88,7 @@ def sample_alpha(beta: float, rng: np.random.Generator) -> float:
         g2 = rng.gamma(beta, 1.0)
         if g1 + g2 > 0.0:
             return float(g1 / (g1 + g2))
-    return 0.5  # both draws underflowed; essentially unreachable
+    return float(rng.integers(2))
 
 
 @dataclass(frozen=True)

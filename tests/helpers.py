@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from rulemix.autodiff import Tape
+from rulemix.errors import TrainingAborted
 from rulemix.evaluate import SweepRecord, task_metric
 from rulemix.model import ModelSpec, init_params, predict, predict_values
 from rulemix.pendulum import PendulumParams
@@ -123,3 +125,46 @@ def full_pass_task_losses(spec, params, x, y, alphas) -> list[float]:
         node = tape.bce(out, target) if spec.task == "classification" else tape.mse(out, target)
         losses.append(tape.scalar(node))
     return losses
+
+
+@dataclass
+class ReferenceAdamState:
+    """Per-array Adam state: one moment array per parameter name."""
+
+    lr: float = 0.001
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    step: int = 0
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @classmethod
+    def for_params(cls, params: dict[str, np.ndarray], lr: float = 0.001) -> "ReferenceAdamState":
+        state = cls(lr=lr)
+        for name, value in params.items():
+            state.m[name] = np.zeros_like(value)
+            state.v[name] = np.zeros_like(value)
+        return state
+
+
+def reference_adam_update(state, params, grads):
+    """Adam as a loop over the parameter arrays, one array at a time.
+
+    The flat-vector ``adam_update`` must equal this bit for bit.
+    """
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - state.beta1**t
+    c2 = 1.0 - state.beta2**t
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        if g.shape != p.shape:
+            raise TrainingAborted(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
+        if not np.all(np.isfinite(g)):
+            raise TrainingAborted(f"non-finite gradient for parameter {name} at step {t}")
+        m = state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
+        v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
+        out[name] = p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    return out

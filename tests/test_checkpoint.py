@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import rulemix.checkpoint
 from helpers import tiny_model
 from rulemix.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from rulemix.config import config_from_dict
@@ -76,6 +77,75 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         save_checkpoint(path, result, {"task": "pendulum"}, seed=0)
         assert load_checkpoint(path).scale is None
+
+    def test_path_without_suffix_is_written_as_given(self, tmp_path):
+        result = make_fit_result(5)
+        save_checkpoint(tmp_path / "ck", result, {"task": "pendulum"}, seed=0)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+        loaded = load_checkpoint(tmp_path / "ck")
+        for k in result.params:
+            assert np.array_equal(loaded.params[k], result.params[k])
+
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, make_fit_result(6), {"task": "pendulum"}, seed=0)
+        before = path.read_bytes()
+
+        def write_half_then_fail(fh, **arrays):
+            fh.write(before[: len(before) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(rulemix.checkpoint.np, "savez", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, make_fit_result(7), {"task": "pendulum"}, seed=1)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
+
+    def rewrite_params(self, path, edit):
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        edit(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    def test_missing_parameter_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, make_fit_result(8), {"task": "pendulum"}, seed=0)
+        self.rewrite_params(path, lambda a: a.pop("param:rule.1.w"))
+        with pytest.raises(CheckpointError, match=r"missing \['rule.1.w'\]"):
+            load_checkpoint(path)
+
+    def test_unexpected_parameter_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, make_fit_result(8), {"task": "pendulum"}, seed=0)
+        self.rewrite_params(path, lambda a: a.update({"param:rule.9.w": np.zeros((2, 2))}))
+        with pytest.raises(CheckpointError, match="rule.9.w"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.zeros((8, 6)), np.zeros((4 * 8,)), np.zeros((1, 4, 8)), np.zeros((4, 8), dtype=np.int64)],
+        ids=["shape", "1-d", "3-d", "int"],
+    )
+    def test_wrong_parameter_layout_is_checkpoint_error(self, tmp_path, bad):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, make_fit_result(9), {"task": "pendulum"}, seed=0)
+        self.rewrite_params(path, lambda a: a.update({"param:rule.0.w": bad}))
+        with pytest.raises(CheckpointError, match="rule.0.w"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_is_checkpoint_error(self, tmp_path, value):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, make_fit_result(10), {"task": "pendulum"}, seed=0)
+
+        def poison(arrays):
+            arrays["param:decision.0.w"] = arrays["param:decision.0.w"].copy()
+            arrays["param:decision.0.w"][1, 2] = value
+
+        self.rewrite_params(path, poison)
+        with pytest.raises(CheckpointError, match="decision.0.w: non-finite"):
+            load_checkpoint(path)
 
 
 class TestDatasetCsv:

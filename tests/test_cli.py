@@ -231,6 +231,27 @@ class TestSweepInputs:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ValueError:") and "vall" in err[0]
 
+    @pytest.mark.parametrize("defect", ["missing rule.1.w", "nan in decision.0.w"])
+    def test_invalid_checkpoint_parameters_are_one_line_error(self, trained, tmp_path, capsys, defect):
+        ck, _ = trained
+        with np.load(ck, allow_pickle=False) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        if defect.startswith("missing"):
+            del arrays["param:rule.1.w"]
+        else:
+            arrays["param:decision.0.w"] = arrays["param:decision.0.w"].copy()
+            arrays["param:decision.0.w"][0, 0] = np.nan
+        bad = tmp_path / "bad.npz"
+        with open(bad, "wb") as fh:
+            np.savez(fh, **arrays)
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert main(["sweep", "--checkpoint", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: CheckpointError:")
+        assert defect.split()[-1] in err[0]
+        assert not out.exists()
+
 
 class TestAblate:
     def test_coupling_ablation_writes_summary(self, tmp_path):

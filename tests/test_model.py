@@ -9,9 +9,11 @@ from rulemix.errors import ShapeError
 from rulemix.model import (
     ModelSpec,
     chain_param_count,
+    check_params,
     couple,
     dense_chain,
     init_params,
+    param_count,
     predict,
     predict_values,
     width_matched_units,
@@ -181,3 +183,50 @@ class TestInit:
         spec = ModelSpec(input_dim=100, output_dim=2, encoder_units=(64,), decision_units=())
         params = init_params(spec, np.random.default_rng(0))
         assert np.max(np.abs(params["rule.0.w"])) <= 1.0 / 10.0
+
+    def test_params_are_views_into_one_vector_in_layout_order(self):
+        spec = ModelSpec(input_dim=4, output_dim=4, shared_units=(6,), encoder_units=(8, 6), decision_units=(8,))
+        params = init_params(spec, np.random.default_rng(0))
+        assert list(params) == list(spec.param_shapes())
+        base = params["shared.0.w"].base
+        assert base.ndim == 1 and base.flags.c_contiguous and base.size == param_count(params)
+        offset = 0
+        for name, shape in spec.param_shapes().items():
+            assert params[name].shape == shape and params[name].base is base
+            assert np.shares_memory(params[name], base[offset : offset + params[name].size])
+            offset += params[name].size
+
+    def test_flat_init_draws_the_same_numbers_as_per_array_draws(self):
+        spec = ModelSpec(input_dim=4, output_dim=4, shared_units=(6,), encoder_units=(8, 6), decision_units=(8,))
+        params = init_params(spec, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        for name, (fan_in, fan_out) in ((n, s) for n, s in spec.param_shapes().items() if n.endswith(".w")):
+            bound = 1.0 / np.sqrt(fan_in)
+            assert np.array_equal(params[name], rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+            bias = name[:-1] + "b"
+            assert np.array_equal(params[bias], rng.uniform(-bound, bound, size=(1, fan_out)))
+
+
+class TestSpecLayout:
+    def test_blocks_are_built_once_and_read_only(self):
+        spec = ModelSpec(input_dim=4, output_dim=4, coupling="input_concat_alpha", encoder_units=(8, 6))
+        assert spec.blocks() is spec.blocks()
+        assert spec.decision_layers() is spec.blocks()["decision"]
+        with pytest.raises(TypeError):
+            spec.blocks()["decision"] = ()
+        assert spec == ModelSpec(input_dim=4, output_dim=4, coupling="input_concat_alpha", encoder_units=(8, 6))
+
+    def test_check_params_accepts_init_and_rejects_bad_entries(self):
+        spec = ModelSpec(input_dim=4, output_dim=4, encoder_units=(8, 6), decision_units=(8,))
+        params = init_params(spec, np.random.default_rng(0))
+        check_params(spec, params)
+        with pytest.raises(ShapeError, match="missing"):
+            check_params(spec, {k: v for k, v in params.items() if k != "rule.1.b"})
+        with pytest.raises(ShapeError, match="rule.0.w"):
+            check_params(spec, {**params, "rule.0.w": params["rule.0.w"].T})
+        with pytest.raises(ShapeError, match="rule.0.w"):
+            check_params(spec, {**params, "rule.0.w": params["rule.0.w"].astype(np.float32)})
+        bad = params["data.1.b"].copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match="data.1.b: non-finite"):
+            check_params(spec, {**params, "data.1.b": bad})

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import rulemix.train
-from helpers import full_pass_task_losses, tiny_model
+import rulemix.model
+from helpers import ReferenceAdamState, full_pass_task_losses, reference_adam_update, tiny_model
 from rulemix.data import Dataset, assign_splits
 from rulemix.errors import ConfigError
 from rulemix.model import ModelSpec
@@ -74,6 +75,15 @@ class TestSampleAlpha:
         rng = np.random.default_rng(3)
         draws = [sample_alpha(0.05, rng) for _ in range(1000)]
         assert all(0.0 <= a <= 1.0 for a in draws)
+
+    def test_tiny_beta_puts_mass_at_the_ends_not_the_middle(self):
+        # nearly every Gamma(1e-5) draw underflows to 0; when both draws of
+        # every try underflow, the result must still land at 0 or 1
+        rng = np.random.default_rng(11)
+        draws = np.array([sample_alpha(1e-5, rng) for _ in range(4000)])
+        assert not np.any(draws == 0.5)
+        assert abs(np.mean(draws < 1e-3) - 0.5) < 0.05
+        assert abs(np.mean(draws > 1.0 - 1e-3) - 0.5) < 0.05
 
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
@@ -246,6 +256,47 @@ class TestFit:
         assert got.report.best_val == want.report.best_val
         for k in want.params:
             assert np.array_equal(got.params[k], want.params[k])
+
+    @pytest.mark.parametrize("coupling", ["scaled_concat", "input_concat_alpha"])
+    def test_flat_adam_equals_per_array_reference(self, coupling, monkeypatch):
+        spec = ModelSpec(
+            input_dim=4, output_dim=4, coupling=coupling,
+            shared_units=(6,), encoder_units=(8, 6), decision_units=(8,),
+        )
+        ds = identity_dataset()
+        cfg = self.quick_cfg(max_epochs=4, patience=3)
+        got = fit(spec, cfg, ds, ENERGY_RULE)
+        monkeypatch.setattr(rulemix.train, "AdamState", ReferenceAdamState)
+        monkeypatch.setattr(rulemix.train, "adam_update", reference_adam_update)
+        want = fit(spec, cfg, ds, ENERGY_RULE)
+        assert [r.val_metric for r in got.report.records] == [r.val_metric for r in want.report.records]
+        assert got.report.best_val == want.report.best_val
+        assert list(got.params) == list(want.params)
+        for k in want.params:
+            assert got.params[k].tobytes() == want.params[k].tobytes(), k
+
+    def test_alpha_fed_layout_is_built_once_per_spec(self, monkeypatch):
+        calls = []
+        original = rulemix.model.width_matched_units
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(rulemix.model, "width_matched_units", counting)
+        spec = ModelSpec(
+            input_dim=4, output_dim=4, coupling="input_concat_alpha",
+            shared_units=(6,), encoder_units=(8, 6), decision_units=(8,),
+        )
+        rng = np.random.default_rng(0)
+        params = rulemix.model.init_params(spec, rng)
+        x, y = identity_dataset().subset("train")
+        scale = compute_loss_scale(spec, params, x, y, ENERGY_RULE, rng)
+        adam = AdamState.for_params(params)
+        for alpha in (0.0, 0.3, 1.0):
+            rulemix.model.predict_values(spec, params, x[:8], alpha)
+            params, _ = train_step(spec, params, adam, x[:8], y[:8], ENERGY_RULE, "controlled", alpha, scale)
+        assert len(calls) == 1
 
     def test_improving_validation_runs_to_max_epochs(self):
         rng = np.random.default_rng(10)
