@@ -21,9 +21,7 @@ from .rules import (
     EnergyDampingRule,
     MonotonicRule,
     ThresholdRule,
-    monotonic_rule_loss,
     perturb_batch,
-    threshold_rule_loss,
     verification_ratio,
 )
 from .tabular import (

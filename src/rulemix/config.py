@@ -115,12 +115,6 @@ _TASK_DEFAULTS = {
     },
 }
 
-_MODE_DEFAULT = {
-    "pendulum": "controlled",
-    "monotone-regression": "controlled_perturb",
-    "shifted-classification": "controlled_perturb",
-}
-
 _THRESHOLD_RULE_DEFAULTS = {"kind": "threshold", "fn": "row_mean", "limit": 0.0}
 _MONOTONIC_RULE_DEFAULTS = {"kind": "monotonic", "feature": 0, "direction": "decrease", "guard": None, "bound": 0.1}
 
@@ -131,7 +125,6 @@ def default_config(task: str) -> dict:
     cfg = copy.deepcopy(_COMMON)
     cfg.update(copy.deepcopy(_TASK_DEFAULTS[task]))
     cfg["task"] = task
-    cfg["train"]["mode"] = _MODE_DEFAULT[task]
     return cfg
 
 
@@ -257,7 +250,7 @@ class ExperimentConfig:
                 guard=None if r["guard"] is None else float(r["guard"]),
                 bound=float(r["bound"]),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"rule: {exc}") from exc
 
     def build_dataset(self) -> Dataset:
@@ -329,6 +322,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "kind" in rule_override and rule_override["kind"] != defaults["rule"]["kind"]:
         defaults["rule"] = _rule_defaults_for(rule_override["kind"], task)
     cfg = ExperimentConfig(_merge(defaults, {**overrides, "task": task}, ""))
+    # the one legacy mode, kept so that older configs and checkpoints load
+    if cfg.raw["train"]["mode"] == "controlled_perturb":
+        cfg.raw["train"]["mode"] = "controlled"
     _validate(cfg)
     return cfg
 

@@ -8,6 +8,7 @@ optionally restricted to points above a verification floor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleSelectionError
 from .model import ModelSpec, forward_per_alpha, predict_values  # noqa: F401  (evaluate.predict_values stays importable)
-from .rules import MonotonicRule, PerturbedBatch, RuleSpec, perturb_batch, verification_ratio
+from .rules import RuleSpec, perturb_batch, verification_ratio
 
 METRICS = ("mae", "cross_entropy", "accuracy")
 PROB_CLAMP = 1e-12
@@ -85,24 +86,21 @@ def alpha_sweep(
 ) -> list[SweepRecord]:
     """Evaluate the frozen model at each strength; parameters are never touched.
 
-    The input (and, for monotonicity rules, its perturbed copy) is encoded
-    once; see ``forward_per_alpha``. For monotonicity rules one seeded
+    The input (and, for rules that need perturbation, its perturbed copy) is
+    encoded once; see ``forward_per_alpha``. For such rules one seeded
     perturbation set is drawn up front and reused at every grid point so
     records are comparable across strengths.
     """
     def outputs(inputs: np.ndarray):
         return (tape.value(fwd.output) for tape, fwd in forward_per_alpha(spec, params, inputs, alphas))
 
-    pert: PerturbedBatch | None = None
-    if isinstance(rule, MonotonicRule):
+    perturbed, valid = itertools.repeat(None), None
+    if rule.needs_perturbation:
         pert = perturb_batch(x, rule, np.random.default_rng(perturb_seed))
-        perturbed = outputs(pert.x_p)
+        perturbed, valid = outputs(pert.x_p), pert.valid
     records = []
-    for alpha, y_hat in zip(alphas, outputs(x)):
-        if pert is not None:
-            ver = verification_ratio(rule, x, y_hat, next(perturbed), pert.valid)
-        else:
-            ver = verification_ratio(rule, x, y_hat)
+    for alpha, y_hat, y_hat_p in zip(alphas, outputs(x), perturbed):
+        ver = verification_ratio(rule, x, y_hat, y_hat_p, valid)
         records.append(
             SweepRecord(
                 alpha=float(alpha),

@@ -1,4 +1,4 @@
-"""Rule catalog: losses that measure violation, and verification accounting.
+"""Rule catalog: each rule class owns its check and its loss.
 
 Three rule families are supported:
 
@@ -9,13 +9,15 @@ Three rule families are supported:
   that is not differentiable in the inputs is expressed by nudging one
   feature upward and penalizing the wrong-direction output change.
 
-Every loss is >= 0 and exactly 0 iff the rule holds; the verification ratio
-counts the fraction of samples with zero violation.
+Training, sweeps and verification read a rule only through the ``RuleSpec``
+protocol, so a new rule is one class plus its ``config.rule()`` entry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import ClassVar, Protocol
 
 import numpy as np
 
@@ -26,16 +28,42 @@ from .pendulum import PendulumParams, energy, energy_gradient
 DEFAULT_PERTURB_BOUND = 0.1
 
 
+class RuleSpec(Protocol):
+    """What training, sweeps and verification read of a rule.
+
+    ``holds`` gives one bool per row. ``loss_node`` puts the batch loss on
+    the tape: >= 0, and exactly 0 iff every row holds. A rule that
+    ``needs_perturbation`` is checked on pairs: each row and its copy drawn
+    by ``perturb_batch`` (which reads ``feature``, ``bound`` and ``guard``)
+    run through the same model, both methods take the perturbed outputs
+    ``y_hat_p``, and only the pairs flagged ``valid`` count.
+    """
+
+    needs_perturbation: ClassVar[bool]
+
+    def holds(self, x, y_hat, y_hat_p=None) -> np.ndarray: ...
+
+    def loss_node(self, tape: Tape, x, y_hat: int, y_hat_p: int | None = None, valid=None) -> int: ...
+
+
 @dataclass(frozen=True)
 class ThresholdRule:
     """r(y_hat) <= limit for a registered row function r."""
 
     fn: str
     limit: float
+    needs_perturbation: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.fn, str) or self.fn not in THRESHOLD_FUNCTIONS:
             raise ValueError(f"unknown threshold function {self.fn!r}, expected one of {sorted(THRESHOLD_FUNCTIONS)}")
+
+    def holds(self, x, y_hat, y_hat_p=None) -> np.ndarray:
+        fn, _ = THRESHOLD_FUNCTIONS[self.fn]
+        return fn(y_hat) <= self.limit
+
+    def loss_node(self, tape, x, y_hat, y_hat_p=None, valid=None) -> int:
+        return threshold_rule_node(tape, self, y_hat)
 
 
 @dataclass(frozen=True)
@@ -43,6 +71,13 @@ class EnergyDampingRule:
     """Predicted next-state energy must not exceed the current state's."""
 
     params: PendulumParams
+    needs_perturbation: ClassVar[bool] = False
+
+    def holds(self, x, y_hat, y_hat_p=None) -> np.ndarray:
+        return energy(y_hat, self.params) <= energy(np.asarray(x), self.params)
+
+    def loss_node(self, tape, x, y_hat, y_hat_p=None, valid=None) -> int:
+        return energy_rule_node(tape, self, x, y_hat)
 
 
 @dataclass(frozen=True)
@@ -58,17 +93,28 @@ class MonotonicRule:
     direction: str  # "increase" | "decrease"
     guard: float | None = None
     bound: float = DEFAULT_PERTURB_BOUND
+    needs_perturbation: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if self.direction not in ("increase", "decrease"):
             raise ValueError(f"unknown direction {self.direction!r}")
-        if self.bound <= 0:
-            raise ValueError("perturbation bound must be positive")
+        if not 0 < self.bound < math.inf:
+            raise ValueError(f"perturbation bound must be positive and finite, got {self.bound!r}")
         if self.feature < 0:
             raise ValueError("feature index must be non-negative")
 
+    def holds(self, x, y_hat, y_hat_p=None) -> np.ndarray:
+        if y_hat_p is None:
+            raise ValueError("monotonicity rules need the perturbed outputs")
+        y = np.asarray(y_hat, dtype=np.float64).reshape(-1)
+        y_p = np.asarray(y_hat_p, dtype=np.float64).reshape(-1)
+        if self.direction == "decrease":
+            return y_p <= y
+        return y_p >= y
 
-RuleSpec = ThresholdRule | EnergyDampingRule | MonotonicRule
+    def loss_node(self, tape, x, y_hat, y_hat_p=None, valid=None) -> int:
+        return monotonic_rule_node(tape, self, y_hat, y_hat_p, valid)
+
 
 # registered r functions for threshold rules: value (n,d)->(n,), jacobian (n,d)->(n,d)
 THRESHOLD_FUNCTIONS = {
@@ -81,20 +127,6 @@ THRESHOLD_FUNCTIONS = {
         lambda y: 2.0 * y,
     ),
 }
-
-
-def threshold_rule_loss(r_value: float, limit: float) -> float:
-    """Hinge penalty max(r - limit, 0)."""
-    return max(float(r_value) - float(limit), 0.0)
-
-
-def energy_rule_loss(x: np.ndarray, y_hat: np.ndarray, params: PendulumParams) -> np.ndarray:
-    """Per-sample max(E(y_hat) - E(x), 0) for 4-column state batches."""
-    x = np.asarray(x, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != 4 or y_hat.shape != x.shape:
-        raise ValueError(f"expected matching (n, 4) state batches, got {x.shape} and {y_hat.shape}")
-    return np.maximum(energy(y_hat, params) - energy(x, params), 0.0)
 
 
 @dataclass(frozen=True)
@@ -131,42 +163,6 @@ def perturb_batch(
     return PerturbedBatch(x=x, x_p=x_p, gamma=gamma, valid=valid)
 
 
-def perturb_input(
-    x_row: np.ndarray,
-    feature: int,
-    bound: float,
-    rng: np.random.Generator,
-    guard: float | None = None,
-) -> PerturbedBatch:
-    """Single-row convenience wrapper around perturb_batch."""
-    rule = MonotonicRule(feature=feature, direction="increase", guard=guard, bound=bound)
-    return perturb_batch(np.asarray(x_row, dtype=np.float64).reshape(1, -1), rule, rng)
-
-
-def monotonic_rule_loss(
-    y_hat: np.ndarray,
-    y_hat_p: np.ndarray,
-    direction: str,
-    valid: np.ndarray,
-) -> np.ndarray:
-    """Per-pair hinge on the wrong-direction output change; invalid pairs are 0.
-
-    direction="decrease": output should fall when the feature rises, so the
-    penalty is max(y_p - y, 0); "increase" penalizes max(y - y_p, 0).
-    """
-    y_hat = np.asarray(y_hat, dtype=np.float64).reshape(-1)
-    y_hat_p = np.asarray(y_hat_p, dtype=np.float64).reshape(-1)
-    if y_hat.shape != y_hat_p.shape:
-        raise ValueError("output batches must have matching shapes")
-    if direction == "decrease":
-        raw = np.maximum(y_hat_p - y_hat, 0.0)
-    elif direction == "increase":
-        raw = np.maximum(y_hat - y_hat_p, 0.0)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return np.where(np.asarray(valid, dtype=bool), raw, 0.0)
-
-
 def verification_ratio(
     rule: RuleSpec,
     inputs: np.ndarray,
@@ -174,29 +170,22 @@ def verification_ratio(
     perturbed_outputs: np.ndarray | None = None,
     valid: np.ndarray | None = None,
 ) -> float:
-    """Fraction of evaluated samples with zero rule violation.
+    """Fraction of evaluated rows where the rule holds.
 
-    For monotonicity rules only valid perturbation pairs enter the
+    For rules that need perturbation only valid pairs enter the
     denominator; an empty evaluation set (or all-invalid pairs) raises.
     """
     outputs = np.asarray(outputs, dtype=np.float64)
     if outputs.shape[0] == 0:
         raise UndefinedRatioError("verification ratio of an empty sample set")
-    if isinstance(rule, EnergyDampingRule):
-        return float(np.mean(energy(outputs, rule.params) <= energy(np.asarray(inputs), rule.params)))
-    if isinstance(rule, ThresholdRule):
-        fn, _ = THRESHOLD_FUNCTIONS[rule.fn]
-        return float(np.mean(fn(outputs) <= rule.limit))
+    if not rule.needs_perturbation:
+        return float(np.mean(rule.holds(inputs, outputs)))
     if perturbed_outputs is None or valid is None:
-        raise ValueError("monotonic verification needs perturbed outputs and validity flags")
+        raise ValueError("verification of this rule needs perturbed outputs and validity flags")
     valid = np.asarray(valid, dtype=bool)
     if not valid.any():
         raise UndefinedRatioError("no valid perturbation pairs to verify")
-    y = np.asarray(outputs, dtype=np.float64).reshape(-1)[valid]
-    y_p = np.asarray(perturbed_outputs, dtype=np.float64).reshape(-1)[valid]
-    if rule.direction == "decrease":
-        return float(np.mean(y_p <= y))
-    return float(np.mean(y_p >= y))
+    return float(np.mean(rule.holds(inputs, outputs, perturbed_outputs)[valid]))
 
 
 # ----------------------------------------------------------------------

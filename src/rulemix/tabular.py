@@ -149,9 +149,3 @@ def synth_shifted_classification(
         x[:, j] = rng.standard_normal(n) + WEAK_FEATURE_WEIGHTS[pos] * (2.0 * y - 1.0)
     return Dataset(x=x, y=y.reshape(-1, 1), split=assign_splits(n, split_fractions))
 
-
-def usual_mask(x: np.ndarray, y: np.ndarray, threshold: float, feature: int) -> np.ndarray:
-    """Recompute usual/unusual membership from the data alone."""
-    side = np.asarray(x)[:, feature] >= threshold
-    labels = np.asarray(y).reshape(-1) >= 0.5
-    return side == labels

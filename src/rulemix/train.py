@@ -6,18 +6,17 @@ from Beta(beta, beta) and optimizes
     total = alpha * rule_loss + ratio * (1 - alpha) * task_loss,
 
 where ``ratio`` rescales the task objective by the ratio of the two initial
-losses so neither objective dominates purely through units.
-``controlled_perturb`` is the same loop for monotonicity rules: each batch
-additionally runs the perturbed inputs through the identical parameters and
-the rule loss compares the paired outputs. Baselines: ``task_only`` (alpha
-pinned to 0, task loss only), ``rule_only`` (alpha pinned to 1, rule loss
-only), and ``task_and_rule`` (fixed-weight sum, single-passage model).
+losses so neither objective dominates purely through units. For a rule that
+needs perturbation, each batch additionally runs the perturbed inputs
+through the identical parameters and the rule loss compares the paired
+outputs. Baselines: ``task_only`` (alpha pinned to 0, task loss only),
+``rule_only`` (alpha pinned to 1, rule loss only), and ``task_and_rule``
+(fixed-weight sum, single-passage model).
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,19 +26,10 @@ from .errors import ConfigError, TrainingAborted
 from .model import ModelSpec, Forward, forward_per_alpha, init_params, predict
 from .optim import AdamState, adam_update
 from .autodiff import Tape
-from .rules import (
-    EnergyDampingRule,
-    MonotonicRule,
-    PerturbedBatch,
-    RuleSpec,
-    ThresholdRule,
-    energy_rule_node,
-    monotonic_rule_node,
-    perturb_batch,
-    threshold_rule_node,
-)
+from .rules import PerturbedBatch, RuleSpec, perturb_batch
+from .rules import energy_rule_node, monotonic_rule_node  # noqa: F401  (perfbench traces train.<name>)
 
-MODES = ("controlled", "controlled_perturb", "task_only", "task_and_rule", "rule_only")
+MODES = ("controlled", "task_only", "task_and_rule", "rule_only")
 RHO_POLICIES = ("fixed", "per_epoch")
 
 
@@ -119,32 +109,21 @@ def _task_loss_node(tape: Tape, spec: ModelSpec, y_hat: int, y: np.ndarray) -> i
 
 def _rule_loss_node(
     tape: Tape,
+    spec: ModelSpec,
+    params: dict[str, np.ndarray],
     rule: RuleSpec,
     x: np.ndarray,
     fwd: Forward,
-    fwd_p: Forward | None = None,
-    pert: PerturbedBatch | None = None,
+    alpha: float,
+    pert: PerturbedBatch | None,
 ) -> int:
-    if isinstance(rule, EnergyDampingRule):
-        return energy_rule_node(tape, rule, x, fwd.output)
-    if isinstance(rule, ThresholdRule):
-        return threshold_rule_node(tape, rule, fwd.output)
-    if fwd_p is None or pert is None:
-        raise ConfigError("monotonicity rules need the perturbed forward pass")
-    return monotonic_rule_node(tape, rule, fwd.output, fwd_p.output, pert.valid)
-
-
-def _needs_perturbation(rule: RuleSpec | None) -> bool:
-    return isinstance(rule, MonotonicRule)
-
-
-def _check_mode_rule(mode: str, rule: RuleSpec | None) -> None:
-    if mode == "controlled" and _needs_perturbation(rule):
-        raise ConfigError("monotonicity rules require mode 'controlled_perturb'")
-    if mode == "controlled_perturb" and not _needs_perturbation(rule):
-        raise ConfigError("mode 'controlled_perturb' requires a monotonicity rule")
-    if mode != "task_only" and rule is None:
-        raise ConfigError(f"mode {mode!r} requires a rule")
+    """The rule's loss node; runs the perturbed inputs first if the rule needs them."""
+    if not rule.needs_perturbation:
+        return rule.loss_node(tape, x, fwd.output)
+    if pert is None:
+        raise ValueError("this rule needs a perturbation set")
+    fwd_p = predict(tape, spec, params, pert.x_p, alpha)
+    return rule.loss_node(tape, x, fwd.output, fwd_p.output, pert.valid)
 
 
 @dataclass(frozen=True)
@@ -173,20 +152,18 @@ def train_step(
         raise ValueError("empty batch")
     tape = Tape()
     fwd = predict(tape, spec, params, x, alpha)
-    fwd_p = pert = None
-    rule_node = None
-    if rule is not None and (mode != "task_only" or not _needs_perturbation(rule)):
-        if _needs_perturbation(rule):
+    rule_node = pert = None
+    if rule is not None and (mode != "task_only" or not rule.needs_perturbation):
+        if rule.needs_perturbation:
             if rng is None:
-                raise ValueError("monotonicity rules need an rng for the perturbation draw")
+                raise ValueError("this rule needs an rng for the perturbation draw")
             pert = perturb_batch(x, rule, rng)
-            fwd_p = predict(tape, spec, params, pert.x_p, alpha)
-        rule_node = _rule_loss_node(tape, rule, x, fwd, fwd_p, pert)
+        rule_node = _rule_loss_node(tape, spec, params, rule, x, fwd, alpha, pert)
 
     task_node = _task_loss_node(tape, spec, fwd.output, y)
-    if mode in ("controlled", "controlled_perturb"):
+    if mode == "controlled":
         if scale is None:
-            raise ValueError("controlled modes require a LossScale")
+            raise ValueError("controlled mode requires a LossScale")
         # the rescaled task term is (task / task0) * rule0, matching
         # LossScale.scaled_task: algebraically ratio * task, but exact (not
         # merely close) when task == task0
@@ -240,15 +217,10 @@ def evaluate_rule_loss(
     alpha: float,
     pert: PerturbedBatch | None = None,
 ) -> float:
-    """Mean rule loss at a fixed strength; monotonic rules need a fixed pert set."""
+    """Mean rule loss at a fixed strength; perturbing rules need a fixed pert set."""
     tape = Tape()
     fwd = predict(tape, spec, params, x, alpha)
-    fwd_p = None
-    if _needs_perturbation(rule):
-        if pert is None:
-            raise ValueError("monotonicity rules need a perturbation set")
-        fwd_p = predict(tape, spec, params, pert.x_p, alpha)
-    return tape.scalar(_rule_loss_node(tape, rule, x, fwd, fwd_p, pert))
+    return tape.scalar(_rule_loss_node(tape, spec, params, rule, x, fwd, alpha, pert))
 
 
 def compute_loss_scale(
@@ -263,21 +235,17 @@ def compute_loss_scale(
     """Initial rule/task loss ratio on a fixed sample, before optimization.
 
     Both losses are read from one forward pass at the midpoint strength. A
-    zero initial task loss is degenerate and rejected; a zero initial rule
-    loss yields ratio 0 with a warning (the rule is vacuously satisfied).
+    zero initial task loss is degenerate and rejected. A zero rule loss
+    gives ratio 0, which would switch the task term off; ``fit`` decides
+    what to do with it.
     """
     tape = Tape()
     fwd = predict(tape, spec, params, x, alpha)
-    fwd_p = pert = None
-    if _needs_perturbation(rule):
-        pert = perturb_batch(x, rule, rng)
-        fwd_p = predict(tape, spec, params, pert.x_p, alpha)
-    rule0 = tape.scalar(_rule_loss_node(tape, rule, x, fwd, fwd_p, pert))
+    pert = perturb_batch(x, rule, rng) if rule.needs_perturbation else None
+    rule0 = tape.scalar(_rule_loss_node(tape, spec, params, rule, x, fwd, alpha, pert))
     task0 = tape.scalar(_task_loss_node(tape, spec, fwd.output, y))
     if task0 == 0.0:
         raise ConfigError("initial task loss is zero; the task is degenerate")
-    if rule0 == 0.0:
-        warnings.warn("initial rule loss is zero; rule objective will not be rescaled up")
     return LossScale(rule0=rule0, task0=task0)
 
 
@@ -326,7 +294,7 @@ def _validation_metric(
     rule: RuleSpec | None,
     val_pert: PerturbedBatch | None,
 ) -> float:
-    if cfg.mode in ("controlled", "controlled_perturb"):
+    if cfg.mode == "controlled":
         return float(np.mean(evaluate_task_loss(spec, params, x_val, y_val, cfg.val_alphas)))
     if cfg.mode == "rule_only":
         return evaluate_rule_loss(spec, params, x_val, rule, 1.0, val_pert)
@@ -340,7 +308,8 @@ def fit(
     rule: RuleSpec | None = None,
 ) -> FitResult:
     """Epoch loop with per-batch strength draws and best-validation restore."""
-    _check_mode_rule(cfg.mode, rule)
+    if cfg.mode != "task_only" and rule is None:
+        raise ConfigError(f"mode {cfg.mode!r} requires a rule")
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     params = init_params(spec, rng)
@@ -350,10 +319,13 @@ def fit(
         raise ConfigError("dataset needs non-empty train and val splits")
 
     scale = None
-    if cfg.mode in ("controlled", "controlled_perturb"):
+    if cfg.mode == "controlled":
         scale = compute_loss_scale(spec, params, x_tr, y_tr, rule, rng)
+        if scale.rule0 == 0.0:
+            raise ConfigError("initial rule loss is zero: the rule already holds on the training "
+                              "sample, so the rescaled task term would be 0")
     val_pert = None
-    if cfg.mode == "rule_only" and _needs_perturbation(rule):
+    if cfg.mode == "rule_only" and rule.needs_perturbation:
         val_pert = perturb_batch(x_val, rule, rng)
 
     adam = AdamState.for_params(params, lr=cfg.lr)
@@ -367,7 +339,7 @@ def fit(
         task_losses, rule_losses, alphas = [], [], []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            if cfg.mode in ("controlled", "controlled_perturb"):
+            if cfg.mode == "controlled":
                 alpha = sample_alpha(cfg.beta, rng)
             elif cfg.mode == "rule_only":
                 alpha = 1.0
@@ -405,8 +377,10 @@ def fit(
         if epochs_since_best >= cfg.patience:
             break
         if scale is not None and cfg.rho_policy == "per_epoch":
-            scale = compute_loss_scale(spec, params, x_tr, y_tr, rule, rng)
-            report.rho = scale.ratio
+            rescale = compute_loss_scale(spec, params, x_tr, y_tr, rule, rng)
+            if rescale.rule0 != 0.0:  # a satisfied rule would zero the task term
+                scale = rescale
+                report.rho = scale.ratio
 
     report.wall_seconds = time.perf_counter() - started
     return FitResult(spec=spec, params=best_params, scale=scale, report=report)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -11,8 +12,8 @@ from rulemix.autodiff import Tape
 from rulemix.errors import TrainingAborted
 from rulemix.evaluate import SweepRecord, task_metric
 from rulemix.model import ModelSpec, init_params, predict, predict_values
-from rulemix.pendulum import PendulumParams
-from rulemix.rules import MonotonicRule, perturb_batch, verification_ratio
+from rulemix.pendulum import PendulumParams, energy
+from rulemix.rules import PerturbedBatch, perturb_batch, verification_ratio
 
 
 def tiny_model(
@@ -101,7 +102,7 @@ def reference_states(step, s0, n_steps: int) -> np.ndarray:
 def direct_sweep(spec, params, x, y, rule, alphas, metric_kind, split="test", perturb_seed=0):
     """Sweep records from one full ``predict_values`` pass per strength."""
     pert = None
-    if isinstance(rule, MonotonicRule):
+    if rule.needs_perturbation:
         pert = perturb_batch(x, rule, np.random.default_rng(perturb_seed))
     records = []
     for alpha in alphas:
@@ -168,3 +169,106 @@ def reference_adam_update(state, params, grads):
         v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
         out[name] = p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
     return out
+
+
+# ----------------------------------------------------------------------
+# rule oracles: per-row violations and a one-row perturbation, written
+# without the rule classes they check
+# ----------------------------------------------------------------------
+
+
+def threshold_rule_loss(r_value: float, limit: float) -> float:
+    """Hinge penalty max(r - limit, 0)."""
+    return max(float(r_value) - float(limit), 0.0)
+
+
+def energy_rule_loss(x: np.ndarray, y_hat: np.ndarray, params: PendulumParams) -> np.ndarray:
+    """Per-sample max(E(y_hat) - E(x), 0) for 4-column state batches."""
+    x = np.asarray(x, dtype=np.float64)
+    y_hat = np.asarray(y_hat, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != 4 or y_hat.shape != x.shape:
+        raise ValueError(f"expected matching (n, 4) state batches, got {x.shape} and {y_hat.shape}")
+    return np.maximum(energy(y_hat, params) - energy(x, params), 0.0)
+
+
+def monotonic_rule_loss(
+    y_hat: np.ndarray,
+    y_hat_p: np.ndarray,
+    direction: str,
+    valid: np.ndarray,
+) -> np.ndarray:
+    """Per-pair hinge on the wrong-direction output change; invalid pairs are 0.
+
+    direction="decrease": output should fall when the feature rises, so the
+    penalty is max(y_p - y, 0); "increase" penalizes max(y - y_p, 0).
+    """
+    y_hat = np.asarray(y_hat, dtype=np.float64).reshape(-1)
+    y_hat_p = np.asarray(y_hat_p, dtype=np.float64).reshape(-1)
+    if y_hat.shape != y_hat_p.shape:
+        raise ValueError("output batches must have matching shapes")
+    if direction == "decrease":
+        raw = np.maximum(y_hat_p - y_hat, 0.0)
+    elif direction == "increase":
+        raw = np.maximum(y_hat - y_hat_p, 0.0)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    return np.where(np.asarray(valid, dtype=bool), raw, 0.0)
+
+
+def perturb_input(
+    x_row,
+    feature: int,
+    bound: float,
+    rng: np.random.Generator,
+    guard: float | None = None,
+) -> PerturbedBatch:
+    """One row nudged as ``perturb_batch`` documents, element by element.
+
+    Draws the one U[0, bound) scale the batch version draws for a one-row
+    batch, so both agree bit for bit on the same generator state.
+    """
+    x = [float(v) for v in x_row]
+    gamma = float(rng.uniform(0.0, bound, size=1)[0])
+    x_p = list(x)
+    x_p[feature] = x[feature] + gamma * abs(x[feature])
+    valid = gamma > 0.0 and x[feature] != 0.0
+    if guard is not None:
+        valid = valid and x[feature] < guard < x_p[feature]
+    return PerturbedBatch(
+        x=np.array([x]), x_p=np.array([x_p]), gamma=np.array([gamma]), valid=np.array([valid])
+    )
+
+
+def usual_mask(x: np.ndarray, y: np.ndarray, threshold: float, feature: int) -> np.ndarray:
+    """Recompute usual/unusual membership from the data alone."""
+    side = np.asarray(x)[:, feature] >= threshold
+    labels = np.asarray(y).reshape(-1) >= 0.5
+    return side == labels
+
+
+def rule_loss(rule, x, y_hat, y_hat_p=None, valid=None) -> float:
+    """Value of ``rule.loss_node`` with the outputs put on a fresh tape as leaves."""
+    tape = Tape()
+    node = tape.constant(np.reshape(y_hat, (len(y_hat), -1)))
+    node_p = None if y_hat_p is None else tape.constant(np.reshape(y_hat_p, (len(y_hat_p), -1)))
+    return tape.scalar(rule.loss_node(tape, x, node, node_p, valid))
+
+
+@dataclass(frozen=True)
+class MeanBelowFeatureRule:
+    """A rule outside the package: the mean output stays at or below input feature k.
+
+    Defined here to show that a new rule needs one class with the three
+    protocol members and nothing in ``src/``.
+    """
+
+    feature: int
+    needs_perturbation: ClassVar[bool] = False
+
+    def holds(self, x, y_hat, y_hat_p=None) -> np.ndarray:
+        return np.asarray(y_hat).mean(axis=1) <= np.asarray(x)[:, self.feature]
+
+    def loss_node(self, tape, x, y_hat, y_hat_p=None, valid=None) -> int:
+        mean = tape.rowmap(y_hat, lambda y: y.mean(axis=1), lambda y: np.full_like(y, 1.0 / y.shape[1]))
+        limit = tape.constant(np.asarray(x)[:, [self.feature]], "feature_limit")
+        return tape.mean_relu_diff(mean, limit)

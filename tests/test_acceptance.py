@@ -352,7 +352,7 @@ def test_criterion_08_optimal_strength_tracks_correlation():
                 CorrGroupSpec(n=1200, d=5, feature=0, target_corr=corr, noise=1.0, seed=seed),
                 split_fractions=(0.5, 0.3, 0.2),
             )
-            cfg = TrainConfig(mode="controlled_perturb", max_epochs=150, patience=10, seed=seed)
+            cfg = TrainConfig(mode="controlled", max_epochs=150, patience=10, seed=seed)
             result = fit(spec, cfg, ds, rule)
             x_val, y_val = ds.subset("val")
             records = alpha_sweep(spec, result.params, x_val, y_val, rule, grid, "mae", perturb_seed=0)
@@ -381,7 +381,7 @@ def test_criterion_09_distribution_shift_adaptation():
     for seed in range(3):
         src = synth_shifted_classification(source, seed=seed)
         tgt = synth_shifted_classification(target, seed=1000 + seed, split_fractions=(0.0, 0.0, 1.0))
-        cfg = TrainConfig(mode="controlled_perturb", max_epochs=100, patience=10, seed=seed)
+        cfg = TrainConfig(mode="controlled", max_epochs=100, patience=10, seed=seed)
         result = fit(spec, cfg, src, rule)
         x_t, y_t = tgt.subset("test")
         records = alpha_sweep(spec, result.params, x_t, y_t, rule, alpha_grid(), "cross_entropy",

@@ -1,10 +1,17 @@
 """End-to-end command-line workflows on desk-size configs."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulemix.checkpoint import load_checkpoint
 from rulemix.cli import main
@@ -163,6 +170,30 @@ class TestTrainSweepSelect:
         assert header.startswith("z0,") and "z_rule0" in header
 
 
+# text that no YAML loader reads as a number, bool or null, and that is no
+# valid mode, rule kind, direction or threshold function (none has an 'o',
+# and the numeric words nan/inf need letters outside the alphabet)
+JUNK_TEXT = st.text(alphabet="bcdgxyz_", min_size=1, max_size=8)
+NOT_A_NUMBER = st.one_of(
+    st.none(),
+    JUNK_TEXT,
+    st.lists(st.integers(0, 9), max_size=2),
+    st.dictionaries(JUNK_TEXT, st.integers(0, 9), max_size=1),
+)
+NOT_A_NAME = st.one_of(NOT_A_NUMBER, st.integers(-3, 3), st.floats(allow_nan=False))
+INVALID_FIELDS = st.one_of(
+    st.tuples(st.just("train"), st.just("mode"), NOT_A_NAME),
+    st.tuples(st.just("rule"), st.just("kind"), NOT_A_NAME),
+    st.tuples(st.just("rule"), st.just("direction"), NOT_A_NAME),
+    st.tuples(st.just("rule"), st.just("fn"), NOT_A_NAME),
+    st.tuples(
+        st.just("rule"),
+        st.just("bound"),
+        st.one_of(NOT_A_NUMBER, st.floats(max_value=0.0), st.sampled_from([math.inf, -math.inf, math.nan])),
+    ),
+)
+
+
 class TestErrorsAndUsage:
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:
@@ -180,6 +211,39 @@ class TestErrorsAndUsage:
         path.write_text(yaml.safe_dump({"task": "pendulum", "train": {"beta": -3}}))
         assert main(["train", "--config", str(path)]) == 1
         assert "beta" in capsys.readouterr().err
+
+    def test_vacuous_rule_is_one_line_error(self, tmp_path, capsys):
+        cfg = tiny_pendulum_config(tmp_path, rule={"kind": "threshold", "fn": "row_mean", "limit": 1e6})
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError:") and "already holds" in err[0]
+        assert not (tmp_path / "out" / "checkpoint_seed0.npz").exists()
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=INVALID_FIELDS)
+    def test_invalid_mode_or_rule_field_is_one_line_error(self, case):
+        section, field, value = case
+        raw = {
+            "task": "monotone-regression",
+            "data": {"n": 200},
+            "train": {"max_epochs": 2, "patience": 1},
+        }
+        if field == "fn":
+            raw["rule"] = {"kind": "threshold"}
+        raw.setdefault(section, {})[field] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            raw["output_dir"] = str(Path(tmp) / "out")
+            path = Path(tmp) / "config.yaml"
+            path.write_text(yaml.safe_dump(raw))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = main(["train", "--config", str(path)])
+                except SystemExit as exc:
+                    code = exc.code
+        lines = err.getvalue().strip().splitlines()
+        assert code in (1, 2), (case, code)
+        assert len(lines) == 1 and lines[0].startswith("error:"), (case, lines)
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +315,35 @@ class TestSweepInputs:
         assert len(err) == 1 and err[0].startswith("error: CheckpointError:")
         assert defect.split()[-1] in err[0]
         assert not out.exists()
+
+
+class TestLegacyMode:
+    def test_checkpoint_storing_the_old_mode_sweeps_identically(self, tmp_path):
+        raw = {
+            "task": "monotone-regression",
+            "output_dir": str(tmp_path / "out"),
+            "data": {"n": 200},
+            "model": {"encoder_units": [8, 6], "decision_units": [8]},
+            "train": {"max_epochs": 2, "patience": 1},
+            "sweep": {"step": 0.25},
+        }
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["train", "--config", str(cfg)]) == 0
+        ck = tmp_path / "out" / "checkpoint_seed0.npz"
+        with np.load(ck, allow_pickle=False) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        stored = json.loads(str(arrays["config_json"][()]))
+        assert stored["train"]["mode"] == "controlled"
+        stored["train"]["mode"] = "controlled_perturb"
+        arrays["config_json"] = np.array(json.dumps(stored, sort_keys=True))
+        legacy = tmp_path / "legacy.npz"
+        with open(legacy, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert load_checkpoint(legacy).config["train"]["mode"] == "controlled_perturb"
+        assert main(["sweep", "--checkpoint", str(ck), "--out", str(tmp_path / "new.csv")]) == 0
+        assert main(["sweep", "--checkpoint", str(legacy), "--out", str(tmp_path / "old.csv")]) == 0
+        assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
 
 
 class TestAblate:

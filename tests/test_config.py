@@ -6,6 +6,7 @@ from rulemix.config import config_from_dict, default_config, load_config
 from rulemix.evaluate import alpha_grid
 from rulemix.errors import ConfigError
 from rulemix.rules import EnergyDampingRule, MonotonicRule, ThresholdRule
+from rulemix.train import fit
 
 
 class TestDefaults:
@@ -22,13 +23,14 @@ class TestDefaults:
         rule = cfg.rule()
         assert isinstance(rule, MonotonicRule)
         assert rule.direction == "decrease" and rule.bound == 0.1
-        assert cfg.train_config().mode == "controlled_perturb"
+        assert cfg.train_config().mode == "controlled"
         assert cfg.model_spec().input_dim == 5
 
     def test_shifted_classification_defaults(self):
         cfg = config_from_dict({"task": "shifted-classification"})
         rule = cfg.rule()
         assert isinstance(rule, MonotonicRule) and rule.direction == "increase"
+        assert default_config("shifted-classification")["train"]["mode"] == "controlled"
         spec = cfg.model_spec()
         assert spec.task == "classification"
         assert spec.encoder_units == (100, 16)
@@ -133,3 +135,26 @@ class TestDatasetConstruction:
         )
         ds = cfg.build_dataset()
         assert ds.counts()["test"] == 100
+
+
+class TestLegacyMode:
+    def test_old_controlled_perturb_mode_trains_like_controlled(self):
+        def raw(**train):
+            return {
+                "task": "monotone-regression",
+                "data": {"n": 200},
+                "model": {"encoder_units": [8, 6], "decision_units": [8]},
+                "train": {"max_epochs": 2, "patience": 1, **train},
+            }
+
+        legacy = config_from_dict(raw(mode="controlled_perturb"))
+        current = config_from_dict(raw(mode="controlled"))
+        assert legacy.train_config().mode == "controlled"
+        assert legacy.resolved_yaml() == current.resolved_yaml()
+        results = [
+            fit(cfg.model_spec(), cfg.train_config(), cfg.build_dataset(), cfg.rule())
+            for cfg in (legacy, current)
+        ]
+        assert list(results[0].params) == list(results[1].params)
+        for name, value in results[0].params.items():
+            assert value.tobytes() == results[1].params[name].tobytes(), name

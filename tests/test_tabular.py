@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import usual_mask
 from rulemix.errors import GenerationError
 from rulemix.tabular import (
     CorrGroupSpec,
@@ -10,7 +11,6 @@ from rulemix.tabular import (
     difference_correlation,
     synth_monotone_regression,
     synth_shifted_classification,
-    usual_mask,
 )
 
 
