@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, config_from_dict, default_config, load_config
-from .data import Dataset, write_dataset_csv
+from .data import SPLITS, Dataset, write_dataset_csv
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -111,7 +112,22 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _sweep_splits(arg: str | None, configured: list) -> list:
+    """The splits a sweep evaluates: ``--splits`` if given, else the config's."""
+    splits = configured if arg is None else arg.split(",")
+    if not (isinstance(splits, list) and splits) or "" in splits:
+        raise ConfigError(f"splits: need one or more split names, got {splits!r}")
+    for split in splits:
+        if split not in SPLITS:
+            raise ValueError(f"unknown split {split!r}")
+    if len(set(splits)) != len(splits):
+        raise ConfigError(f"splits: each split may be swept once, got {splits!r}")
+    return splits
+
+
 def cmd_sweep(args) -> int:
+    if not math.isfinite(args.embeddings_alpha):
+        raise ConfigError(f"--embeddings-alpha must be finite, got {args.embeddings_alpha}")
     ck: Checkpoint = load_checkpoint(args.checkpoint)
     cfg = config_from_dict(ck.config)
     s = cfg.raw["sweep"]
@@ -121,13 +137,13 @@ def cmd_sweep(args) -> int:
         stop if args.stop is None else args.stop,
         s["step"] if args.step is None else args.step,
     )
-    if args.data_csv:
-        cfg.raw["data"]["csv"] = args.data_csv
-    dataset = cfg.build_dataset()
+    splits = _sweep_splits(args.splits, s["splits"])
     rule = cfg.rule()
     if rule is None:
         raise ConfigError("sweep needs a rule for verification; config has rule.kind=none")
-    splits = args.splits.split(",") if args.splits else cfg.raw["sweep"]["splits"]
+    if args.data_csv:
+        cfg.raw["data"]["csv"] = args.data_csv
+    dataset = cfg.build_dataset(tuple(splits))
     records = []
     for split in splits:
         x, y = dataset.subset(split)
@@ -136,7 +152,7 @@ def cmd_sweep(args) -> int:
         records.extend(
             alpha_sweep(
                 ck.spec, ck.params, x, y, rule, grid, cfg.metric_kind,
-                split=split, perturb_seed=int(cfg.raw["sweep"]["perturb_seed"]),
+                split=split, perturb_seed=int(s["perturb_seed"]),
             )
         )
     out = Path(args.out) if args.out else Path(args.checkpoint).with_suffix(".sweep.csv")

@@ -14,11 +14,11 @@ from pathlib import Path
 
 import yaml
 
-from .data import Dataset, read_dataset_csv
+from .data import SPLITS, Dataset, read_dataset_csv
 from .errors import ConfigError
 from .evaluate import alpha_grid
 from .model import ModelSpec
-from .pendulum import PendulumParams, build_pendulum_dataset
+from .pendulum import PendulumParams, build_pendulum_dataset, check_dataset_args
 from .rules import EnergyDampingRule, MonotonicRule, RuleSpec, ThresholdRule
 from .tabular import CorrGroupSpec, ShiftMixSpec, synth_monotone_regression, synth_shifted_classification
 from .train import TrainConfig
@@ -204,23 +204,26 @@ class ExperimentConfig:
                 encoder_units=tuple(int(u) for u in m["encoder_units"]),
                 decision_units=tuple(int(u) for u in m["decision_units"]),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"model: {exc}") from exc
 
     def train_config(self) -> TrainConfig:
         t = self.raw["train"]
-        return TrainConfig(
-            mode=t["mode"],
-            beta=float(t["beta"]),
-            lr=float(t["lr"]),
-            batch_size=int(t["batch_size"]),
-            max_epochs=int(t["max_epochs"]),
-            patience=int(t["patience"]),
-            seed=self.seed,
-            rule_weight=float(t["rule_weight"]),
-            rho_policy=t["rho_policy"],
-            val_alphas=tuple(float(a) for a in t["val_alphas"]),
-        )
+        try:
+            return TrainConfig(
+                mode=t["mode"],
+                beta=float(t["beta"]),
+                lr=float(t["lr"]),
+                batch_size=int(t["batch_size"]),
+                max_epochs=int(t["max_epochs"]),
+                patience=int(t["patience"]),
+                seed=self.seed,
+                rule_weight=float(t["rule_weight"]),
+                rho_policy=t["rho_policy"],
+                val_alphas=tuple(float(a) for a in t["val_alphas"]),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"train: {exc}") from exc
 
     def pendulum_params(self) -> PendulumParams:
         d = self.raw["data"]
@@ -229,8 +232,24 @@ class ExperimentConfig:
                 m1=float(d["m1"]), m2=float(d["m2"]), l1=float(d["l1"]),
                 l2=float(d["l2"]), g=float(d["g"]), b=float(d["friction"]),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"data: {exc}") from exc
+
+    def pendulum_dataset_args(self) -> dict:
+        """Keyword arguments of ``build_pendulum_dataset`` from the data block, checked."""
+        d = self.raw["data"]
+        try:
+            args = {
+                "n_pairs": int(d["n_pairs"]),
+                "n_trajectories": int(d["n_trajectories"]),
+                "theta0": float(d["theta0"]),
+                "noise_std": float(d["noise_std"]),
+            }
+            check_dataset_args(**args)
+            seed = int(d["seed"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"data: {exc}") from exc
+        return {**args, "seed": seed, "params": self.pendulum_params()}
 
     def rule(self) -> RuleSpec | None:
         r = self.raw["rule"]
@@ -253,7 +272,13 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"rule: {exc}") from exc
 
-    def build_dataset(self) -> Dataset:
+    def build_dataset(self, splits: tuple[str, ...] = SPLITS) -> Dataset:
+        """The experiment's dataset; every row of ``splits`` is present.
+
+        Rows of other splits may be absent: the pendulum build skips the
+        trajectories that feed only those. CSV input and the tabular tasks
+        are built whole.
+        """
         d = self.raw["data"]
         if d.get("csv"):
             path = Path(d["csv"])
@@ -261,14 +286,7 @@ class ExperimentConfig:
                 raise ConfigError(f"data.csv: file not found: {path}")
             return read_dataset_csv(path, n_targets=self.io_dims()[1])
         if self.task == "pendulum":
-            return build_pendulum_dataset(
-                params=self.pendulum_params(),
-                n_pairs=int(d["n_pairs"]),
-                n_trajectories=int(d["n_trajectories"]),
-                theta0=float(d["theta0"]),
-                noise_std=float(d["noise_std"]),
-                seed=int(d["seed"]),
-            )
+            return build_pendulum_dataset(**self.pendulum_dataset_args(), splits=splits)
         if self.task == "monotone-regression":
             try:
                 spec = CorrGroupSpec(
@@ -298,6 +316,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.raw["metric"] not in ("mae", "cross_entropy", "accuracy"):
         raise ConfigError(f"metric: unknown metric {cfg.raw['metric']!r}")
     cfg.train_config()
+    if cfg.task == "pendulum":
+        cfg.pendulum_dataset_args()
     cfg.model_spec()
     cfg.rule()
     s = cfg.raw["sweep"]

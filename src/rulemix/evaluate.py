@@ -21,6 +21,7 @@ from .rules import RuleSpec, perturb_batch, verification_ratio
 METRICS = ("mae", "cross_entropy", "accuracy")
 PROB_CLAMP = 1e-12
 EXTENDED_ALPHA_RANGE = (-0.2, 1.4)  # reaches beyond the training range on both sides
+MAX_ALPHA_POINTS = 100_001  # step 1e-5 over [0, 1]; a finer grid is a typo, not a sweep
 
 
 def task_metric(kind: str, y_hat: np.ndarray, y: np.ndarray) -> float:
@@ -56,8 +57,14 @@ def alpha_grid(start: float = 0.0, stop: float = 1.0, step: float = 0.05) -> lis
             f"alpha grid needs finite bounds with step > 0 and stop >= start, "
             f"got start={start} stop={stop} step={step}"
         )
-    n = int(round((stop - start) / step))
-    return [round(start + i * step, 10) for i in range(n + 1)]
+    steps = (stop - start) / step  # inf when a subnormal step overflows the quotient
+    n = int(round(steps)) + 1 if steps < MAX_ALPHA_POINTS else math.inf
+    if n > MAX_ALPHA_POINTS:
+        raise ConfigError(
+            f"alpha grid would have {steps + 1:.6g} points (start={start} stop={stop} step={step}), "
+            f"more than MAX_ALPHA_POINTS={MAX_ALPHA_POINTS}"
+        )
+    return [round(start + i * step, 10) for i in range(n)]
 
 
 def extended_alpha_grid(step: float = 0.05) -> list[float]:

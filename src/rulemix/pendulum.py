@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, assign_splits
+from .data import SPLITS, Dataset, assign_splits
 from .errors import SimulationBlowup
 
 SIM_HZ = 200
@@ -194,6 +194,19 @@ def rk4_simulate(
     return kept
 
 
+def check_dataset_args(n_pairs: int, n_trajectories: int, theta0: float, noise_std: float) -> None:
+    """Raise ValueError unless ``build_pendulum_dataset`` can build from these."""
+    if n_trajectories < 1:
+        raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
+    if n_pairs < n_trajectories:
+        raise ValueError("need at least one pair per trajectory")
+    if not math.isfinite(theta0):
+        raise ValueError(f"theta0 must be finite, got {theta0}")
+    # a NaN or negative noise_std would fail the noise_std > 0 test and give clean data
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
+
+
 def build_pendulum_dataset(
     params: PendulumParams = DEFAULT_PARAMS,
     n_pairs: int = 30_000,
@@ -202,6 +215,7 @@ def build_pendulum_dataset(
     noise_std: float = NOISE_STD,
     seed: int = 0,
     split_fractions: tuple[float, float, float] = (0.6, 0.1, 0.3),
+    splits: tuple[str, ...] = SPLITS,
 ) -> Dataset:
     """Consecutive-state pairs from several damped trajectories.
 
@@ -211,25 +225,39 @@ def build_pendulum_dataset(
     order over the concatenated pair stream (60/10/30 gives the documented
     18,000/3,000/9,000 split at 30,000 pairs).
 
+    Only the rows of ``splits`` are returned, in stream order. A trajectory
+    with no pair in them is not simulated, but its noise is still drawn, so
+    every returned row equals, byte for byte, the same row of the full build.
+
     Trajectories should be long enough to decay close to rest (the default,
     3,000 pairs each at the default friction, is): the low-energy tail is
     what an untrained network's outputs violate, and without it the damping
     rule starts out vacuously satisfied.
     """
-    if n_pairs < n_trajectories:
-        raise ValueError("need at least one pair per trajectory")
+    check_dataset_args(n_pairs, n_trajectories, theta0, noise_std)
+    unknown = set(splits) - set(SPLITS)
+    if unknown:
+        raise ValueError(f"unknown splits {sorted(unknown)}, expected names from {SPLITS}")
+    labels = assign_splits(n_pairs, split_fractions)
+    wanted = np.isin(labels, list(splits))
     rng = np.random.default_rng(seed)
     base = n_pairs // n_trajectories
     counts = [base + (1 if i < n_pairs % n_trajectories else 0) for i in range(n_trajectories)]
-    xs, ys = [], []
+    xs, ys = [np.empty((0, 4))], [np.empty((0, 4))]
+    start = 0
     for i, count in enumerate(counts):
-        s0 = (theta0 + 0.01 * i, 0.0, theta0 - 0.01 * i, 0.0)
-        kept = rk4_simulate(s0, params, count + 1, noise_std, rng)
-        xs.append(kept[:-1])
-        ys.append(kept[1:])
+        rows = wanted[start : start + count]
+        start += count
+        if rows.any():
+            s0 = (theta0 + 0.01 * i, 0.0, theta0 - 0.01 * i, 0.0)
+            kept = rk4_simulate(s0, params, count + 1, noise_std, rng)
+            xs.append(kept[:-1][rows])
+            ys.append(kept[1:][rows])
+        elif noise_std > 0:
+            rng.normal(0.0, noise_std, size=(count + 1, 4))  # the draw rk4_simulate makes
     x = np.concatenate(xs, axis=0)
     y = np.concatenate(ys, axis=0)
-    return Dataset(x=x, y=y, split=assign_splits(n_pairs, split_fractions))
+    return Dataset(x=x, y=y, split=labels[wanted])
 
 
 PENDULUM_CSV_COLUMNS = [

@@ -61,6 +61,8 @@ class TrainConfig:
             raise ConfigError("rule_weight must be >= 0")
         if self.rho_policy not in RHO_POLICIES:
             raise ConfigError(f"unknown rho policy {self.rho_policy!r}")
+        if not self.val_alphas:
+            raise ConfigError("val_alphas must hold at least one strength")
 
 
 def sample_alpha(beta: float, rng: np.random.Generator) -> float:
@@ -331,6 +333,7 @@ def fit(
     adam = AdamState.for_params(params, lr=cfg.lr)
     report = TrainReport(rho=scale.ratio if scale is not None else None)
     best_params = {k: v.copy() for k, v in params.items()}
+    best_scale = scale
     epochs_since_best = 0
     n = x_tr.shape[0]
 
@@ -370,11 +373,12 @@ def fit(
             report.best_val = val_metric
             report.best_epoch = epoch
             best_params = {k: v.copy() for k, v in params.items()}
+            best_scale = scale
             epochs_since_best = 0
         else:
             epochs_since_best += 1
         report.final_epoch = epoch
-        if epochs_since_best >= cfg.patience:
+        if epochs_since_best >= cfg.patience or epoch == cfg.max_epochs:
             break
         if scale is not None and cfg.rho_policy == "per_epoch":
             rescale = compute_loss_scale(spec, params, x_tr, y_tr, rule, rng)
@@ -383,4 +387,4 @@ def fit(
                 report.rho = scale.ratio
 
     report.wall_seconds = time.perf_counter() - started
-    return FitResult(spec=spec, params=best_params, scale=scale, report=report)
+    return FitResult(spec=spec, params=best_params, scale=best_scale, report=report)

@@ -181,7 +181,25 @@ NOT_A_NUMBER = st.one_of(
     st.dictionaries(JUNK_TEXT, st.integers(0, 9), max_size=1),
 )
 NOT_A_NAME = st.one_of(NOT_A_NUMBER, st.integers(-3, 3), st.floats(allow_nan=False))
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+NOT_STRENGTHS = st.one_of(
+    st.none(),
+    JUNK_TEXT,
+    st.lists(JUNK_TEXT, max_size=2),
+    st.dictionaries(JUNK_TEXT, st.integers(0, 9), max_size=1),
+)
 INVALID_FIELDS = st.one_of(
+    st.tuples(st.just("train"), st.sampled_from(["lr", "batch_size", "rule_weight"]), NOT_A_NUMBER),
+    st.tuples(st.just("train"), st.just("val_alphas"), NOT_STRENGTHS),
+    # pendulum data; the default n_trajectories is 10
+    st.tuples(st.just("data"), st.just("n_pairs"), st.one_of(NOT_A_NUMBER, st.integers(-3, 9))),
+    st.tuples(st.just("data"), st.just("n_trajectories"), st.one_of(NOT_A_NUMBER, st.integers(-3, 0))),
+    st.tuples(st.just("data"), st.just("theta0"), st.one_of(NOT_A_NUMBER, NON_FINITE)),
+    st.tuples(
+        st.just("data"),
+        st.just("noise_std"),
+        st.one_of(NOT_A_NUMBER, st.floats(max_value=0.0, exclude_max=True), NON_FINITE),
+    ),
     st.tuples(st.just("train"), st.just("mode"), NOT_A_NAME),
     st.tuples(st.just("rule"), st.just("kind"), NOT_A_NAME),
     st.tuples(st.just("rule"), st.just("direction"), NOT_A_NAME),
@@ -189,7 +207,7 @@ INVALID_FIELDS = st.one_of(
     st.tuples(
         st.just("rule"),
         st.just("bound"),
-        st.one_of(NOT_A_NUMBER, st.floats(max_value=0.0), st.sampled_from([math.inf, -math.inf, math.nan])),
+        st.one_of(NOT_A_NUMBER, st.floats(max_value=0.0), NON_FINITE),
     ),
 )
 
@@ -221,13 +239,15 @@ class TestErrorsAndUsage:
 
     @settings(max_examples=50, deadline=None)
     @given(case=INVALID_FIELDS)
-    def test_invalid_mode_or_rule_field_is_one_line_error(self, case):
+    def test_invalid_config_field_is_one_line_error(self, case):
         section, field, value = case
         raw = {
             "task": "monotone-regression",
             "data": {"n": 200},
             "train": {"max_epochs": 2, "patience": 1},
         }
+        if section == "data":
+            raw.update(task="pendulum", data={})
         if field == "fn":
             raw["rule"] = {"kind": "threshold"}
         raw.setdefault(section, {})[field] = value
@@ -242,8 +262,8 @@ class TestErrorsAndUsage:
                 except SystemExit as exc:
                     code = exc.code
         lines = err.getvalue().strip().splitlines()
-        assert code in (1, 2), (case, code)
-        assert len(lines) == 1 and lines[0].startswith("error:"), (case, lines)
+        assert code == 1, (case, code)
+        assert len(lines) == 1 and lines[0].startswith("error: ConfigError:"), (case, lines)
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +335,70 @@ class TestSweepInputs:
         assert len(err) == 1 and err[0].startswith("error: CheckpointError:")
         assert defect.split()[-1] in err[0]
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def trained_ten(tmp_path_factory):
+    """A checkpoint over 10 trajectories of 80 pairs, split 0.6/0.1/0.3, plus its dataset CSV.
+
+    Trajectories 1-6 feed only the train split, 7 the val split, 8-10 the test split.
+    """
+    tmp_path = tmp_path_factory.mktemp("trained_ten")
+    cfg = tiny_pendulum_config(tmp_path, data={"n_pairs": 800, "n_trajectories": 10})
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data.csv")]) == 0
+    return tmp_path / "out" / "checkpoint_seed0.npz", tmp_path / "data.csv"
+
+
+@pytest.fixture
+def simulated(monkeypatch):
+    """Records the step count of every trajectory the pendulum build simulates."""
+    import rulemix.pendulum
+
+    real = rulemix.pendulum.simulate_states
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rulemix.pendulum, "simulate_states", counting)
+    return calls
+
+
+class TestSweepRebuild:
+    @pytest.mark.parametrize("splits,trajectories", [(None, 4), ("test", 3), ("val", 1), ("test,train", 9)])
+    def test_simulates_only_the_swept_trajectories(self, trained_ten, tmp_path, simulated, splits, trajectories):
+        ck, data = trained_ten
+        flags = [] if splits is None else ["--splits", splits]
+        rebuilt, from_csv = tmp_path / "rebuilt.csv", tmp_path / "from_csv.csv"
+        assert main(["sweep", "--checkpoint", str(ck), "--out", str(rebuilt), *flags]) == 0
+        assert simulated == [80 * 20] * trajectories  # whole trajectories of 80 pairs, 20 RK4 steps each
+        assert main(["sweep", "--checkpoint", str(ck), "--out", str(from_csv), "--data-csv", str(data), *flags]) == 0
+        assert len(simulated) == trajectories
+        assert rebuilt.read_bytes() == from_csv.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags,error",
+        [
+            (["--splits", ""], "error: ConfigError:"),
+            (["--splits", "test,test"], "error: ConfigError:"),
+            (["--splits", "val,"], "error: ConfigError:"),
+            (["--splits", "val,tset"], "error: ValueError: unknown split 'tset'"),
+            (["--embeddings-alpha", "nan"], "error: ConfigError: --embeddings-alpha"),
+            (["--embeddings-alpha", "inf", "--embeddings-out", "{tmp}/emb.csv"], "error: ConfigError: --embeddings-alpha"),
+            (["--step", "1e-12"], "error: ConfigError: alpha grid would have 1e+12 points"),
+        ],
+    )
+    def test_bad_arguments_fail_before_the_build(self, trained_ten, tmp_path, capsys, simulated, flags, error):
+        ck, _ = trained_ten
+        out = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        flags = [f.format(tmp=tmp_path) for f in flags]
+        assert main(["sweep", "--checkpoint", str(ck), "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(error), err
+        assert simulated == [] and not out.exists() and not (tmp_path / "emb.csv").exists()
 
 
 class TestLegacyMode:

@@ -1,5 +1,7 @@
 """Config loading, defaults, validation, and resolved-dump idempotence."""
 
+import math
+
 import pytest
 
 from rulemix.config import config_from_dict, default_config, load_config
@@ -77,6 +79,30 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sweep"):
             config_from_dict({"task": "pendulum", "sweep": sweep})
 
+    @pytest.mark.parametrize(
+        "section,field,value",
+        [
+            ("train", "lr", None),
+            ("train", "batch_size", [1]),
+            ("train", "val_alphas", None),
+            ("train", "val_alphas", []),
+            ("train", "rule_weight", {}),
+            ("data", "n_pairs", None),
+            ("data", "theta0", None),
+            ("data", "noise_std", [1]),
+            ("data", "m1", None),
+            ("data", "n_trajectories", 0),
+            ("data", "n_pairs", 9),
+            ("data", "theta0", math.inf),
+            ("data", "noise_std", -1.0),
+            ("data", "noise_std", math.nan),
+            ("model", "encoder_units", None),
+        ],
+    )
+    def test_bad_train_model_or_pendulum_data_field_fails_at_load(self, section, field, value):
+        with pytest.raises(ConfigError, match=f"^{section}: "):
+            config_from_dict({"task": "pendulum", section: {field: value}})
+
     def test_rule_none_supported(self):
         cfg = config_from_dict(
             {"task": "pendulum", "rule": {"kind": "none"}, "train": {"mode": "task_only"}}
@@ -120,6 +146,15 @@ class TestDatasetConstruction:
         )
         ds = cfg.build_dataset()
         assert len(ds) == 200 and ds.x.shape[1] == 4
+
+    def test_pendulum_dataset_of_some_splits(self):
+        cfg = config_from_dict(
+            {"task": "pendulum", "data": {"n_pairs": 200, "n_trajectories": 4, "seed": 1}}
+        )
+        full, part = cfg.build_dataset(), cfg.build_dataset(("val", "test"))
+        assert part.counts() == {**full.counts(), "train": 0}
+        for split in ("val", "test"):
+            assert part.subset(split)[0].tobytes() == full.subset(split)[0].tobytes()
 
     def test_sweep_grid_from_config(self):
         cfg = config_from_dict({"task": "pendulum", "sweep": {"start": 0.0, "stop": 0.2, "step": 0.1}})

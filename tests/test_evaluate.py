@@ -10,6 +10,7 @@ from helpers import direct_sweep, tiny_model
 from rulemix.errors import ConfigError, InfeasibleSelectionError
 from rulemix.evaluate import (
     EXTENDED_ALPHA_RANGE,
+    MAX_ALPHA_POINTS,
     SweepRecord,
     alpha_grid,
     alpha_sweep,
@@ -79,6 +80,15 @@ class TestGrids:
     def test_bad_bounds_rejected(self, start, stop, step):
         with pytest.raises(ConfigError, match="step > 0 and stop >= start"):
             alpha_grid(start, stop, step)
+
+    def test_grid_size_is_capped(self):
+        assert len(alpha_grid(0.0, 1.0, 1e-5)) == MAX_ALPHA_POINTS
+        with pytest.raises(ConfigError, match="1e[+]12 points"):
+            alpha_grid(0.0, 1.0, 1e-12)  # rejected before any list is built
+        with pytest.raises(ConfigError, match="inf points"):
+            alpha_grid(0.0, 1.0, 5e-324)  # the point count overflows a float
+        with pytest.raises(ConfigError, match="100002 points"):
+            alpha_grid(0.0, MAX_ALPHA_POINTS, 1.0)
 
     def test_single_point_when_start_equals_stop(self):
         assert alpha_grid(0.3, 0.3, 0.1) == [0.3]

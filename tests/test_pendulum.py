@@ -1,9 +1,14 @@
 """Simulator physics, energy function, and dataset construction."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import cartesian_energy, reference_eom, reference_rk4_step, reference_states
+from rulemix.data import SPLITS
 from rulemix.errors import SimulationBlowup
 from rulemix.pendulum import (
     DEFAULT_PARAMS,
@@ -170,3 +175,73 @@ class TestDatasetBuilder:
         # recount with the energy oracle over every clean pair
         violations = int(np.sum(energy(ds.y, DEFAULT_PARAMS) > energy(ds.x, DEFAULT_PARAMS)))
         assert violations == 0
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("n_trajectories", 0, "n_trajectories must be >= 1"),
+            ("n_pairs", 4, "at least one pair per trajectory"),
+            ("theta0", math.inf, "theta0 must be finite"),
+            ("theta0", math.nan, "theta0 must be finite"),
+            ("noise_std", -1.0, "noise_std must be finite and >= 0"),
+            ("noise_std", math.nan, "noise_std must be finite and >= 0"),
+            ("noise_std", math.inf, "noise_std must be finite and >= 0"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, field, value, message):
+        args = {"n_pairs": 50, "n_trajectories": 5, "theta0": 2.0, "noise_std": 0.01, field: value}
+        with pytest.raises(ValueError, match=message):
+            build_pendulum_dataset(**args)
+
+    def test_unknown_split_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown splits"):
+            build_pendulum_dataset(n_pairs=20, n_trajectories=2, splits=("tset",))
+
+
+class TestSplitBuild:
+    """Building some splits gives exactly their rows of the full build."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n_trajectories=st.integers(1, 5),
+        extra_pairs=st.integers(0, 23),  # uneven n_pairs % n_trajectories
+        tenths=st.tuples(st.integers(0, 10), st.integers(0, 10)).filter(lambda t: sum(t) <= 10),
+        noise_std=st.sampled_from([0.0, 0.01]),
+        splits=st.lists(st.sampled_from(SPLITS), min_size=1, max_size=3, unique=True),
+        seed=st.integers(0, 3),
+    )
+    def test_requested_splits_equal_the_full_build(self, n_trajectories, extra_pairs, tenths, noise_std, splits, seed):
+        # fractions in tenths put split boundaries inside trajectories as often as on them
+        fractions = (tenths[0] / 10, tenths[1] / 10, 1.0 - tenths[0] / 10 - tenths[1] / 10)
+        args = dict(
+            params=PendulumParams(b=0.3), n_pairs=n_trajectories + extra_pairs, n_trajectories=n_trajectories,
+            noise_std=noise_std, seed=seed, split_fractions=fractions,
+        )
+        full = build_pendulum_dataset(**args)
+        part = build_pendulum_dataset(**args, splits=tuple(splits))
+        for split in SPLITS:
+            got_x, got_y = part.subset(split)
+            if split in splits:
+                want_x, want_y = full.subset(split)
+                assert got_x.tobytes() == want_x.tobytes() and got_y.tobytes() == want_y.tobytes()
+                assert got_x.shape == want_x.shape and got_y.shape == want_y.shape
+            else:
+                assert got_x.shape[0] == 0
+        assert [s for s in full.split if s in splits] == part.split.tolist()  # stream order
+
+    @pytest.mark.parametrize("splits,simulated", [(SPLITS, 10), (("val", "test"), 4), (("test",), 3), (("val",), 1)])
+    def test_only_trajectories_with_requested_pairs_are_simulated(self, monkeypatch, splits, simulated):
+        import rulemix.pendulum
+
+        real = rulemix.pendulum.simulate_states
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rulemix.pendulum, "simulate_states", counting)
+        ds = build_pendulum_dataset(n_pairs=100, n_trajectories=10, splits=splits)
+        assert len(calls) == simulated
+        assert calls == [10 * 20] * simulated  # whole trajectories: 10 pairs of 20 RK4 steps each
+        assert len(ds) == 10 * simulated

@@ -355,11 +355,33 @@ class TestFit:
 
         monkeypatch.setattr(rulemix.train, "compute_loss_scale", satisfied_after_init)
         got = fit(spec, cfg, ds, rule)
-        assert len(scales) == 1 + cfg.max_epochs  # at init and after each epoch
+        assert got.report.final_epoch == cfg.max_epochs
+        assert len(scales) == cfg.max_epochs  # at init and after each epoch but the last
         assert got.scale == scales[0]
         assert got.report.rho == scales[0].ratio > 0.0
         # the recomputation still draws from the generator: same strengths as an unpatched fit
         assert [r.alpha_mean for r in got.report.records] == [r.alpha_mean for r in want.report.records]
+
+    def test_per_epoch_stores_the_scale_of_the_best_epoch(self, monkeypatch):
+        rule = MonotonicRule(feature=0, direction="decrease")
+        ds = synth_monotone_regression(CorrGroupSpec(n=200, seed=1))
+        spec, _ = tiny_model(np.random.default_rng(15), input_dim=5, output_dim=1)
+        cfg = self.quick_cfg(rho_policy="per_epoch", max_epochs=4, patience=3)
+        real = rulemix.train.compute_loss_scale
+        scales = []
+
+        def recording(*args, **kwargs):
+            scales.append(real(*args, **kwargs))
+            return scales[-1]
+
+        val_metrics = iter([3.0, 1.0, 2.0, 2.5])  # best at epoch 2
+        monkeypatch.setattr(rulemix.train, "compute_loss_scale", recording)
+        monkeypatch.setattr(rulemix.train, "_validation_metric", lambda *args: next(val_metrics))
+        got = fit(spec, cfg, ds, rule)
+        assert (got.report.best_epoch, got.report.final_epoch) == (2, 4)
+        assert len(scales) == cfg.max_epochs  # no pass after the final epoch
+        # epoch 2 trained under the scale recomputed after epoch 1
+        assert got.scale == scales[1] != scales[-1]
 
     def test_report_csv_round_trip_columns(self, tmp_path):
         rng = np.random.default_rng(13)
