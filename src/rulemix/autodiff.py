@@ -7,6 +7,12 @@ including zeros for parameters that do not reach the loss. Only the
 primitives needed for small MLPs and their training losses are provided;
 everything is float64 and the tape is rebuilt for every minibatch.
 
+A tape built with ``reuse=previous`` writes each matrix a primitive computes
+into the array that the same node of ``previous`` allocated, when the shapes
+match. Inference passes that rebuild the same graph many times (one per rule
+strength) then run in a handful of buffers instead of fresh arrays, and the
+previous tape's values are overwritten.
+
 Conventions:
     * data flows as (rows=samples, cols=features) matrices,
     * ReLU'(0) = 0,
@@ -47,11 +53,20 @@ class Node:
 
 
 class Tape:
-    """Computation record for one forward pass."""
+    """Computation record for one forward pass.
 
-    def __init__(self) -> None:
+    With ``reuse``, primitives write their outputs into the arrays that
+    ``reuse``'s primitives allocated for the same node index, so ``reuse``
+    is invalid once this tape is built. Leaves (parameters, constants) are
+    never handed on. No value of ``reuse`` may feed this tape.
+    """
+
+    def __init__(self, reuse: Tape | None = None) -> None:
         self.nodes: list[Node] = []
         self._params: dict[str, int] = {}
+        # node index -> output array a primitive of this tape allocated
+        self._buffers: dict[int, np.ndarray] = {}
+        self._spare = reuse._buffers if reuse is not None else {}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -69,12 +84,29 @@ class Tape:
         self.nodes.append(node)
         return len(self.nodes) - 1
 
+    def _buffer(self, shape: tuple[int, int]) -> np.ndarray:
+        """Output array for the node about to be appended.
+
+        The reused tape's array for the same node index if the shape
+        matches, else a fresh one. The contents are undefined.
+        """
+        nid = len(self.nodes)
+        buf = self._spare.get(nid)
+        if buf is None or buf.shape != shape:
+            buf = np.empty(shape)
+        self._buffers[nid] = buf
+        return buf
+
     # ------------------------------------------------------------------
     # leaves
     # ------------------------------------------------------------------
 
     def constant(self, value, name: str = "constant") -> int:
-        return self._append(Node(as_matrix(value, name), (), None))
+        return self.leaf(as_matrix(value, name))
+
+    def leaf(self, value: np.ndarray) -> int:
+        """A matrix already checked by ``as_matrix``, taken as it is."""
+        return self._append(Node(value, (), None))
 
     def param(self, name: str, value: np.ndarray) -> int:
         """Register a named parameter leaf; re-registering returns the same node.
@@ -102,7 +134,8 @@ class Tape:
             )
         if bv.shape != (1, wv.shape[1]):
             raise ShapeError(f"{label}: bias shape {bv.shape} != (1, {wv.shape[1]})")
-        out = xv @ wv + bv
+        out = np.matmul(xv, wv, out=self._buffer((xv.shape[0], wv.shape[1])))
+        np.add(out, bv, out=out)
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
             return g @ wv.T, xv.T @ g, g.sum(axis=0, keepdims=True)
@@ -111,17 +144,19 @@ class Tape:
 
     def relu(self, x: int) -> int:
         xv = self.value(x)
-        mask = xv > 0.0  # ReLU'(0) = 0
-        out = np.where(mask, xv, 0.0)
+        # equals np.where(xv > 0, xv, 0.0) for every input, NaN and -0.0 included:
+        # fmax drops NaN for 0, and adding +0.0 turns -0.0 into +0.0
+        out = np.fmax(xv, 0.0, out=self._buffer(xv.shape))
+        out += 0.0
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
-            return (g * mask,)
+            return (g * (xv > 0.0),)  # ReLU'(0) = 0
 
         return self._append(Node(out, (x,), bwd))
 
     def sigmoid(self, x: int) -> int:
         xv = self.value(x)
-        out = np.empty_like(xv)
+        out = self._buffer(xv.shape)
         pos = xv >= 0
         out[pos] = 1.0 / (1.0 + np.exp(-xv[pos]))
         e = np.exp(xv[~pos])
@@ -136,8 +171,10 @@ class Tape:
         av, bv = self.value(a), self.value(b)
         if av.shape[0] != bv.shape[0]:
             raise ShapeError(f"concat: row mismatch {av.shape} vs {bv.shape}")
-        out = np.concatenate([av, bv], axis=1)
         na = av.shape[1]
+        out = self._buffer((av.shape[0], na + bv.shape[1]))
+        out[:, :na] = av
+        out[:, na:] = bv
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
             return g[:, :na], g[:, na:]
@@ -146,22 +183,41 @@ class Tape:
 
     def scale(self, x: int, c: float) -> int:
         c = float(c)
-        out = self.value(x) * c
+        xv = self.value(x)
+        out = np.multiply(xv, c, out=self._buffer(xv.shape))
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
             return (g * c,)
 
         return self._append(Node(out, (x,), bwd))
 
+    def scaled_concat(self, a: int, ca: float, b: int, cb: float) -> int:
+        """``concat(scale(a, ca), scale(b, cb))`` as one node, same values and gradients."""
+        ca, cb = float(ca), float(cb)
+        av, bv = self.value(a), self.value(b)
+        if av.shape[0] != bv.shape[0]:
+            raise ShapeError(f"scaled_concat: row mismatch {av.shape} vs {bv.shape}")
+        na = av.shape[1]
+        out = self._buffer((av.shape[0], na + bv.shape[1]))
+        np.multiply(av, ca, out=out[:, :na])
+        np.multiply(bv, cb, out=out[:, na:])
+
+        def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
+            return g[:, :na] * ca, g[:, na:] * cb
+
+        return self._append(Node(out, (a, b), bwd))
+
     def add(self, a: int, b: int) -> int:
         av, bv = self.value(a), self.value(b)
         if av.shape != bv.shape:
             raise ShapeError(f"add: shape mismatch {av.shape} vs {bv.shape}")
 
+        out = np.add(av, bv, out=self._buffer(av.shape))
+
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
             return g, g
 
-        return self._append(Node(av + bv, (a, b), bwd))
+        return self._append(Node(out, (a, b), bwd))
 
     def divide(self, x: int, c: float) -> int:
         """Division by a scalar constant (not multiplication by 1/c, which
@@ -169,7 +225,8 @@ class Tape:
         c = float(c)
         if c == 0.0:
             raise ValueError("division by zero")
-        out = self.value(x) / c
+        xv = self.value(x)
+        out = np.divide(xv, c, out=self._buffer(xv.shape))
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
             return (g / c,)

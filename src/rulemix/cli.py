@@ -240,6 +240,28 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """``--seeds``: an integer >= 1, or a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _unit_fraction(text: str) -> float:
+    """``--min-verification``: a number in [0, 1], or a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rulemix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -253,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model per config; writes checkpoint + report CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--seeds", type=int, default=1, help="number of seed replicates (seed, seed+1, ...)")
+    p.add_argument("--seeds", type=_positive_int, default=1, help="number of seed replicates (seed, seed+1, ...)")
     p.add_argument("--seed", type=int, help="override the base seed")
     p.add_argument("--out-dir", help="override the config output_dir")
     p.set_defaults(func=cmd_train)
@@ -277,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="pick the operating strength from a sweep CSV")
     p.add_argument("--sweep", required=True)
     p.add_argument("--split", default="val")
-    p.add_argument("--min-verification", type=float)
+    p.add_argument("--min-verification", type=_unit_fraction, help="verification floor in [0, 1]")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("ablate", help="batch runs over beta / coupling / lambda grids")

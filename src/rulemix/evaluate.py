@@ -96,7 +96,8 @@ def alpha_sweep(
     The input (and, for rules that need perturbation, its perturbed copy) is
     encoded once; see ``forward_per_alpha``. For such rules one seeded
     perturbation set is drawn up front and reused at every grid point so
-    records are comparable across strengths.
+    records are comparable across strengths. A rule's ``prepare``, if it has
+    one, runs once on the input.
     """
     def outputs(inputs: np.ndarray):
         return (tape.value(fwd.output) for tape, fwd in forward_per_alpha(spec, params, inputs, alphas))
@@ -105,9 +106,11 @@ def alpha_sweep(
     if rule.needs_perturbation:
         pert = perturb_batch(x, rule, np.random.default_rng(perturb_seed))
         perturbed, valid = outputs(pert.x_p), pert.valid
+    prepare = getattr(rule, "prepare", None)
+    inputs = x if prepare is None else prepare(x)
     records = []
     for alpha, y_hat, y_hat_p in zip(alphas, outputs(x), perturbed):
-        ver = verification_ratio(rule, x, y_hat, y_hat_p, valid)
+        ver = verification_ratio(rule, inputs, y_hat, y_hat_p, valid)
         records.append(
             SweepRecord(
                 alpha=float(alpha),
@@ -127,14 +130,18 @@ def sweep_to_csv(records: list[SweepRecord], path) -> None:
 
 
 def sweep_from_csv(path) -> list[SweepRecord]:
+    """Records written by ``sweep_to_csv``; a malformed line is named by file and number."""
     records = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "alpha,task_metric,verification,split":
-            raise ValueError(f"unexpected sweep header {header!r}")
-        for line in fh:
-            alpha, metric, ver, split = line.strip().split(",")
-            records.append(SweepRecord(float(alpha), float(metric), float(ver), split))
+            raise ValueError(f"{path}:1: unexpected sweep header {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                alpha, metric, ver, split = line.strip().split(",")
+                records.append(SweepRecord(float(alpha), float(metric), float(ver), split))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: malformed sweep row {line.strip()!r}: {exc}") from exc
     return records
 
 

@@ -216,7 +216,7 @@ def couple(tape: Tape, z_rule: int, z_data: int, alpha: float, mode: str) -> int
             f"couple: latent shapes differ, {tape.value(z_rule).shape} vs {tape.value(z_data).shape}"
         )
     if mode == "scaled_concat":
-        return tape.concat(tape.scale(z_rule, alpha), tape.scale(z_data, 1.0 - alpha))
+        return tape.scaled_concat(z_rule, alpha, z_data, 1.0 - alpha)
     if mode == "concat":
         return tape.concat(z_rule, z_data)
     if mode == "add":
@@ -309,26 +309,31 @@ def forward_per_alpha(
     x: np.ndarray,
     alphas: Iterable[float],
 ) -> Iterator[tuple[Tape, Forward]]:
-    """Inference passes at each strength in turn, one fresh tape per strength.
+    """Inference passes at each strength in turn, one tape per strength.
 
     The encoding is computed once and only the decode step reruns per
     strength, except under ``input_concat_alpha``, whose encoder reads alpha.
-    The outputs equal those of ``predict`` bit for bit. Only the latent
-    values outlive the encoding tape, and each strength's tape is dropped
-    once the caller moves on.
+    The outputs equal those of ``predict`` bit for bit.
+
+    Each strength's tape writes into the arrays the previous strength's tape
+    allocated (``Tape(reuse=...)``): a strength's tape and every value on it
+    are overwritten when the caller advances to the next strength, so read
+    them before advancing. The input is validated once, and so are the
+    latents, which outlive the encoding tape.
     """
+    tape = None
     if spec.coupling == "input_concat_alpha":
+        x = as_matrix(x, "input")
         for alpha in alphas:
-            tape = Tape()
-            yield tape, predict(tape, spec, params, x, alpha)
+            tape = Tape(reuse=tape)
+            yield tape, predict(tape, spec, params, tape.leaf(x), alpha)
         return
     enc_tape = Tape()
-    values = [enc_tape.value(z) for z in encode(enc_tape, spec, params, x)]
+    values = [as_matrix(enc_tape.value(z), "latent") for z in encode(enc_tape, spec, params, x)]
     del enc_tape
     for alpha in alphas:
-        tape = Tape()
-        latents = tuple(tape.constant(v, "latent") for v in values)
-        yield tape, decode(tape, spec, params, latents, alpha)
+        tape = Tape(reuse=tape)
+        yield tape, decode(tape, spec, params, tuple(tape.leaf(v) for v in values), alpha)
 
 
 def predict_values(

@@ -38,11 +38,12 @@ class PendulumParams:
     b: float = 0.05
 
     def __post_init__(self) -> None:
+        # written so that NaN fails: every comparison with NaN is false
         for name in ("m1", "m2", "l1", "l2", "g"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.b < 0:
-            raise ValueError("b must be non-negative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if not 0 <= self.b < math.inf:
+            raise ValueError(f"b must be non-negative and finite, got {self.b!r}")
 
 
 DEFAULT_PARAMS = PendulumParams()

@@ -37,6 +37,11 @@ class RuleSpec(Protocol):
     by ``perturb_batch`` (which reads ``feature``, ``bound`` and ``guard``)
     run through the same model, both methods take the perturbed outputs
     ``y_hat_p``, and only the pairs flagged ``valid`` count.
+
+    A rule whose check compares the outputs with a quantity of the inputs
+    alone may also define ``prepare(x)``: ``holds`` then accepts its result
+    in place of ``x``, and a sweep calls it once per input set instead of
+    recomputing the quantity at every strength.
     """
 
     needs_perturbation: ClassVar[bool]
@@ -67,14 +72,25 @@ class ThresholdRule:
 
 
 @dataclass(frozen=True)
+class InputEnergy:
+    """The energy of each input state, as ``EnergyDampingRule.prepare`` returns it."""
+
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
 class EnergyDampingRule:
     """Predicted next-state energy must not exceed the current state's."""
 
     params: PendulumParams
     needs_perturbation: ClassVar[bool] = False
 
+    def prepare(self, x) -> InputEnergy:
+        return InputEnergy(energy(np.asarray(x), self.params))
+
     def holds(self, x, y_hat, y_hat_p=None) -> np.ndarray:
-        return energy(y_hat, self.params) <= energy(np.asarray(x), self.params)
+        e_in = x if isinstance(x, InputEnergy) else self.prepare(x)
+        return energy(y_hat, self.params) <= e_in.values
 
     def loss_node(self, tape, x, y_hat, y_hat_p=None, valid=None) -> int:
         return energy_rule_node(tape, self, x, y_hat)

@@ -217,6 +217,105 @@ class TestPrimitiveGradients:
         assert err < FD_TOL
 
 
+class TestOutputBuffers:
+    """Primitives of a tape built with ``reuse`` write into the arrays the
+    reused tape's primitives allocated, with the values of fresh arrays."""
+
+    SPECIAL = np.array(
+        [[np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf],
+         [5e-324, -5e-324, 1e-310, -1e-310, np.finfo(float).tiny, -np.finfo(float).tiny],
+         [1.5, -1.5, 1e300, -1e300, 0.1, -0.1]]
+    )
+
+    def test_relu_equals_where_byte_for_byte(self):
+        want = np.where(self.SPECIAL > 0, self.SPECIAL, 0.0)
+        first = Tape()
+        fresh = first.value(first.relu(first.leaf(self.SPECIAL.copy())))
+        # the second tape writes into the first's output, which holds -0.0 and NaN
+        first.value(1)[...] = np.where(self.SPECIAL > 0, -0.0, np.nan)
+        second = Tape(reuse=first)
+        reused = second.value(second.relu(second.leaf(self.SPECIAL)))
+        assert np.shares_memory(reused, fresh)
+        assert reused.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 7), (5, 17)])
+    def test_relu_of_negative_zero_is_positive_zero(self, shape):
+        # vectorized and scalar paths of a max may keep the sign of -0.0
+        tape = Tape()
+        out = tape.value(tape.relu(tape.leaf(np.full(shape, -0.0))))
+        assert out.tobytes() == np.zeros(shape).tobytes()
+
+    def test_leaf_arrays_are_never_handed_on(self):
+        a, b, c = np.ones((2, 3)), np.full((2, 3), 5.0), np.full((2, 3), 7.0)
+        first = Tape()
+        first.leaf(a)
+        first.constant(b)
+        first.param("c", c)
+        second = Tape(reuse=first)
+        ia = second.leaf(a)
+        out = second.value(second.scale(second.scale(ia, 2.0), 3.0))
+        assert not any(np.shares_memory(out, v) for v in (a, b, c))
+        assert (b == 5.0).all() and (c == 7.0).all()
+
+    def build_chain(self, tape, x, w, b):
+        h = tape.relu(tape.affine(tape.leaf(x), tape.param("w", w), tape.param("b", b)))
+        s = tape.sigmoid(tape.scaled_concat(h, 0.3, tape.scale(h, 2.0), 0.7))
+        return tape.divide(tape.add(tape.concat(s, s), tape.concat(s, s)), 3.0)
+
+    def test_primitives_write_into_the_reused_tape_and_never_into_leaves(self):
+        rng = RNG(30)
+        x, w, b = rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (1, 4))
+        leaves = [v.copy() for v in (x, w, b)]
+        first = Tape()
+        out_first = first.value(self.build_chain(first, x, w, b)).copy()
+        outputs = [first.value(i) for i in range(len(first))]
+        second = Tape(reuse=first)
+        out = self.build_chain(second, x, w, b)
+        for nid, node in enumerate(second.nodes):
+            if node.backward is None:
+                assert any(node.value is v for v in (x, w, b)), nid
+            else:
+                assert node.value is outputs[nid], nid
+                assert not any(np.shares_memory(node.value, v) for v in (x, w, b)), nid
+        assert second.value(out).tobytes() == out_first.tobytes()
+        for value, before in zip((x, w, b), leaves):
+            assert value.tobytes() == before.tobytes()
+
+    def test_shape_mismatch_gets_a_fresh_array(self):
+        first = Tape()
+        a = first.value(first.scale(first.constant(np.ones((2, 3))), 2.0))
+        second = Tape(reuse=first)
+        b = second.value(second.scale(second.constant(np.ones((4, 3))), 2.0))
+        assert not np.shares_memory(a, b)
+        np.testing.assert_array_equal(b, np.full((4, 3), 2.0))
+
+    def test_scaled_concat_matches_the_scale_scale_concat_chain_bit_for_bit(self):
+        rng = RNG(31)
+        a, c = rng.uniform(-1, 1, (6, 3)), rng.uniform(-1, 1, (6, 2))
+        w = rng.uniform(-1, 1, (5, 2))
+        target = rng.uniform(-1, 1, (6, 2))
+        results = []
+        for fused in (False, True):
+            tape = Tape()
+            ia, ic, iw = tape.param("a", a), tape.param("c", c), tape.param("w", w)
+            if fused:
+                z = tape.scaled_concat(ia, 0.35, ic, 1.0 - 0.35)
+            else:
+                z = tape.concat(tape.scale(ia, 0.35), tape.scale(ic, 1.0 - 0.35))
+            pred = tape.affine(tape.relu(z), iw, tape.constant(np.zeros((1, 2))))
+            loss = tape.mse(pred, tape.constant(target))
+            results.append((tape.value(z).tobytes(), tape.scalar(loss), tape.backprop(loss)))
+        (z0, l0, g0), (z1, l1, g1) = results
+        assert z0 == z1 and l0 == l1
+        for name in g0:
+            assert g0[name].tobytes() == g1[name].tobytes(), name
+
+    def test_scaled_concat_row_mismatch_rejected(self):
+        tape = Tape()
+        with pytest.raises(ShapeError, match="scaled_concat"):
+            tape.scaled_concat(tape.constant(np.ones((2, 3))), 0.5, tape.constant(np.ones((3, 3))), 0.5)
+
+
 class TestGradCheckHarness:
     def test_quadratic_is_nearly_exact(self):
         w0 = RNG(20).uniform(-1, 1, (3, 3))

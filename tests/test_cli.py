@@ -237,6 +237,39 @@ class TestErrorsAndUsage:
         assert len(err) == 1 and err[0].startswith("error: ConfigError:") and "already holds" in err[0]
         assert not (tmp_path / "out" / "checkpoint_seed0.npz").exists()
 
+    def test_nan_pendulum_mass_fails_at_load(self, tmp_path, capsys):
+        cfg = tiny_pendulum_config(tmp_path, data={"m1": math.nan})
+        out = tmp_path / "data.csv"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError: data: m1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_non_positive_seed_count_is_usage_error_before_any_write(self, tmp_path, seeds):
+        cfg = tiny_pendulum_config(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--config", str(cfg), "--seeds", seeds])
+        assert info.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-0.1", "1.5"])
+    def test_verification_floor_outside_unit_interval_is_usage_error(self, tmp_path, capsys, floor):
+        path = tmp_path / "sweep.csv"
+        path.write_text("alpha,task_metric,verification,split\n0.5,0.1,0.9,val\n")
+        with pytest.raises(SystemExit) as info:
+            main(["select", "--sweep", str(path), "--min-verification", floor])
+        assert info.value.code == 2
+        assert "--min-verification" in capsys.readouterr().err
+
+    def test_malformed_sweep_row_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        path.write_text("alpha,task_metric,verification,split\n0.5,0.1,0.9,val\n0.6,0.2\n")
+        assert main(["select", "--sweep", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ValueError:")
+        assert f"{path}:3:" in err[0]
+
     @settings(max_examples=50, deadline=None)
     @given(case=INVALID_FIELDS)
     def test_invalid_config_field_is_one_line_error(self, case):

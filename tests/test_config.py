@@ -96,6 +96,9 @@ class TestValidation:
             ("data", "theta0", math.inf),
             ("data", "noise_std", -1.0),
             ("data", "noise_std", math.nan),
+            ("data", "m1", math.nan),
+            ("data", "g", math.inf),
+            ("data", "friction", math.nan),
             ("model", "encoder_units", None),
         ],
     )

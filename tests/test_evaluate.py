@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import rulemix.evaluate
 import rulemix.model
+import rulemix.rules
 from helpers import direct_sweep, tiny_model
 from rulemix.errors import ConfigError, InfeasibleSelectionError
 from rulemix.evaluate import (
@@ -21,7 +23,7 @@ from rulemix.evaluate import (
     sweep_to_csv,
     task_metric,
 )
-from rulemix.model import COUPLINGS, ModelSpec, init_params
+from rulemix.model import COUPLINGS, ModelSpec, forward_per_alpha, init_params
 from rulemix.pendulum import DEFAULT_PARAMS
 from rulemix.rules import EnergyDampingRule, MonotonicRule, ThresholdRule
 
@@ -193,6 +195,63 @@ class TestSweepMatchesFullPasses:
         assert calls.count("decision") == 2 * n
         encoder = "encoder" if coupling == "input_concat_alpha" else "data"
         assert calls.count(encoder) == calls.count("shared")
+
+
+class TestSweepBuffers:
+    """Each strength decodes into the arrays of the previous one; nothing the
+    caller passed in is written to."""
+
+    make = TestSweepMatchesFullPasses.make
+
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    def test_second_strength_writes_into_the_first_strengths_arrays(self, coupling):
+        spec, params, x, _, _, _ = self.make(coupling, "energy")
+        passes = forward_per_alpha(spec, params, x, [0.2, 0.7])
+        tape, fwd = next(passes)
+        first = [tape.value(fwd.output), tape.value(fwd.latent)]
+        tape, fwd = next(passes)
+        assert np.shares_memory(tape.value(fwd.output), first[0])
+        if coupling != "single":  # there the latent is a leaf, the encoder's own array
+            assert np.shares_memory(tape.value(fwd.latent), first[1])
+
+    @pytest.mark.parametrize("family", sorted(SWEEP_RULES))
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    def test_sweep_leaves_params_inputs_and_perturbed_copy_untouched(self, coupling, family, monkeypatch):
+        spec, params, x, y, rule, metric = self.make(coupling, family)
+        before = {k: v.tobytes() for k, v in params.items()}
+        x_before, y_before = x.tobytes(), y.tobytes()
+        drawn = []
+        original = rulemix.evaluate.perturb_batch
+
+        def recording(*args):
+            pert = original(*args)
+            drawn.append((pert, pert.x_p.tobytes()))
+            return pert
+
+        monkeypatch.setattr(rulemix.evaluate, "perturb_batch", recording)
+        alpha_sweep(spec, params, x, y, rule, alpha_grid(*EXTENDED_ALPHA_RANGE, 0.1), metric)
+        assert {k: v.tobytes() for k, v in params.items()} == before
+        assert x.tobytes() == x_before and y.tobytes() == y_before
+        assert len(drawn) == rule.needs_perturbation
+        for pert, x_p_before in drawn:
+            assert pert.x_p.tobytes() == x_p_before
+
+    def test_energy_of_the_inputs_is_computed_once_per_split(self, monkeypatch):
+        spec, params, x, y, rule, metric = self.make("scaled_concat", "energy")
+        alphas = alpha_grid(*EXTENDED_ALPHA_RANGE, 0.02)
+        want = direct_sweep(spec, params, x, y, rule, alphas, metric)
+        on_inputs = []
+        original = rulemix.rules.energy
+
+        def counting(states, p):
+            on_inputs.append(np.shares_memory(states, x))
+            return original(states, p)
+
+        monkeypatch.setattr(rulemix.rules, "energy", counting)
+        got = alpha_sweep(spec, params, x, y, rule, alphas, metric)
+        assert got == want
+        assert sum(on_inputs) == 1
+        assert len(on_inputs) == len(alphas) + 1
 
 
 class TestSelectAlpha:

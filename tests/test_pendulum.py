@@ -45,6 +45,12 @@ class TestEquationsOfMotion:
         with pytest.raises(ValueError):
             PendulumParams(b=-0.1)
 
+    @pytest.mark.parametrize("field", ["m1", "m2", "l1", "l2", "g", "b"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            PendulumParams(**{field: value})
+
 
 class TestEnergy:
     def test_hanging_at_rest(self):
