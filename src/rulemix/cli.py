@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, config_from_dict, default_config, load_config
-from .data import SPLITS, Dataset, write_dataset_csv
+from .config import ExperimentConfig, checked, config_from_dict, load_config, sweep_splits
+from .data import Dataset, read_dataset_csv, write_dataset_csv
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -28,7 +28,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .evaluate import EXTENDED_ALPHA_RANGE, alpha_grid, alpha_sweep, select_alpha, sweep_from_csv, sweep_to_csv
-from .model import latent_values
+from .model import forward_per_alpha
 from .pendulum import PENDULUM_CSV_COLUMNS
 from .train import fit
 
@@ -52,20 +52,18 @@ def _dataset_columns(cfg: ExperimentConfig, dataset: Dataset) -> list[str]:
 
 
 def _load_experiment(args) -> ExperimentConfig:
+    task, seed = getattr(args, "task", None), getattr(args, "seed", None)
     if args.config:
         cfg = load_config(args.config)
-        raw = cfg.raw
-    elif getattr(args, "task", None):
-        raw = default_config(args.task)
+    elif task:
+        cfg = config_from_dict({"task": task})
     else:
         raise ConfigError("provide --config or --task")
-    if getattr(args, "task", None):
-        if raw["task"] != args.task:
-            raise ConfigError(f"--task {args.task} conflicts with config task {raw['task']}")
-    if getattr(args, "seed", None) is not None:
-        raw = {**raw, "seed": args.seed}
-        raw["data"] = {**raw["data"], "seed": args.seed}
-    return config_from_dict(raw)
+    if task and cfg.task != task:
+        raise ConfigError(f"--task {task} conflicts with config task {cfg.task}")
+    if seed is None:
+        return cfg
+    return config_from_dict({**cfg.raw, "seed": seed, "data": {**cfg.raw["data"], "seed": seed}})
 
 
 def cmd_gen_data(args) -> int:
@@ -112,38 +110,26 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _sweep_splits(arg: str | None, configured: list) -> list:
-    """The splits a sweep evaluates: ``--splits`` if given, else the config's."""
-    splits = configured if arg is None else arg.split(",")
-    if not (isinstance(splits, list) and splits) or "" in splits:
-        raise ConfigError(f"splits: need one or more split names, got {splits!r}")
-    for split in splits:
-        if split not in SPLITS:
-            raise ValueError(f"unknown split {split!r}")
-    if len(set(splits)) != len(splits):
-        raise ConfigError(f"splits: each split may be swept once, got {splits!r}")
-    return splits
-
-
 def cmd_sweep(args) -> int:
     if not math.isfinite(args.embeddings_alpha):
         raise ConfigError(f"--embeddings-alpha must be finite, got {args.embeddings_alpha}")
     ck: Checkpoint = load_checkpoint(args.checkpoint)
     cfg = config_from_dict(ck.config)
-    s = cfg.raw["sweep"]
-    start, stop = EXTENDED_ALPHA_RANGE if args.extended else (s["start"], s["stop"])
+    s = cfg.sweep
+    start, stop = EXTENDED_ALPHA_RANGE if args.extended else (s.start, s.stop)
     grid = alpha_grid(
         start if args.start is None else args.start,
         stop if args.stop is None else args.stop,
-        s["step"] if args.step is None else args.step,
+        s.step if args.step is None else args.step,
     )
-    splits = _sweep_splits(args.splits, s["splits"])
+    splits = s.splits if args.splits is None else sweep_splits(args.splits.split(","))
     rule = cfg.rule()
     if rule is None:
         raise ConfigError("sweep needs a rule for verification; config has rule.kind=none")
     if args.data_csv:
-        cfg.raw["data"]["csv"] = args.data_csv
-    dataset = cfg.build_dataset(tuple(splits))
+        dataset = read_dataset_csv(args.data_csv, ck.spec.output_dim)
+    else:
+        dataset = cfg.build_dataset(splits)
     records = []
     for split in splits:
         x, y = dataset.subset(split)
@@ -152,7 +138,7 @@ def cmd_sweep(args) -> int:
         records.extend(
             alpha_sweep(
                 ck.spec, ck.params, x, y, rule, grid, cfg.metric_kind,
-                split=split, perturb_seed=int(s["perturb_seed"]),
+                split=split, perturb_seed=s.perturb_seed,
             )
         )
     out = Path(args.out) if args.out else Path(args.checkpoint).with_suffix(".sweep.csv")
@@ -160,7 +146,9 @@ def cmd_sweep(args) -> int:
     print(f"wrote {out} records={len(records)} alphas={len(grid)} splits={','.join(splits)}")
     if args.embeddings_out:
         x, _ = dataset.subset(splits[-1])
-        latents = latent_values(ck.spec, ck.params, x, args.embeddings_alpha)
+        tape, fwd = next(forward_per_alpha(ck.spec, ck.params, x, [args.embeddings_alpha]))
+        nodes = {"z": fwd.latent, "z_rule": fwd.z_rule, "z_data": fwd.z_data}
+        latents = {key: tape.value(node) for key, node in nodes.items() if node is not None}
         with open(args.embeddings_out, "w") as fh:
             names = []
             for key, mat in latents.items():
@@ -196,34 +184,35 @@ def cmd_select(args) -> int:
     return 0
 
 
+def _ablation_config(cfg: ExperimentConfig, what: str, value: str) -> ExperimentConfig:
+    """``cfg`` with one ``ablate --values`` entry applied, converted and checked."""
+    raw = json.loads(json.dumps(cfg.raw))  # deep copy
+    if what == "coupling":
+        raw["model"]["coupling"] = value
+    elif what == "beta":
+        raw["train"]["beta"] = checked("--values", float, value)
+    else:  # lambda: the fixed-weight baseline
+        raw["train"]["mode"] = "task_and_rule"
+        raw["train"]["rule_weight"] = checked("--values", float, value)
+        raw["model"]["coupling"] = "single"
+    return config_from_dict(raw)
+
+
 def cmd_ablate(args) -> int:
     cfg = _load_experiment(args)
+    subs = [(value, _ablation_config(cfg, args.what, value)) for value in args.values.split(",")]
     out_dir = Path(args.out_dir) if args.out_dir else cfg.output_dir / f"ablate_{args.what}"
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = cfg.build_dataset()
-    values = args.values.split(",")
     rows = []
-    for value in values:
-        raw = json.loads(json.dumps(cfg.raw))  # deep copy
-        if args.what == "beta":
-            raw["train"]["beta"] = float(value)
-        elif args.what == "coupling":
-            raw["model"]["coupling"] = value
-        elif args.what == "lambda":
-            raw["train"]["mode"] = "task_and_rule"
-            raw["train"]["rule_weight"] = float(value)
-            raw["model"]["coupling"] = "single"
-        else:
-            raise ConfigError(f"unknown ablation {args.what!r}")
-        sub = config_from_dict(raw)
+    for value, sub in subs:
         result = fit(sub.model_spec(), sub.train_config(), dataset, sub.rule())
         tag = f"{args.what}_{value}".replace("/", "_")
         save_checkpoint(out_dir / f"checkpoint_{tag}.npz", result, sub.raw, sub.seed)
         x, y = dataset.subset("test")
-        s = sub.raw["sweep"]
         records = alpha_sweep(
-            sub.model_spec(), result.params, x, y, sub.rule(), alpha_grid(s["start"], s["stop"], s["step"]),
-            sub.metric_kind, split="test", perturb_seed=int(s["perturb_seed"]),
+            sub.model_spec(), result.params, x, y, sub.rule(), sub.sweep.grid(),
+            sub.metric_kind, split="test", perturb_seed=sub.sweep.perturb_seed,
         )
         sweep_to_csv(records, out_dir / f"sweep_{tag}.csv")
         best = min(records, key=lambda r: r.task_metric)

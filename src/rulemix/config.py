@@ -1,22 +1,25 @@
-"""Experiment configuration: YAML loading, defaults, validation, resolution.
+"""Experiment configuration: YAML loading, defaults, conversion and checks.
 
 A config file only needs ``task``; every omitted field is filled from the
-per-task defaults below and the fully resolved mapping is what the rest of
-the system consumes (and what gets dumped next to results, so every run is
-reproducible from its resolved config plus the seed).
+per-task defaults below. The merged mapping is dumped next to results, so
+every run is reproducible from its resolved config plus the seed; each of
+its blocks is converted and checked once, when ``ExperimentConfig`` is built.
 """
 
 from __future__ import annotations
 
 import copy
+import inspect
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
 from .data import SPLITS, Dataset, read_dataset_csv
 from .errors import ConfigError
-from .evaluate import alpha_grid
+from .evaluate import METRICS, alpha_grid
 from .model import ModelSpec
 from .pendulum import PendulumParams, build_pendulum_dataset, check_dataset_args
 from .rules import EnergyDampingRule, MonotonicRule, RuleSpec, ThresholdRule
@@ -115,8 +118,14 @@ _TASK_DEFAULTS = {
     },
 }
 
-_THRESHOLD_RULE_DEFAULTS = {"kind": "threshold", "fn": "row_mean", "limit": 0.0}
-_MONOTONIC_RULE_DEFAULTS = {"kind": "monotonic", "feature": 0, "direction": "decrease", "guard": None, "bound": 0.1}
+# each rule kind a config can name: its class, built by ``_rule``, and the
+# defaults a config starts from when it switches ``rule.kind`` to it
+_RULES = {
+    "energy": (EnergyDampingRule, {"kind": "energy"}),
+    "threshold": (ThresholdRule, {"kind": "threshold", "fn": "row_mean", "limit": 0.0}),
+    "monotonic": (MonotonicRule, _TASK_DEFAULTS["monotone-regression"]["rule"]),
+    "none": (None, {"kind": "none"}),
+}
 
 
 def default_config(task: str) -> dict:
@@ -143,134 +152,150 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
     return out
 
 
-def _rule_defaults_for(kind: str, task: str) -> dict:
-    if kind == "energy":
-        return {"kind": "energy"}
-    if kind == "threshold":
-        return copy.deepcopy(_THRESHOLD_RULE_DEFAULTS)
-    if kind == "monotonic":
-        base = copy.deepcopy(_MONOTONIC_RULE_DEFAULTS)
-        task_rule = _TASK_DEFAULTS[task]["rule"]
-        if task_rule.get("kind") == "monotonic":
-            base.update(task_rule)
-        return base
-    if kind == "none":
-        return {"kind": "none"}
-    raise ConfigError(f"rule.kind: unknown rule kind {kind!r}")
+def checked(block: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a value that fails to convert or check is ``ConfigError("<block>: ...")``."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{block}: {exc}") from exc
 
 
-@dataclass
+def _convert(hint, value):
+    """A config value as the field type ``hint``; the class then checks its bounds."""
+    if hint in (int, float):
+        return hint(value)
+    if hint == float | None:
+        return None if value is None else float(value)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(_convert(get_args(hint)[0], v) for v in value)
+    return value  # a name, which the class checks against its choices
+
+
+@cache
+def _param_types(fn) -> tuple[tuple[str, object], ...]:
+    """Each parameter of ``fn``, a function or a dataclass, with its annotated type; resolved once."""
+    hints = get_type_hints(fn)
+    return tuple((name, hints[name]) for name in inspect.signature(fn).parameters)
+
+
+def _build(fn, block: dict, **given):
+    """``fn`` called with every parameter not ``given`` read from ``block``, converted to its annotated type."""
+    values = {name: _convert(hint, block[name]) for name, hint in _param_types(fn) if name not in given}
+    return fn(**values, **given)
+
+
+def sweep_splits(splits) -> tuple[str, ...]:
+    """The splits a sweep evaluates: one or more names from ``SPLITS``, each once."""
+    if not splits:
+        raise ConfigError("splits: need one or more split names")
+    for split in splits:
+        if split not in SPLITS:
+            raise ConfigError(f"splits: unknown split {split!r}, expected names from {SPLITS}")
+    if len(set(splits)) != len(splits):
+        raise ConfigError(f"splits: each split may be swept once, got {list(splits)}")
+    return tuple(splits)
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """The ``sweep`` block: strength grid bounds, swept splits, perturbation seed."""
+
+    start: float
+    stop: float
+    step: float
+    splits: tuple[str, ...]
+    min_verification: float | None  # read by no command; checked so that a typo fails at load
+    perturb_seed: int
+
+    def __post_init__(self) -> None:
+        self.grid()
+        sweep_splits(self.splits)
+        if self.min_verification is not None and not 0 <= self.min_verification <= 1:  # NaN fails too
+            raise ValueError(f"min_verification must be a number in [0, 1], got {self.min_verification!r}")
+
+    def grid(self) -> list[float]:
+        return alpha_grid(self.start, self.stop, self.step)
+
+
+def _dataset_args(task: str, d: dict) -> dict:
+    """Keyword arguments of the task's dataset builder, from the ``data`` block."""
+    if task == "pendulum":
+        args = {name: _convert(hint, d[name]) for name, hint in _param_types(check_dataset_args)}
+        check_dataset_args(**args)
+        params = _build(PendulumParams, d, b=float(d["friction"]))
+        return {**args, "seed": int(d["seed"]), "params": params}
+    if task == "monotone-regression":
+        return {"spec": _build(CorrGroupSpec, d)}
+    if not isinstance(d["eval_only"], bool):
+        raise ValueError(f"eval_only must be true or false, got {d['eval_only']!r}")
+    fractions = (0.0, 0.0, 1.0) if d["eval_only"] else (0.7, 0.1, 0.2)
+    return {"spec": _build(ShiftMixSpec, d), "seed": int(d["seed"]), "split_fractions": fractions}
+
+
+def _rule(r: dict, task: str, dataset_args: dict, input_dim: int) -> RuleSpec | None:
+    cls = _RULES[r["kind"]][0]
+    if cls is None:
+        return None
+    if cls is EnergyDampingRule:
+        if task != "pendulum":
+            raise ValueError("energy rule needs pendulum state data")
+        return EnergyDampingRule(dataset_args["params"])
+    rule = _build(cls, r)
+    if cls.needs_perturbation and rule.feature >= input_dim:
+        raise ValueError(f"feature {rule.feature} out of range for {input_dim} input columns")
+    return rule
+
+
 class ExperimentConfig:
-    """Fully resolved configuration for one experiment."""
+    """One experiment's configuration, every block converted and checked when built.
 
-    raw: dict
+    The classes that own the bounds (``TrainConfig``, ``ModelSpec``,
+    ``PendulumParams``, the tabular specs, the rule classes, ``SweepConfig``)
+    check the values; any failure is a ``ConfigError`` naming the block.
+    ``raw`` is the merged mapping, stored in checkpoints; the accessors
+    return what was built from it.
+    """
 
-    @property
-    def task(self) -> str:
-        return self.raw["task"]
-
-    @property
-    def seed(self) -> int:
-        return int(self.raw["seed"])
-
-    @property
-    def output_dir(self) -> Path:
-        return Path(self.raw["output_dir"])
-
-    @property
-    def metric_kind(self) -> str:
-        return self.raw["metric"]
+    def __init__(self, raw: dict) -> None:
+        self.raw = raw
+        self.task: str = raw["task"]
+        self.seed: int = checked("seed", int, raw["seed"])
+        self.output_dir: Path = checked("output_dir", Path, raw["output_dir"])
+        if raw["metric"] not in METRICS:
+            raise ConfigError(f"metric: unknown metric {raw['metric']!r}, expected one of {METRICS}")
+        self.metric_kind: str = raw["metric"]
+        self._train = checked("train", _build, TrainConfig, raw["train"], seed=self.seed)
+        self._dataset_args = checked("data", _dataset_args, self.task, raw["data"])
+        csv = raw["data"]["csv"]
+        self._csv: Path | None = checked("data", Path, csv) if csv else None
+        if self._csv is not None and not self._csv.exists():
+            raise ConfigError(f"data.csv: file not found: {self._csv}")
+        pendulum = self.task == "pendulum"
+        self._spec = checked(
+            "model", _build, ModelSpec, raw["model"],
+            input_dim=4 if pendulum else self._dataset_args["spec"].d,
+            output_dim=4 if pendulum else 1,
+            task="classification" if self.task == "shifted-classification" else "regression",
+        )
+        self._rule = checked("rule", _rule, raw["rule"], self.task, self._dataset_args, self._spec.input_dim)
+        self.sweep: SweepConfig = checked("sweep", _build, SweepConfig, raw["sweep"])
 
     def resolved_yaml(self) -> str:
         return yaml.safe_dump(self.raw, sort_keys=True, default_flow_style=None)
 
-    # ------------------------------------------------------------------
-
-    def io_dims(self) -> tuple[int, int]:
-        if self.task == "pendulum":
-            return 4, 4
-        return int(self.raw["data"]["d"]), 1
+    def train_config(self) -> TrainConfig:
+        return self._train
 
     def model_spec(self) -> ModelSpec:
-        input_dim, output_dim = self.io_dims()
-        m = self.raw["model"]
-        try:
-            return ModelSpec(
-                input_dim=input_dim,
-                output_dim=output_dim,
-                task="classification" if self.task == "shifted-classification" else "regression",
-                coupling=m["coupling"],
-                shared_units=tuple(int(u) for u in m["shared_units"]),
-                encoder_units=tuple(int(u) for u in m["encoder_units"]),
-                decision_units=tuple(int(u) for u in m["decision_units"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"model: {exc}") from exc
-
-    def train_config(self) -> TrainConfig:
-        t = self.raw["train"]
-        try:
-            return TrainConfig(
-                mode=t["mode"],
-                beta=float(t["beta"]),
-                lr=float(t["lr"]),
-                batch_size=int(t["batch_size"]),
-                max_epochs=int(t["max_epochs"]),
-                patience=int(t["patience"]),
-                seed=self.seed,
-                rule_weight=float(t["rule_weight"]),
-                rho_policy=t["rho_policy"],
-                val_alphas=tuple(float(a) for a in t["val_alphas"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"train: {exc}") from exc
-
-    def pendulum_params(self) -> PendulumParams:
-        d = self.raw["data"]
-        try:
-            return PendulumParams(
-                m1=float(d["m1"]), m2=float(d["m2"]), l1=float(d["l1"]),
-                l2=float(d["l2"]), g=float(d["g"]), b=float(d["friction"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"data: {exc}") from exc
-
-    def pendulum_dataset_args(self) -> dict:
-        """Keyword arguments of ``build_pendulum_dataset`` from the data block, checked."""
-        d = self.raw["data"]
-        try:
-            args = {
-                "n_pairs": int(d["n_pairs"]),
-                "n_trajectories": int(d["n_trajectories"]),
-                "theta0": float(d["theta0"]),
-                "noise_std": float(d["noise_std"]),
-            }
-            check_dataset_args(**args)
-            seed = int(d["seed"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"data: {exc}") from exc
-        return {**args, "seed": seed, "params": self.pendulum_params()}
+        return self._spec
 
     def rule(self) -> RuleSpec | None:
-        r = self.raw["rule"]
-        kind = r["kind"]
-        if kind == "none":
-            return None
-        if kind == "energy":
-            if self.task != "pendulum":
-                raise ConfigError("rule.kind: energy rule needs pendulum state data")
-            return EnergyDampingRule(self.pendulum_params())
-        try:
-            if kind == "threshold":
-                return ThresholdRule(fn=r["fn"], limit=float(r["limit"]))
-            return MonotonicRule(
-                feature=int(r["feature"]),
-                direction=r["direction"],
-                guard=None if r["guard"] is None else float(r["guard"]),
-                bound=float(r["bound"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"rule: {exc}") from exc
+        return self._rule
+
+    def pendulum_params(self) -> PendulumParams:
+        return self._dataset_args["params"]
 
     def build_dataset(self, splits: tuple[str, ...] = SPLITS) -> Dataset:
         """The experiment's dataset; every row of ``splits`` is present.
@@ -279,55 +304,13 @@ class ExperimentConfig:
         trajectories that feed only those. CSV input and the tabular tasks
         are built whole.
         """
-        d = self.raw["data"]
-        if d.get("csv"):
-            path = Path(d["csv"])
-            if not path.exists():
-                raise ConfigError(f"data.csv: file not found: {path}")
-            return read_dataset_csv(path, n_targets=self.io_dims()[1])
+        if self._csv is not None:
+            return read_dataset_csv(self._csv, n_targets=self._spec.output_dim)
         if self.task == "pendulum":
-            return build_pendulum_dataset(**self.pendulum_dataset_args(), splits=splits)
+            return build_pendulum_dataset(**self._dataset_args, splits=splits)
         if self.task == "monotone-regression":
-            try:
-                spec = CorrGroupSpec(
-                    n=int(d["n"]), d=int(d["d"]), feature=int(d["feature"]),
-                    target_corr=float(d["target_corr"]), noise=float(d["noise"]),
-                    seed=int(d["seed"]),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"data: {exc}") from exc
-            return synth_monotone_regression(spec)
-        try:
-            spec = ShiftMixSpec(
-                n_usual=int(d["n_usual"]), n_unusual=int(d["n_unusual"]),
-                threshold=float(d["threshold"]), feature=int(d["feature"]), d=int(d["d"]),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"data: {exc}") from exc
-        fractions = (0.0, 0.0, 1.0) if d["eval_only"] else (0.7, 0.1, 0.2)
-        return synth_shifted_classification(spec, seed=int(d["seed"]), split_fractions=fractions)
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    """Run every derived-object constructor so bad fields fail at load time."""
-    t = cfg.raw["train"]
-    if t["beta"] is None or not isinstance(t["beta"], (int, float)) or t["beta"] <= 0:
-        raise ConfigError(f"train.beta: must be a positive number, got {t['beta']!r}")
-    if cfg.raw["metric"] not in ("mae", "cross_entropy", "accuracy"):
-        raise ConfigError(f"metric: unknown metric {cfg.raw['metric']!r}")
-    cfg.train_config()
-    if cfg.task == "pendulum":
-        cfg.pendulum_dataset_args()
-    cfg.model_spec()
-    cfg.rule()
-    s = cfg.raw["sweep"]
-    try:
-        alpha_grid(s["start"], s["stop"], s["step"])
-    except ConfigError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
-    csv = cfg.raw["data"].get("csv")
-    if csv and not Path(csv).exists():
-        raise ConfigError(f"data.csv: file not found: {csv}")
+            return synth_monotone_regression(**self._dataset_args)
+        return synth_shifted_classification(**self._dataset_args)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -337,16 +320,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if task is None:
         raise ConfigError("task: required field")
     defaults = default_config(task)
-    overrides = {k: v for k, v in raw.items() if k != "task"}
-    rule_override = overrides.get("rule") or {}
-    if "kind" in rule_override and rule_override["kind"] != defaults["rule"]["kind"]:
-        defaults["rule"] = _rule_defaults_for(rule_override["kind"], task)
-    cfg = ExperimentConfig(_merge(defaults, {**overrides, "task": task}, ""))
+    rule = raw.get("rule")
+    if isinstance(rule, dict) and "kind" in rule and rule["kind"] != defaults["rule"]["kind"]:
+        if not isinstance(rule["kind"], str) or rule["kind"] not in _RULES:
+            raise ConfigError(f"rule.kind: unknown rule kind {rule['kind']!r}, expected one of {sorted(_RULES)}")
+        defaults["rule"] = copy.deepcopy(_RULES[rule["kind"]][1])
+    merged = _merge(defaults, raw, "")
     # the one legacy mode, kept so that older configs and checkpoints load
-    if cfg.raw["train"]["mode"] == "controlled_perturb":
-        cfg.raw["train"]["mode"] = "controlled"
-    _validate(cfg)
-    return cfg
+    if merged["train"]["mode"] == "controlled_perturb":
+        merged["train"]["mode"] = "controlled"
+    return ExperimentConfig(merged)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

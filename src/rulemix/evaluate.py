@@ -47,10 +47,7 @@ def alpha_grid(start: float = 0.0, stop: float = 1.0, step: float = 0.05) -> lis
     The one builder of strength grids: config sweeps, CLI overrides and the
     extended grid all come through here, so every grid is validated alike.
     """
-    try:
-        start, stop, step = float(start), float(stop), float(step)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"alpha grid bounds must be numbers: {exc}") from exc
+    start, stop, step = float(start), float(stop), float(step)
     finite = all(math.isfinite(v) for v in (start, stop, step))
     if not (finite and step > 0 and stop >= start):
         raise ConfigError(

@@ -345,19 +345,3 @@ def predict_values(
     """Inference-only forward pass; the model is never mutated."""
     tape = Tape()
     return tape.value(predict(tape, spec, params, x, alpha).output)
-
-
-def latent_values(
-    spec: ModelSpec,
-    params: dict[str, np.ndarray],
-    x: np.ndarray,
-    alpha: float,
-) -> dict[str, np.ndarray]:
-    """Latent representations for export (blended plus per-passage if present)."""
-    tape = Tape()
-    fwd = predict(tape, spec, params, x, alpha)
-    out = {"z": tape.value(fwd.latent)}
-    if fwd.z_rule is not None:
-        out["z_rule"] = tape.value(fwd.z_rule)
-        out["z_data"] = tape.value(fwd.z_data)
-    return out

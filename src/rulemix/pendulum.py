@@ -43,7 +43,7 @@ class PendulumParams:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         if not 0 <= self.b < math.inf:
-            raise ValueError(f"b must be non-negative and finite, got {self.b!r}")
+            raise ValueError(f"friction must be non-negative and finite, got {self.b!r}")
 
 
 DEFAULT_PARAMS = PendulumParams()

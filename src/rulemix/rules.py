@@ -118,6 +118,8 @@ class MonotonicRule:
             raise ValueError(f"perturbation bound must be positive and finite, got {self.bound!r}")
         if self.feature < 0:
             raise ValueError("feature index must be non-negative")
+        if self.guard is not None and not math.isfinite(self.guard):
+            raise ValueError(f"guard must be finite or null, got {self.guard!r}")
 
     def holds(self, x, y_hat, y_hat_p=None) -> np.ndarray:
         if y_hat_p is None:

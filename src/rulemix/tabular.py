@@ -47,8 +47,8 @@ class CorrGroupSpec:
             raise ValueError("n must be >= 100")
         if not 0 <= self.feature < self.d:
             raise ValueError("feature index out of range")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        if not 0 <= self.noise < np.inf:  # NaN fails too
+            raise ValueError(f"noise must be >= 0 and finite, got {self.noise!r}")
 
 
 def difference_correlation(x_k: np.ndarray, y: np.ndarray) -> float:
@@ -116,6 +116,8 @@ class ShiftMixSpec:
             raise ValueError("feature index out of range")
         if self.d - 1 > len(WEAK_FEATURE_WEIGHTS):
             raise ValueError(f"at most {len(WEAK_FEATURE_WEIGHTS) + 1} features supported")
+        if not np.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold!r}")
 
     @property
     def usual_ratio(self) -> float:

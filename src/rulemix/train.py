@@ -47,22 +47,23 @@ class TrainConfig:
     val_alphas: tuple[float, ...] = (0.0, 0.5, 1.0)
 
     def __post_init__(self) -> None:
+        # written so that NaN fails: every comparison with NaN is false
         if self.mode not in MODES:
             raise ConfigError(f"unknown training mode {self.mode!r}")
-        if self.beta <= 0:
-            raise ConfigError("beta must be positive")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not 0 < self.beta < np.inf:
+            raise ConfigError(f"beta must be positive and finite, got {self.beta!r}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.patience >= self.max_epochs:
-            raise ConfigError("patience must be smaller than max_epochs")
-        if self.rule_weight < 0:
-            raise ConfigError("rule_weight must be >= 0")
+        if not 0 <= self.patience < self.max_epochs:
+            raise ConfigError("patience must be >= 0 and smaller than max_epochs")
+        if not 0 <= self.rule_weight < np.inf:
+            raise ConfigError(f"rule_weight must be >= 0 and finite, got {self.rule_weight!r}")
         if self.rho_policy not in RHO_POLICIES:
             raise ConfigError(f"unknown rho policy {self.rho_policy!r}")
-        if not self.val_alphas:
-            raise ConfigError("val_alphas must hold at least one strength")
+        if not (self.val_alphas and np.isfinite(self.val_alphas).all()):
+            raise ConfigError(f"val_alphas must hold at least one strength, all finite, got {self.val_alphas!r}")
 
 
 def sample_alpha(beta: float, rng: np.random.Generator) -> float:

@@ -13,9 +13,12 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rulemix.autodiff import Tape
 from rulemix.checkpoint import load_checkpoint
 from rulemix.cli import main
+from rulemix.config import config_from_dict
 from rulemix.evaluate import sweep_from_csv
+from rulemix.model import predict
 
 
 def tiny_pendulum_config(tmp_path, **overrides):
@@ -270,6 +273,32 @@ class TestErrorsAndUsage:
         assert len(err) == 1 and err[0].startswith("error: ValueError:")
         assert f"{path}:3:" in err[0]
 
+    @pytest.mark.parametrize(
+        "task,override,block",
+        [
+            ("monotone-regression", {"data": {"n": None}}, "data"),
+            ("monotone-regression", {"data": {"d": None}}, "data"),
+            ("monotone-regression", {"data": {"csv": 5}}, "data"),
+            ("pendulum", {"output_dir": None}, "output_dir"),
+            ("pendulum", {"train": {"batch_size": math.inf}}, "train"),
+            ("pendulum", {"sweep": {"perturb_seed": None}}, "sweep"),
+            ("pendulum", {"sweep": {"splits": "test"}}, "sweep"),
+            ("pendulum", {"sweep": {"splits": ["bogus"]}}, "sweep"),
+            ("pendulum", {"train": {"beta": math.nan}}, "train"),
+            ("shifted-classification", {"data": {"eval_only": "no"}}, "data"),
+            ("pendulum", {"seed": None}, "seed"),
+            ("pendulum", {"data": {"friction": math.nan}}, "data"),
+        ],
+    )
+    def test_hostile_config_value_is_one_line_before_any_work(self, tmp_path, capsys, task, override, block):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"task": task, "output_dir": str(tmp_path / "out"), **override}))
+        out = tmp_path / "data.csv"
+        assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: ConfigError: {block}: "), err
+        assert not out.exists() and not (tmp_path / "out").exists()
+
     @settings(max_examples=50, deadline=None)
     @given(case=INVALID_FIELDS)
     def test_invalid_config_field_is_one_line_error(self, case):
@@ -417,7 +446,7 @@ class TestSweepRebuild:
             (["--splits", ""], "error: ConfigError:"),
             (["--splits", "test,test"], "error: ConfigError:"),
             (["--splits", "val,"], "error: ConfigError:"),
-            (["--splits", "val,tset"], "error: ValueError: unknown split 'tset'"),
+            (["--splits", "val,tset"], "error: ConfigError: splits: unknown split 'tset'"),
             (["--embeddings-alpha", "nan"], "error: ConfigError: --embeddings-alpha"),
             (["--embeddings-alpha", "inf", "--embeddings-out", "{tmp}/emb.csv"], "error: ConfigError: --embeddings-alpha"),
             (["--step", "1e-12"], "error: ConfigError: alpha grid would have 1e+12 points"),
@@ -463,6 +492,30 @@ class TestLegacyMode:
         assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
 
 
+class TestEmbeddingsExport:
+    @pytest.mark.parametrize("coupling", ["scaled_concat", "input_concat_alpha", "single"])
+    def test_exported_latents_equal_those_of_a_predict_tape(self, tmp_path, coupling):
+        cfg = tiny_pendulum_config(tmp_path, model={"coupling": coupling})
+        assert main(["train", "--config", str(cfg)]) == 0
+        ck_path = tmp_path / "out" / "checkpoint_seed0.npz"
+        emb = tmp_path / "latents.csv"
+        flags = ["--embeddings-out", str(emb), "--embeddings-alpha", "0.3"]
+        assert main(["sweep", "--checkpoint", str(ck_path), "--out", str(tmp_path / "sweep.csv"), *flags]) == 0
+        ck = load_checkpoint(ck_path)
+        x, _ = config_from_dict(ck.config).build_dataset().subset("test")
+        tape = Tape()
+        fwd = predict(tape, ck.spec, ck.params, x, 0.3)
+        nodes = {"z": fwd.latent}
+        if fwd.z_rule is not None:
+            nodes.update(z_rule=fwd.z_rule, z_data=fwd.z_data)
+        assert (fwd.z_rule is None) == (coupling != "scaled_concat")
+        header, *rows = emb.read_text().splitlines()
+        assert header.split(",") == [f"{k}{j}" for k, n in nodes.items() for j in range(tape.value(n).shape[1])]
+        want = np.concatenate([tape.value(n) for n in nodes.values()], axis=1)
+        got = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert got.tobytes() == want.tobytes()
+
+
 class TestAblate:
     def test_coupling_ablation_writes_summary(self, tmp_path):
         cfg = tiny_pendulum_config(tmp_path, sweep={"step": 0.5})
@@ -485,3 +538,15 @@ class TestAblate:
         assert lines[0].startswith("coupling,")
         assert len(lines) == 3
         assert (out_dir / "sweep_coupling_concat.csv").exists()
+
+    @pytest.mark.parametrize(
+        "what,values",
+        [("beta", ""), ("beta", "0.1,zz"), ("coupling", "concat,bogus"), ("lambda", "0.5,nan")],
+    )
+    def test_bad_value_fails_before_the_build_and_the_first_fit(self, tmp_path, capsys, simulated, what, values):
+        cfg = tiny_pendulum_config(tmp_path)
+        out_dir = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(cfg), "--what", what, "--values", values, "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError:"), err
+        assert simulated == [] and not out_dir.exists()

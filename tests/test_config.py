@@ -4,11 +4,27 @@ import math
 
 import pytest
 
-from rulemix.config import config_from_dict, default_config, load_config
-from rulemix.evaluate import alpha_grid
+from rulemix.config import TASKS, config_from_dict, default_config, load_config
 from rulemix.errors import ConfigError
 from rulemix.rules import EnergyDampingRule, MonotonicRule, ThresholdRule
 from rulemix.train import fit
+
+# the task whose data or rule block has the field; other fields are the pendulum's
+FIELD_TASK = {
+    "noise": "monotone-regression",
+    "guard": "monotone-regression",
+    "threshold": "shifted-classification",
+    "eval_only": "shifted-classification",
+}
+HOSTILE_VALUES = (None, [1], "zz", math.nan, math.inf, -math.inf, 0, -1)
+
+
+def leaf_paths(tree: dict, prefix: tuple = ()):
+    for key, value in tree.items():
+        if isinstance(value, dict) and value:
+            yield from leaf_paths(value, prefix + (key,))
+        elif prefix or key != "task":
+            yield prefix + (key,)
 
 
 class TestDefaults:
@@ -100,11 +116,39 @@ class TestValidation:
             ("data", "g", math.inf),
             ("data", "friction", math.nan),
             ("model", "encoder_units", None),
+            ("train", "beta", math.nan),
+            ("train", "lr", math.nan),
+            ("train", "rule_weight", math.nan),
+            ("data", "noise", math.nan),
+            ("data", "threshold", math.nan),
+            ("rule", "guard", math.nan),
+            ("data", "eval_only", "no"),
         ],
     )
     def test_bad_train_model_or_pendulum_data_field_fails_at_load(self, section, field, value):
-        with pytest.raises(ConfigError, match=f"^{section}: "):
-            config_from_dict({"task": "pendulum", section: {field: value}})
+        task = FIELD_TASK.get(field, "pendulum")
+        # a non-finite number fails in the class that owns the bound, and the message names the field
+        non_finite = isinstance(value, float) and not math.isfinite(value)
+        with pytest.raises(ConfigError, match=f"^{section}: {field} must" if non_finite else f"^{section}: "):
+            config_from_dict({"task": task, section: {field: value}})
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_every_leaf_loads_or_fails_with_config_error_on_hostile_values(self, task):
+        other = []
+        for path in leaf_paths(default_config(task)):
+            for value in HOSTILE_VALUES:
+                raw = {"task": task}
+                block = raw
+                for key in path[:-1]:
+                    block = block.setdefault(key, {})
+                block[path[-1]] = value
+                try:
+                    config_from_dict(raw)
+                except ConfigError:
+                    pass
+                except Exception as exc:  # collected, so that one run lists every such leaf
+                    other.append((".".join(path), value, f"{type(exc).__name__}: {exc}"))
+        assert not other
 
     def test_rule_none_supported(self):
         cfg = config_from_dict(
@@ -161,8 +205,7 @@ class TestDatasetConstruction:
 
     def test_sweep_grid_from_config(self):
         cfg = config_from_dict({"task": "pendulum", "sweep": {"start": 0.0, "stop": 0.2, "step": 0.1}})
-        s = cfg.raw["sweep"]
-        assert alpha_grid(s["start"], s["stop"], s["step"]) == [0.0, 0.1, 0.2]
+        assert cfg.sweep.grid() == [0.0, 0.1, 0.2]
 
     def test_shifted_classification_eval_only(self):
         cfg = config_from_dict(

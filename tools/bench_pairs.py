@@ -17,6 +17,9 @@ workload. The file holds each side's env line, every end-to-end metric of
 every pair, each side's median and quartiles (``statistics.quantiles``,
 inclusive method), how many pairs the change won, and the parameter and
 sweep-CSV digests of each seed, with a flag saying whether they agree.
+Next to each side's env line it records ``git describe --always --dirty``
+of that checkout, since the env line's ``git_sha`` is the checkout's HEAD
+and reads the same on both sides when the change is an uncommitted tree.
 """
 
 from __future__ import annotations
@@ -52,6 +55,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     info = next(json.loads(l[5:]) for l in lines if l.startswith("info "))
     result = json.loads(lines[-1])
     return {"env": env, "info": info, "result": result}
+
+
+def git_describe(checkout: Path) -> str:
+    """``git describe --always --dirty`` of the checkout: its commit, and whether its tree differs."""
+    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: git describe exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout.strip()
 
 
 def summary(values: list[float]) -> dict:
@@ -99,7 +110,8 @@ def bench_workload(
         row["failed"] = {s: p[s]["result"]["failed"] for s in sides}
         digests.append(row)
     return {"seconds": seconds, "n_pairs": len(pairs), "metrics": metrics, "digests": digests,
-            "env": {s: pairs[0][s]["env"] for s in sides}}
+            "env": {s: pairs[0][s]["env"] for s in sides},
+            "git_describe": {s: git_describe(sides[s]) for s in sides}}
 
 
 def main(argv=None) -> int:
