@@ -1,6 +1,8 @@
 """Joint rule-and-task training with an inference-time rule-strength knob."""
 
-from .autodiff import Tape, as_matrix, grad_check_fd
+from types import ModuleType as _Module
+
+from .autodiff import Tape, as_matrix
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, config_from_dict, default_config, load_config
 from .data import Dataset, read_dataset_csv, write_dataset_csv
@@ -9,9 +11,7 @@ from .evaluate import (
     SweepRecord,
     alpha_grid,
     alpha_sweep,
-    extended_alpha_grid,
     select_alpha,
-    spearman_rank_corr,
     task_metric,
 )
 from .model import ModelSpec, init_params, predict, predict_values
@@ -41,5 +41,6 @@ from .train import (
     train_step,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules that importing them binds
+__all__ = [name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _Module))]
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ShapeError
 
-GRAD_CHECK_EPS = 1e-8
+PROB_CLAMP = 1e-12  # probabilities are clipped to [PROB_CLAMP, 1 - PROB_CLAMP] before a log
 
 
 def as_matrix(value, name: str = "tensor") -> np.ndarray:
@@ -49,7 +49,6 @@ class Node:
     parents: tuple[int, ...]
     # maps the gradient at this node to gradients for each parent; None for leaves
     backward: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None
-    param: str | None = None
 
 
 class Tape:
@@ -118,7 +117,7 @@ class Tape:
         """
         if name in self._params:
             return self._params[name]
-        nid = self._append(Node(value, (), None, param=name))
+        nid = self._append(Node(value, (), None))
         self._params[name] = nid
         return nid
 
@@ -261,15 +260,6 @@ class Tape:
     # reductions / losses (scalar outputs)
     # ------------------------------------------------------------------
 
-    def sum(self, x: int) -> int:
-        xv = self.value(x)
-        out = np.array([[xv.sum()]])
-
-        def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
-            return (np.full_like(xv, g[0, 0]),)
-
-        return self._append(Node(out, (x,), bwd))
-
     def mean_relu_diff(self, a: int, b: int, weights: np.ndarray | None = None) -> int:
         """(1/n) * sum_i w_i * max(a_i - b_i, 0) over single-column inputs.
 
@@ -307,17 +297,17 @@ class Tape:
 
         return self._append(Node(out, (pred, target), bwd))
 
-    def bce(self, pred: int, target: int, clamp: float = 1e-12) -> int:
+    def bce(self, pred: int, target: int) -> int:
         """Mean binary cross-entropy of probabilities against 0/1 targets.
 
-        Probabilities are clamped to [clamp, 1-clamp]; the gradient is zero
-        where the clamp is active (the loss is flat there).
+        Probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP]; the
+        gradient is zero where the clamp is active (the loss is flat there).
         """
         pv, tv = self.value(pred), self.value(target)
         if pv.shape != tv.shape:
             raise ShapeError(f"bce: shape mismatch {pv.shape} vs {tv.shape}")
-        p = np.clip(pv, clamp, 1.0 - clamp)
-        inside = (pv > clamp) & (pv < 1.0 - clamp)
+        p = np.clip(pv, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        inside = (pv > PROB_CLAMP) & (pv < 1.0 - PROB_CLAMP)
         out = np.array([[float(np.mean(-(tv * np.log(p) + (1.0 - tv) * np.log1p(-p))))]])
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -359,34 +349,3 @@ class Tape:
             out[name] = np.zeros_like(self.nodes[nid].value) if g is None else g
         return out
 
-
-def grad_check_fd(
-    f: Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]],
-    params: dict[str, np.ndarray],
-    h: float = 1e-4,
-) -> float:
-    """Max relative disagreement between analytic and central-difference grads.
-
-    ``f`` maps a parameter dict to ``(scalar_loss, grads)`` and must be
-    deterministic. Returns max over all parameter entries of
-    ``|analytic - fd| / (|fd| + eps)``.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    _, analytic = f(params)
-    worst = 0.0
-    for name, base in params.items():
-        grad = analytic[name]
-        flat = base.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            work = {k: (v.copy() if k == name else v) for k, v in params.items()}
-            wflat = work[name].reshape(-1)
-            wflat[i] = orig + h
-            up = f(work)[0]
-            wflat[i] = orig - h
-            down = f(work)[0]
-            fd = (up - down) / (2.0 * h)
-            err = abs(grad.reshape(-1)[i] - fd) / (abs(fd) + GRAD_CHECK_EPS)
-            worst = max(worst, err)
-    return worst

@@ -163,9 +163,13 @@ def checked(block: str, build, *args, **kwargs):
 def _convert(hint, value):
     """A config value as the field type ``hint``; the class then checks its bounds."""
     if hint in (int, float):
-        return hint(value)
+        converted = hint(value)
+        # a bool is an int to Python but never a number in a config; int(2.7) would drop the fraction
+        if isinstance(value, bool) or (hint is int and converted != value):
+            raise ValueError(f"expected {'an integer' if hint is int else 'a number'}, got {value!r}")
+        return converted
     if hint == float | None:
-        return None if value is None else float(value)
+        return None if value is None else _convert(float, value)
     if get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise TypeError(f"expected a list, got {value!r}")
@@ -184,6 +188,14 @@ def _build(fn, block: dict, **given):
     """``fn`` called with every parameter not ``given`` read from ``block``, converted to its annotated type."""
     values = {name: _convert(hint, block[name]) for name, hint in _param_types(fn) if name not in given}
     return fn(**values, **given)
+
+
+def _seed(value) -> int:
+    """A seed for numpy's generators, which take integers >= 0 only."""
+    seed = _convert(int, value)
+    if seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {value!r}")
+    return seed
 
 
 def sweep_splits(splits) -> tuple[str, ...]:
@@ -214,6 +226,8 @@ class SweepConfig:
         sweep_splits(self.splits)
         if self.min_verification is not None and not 0 <= self.min_verification <= 1:  # NaN fails too
             raise ValueError(f"min_verification must be a number in [0, 1], got {self.min_verification!r}")
+        if self.perturb_seed < 0:
+            raise ValueError(f"perturb_seed must be an integer >= 0, got {self.perturb_seed!r}")
 
     def grid(self) -> list[float]:
         return alpha_grid(self.start, self.stop, self.step)
@@ -221,17 +235,18 @@ class SweepConfig:
 
 def _dataset_args(task: str, d: dict) -> dict:
     """Keyword arguments of the task's dataset builder, from the ``data`` block."""
+    seed = _seed(d["seed"])
     if task == "pendulum":
         args = {name: _convert(hint, d[name]) for name, hint in _param_types(check_dataset_args)}
         check_dataset_args(**args)
-        params = _build(PendulumParams, d, b=float(d["friction"]))
-        return {**args, "seed": int(d["seed"]), "params": params}
+        params = _build(PendulumParams, d, b=_convert(float, d["friction"]))
+        return {**args, "seed": seed, "params": params}
     if task == "monotone-regression":
-        return {"spec": _build(CorrGroupSpec, d)}
+        return {"spec": _build(CorrGroupSpec, d, seed=seed)}
     if not isinstance(d["eval_only"], bool):
         raise ValueError(f"eval_only must be true or false, got {d['eval_only']!r}")
     fractions = (0.0, 0.0, 1.0) if d["eval_only"] else (0.7, 0.1, 0.2)
-    return {"spec": _build(ShiftMixSpec, d), "seed": int(d["seed"]), "split_fractions": fractions}
+    return {"spec": _build(ShiftMixSpec, d), "seed": seed, "split_fractions": fractions}
 
 
 def _rule(r: dict, task: str, dataset_args: dict, input_dim: int) -> RuleSpec | None:
@@ -261,7 +276,7 @@ class ExperimentConfig:
     def __init__(self, raw: dict) -> None:
         self.raw = raw
         self.task: str = raw["task"]
-        self.seed: int = checked("seed", int, raw["seed"])
+        self.seed: int = checked("seed", _seed, raw["seed"])
         self.output_dir: Path = checked("output_dir", Path, raw["output_dir"])
         if raw["metric"] not in METRICS:
             raise ConfigError(f"metric: unknown metric {raw['metric']!r}, expected one of {METRICS}")

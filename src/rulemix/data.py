@@ -76,13 +76,16 @@ def read_dataset_csv(path: str | Path, n_targets: int) -> Dataset:
     """Inverse of write_dataset_csv given the number of target columns."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     d = len(header) - n_targets - 1
     if d < 1:
         raise ValueError(f"{path}: header has too few columns for {n_targets} targets")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
     x = np.array([[float(v) for v in row[:d]] for row in rows])
     y = np.array([[float(v) for v in row[d : d + n_targets]] for row in rows])
     split = np.array([row[-1] for row in rows], dtype=object)

@@ -12,9 +12,9 @@ class TrainingAborted(RuntimeError):
 class SimulationBlowup(RuntimeError):
     """Numerical integration produced a non-finite state."""
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"non-finite state at integration step {step}")
+        super().__init__(f"non-finite state at integration step {step}")
 
 
 class UndefinedRatioError(ValueError):

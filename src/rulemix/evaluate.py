@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import PROB_CLAMP
 from .errors import ConfigError, InfeasibleSelectionError
 from .model import ModelSpec, forward_per_alpha, predict_values  # noqa: F401  (evaluate.predict_values stays importable)
 from .rules import RuleSpec, perturb_batch, verification_ratio
 
 METRICS = ("mae", "cross_entropy", "accuracy")
-PROB_CLAMP = 1e-12
 EXTENDED_ALPHA_RANGE = (-0.2, 1.4)  # reaches beyond the training range on both sides
 MAX_ALPHA_POINTS = 100_001  # step 1e-5 over [0, 1]; a finer grid is a typo, not a sweep
 
@@ -62,11 +62,6 @@ def alpha_grid(start: float = 0.0, stop: float = 1.0, step: float = 0.05) -> lis
             f"more than MAX_ALPHA_POINTS={MAX_ALPHA_POINTS}"
         )
     return [round(start + i * step, 10) for i in range(n)]
-
-
-def extended_alpha_grid(step: float = 0.05) -> list[float]:
-    """Extrapolation grid over EXTENDED_ALPHA_RANGE."""
-    return alpha_grid(*EXTENDED_ALPHA_RANGE, step)
 
 
 @dataclass(frozen=True)
@@ -186,31 +181,3 @@ def select_alpha(
         min_verification=min_verification,
     )
 
-
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based) with ties sharing their mean rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-def spearman_rank_corr(a, b) -> float:
-    """Spearman rank correlation with average-rank tie handling."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
-        raise ValueError("need two equal-length 1-D sequences")
-    ra, rb = _ranks(a), _ranks(b)
-    ra -= ra.mean()
-    rb -= rb.mean()
-    denom = np.sqrt(np.sum(ra * ra) * np.sum(rb * rb))
-    if denom == 0.0:
-        raise ValueError("constant input has no rank correlation")
-    return float(np.sum(ra * rb) / denom)

@@ -68,6 +68,9 @@ class ModelSpec:
             raise ValueError("input_dim and output_dim must be >= 1")
         if not self.encoder_units:
             raise ValueError("encoder_units must not be empty")
+        for name in ("shared_units", "encoder_units", "decision_units"):
+            if any(width < 1 for width in getattr(self, name)):
+                raise ValueError(f"{name} must all be >= 1, got {list(getattr(self, name))}")
 
     @property
     def encoder_in(self) -> int:
@@ -181,10 +184,6 @@ def check_params(spec: ModelSpec, params: dict[str, np.ndarray]) -> None:
             raise ShapeError(f"{name}: expected float64 of shape {shape}, got {value.dtype} of shape {value.shape}")
         if not np.isfinite(value).all():
             raise ValueError(f"{name}: non-finite entries rejected")
-
-
-def param_count(params: dict[str, np.ndarray]) -> int:
-    return sum(v.size for v in params.values())
 
 
 def mlp_forward(

@@ -110,17 +110,6 @@ def _rk4_stepper(params: PendulumParams, dt: float):
     return step
 
 
-def eom_derivatives(state, params: PendulumParams):
-    """Time derivative (omega1, alpha1, omega2, alpha2) of a state tuple."""
-    t1, w1, t2, w2 = state
-    a1, a2 = _accelerations(params)(t1, w1, t2, w2)
-    return (w1, a1, w2, a2)
-
-
-def rk4_step(state, dt: float, params: PendulumParams):
-    return _rk4_stepper(params, dt)(*state)
-
-
 def energy(states, params: PendulumParams):
     """Total mechanical energy (J); vectorized over rows for 2-D input."""
     arr = np.asarray(states, dtype=np.float64)
@@ -175,20 +164,16 @@ def rk4_simulate(
     n_keep: int,
     noise_std: float,
     rng: np.random.Generator,
-    sim_hz: int = SIM_HZ,
-    keep_hz: int = KEEP_HZ,
 ) -> np.ndarray:
-    """Simulate at sim_hz, retain every (sim_hz/keep_hz)-th state, add noise.
+    """Simulate at SIM_HZ, retain every (SIM_HZ/KEEP_HZ)-th state, add noise.
 
     Returns (n_keep, 4) measured states; the first retained state is s0.
     Gaussian measurement noise is added to every retained component, so
     consecutive retained states share their noisy boundary value when turned
     into (x_t, x_{t+1}) pairs.
     """
-    if sim_hz % keep_hz != 0:
-        raise ValueError(f"sim_hz {sim_hz} must be divisible by keep_hz {keep_hz}")
-    stride = sim_hz // keep_hz
-    states = simulate_states(s0, params, (n_keep - 1) * stride, 1.0 / sim_hz)
+    stride = SIM_HZ // KEEP_HZ
+    states = simulate_states(s0, params, (n_keep - 1) * stride, 1.0 / SIM_HZ)
     kept = states[::stride].copy()
     if noise_std > 0:
         kept += rng.normal(0.0, noise_std, size=kept.shape)

@@ -149,11 +149,9 @@ THRESHOLD_FUNCTIONS = {
 
 @dataclass(frozen=True)
 class PerturbedBatch:
-    """Original rows, rows with feature k nudged upward, and validity flags."""
+    """Rows with feature k nudged upward, and validity flags."""
 
-    x: np.ndarray
     x_p: np.ndarray
-    gamma: np.ndarray  # realized relative scales, one per row
     valid: np.ndarray  # rows where the perturbation exercises the rule
 
 
@@ -178,7 +176,7 @@ def perturb_batch(
     valid = (gamma > 0.0) & (x[:, k] != 0.0)
     if rule.guard is not None:
         valid &= (x[:, k] < rule.guard) & (x_p[:, k] > rule.guard)
-    return PerturbedBatch(x=x, x_p=x_p, gamma=gamma, valid=valid)
+    return PerturbedBatch(x_p=x_p, valid=valid)
 
 
 def verification_ratio(

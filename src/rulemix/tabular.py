@@ -119,10 +119,6 @@ class ShiftMixSpec:
         if not np.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold!r}")
 
-    @property
-    def usual_ratio(self) -> float:
-        return self.n_usual / (self.n_usual + self.n_unusual)
-
 
 def synth_shifted_classification(
     spec: ShiftMixSpec,

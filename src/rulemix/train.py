@@ -88,7 +88,7 @@ def sample_alpha(beta: float, rng: np.random.Generator) -> float:
 class LossScale:
     """Initial loss pair defining the task-objective rescale.
 
-    ``scaled_task`` applies the rescale as (task / task0) * rule0, which is
+    ``train_step`` applies the rescale as (task / task0) * rule0, which is
     algebraically ratio * task but exact (not just close) at task == task0.
     """
 
@@ -98,9 +98,6 @@ class LossScale:
     @property
     def ratio(self) -> float:
         return self.rule0 / self.task0
-
-    def scaled_task(self, task_loss: float) -> float:
-        return (task_loss / self.task0) * self.rule0
 
 
 def _task_loss_node(tape: Tape, spec: ModelSpec, y_hat: int, y: np.ndarray) -> int:
@@ -167,9 +164,8 @@ def train_step(
     if mode == "controlled":
         if scale is None:
             raise ValueError("controlled mode requires a LossScale")
-        # the rescaled task term is (task / task0) * rule0, matching
-        # LossScale.scaled_task: algebraically ratio * task, but exact (not
-        # merely close) when task == task0
+        # the rescaled task term is (task / task0) * rule0: algebraically
+        # ratio * task, but exact (not merely close) when task == task0
         total_node = tape.add(
             tape.scale(rule_node, alpha),
             tape.scale(tape.divide(task_node, scale.task0), (1.0 - alpha) * scale.rule0),
@@ -233,7 +229,6 @@ def compute_loss_scale(
     y: np.ndarray,
     rule: RuleSpec,
     rng: np.random.Generator,
-    alpha: float = 0.5,
 ) -> LossScale:
     """Initial rule/task loss ratio on a fixed sample, before optimization.
 
@@ -242,6 +237,7 @@ def compute_loss_scale(
     gives ratio 0, which would switch the task term off; ``fit`` decides
     what to do with it.
     """
+    alpha = 0.5
     tape = Tape()
     fwd = predict(tape, spec, params, x, alpha)
     pert = perturb_batch(x, rule, rng) if rule.needs_perturbation else None

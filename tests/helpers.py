@@ -4,16 +4,67 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
-from rulemix.autodiff import Tape
+from rulemix.autodiff import Node, Tape
 from rulemix.errors import TrainingAborted
 from rulemix.evaluate import SweepRecord, task_metric
 from rulemix.model import ModelSpec, init_params, predict, predict_values
 from rulemix.pendulum import PendulumParams, energy
 from rulemix.rules import PerturbedBatch, perturb_batch, verification_ratio
+
+
+# ----------------------------------------------------------------------
+# gradient oracles: a sum reduction for the tape and a central-difference
+# check of any analytic gradient
+# ----------------------------------------------------------------------
+
+GRAD_CHECK_EPS = 1e-8
+
+
+def tape_sum(tape: Tape, x: int) -> int:
+    """Sum of every entry of node ``x`` as a 1x1 node; the gradient is all ones."""
+    xv = tape.value(x)
+    out = np.array([[xv.sum()]])
+
+    def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        return (np.full_like(xv, g[0, 0]),)
+
+    return tape._append(Node(out, (x,), bwd))
+
+
+def grad_check_fd(
+    f: Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]],
+    params: dict[str, np.ndarray],
+    h: float = 1e-4,
+) -> float:
+    """Max relative disagreement between analytic and central-difference grads.
+
+    ``f`` maps a parameter dict to ``(scalar_loss, grads)`` and must be
+    deterministic. Returns max over all parameter entries of
+    ``|analytic - fd| / (|fd| + GRAD_CHECK_EPS)``.
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    _, analytic = f(params)
+    worst = 0.0
+    for name, base in params.items():
+        grad = analytic[name]
+        flat = base.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            work = {k: (v.copy() if k == name else v) for k, v in params.items()}
+            wflat = work[name].reshape(-1)
+            wflat[i] = orig + h
+            up = f(work)[0]
+            wflat[i] = orig - h
+            down = f(work)[0]
+            fd = (up - down) / (2.0 * h)
+            err = abs(grad.reshape(-1)[i] - fd) / (abs(fd) + GRAD_CHECK_EPS)
+            worst = max(worst, err)
+    return worst
 
 
 def tiny_model(
@@ -234,9 +285,7 @@ def perturb_input(
     valid = gamma > 0.0 and x[feature] != 0.0
     if guard is not None:
         valid = valid and x[feature] < guard < x_p[feature]
-    return PerturbedBatch(
-        x=np.array([x]), x_p=np.array([x_p]), gamma=np.array([gamma]), valid=np.array([valid])
-    )
+    return PerturbedBatch(x_p=np.array([x_p]), valid=np.array([valid]))
 
 
 def usual_mask(x: np.ndarray, y: np.ndarray, threshold: float, feature: int) -> np.ndarray:
@@ -272,3 +321,32 @@ class MeanBelowFeatureRule:
         mean = tape.rowmap(y_hat, lambda y: y.mean(axis=1), lambda y: np.full_like(y, 1.0 / y.shape[1]))
         limit = tape.constant(np.asarray(x)[:, [self.feature]], "feature_limit")
         return tape.mean_relu_diff(mean, limit)
+
+
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """Average ranks (1-based) with ties sharing their mean rank."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def spearman_rank_corr(a, b) -> float:
+    """Spearman rank correlation with average-rank tie handling."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
+        raise ValueError("need two equal-length 1-D sequences")
+    ra, rb = _ranks(a), _ranks(b)
+    ra -= ra.mean()
+    rb -= rb.mean()
+    denom = np.sqrt(np.sum(ra * ra) * np.sum(rb * rb))
+    if denom == 0.0:
+        raise ValueError("constant input has no rank correlation")
+    return float(np.sum(ra * rb) / denom)

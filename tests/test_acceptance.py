@@ -12,17 +12,16 @@ import time
 import numpy as np
 import pytest
 
-from helpers import tiny_model
+from helpers import spearman_rank_corr, tiny_model
 from rulemix.autodiff import Tape
 from rulemix.checkpoint import load_checkpoint, save_checkpoint
 from rulemix.config import config_from_dict
 from rulemix.data import Dataset, assign_splits
 from rulemix.evaluate import (
+    EXTENDED_ALPHA_RANGE,
     alpha_grid,
     alpha_sweep,
-    extended_alpha_grid,
     select_alpha,
-    spearman_rank_corr,
 )
 from rulemix.model import ModelSpec, init_params, predict, predict_values
 from rulemix.optim import AdamState
@@ -257,8 +256,13 @@ def test_criterion_04_objective_identity(desk_dataset):
     params = init_params(DESK_SPEC, rng)
     scale = compute_loss_scale(DESK_SPEC, params, x_tr, y_tr, DESK_RULE, rng)
 
-    # exact identity at initialization through the canonical scaling path
-    assert scale.scaled_task(scale.task0) == scale.rule0
+    # exact identity at initialization through the objective train_step builds:
+    # on the scale's own sample and strength, (task0 / task0) * rule0 is rule0
+    _, at_init = train_step(
+        DESK_SPEC, params, AdamState.for_params(params), x_tr, y_tr, DESK_RULE, "controlled", 0.5, scale,
+    )
+    assert (at_init.task_loss, at_init.rule_loss) == (scale.task0, scale.rule0)
+    assert at_init.total_loss == scale.rule0
     assert scale.ratio == scale.rule0 / scale.task0
 
     adam = AdamState.for_params(params, lr=0.0005)
@@ -374,8 +378,8 @@ def test_criterion_09_distribution_shift_adaptation():
     rule = MonotonicRule(feature=0, direction="increase", bound=0.1)
     source = ShiftMixSpec(n_usual=1502, n_unusual=3504)   # usual ratio 0.30
     target = ShiftMixSpec(n_usual=2000, n_unusual=601)    # usual ratio 0.77
-    assert abs(source.usual_ratio - 0.30) < 0.005
-    assert abs(target.usual_ratio - 0.77) < 0.005
+    assert abs(1502 / (1502 + 3504) - 0.30) < 0.005
+    assert abs(2000 / (2000 + 601) - 0.77) < 0.005
     gaps = []
     max_jump = 0.0
     for seed in range(3):
@@ -389,7 +393,8 @@ def test_criterion_09_distribution_shift_adaptation():
         chosen = select_alpha(records)
         gaps.append(records[0].task_metric - chosen.task_metric)
         # extrapolated sweep must stay finite and continuous
-        outs = np.stack([predict_values(spec, result.params, x_t[:400], a) for a in extended_alpha_grid()])
+        extended = alpha_grid(*EXTENDED_ALPHA_RANGE)
+        outs = np.stack([predict_values(spec, result.params, x_t[:400], a) for a in extended])
         assert np.all(np.isfinite(outs))
         max_jump = max(max_jump, float(np.max(np.abs(np.diff(outs, axis=0)))))
     mean_gap = float(np.mean(gaps))

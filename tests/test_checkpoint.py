@@ -1,5 +1,7 @@
 """Checkpoint persistence and dataset CSV round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,23 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+    def test_layer_width_below_one_is_checkpoint_error(self, tmp_path):
+        # a zero-width latent whose stored arrays all match it, so only the width check can object
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, make_fit_result(11), {"task": "pendulum"}, seed=0)
+
+        def zero_latent(arrays):
+            spec = json.loads(str(arrays["model_json"][()]))
+            arrays["model_json"] = np.array(json.dumps({**spec, "encoder_units": [8, 0]}))
+            for block in ("rule", "data"):
+                arrays[f"param:{block}.1.w"], arrays[f"param:{block}.1.b"] = np.zeros((8, 0)), np.zeros((1, 0))
+            arrays["param:decision.0.w"] = np.zeros((0, 8))
+
+        self.rewrite_params(path, zero_latent)
+        with pytest.raises(CheckpointError, match="encoder_units"):
+            load_checkpoint(path)
+
+
 class TestDatasetCsv:
     def test_round_trip_is_exact(self, tmp_path):
         ds = build_pendulum_dataset(n_pairs=60, n_trajectories=2, seed=5)
@@ -164,8 +183,16 @@ class TestDatasetCsv:
         write_dataset_csv(path, ds, PENDULUM_CSV_COLUMNS)
         assert path.read_text().splitlines()[0] == ",".join(PENDULUM_CSV_COLUMNS)
 
-    def test_empty_csv_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", ["a,b,c\n", ""], ids=["header only", "empty file"])
+    def test_empty_csv_rejected(self, tmp_path, text):
         path = tmp_path / "empty.csv"
-        path.write_text("a,b,c\n")
-        with pytest.raises(ValueError, match="no data rows"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{path}: no data rows"):
+            read_dataset_csv(path, n_targets=1)
+
+    @pytest.mark.parametrize("row", ["1.0,2.0", "1.0,2.0,3.0,train"], ids=["short", "long"])
+    def test_wrong_column_count_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "data.csv"
+        path.write_text(f"x0,y,split\n1.0,2.0,train\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{path}:3: expected 3 columns, got {row.count(',') + 1}"):
             read_dataset_csv(path, n_targets=1)

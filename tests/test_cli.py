@@ -248,6 +248,14 @@ class TestErrorsAndUsage:
         assert len(err) == 1 and err[0].startswith("error: ConfigError: data: m1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_negative_seed_flag_fails_at_load(self, tmp_path, capsys, command):
+        cfg = tiny_pendulum_config(tmp_path)
+        assert main([command, "--config", str(cfg), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: ConfigError: seed: seed must be an integer >= 0, got -1"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_non_positive_seed_count_is_usage_error_before_any_write(self, tmp_path, seeds):
         cfg = tiny_pendulum_config(tmp_path)
@@ -288,6 +296,13 @@ class TestErrorsAndUsage:
             ("shifted-classification", {"data": {"eval_only": "no"}}, "data"),
             ("pendulum", {"seed": None}, "seed"),
             ("pendulum", {"data": {"friction": math.nan}}, "data"),
+            ("pendulum", {"model": {"encoder_units": [0]}}, "model"),
+            ("pendulum", {"model": {"shared_units": [-3]}}, "model"),
+            ("pendulum", {"train": {"batch_size": 2.7}}, "train"),
+            ("pendulum", {"seed": -1}, "seed"),
+            ("pendulum", {"data": {"seed": -1}}, "data"),
+            ("shifted-classification", {"data": {"seed": -1}}, "data"),
+            ("pendulum", {"sweep": {"perturb_seed": -1}}, "sweep"),
         ],
     )
     def test_hostile_config_value_is_one_line_before_any_work(self, tmp_path, capsys, task, override, block):
@@ -376,6 +391,21 @@ class TestSweepInputs:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ValueError:") and "vall" in err[0]
+
+    @pytest.mark.parametrize("text,error", [("", "no data rows"), ("x\n", "no data rows"), (None, ":3: expected 9 columns")])
+    def test_empty_or_ragged_data_csv_is_one_line_error(self, trained, tmp_path, capsys, text, error):
+        ck, data = trained
+        if text is None:  # the second data row loses its split label
+            lines = data.read_text().splitlines()
+            text = "\n".join(lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]) + "\n"
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        capsys.readouterr()
+        code = main(["sweep", "--checkpoint", str(ck), "--out", str(tmp_path / "s.csv"), "--data-csv", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: ValueError: {bad}") and error in err[0]
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("defect", ["missing rule.1.w", "nan in decision.0.w"])
     def test_invalid_checkpoint_parameters_are_one_line_error(self, trained, tmp_path, capsys, defect):

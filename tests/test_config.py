@@ -16,7 +16,15 @@ FIELD_TASK = {
     "threshold": "shifted-classification",
     "eval_only": "shifted-classification",
 }
-HOSTILE_VALUES = (None, [1], "zz", math.nan, math.inf, -math.inf, 0, -1)
+HOSTILE_VALUES = (None, [1], "zz", math.nan, math.inf, -math.inf, 0, -1, 2.5, True)
+
+
+def cannot_hold(default, value) -> bool:
+    """Whether a leaf whose default is ``default`` must reject ``value``: a
+    bool outside a bool field, or a fraction in an int field."""
+    if value is True:
+        return not isinstance(default, bool)
+    return value == 2.5 and type(default) is int
 
 
 def leaf_paths(tree: dict, prefix: tuple = ()):
@@ -24,7 +32,7 @@ def leaf_paths(tree: dict, prefix: tuple = ()):
         if isinstance(value, dict) and value:
             yield from leaf_paths(value, prefix + (key,))
         elif prefix or key != "task":
-            yield prefix + (key,)
+            yield prefix + (key,), value
 
 
 class TestDefaults:
@@ -123,6 +131,9 @@ class TestValidation:
             ("data", "threshold", math.nan),
             ("rule", "guard", math.nan),
             ("data", "eval_only", "no"),
+            ("model", "encoder_units", [0]),
+            ("model", "shared_units", [-3]),
+            ("model", "decision_units", [64, 0]),
         ],
     )
     def test_bad_train_model_or_pendulum_data_field_fails_at_load(self, section, field, value):
@@ -135,7 +146,7 @@ class TestValidation:
     @pytest.mark.parametrize("task", TASKS)
     def test_every_leaf_loads_or_fails_with_config_error_on_hostile_values(self, task):
         other = []
-        for path in leaf_paths(default_config(task)):
+        for path, default in leaf_paths(default_config(task)):
             for value in HOSTILE_VALUES:
                 raw = {"task": task}
                 block = raw
@@ -148,7 +159,23 @@ class TestValidation:
                     pass
                 except Exception as exc:  # collected, so that one run lists every such leaf
                     other.append((".".join(path), value, f"{type(exc).__name__}: {exc}"))
+                else:
+                    if cannot_hold(default, value):
+                        other.append((".".join(path), value, "loaded"))
         assert not other
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ({"seed": -1}, "^seed: seed must be an integer >= 0"),
+            ({"data": {"seed": -1}}, "^data: seed must be an integer >= 0"),
+            ({"sweep": {"perturb_seed": -1}}, "^sweep: perturb_seed must be an integer >= 0"),
+        ],
+    )
+    def test_negative_seed_fails_at_load_naming_the_field(self, task, override, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"task": task, **override})
 
     def test_rule_none_supported(self):
         cfg = config_from_dict(

@@ -8,7 +8,7 @@ import pytest
 import rulemix.evaluate
 import rulemix.model
 import rulemix.rules
-from helpers import direct_sweep, tiny_model
+from helpers import direct_sweep, spearman_rank_corr, tiny_model
 from rulemix.errors import ConfigError, InfeasibleSelectionError
 from rulemix.evaluate import (
     EXTENDED_ALPHA_RANGE,
@@ -16,9 +16,7 @@ from rulemix.evaluate import (
     SweepRecord,
     alpha_grid,
     alpha_sweep,
-    extended_alpha_grid,
     select_alpha,
-    spearman_rank_corr,
     sweep_from_csv,
     sweep_to_csv,
     task_metric,
@@ -70,7 +68,7 @@ class TestGrids:
         assert grid[0] == 0.0 and grid[-1] == 1.0
 
     def test_extended_grid_covers_extrapolation_range(self):
-        grid = extended_alpha_grid()
+        grid = alpha_grid(*EXTENDED_ALPHA_RANGE)
         assert grid[0] == -0.2 and grid[-1] == 1.4
         assert len(grid) == 33
         assert (grid[0], grid[-1]) == EXTENDED_ALPHA_RANGE

@@ -13,7 +13,6 @@ from rulemix.model import (
     couple,
     dense_chain,
     init_params,
-    param_count,
     predict,
     predict_values,
     width_matched_units,
@@ -189,7 +188,7 @@ class TestInit:
         params = init_params(spec, np.random.default_rng(0))
         assert list(params) == list(spec.param_shapes())
         base = params["shared.0.w"].base
-        assert base.ndim == 1 and base.flags.c_contiguous and base.size == param_count(params)
+        assert base.ndim == 1 and base.flags.c_contiguous and base.size == sum(v.size for v in params.values())
         offset = 0
         for name, shape in spec.param_shapes().items():
             assert params[name].shape == shape and params[name].base is base

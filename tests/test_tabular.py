@@ -69,8 +69,8 @@ class TestShiftedClassification:
     def test_mix_ratios_by_construction(self):
         source = ShiftMixSpec(n_usual=6007, n_unusual=14018)
         target1 = ShiftMixSpec(n_usual=20000, n_unusual=6009)
-        assert source.usual_ratio == pytest.approx(0.30, abs=0.005)
-        assert target1.usual_ratio == pytest.approx(0.77, abs=0.005)
+        assert source.n_usual / (source.n_usual + source.n_unusual) == pytest.approx(0.30, abs=0.005)
+        assert target1.n_usual / (target1.n_usual + target1.n_unusual) == pytest.approx(0.77, abs=0.005)
         ds = synth_shifted_classification(source, seed=0)
         assert len(ds) == 20025
         recomputed = usual_mask(ds.x, ds.y, source.threshold, source.feature)

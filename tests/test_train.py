@@ -97,12 +97,6 @@ class TestLossScale:
         assert LossScale(rule0=2.0, task0=0.5).ratio == 4.0
         assert LossScale(rule0=1.0, task0=1.0).ratio == 1.0
 
-    def test_scaled_task_exact_at_initial_value(self):
-        rng = np.random.default_rng(4)
-        for _ in range(500):
-            scale = LossScale(rule0=rng.uniform(1e-6, 1e3), task0=rng.uniform(1e-6, 1e3))
-            assert scale.scaled_task(scale.task0) == scale.rule0
-
     def test_computed_from_model_at_init(self):
         rng = np.random.default_rng(5)
         spec, params = tiny_model(rng)
@@ -141,6 +135,19 @@ class TestTrainStep:
         scale = compute_loss_scale(spec, params, x, y, ENERGY_RULE, np.random.default_rng(0))
         assert scale.rule0 > 0.0, "fixture assumption: rule violated at init"
         return spec, params, x[:32], y[:32], scale
+
+    def test_rescaled_task_term_exact_at_initial_value(self):
+        # the objective rescales as (task / task0) * rule0: at task == task0 the
+        # task term is (1 - alpha) * rule0 exactly, where ratio * task is only close
+        spec, params, x, y, _ = self.make(4)
+        adam = AdamState.for_params(params)
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            rule0, alpha = rng.uniform(1e-6, 1e3), rng.uniform(0.0, 1.0)
+            _, first = train_step(spec, params, adam, x, y, ENERGY_RULE, "controlled", alpha, LossScale(rule0, 1.0))
+            scale = LossScale(rule0=rule0, task0=first.task_loss)
+            _, step = train_step(spec, params, adam, x, y, ENERGY_RULE, "controlled", alpha, scale)
+            assert step.total_loss == step.rule_loss * alpha + (1.0 - alpha) * rule0
 
     def test_alpha_zero_freezes_rule_encoder_and_scales_task(self):
         spec, params, x, y, scale = self.make()
