@@ -15,11 +15,12 @@ import json
 import os
 import secrets
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import build_from
 from .errors import CheckpointError, UnsupportedVersionError
 from .model import ModelSpec, check_params
 from .train import FitResult, LossScale
@@ -37,30 +38,6 @@ class Checkpoint:
     epoch: int
 
 
-def _spec_to_dict(spec: ModelSpec) -> dict:
-    return {
-        "input_dim": spec.input_dim,
-        "output_dim": spec.output_dim,
-        "task": spec.task,
-        "coupling": spec.coupling,
-        "shared_units": list(spec.shared_units),
-        "encoder_units": list(spec.encoder_units),
-        "decision_units": list(spec.decision_units),
-    }
-
-
-def _spec_from_dict(d: dict) -> ModelSpec:
-    return ModelSpec(
-        input_dim=int(d["input_dim"]),
-        output_dim=int(d["output_dim"]),
-        task=d["task"],
-        coupling=d["coupling"],
-        shared_units=tuple(d["shared_units"]),
-        encoder_units=tuple(d["encoder_units"]),
-        decision_units=tuple(d["decision_units"]),
-    )
-
-
 def save_checkpoint(
     path: str | Path,
     result: FitResult,
@@ -69,7 +46,7 @@ def save_checkpoint(
 ) -> None:
     arrays: dict[str, np.ndarray] = {
         "version": np.array(FORMAT_VERSION, dtype=np.int64),
-        "model_json": np.array(json.dumps(_spec_to_dict(result.spec), sort_keys=True)),
+        "model_json": np.array(json.dumps(asdict(result.spec), sort_keys=True)),
         "config_json": np.array(json.dumps(config, sort_keys=True)),
         "seed": np.array(seed, dtype=np.int64),
         "epoch": np.array(result.report.final_epoch, dtype=np.int64),
@@ -102,7 +79,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 raise UnsupportedVersionError(
                     f"{path}: format version {version} unsupported (this build reads {FORMAT_VERSION})"
                 )
-            spec = _spec_from_dict(json.loads(str(archive["model_json"][()])))
+            spec = build_from(ModelSpec, json.loads(str(archive["model_json"][()])))
             config = json.loads(str(archive["config_json"][()]))
             rule0 = float(archive["scale_rule0"])
             task0 = float(archive["scale_task0"])
@@ -124,5 +101,5 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 seed=int(archive["seed"]),
                 epoch=int(archive["epoch"]),
             )
-    except (zipfile.BadZipFile, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (zipfile.BadZipFile, OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: corrupt or unreadable checkpoint: {exc}") from exc

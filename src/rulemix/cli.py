@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, checked, config_from_dict, load_config, sweep_splits
-from .data import Dataset, read_dataset_csv, write_dataset_csv
+from .config import TASKS, ExperimentConfig, checked, config_from_dict, load_config, sweep_splits
+from .data import Dataset, write_dataset_csv
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -114,7 +114,12 @@ def cmd_sweep(args) -> int:
     if not math.isfinite(args.embeddings_alpha):
         raise ConfigError(f"--embeddings-alpha must be finite, got {args.embeddings_alpha}")
     ck: Checkpoint = load_checkpoint(args.checkpoint)
-    cfg = config_from_dict(ck.config)
+    raw = ck.config
+    data = raw.get("data", {}) if isinstance(raw, dict) else None
+    if args.data_csv and isinstance(data, dict):
+        # the given CSV replaces the one the checkpoint was trained from, which may have moved
+        raw = {**raw, "data": {**data, "csv": args.data_csv}}
+    cfg = config_from_dict(raw)
     s = cfg.sweep
     start, stop = EXTENDED_ALPHA_RANGE if args.extended else (s.start, s.stop)
     grid = alpha_grid(
@@ -126,10 +131,7 @@ def cmd_sweep(args) -> int:
     rule = cfg.rule()
     if rule is None:
         raise ConfigError("sweep needs a rule for verification; config has rule.kind=none")
-    if args.data_csv:
-        dataset = read_dataset_csv(args.data_csv, ck.spec.output_dim)
-    else:
-        dataset = cfg.build_dataset(splits)
+    dataset = cfg.build_dataset(splits)
     records = []
     for split in splits:
         x, y = dataset.subset(split)
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a dataset CSV from a config or task defaults")
     p.add_argument("--config", help="experiment config YAML")
-    p.add_argument("--task", choices=("pendulum", "monotone-regression", "shifted-classification"))
+    p.add_argument("--task", choices=TASKS)
     p.add_argument("--seed", type=int, help="override experiment and data seeds")
     p.add_argument("--out", help="output CSV path (default <output_dir>/dataset.csv)")
     p.set_defaults(func=cmd_gen_data)

@@ -1,9 +1,10 @@
 """Experiment configuration: YAML loading, defaults, conversion and checks.
 
 A config file only needs ``task``; every omitted field is filled from the
-per-task defaults below. The merged mapping is dumped next to results, so
-every run is reproducible from its resolved config plus the seed; each of
-its blocks is converted and checked once, when ``ExperimentConfig`` is built.
+defaults below, read from the classes the blocks build. The merged mapping
+is dumped next to results, so every run is reproducible from its resolved
+config plus the seed; each of its blocks is converted and checked once,
+when ``ExperimentConfig`` is built.
 """
 
 from __future__ import annotations
@@ -26,103 +27,59 @@ from .rules import EnergyDampingRule, MonotonicRule, RuleSpec, ThresholdRule
 from .tabular import CorrGroupSpec, ShiftMixSpec, synth_monotone_regression, synth_shifted_classification
 from .train import TrainConfig
 
-TASKS = ("pendulum", "monotone-regression", "shifted-classification")
 
+def _defaults(fn, *given: str) -> dict:
+    """The parameter defaults of ``fn``, a function or a dataclass, as config values; ``given`` left out."""
+    return {
+        name: list(p.default) if isinstance(p.default, tuple) else p.default
+        for name, p in inspect.signature(fn).parameters.items()
+        if p.default is not p.empty and name not in given
+    }
+
+
+# every default below is read from the class or function its block builds;
+# the literals are the values no signature holds
 _COMMON = {
     "seed": 0,
     "output_dir": "runs/experiment",
-    "train": {
-        "mode": "controlled",
-        "beta": 0.1,
-        "lr": 0.001,
-        "batch_size": 32,
-        "max_epochs": 1000,
-        "patience": 10,
-        "rule_weight": 1.0,
-        "rho_policy": "fixed",
-        "val_alphas": [0.0, 0.5, 1.0],
-    },
-    "sweep": {
-        "start": 0.0,
-        "stop": 1.0,
-        "step": 0.05,
-        "splits": ["val", "test"],
-        "min_verification": None,
-        "perturb_seed": 0,
-    },
+    "train": _defaults(TrainConfig, "seed"),
+    "sweep": {**_defaults(alpha_grid), "splits": ["val", "test"], "min_verification": None, "perturb_seed": 0},
 }
+_MODEL = _defaults(ModelSpec, "input_dim", "output_dim", "task")
 
 _TASK_DEFAULTS = {
     "pendulum": {
-        "data": {
-            "csv": None,
-            "n_pairs": 30000,
-            "n_trajectories": 10,
-            "theta0": 2.0,
-            "noise_std": 0.01,
-            "m1": 2.0,
-            "m2": 1.0,
-            "l1": 1.0,
-            "l2": 1.0,
-            "g": 9.81,
-            "friction": 0.05,
-            "seed": 0,
+        "data": {  # a config names PendulumParams.b "friction"
+            "csv": None, **_defaults(build_pendulum_dataset, "params", "split_fractions", "splits"),
+            **_defaults(PendulumParams, "b"), "friction": PendulumParams.b,
         },
-        "model": {
-            "coupling": "scaled_concat",
-            "shared_units": [64, 16],
-            "encoder_units": [64, 64, 64],
-            "decision_units": [64],
-        },
+        "model": {**_MODEL, "shared_units": [64, 16]},
         "rule": {"kind": "energy"},
         "metric": "mae",
     },
     "monotone-regression": {
-        "data": {
-            "csv": None,
-            "n": 2000,
-            "d": 5,
-            "feature": 0,
-            "target_corr": -0.2,
-            "noise": 0.5,
-            "seed": 0,
-        },
-        "model": {
-            "coupling": "scaled_concat",
-            "shared_units": [],
-            "encoder_units": [64, 64, 16],
-            "decision_units": [64],
-        },
-        "rule": {"kind": "monotonic", "feature": 0, "direction": "decrease", "guard": None, "bound": 0.1},
+        "data": {"csv": None, **_defaults(CorrGroupSpec)},
+        "model": {**_MODEL, "encoder_units": [64, 64, 16]},
+        "rule": {"kind": "monotonic", "feature": 0, "direction": "decrease", **_defaults(MonotonicRule)},
         "metric": "mae",
     },
     "shifted-classification": {
         "data": {
-            "csv": None,
-            "n_usual": 6007,
-            "n_unusual": 14018,
-            "threshold": 1.3,
-            "feature": 0,
-            "d": 6,
-            "seed": 0,
-            "eval_only": False,
+            "csv": None, "n_usual": 6007, "n_unusual": 14018, "eval_only": False,
+            **_defaults(ShiftMixSpec), **_defaults(synth_shifted_classification, "split_fractions"),
         },
-        "model": {
-            "coupling": "scaled_concat",
-            "shared_units": [],
-            "encoder_units": [100, 16],
-            "decision_units": [],
-        },
-        "rule": {"kind": "monotonic", "feature": 0, "direction": "increase", "guard": None, "bound": 0.1},
+        "model": {**_MODEL, "encoder_units": [100, 16], "decision_units": []},
+        "rule": {"kind": "monotonic", "feature": 0, "direction": "increase", **_defaults(MonotonicRule)},
         "metric": "cross_entropy",
     },
 }
+TASKS = tuple(_TASK_DEFAULTS)
 
 # each rule kind a config can name: its class, built by ``_rule``, and the
 # defaults a config starts from when it switches ``rule.kind`` to it
 _RULES = {
     "energy": (EnergyDampingRule, {"kind": "energy"}),
-    "threshold": (ThresholdRule, {"kind": "threshold", "fn": "row_mean", "limit": 0.0}),
+    "threshold": (ThresholdRule, {"kind": "threshold", **_defaults(ThresholdRule)}),
     "monotonic": (MonotonicRule, _TASK_DEFAULTS["monotone-regression"]["rule"]),
     "none": (None, {"kind": "none"}),
 }
@@ -131,10 +88,7 @@ _RULES = {
 def default_config(task: str) -> dict:
     if task not in TASKS:
         raise ConfigError(f"task: unknown task {task!r}, expected one of {TASKS}")
-    cfg = copy.deepcopy(_COMMON)
-    cfg.update(copy.deepcopy(_TASK_DEFAULTS[task]))
-    cfg["task"] = task
-    return cfg
+    return copy.deepcopy({**_COMMON, **_TASK_DEFAULTS[task], "task": task})
 
 
 def _merge(defaults: dict, override: dict, path: str) -> dict:
@@ -152,12 +106,12 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
     return out
 
 
-def checked(block: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``; a value that fails to convert or check is ``ConfigError("<block>: ...")``."""
+def checked(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a value that fails to convert or check is ``ConfigError("<where>: ...")``."""
     try:
         return build(*args, **kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{block}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _convert(hint, value):
@@ -184,15 +138,18 @@ def _param_types(fn) -> tuple[tuple[str, object], ...]:
     return tuple((name, hints[name]) for name in inspect.signature(fn).parameters)
 
 
-def _build(fn, block: dict, **given):
+def build_from(fn, block: dict, **given):
     """``fn`` called with every parameter not ``given`` read from ``block``, converted to its annotated type."""
-    values = {name: _convert(hint, block[name]) for name, hint in _param_types(fn) if name not in given}
+    values = {name: checked(name, _convert, hint, block[name]) for name, hint in _param_types(fn) if name not in given}
     return fn(**values, **given)
 
 
 def _seed(value) -> int:
     """A seed for numpy's generators, which take integers >= 0 only."""
-    seed = _convert(int, value)
+    try:
+        seed = _convert(int, value)
+    except (TypeError, ValueError, OverflowError):
+        seed = -1
     if seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {value!r}")
     return seed
@@ -237,16 +194,16 @@ def _dataset_args(task: str, d: dict) -> dict:
     """Keyword arguments of the task's dataset builder, from the ``data`` block."""
     seed = _seed(d["seed"])
     if task == "pendulum":
-        args = {name: _convert(hint, d[name]) for name, hint in _param_types(check_dataset_args)}
+        args = {name: checked(name, _convert, hint, d[name]) for name, hint in _param_types(check_dataset_args)}
         check_dataset_args(**args)
-        params = _build(PendulumParams, d, b=_convert(float, d["friction"]))
+        params = build_from(PendulumParams, d, b=checked("friction", _convert, float, d["friction"]))
         return {**args, "seed": seed, "params": params}
     if task == "monotone-regression":
-        return {"spec": _build(CorrGroupSpec, d, seed=seed)}
+        return {"spec": build_from(CorrGroupSpec, d, seed=seed)}
     if not isinstance(d["eval_only"], bool):
         raise ValueError(f"eval_only must be true or false, got {d['eval_only']!r}")
     fractions = (0.0, 0.0, 1.0) if d["eval_only"] else (0.7, 0.1, 0.2)
-    return {"spec": _build(ShiftMixSpec, d), "seed": seed, "split_fractions": fractions}
+    return {"spec": build_from(ShiftMixSpec, d), "seed": seed, "split_fractions": fractions}
 
 
 def _rule(r: dict, task: str, dataset_args: dict, input_dim: int) -> RuleSpec | None:
@@ -257,7 +214,7 @@ def _rule(r: dict, task: str, dataset_args: dict, input_dim: int) -> RuleSpec | 
         if task != "pendulum":
             raise ValueError("energy rule needs pendulum state data")
         return EnergyDampingRule(dataset_args["params"])
-    rule = _build(cls, r)
+    rule = build_from(cls, r)
     if cls.needs_perturbation and rule.feature >= input_dim:
         raise ValueError(f"feature {rule.feature} out of range for {input_dim} input columns")
     return rule
@@ -281,7 +238,7 @@ class ExperimentConfig:
         if raw["metric"] not in METRICS:
             raise ConfigError(f"metric: unknown metric {raw['metric']!r}, expected one of {METRICS}")
         self.metric_kind: str = raw["metric"]
-        self._train = checked("train", _build, TrainConfig, raw["train"], seed=self.seed)
+        self._train = checked("train", build_from, TrainConfig, raw["train"], seed=self.seed)
         self._dataset_args = checked("data", _dataset_args, self.task, raw["data"])
         csv = raw["data"]["csv"]
         self._csv: Path | None = checked("data", Path, csv) if csv else None
@@ -289,13 +246,13 @@ class ExperimentConfig:
             raise ConfigError(f"data.csv: file not found: {self._csv}")
         pendulum = self.task == "pendulum"
         self._spec = checked(
-            "model", _build, ModelSpec, raw["model"],
+            "model", build_from, ModelSpec, raw["model"],
             input_dim=4 if pendulum else self._dataset_args["spec"].d,
             output_dim=4 if pendulum else 1,
             task="classification" if self.task == "shifted-classification" else "regression",
         )
         self._rule = checked("rule", _rule, raw["rule"], self.task, self._dataset_args, self._spec.input_dim)
-        self.sweep: SweepConfig = checked("sweep", _build, SweepConfig, raw["sweep"])
+        self.sweep: SweepConfig = checked("sweep", build_from, SweepConfig, raw["sweep"])
 
     def resolved_yaml(self) -> str:
         return yaml.safe_dump(self.raw, sort_keys=True, default_flow_style=None)

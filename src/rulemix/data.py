@@ -83,10 +83,15 @@ def read_dataset_csv(path: str | Path, n_targets: int) -> Dataset:
     d = len(header) - n_targets - 1
     if d < 1:
         raise ValueError(f"{path}: header has too few columns for {n_targets} targets")
+    values = []
     for lineno, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-    x = np.array([[float(v) for v in row[:d]] for row in rows])
-    y = np.array([[float(v) for v in row[d : d + n_targets]] for row in rows])
+        try:
+            values.append([float(v) for v in row[:-1]])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    table = np.array(values)
+    x, y = table[:, :d], table[:, d:]
     split = np.array([row[-1] for row in rows], dtype=object)
     return Dataset(x=x, y=y, split=split)

@@ -185,7 +185,7 @@ def check_dataset_args(n_pairs: int, n_trajectories: int, theta0: float, noise_s
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
     if n_pairs < n_trajectories:
-        raise ValueError("need at least one pair per trajectory")
+        raise ValueError(f"n_pairs must be >= n_trajectories to give at least one pair per trajectory, got {n_pairs}")
     if not math.isfinite(theta0):
         raise ValueError(f"theta0 must be finite, got {theta0}")
     # a NaN or negative noise_std would fail the noise_std > 0 test and give clean data

@@ -55,8 +55,8 @@ class RuleSpec(Protocol):
 class ThresholdRule:
     """r(y_hat) <= limit for a registered row function r."""
 
-    fn: str
-    limit: float
+    fn: str = "row_mean"
+    limit: float = 0.0
     needs_perturbation: ClassVar[bool] = False
 
     def __post_init__(self) -> None:

@@ -166,6 +166,43 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="encoder_units"):
             load_checkpoint(path)
 
+    def test_stored_layout_json(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, make_fit_result(12), {"task": "pendulum"}, seed=0)
+        with np.load(path, allow_pickle=False) as archive:
+            assert str(archive["model_json"][()]) == (
+                '{"coupling": "scaled_concat", "decision_units": [8], "encoder_units": [8, 6], '
+                '"input_dim": 4, "output_dim": 4, "shared_units": [], "task": "regression"}'
+            )
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("model_json", {"shared_units": ["a"]}),
+            ("model_json", {"shared_units": 3}),
+            ("model_json", {"input_dim": None}),
+            ("model_json", {"input_dim": float("inf")}),
+            ("model_json", [4, 4]),
+            ("scale_rule0", [1.0, 2.0]),
+            ("seed", [0, 1]),
+            ("version", [1, 1]),
+        ],
+    )
+    def test_hostile_stored_field_is_checkpoint_error(self, tmp_path, key, value):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, make_fit_result(13), {"task": "pendulum"}, seed=0)
+
+        def edit(arrays):
+            if key == "model_json":  # a mapping edits the stored layout, anything else replaces it
+                layout = json.loads(str(arrays[key][()]))
+                arrays[key] = np.array(json.dumps({**layout, **value} if isinstance(value, dict) else value))
+            else:
+                arrays[key] = np.array(value)
+
+        self.rewrite_params(path, edit)
+        with pytest.raises(CheckpointError, match="corrupt or unreadable"):
+            load_checkpoint(path)
+
 
 class TestDatasetCsv:
     def test_round_trip_is_exact(self, tmp_path):
@@ -195,4 +232,11 @@ class TestDatasetCsv:
         path = tmp_path / "data.csv"
         path.write_text(f"x0,y,split\n1.0,2.0,train\n{row}\n")
         with pytest.raises(ValueError, match=f"^{path}:3: expected 3 columns, got {row.count(',') + 1}"):
+            read_dataset_csv(path, n_targets=1)
+
+    @pytest.mark.parametrize("row", ["abc,2.0,train", "1.0,,train"], ids=["x", "y"])
+    def test_non_numeric_cell_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "data.csv"
+        path.write_text(f"x0,y,split\n1.0,2.0,train\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{path}:3: could not convert string to float"):
             read_dataset_csv(path, n_targets=1)

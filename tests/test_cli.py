@@ -343,6 +343,16 @@ class TestErrorsAndUsage:
         assert len(lines) == 1 and lines[0].startswith("error: ConfigError:"), (case, lines)
 
 
+def with_stored_config(ck, path, edit):
+    """A copy of checkpoint ``ck`` at ``path`` whose stored config is ``edit(stored config)``."""
+    with np.load(ck, allow_pickle=False) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    arrays["config_json"] = np.array(json.dumps(edit(json.loads(str(arrays["config_json"][()])))))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return path
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A tiny pendulum checkpoint plus its dataset CSV, shared by the sweep tests."""
@@ -405,6 +415,35 @@ class TestSweepInputs:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: ValueError: {bad}") and error in err[0]
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_data_csv_stands_in_for_a_moved_training_csv(self, trained, tmp_path):
+        ck, data = trained
+        moved = tmp_path / "moved.npz"
+        with_stored_config(ck, moved, lambda c: {**c, "data": {**c["data"], "csv": "gone.csv"}})
+        outs = [tmp_path / "trained.csv", tmp_path / "moved.csv"]
+        for path, out in zip((ck, moved), outs):
+            assert main(["sweep", "--checkpoint", str(path), "--out", str(out), "--data-csv", str(data)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "stored",
+        [
+            [1],
+            "pendulum",
+            {"task": "pendulum", "data": 5},
+            {"task": "pendulum", "data": {"csv": "gone.csv", "n_pairs": None}},
+            {"task": "pendulum", "data": {"csv": "gone.csv", "bogus": 1}},
+        ],
+    )
+    def test_hostile_stored_config_with_data_csv_is_one_line_error(self, trained, tmp_path, capsys, stored):
+        ck, data = trained
+        bad = with_stored_config(ck, tmp_path / "bad.npz", lambda c: stored)
+        capsys.readouterr()
+        code = main(["sweep", "--checkpoint", str(bad), "--out", str(tmp_path / "s.csv"), "--data-csv", str(data)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError:"), err
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("defect", ["missing rule.1.w", "nan in decision.0.w"])
@@ -507,15 +546,10 @@ class TestLegacyMode:
         cfg.write_text(yaml.safe_dump(raw))
         assert main(["train", "--config", str(cfg)]) == 0
         ck = tmp_path / "out" / "checkpoint_seed0.npz"
-        with np.load(ck, allow_pickle=False) as archive:
-            arrays = {k: archive[k] for k in archive.files}
-        stored = json.loads(str(arrays["config_json"][()]))
-        assert stored["train"]["mode"] == "controlled"
-        stored["train"]["mode"] = "controlled_perturb"
-        arrays["config_json"] = np.array(json.dumps(stored, sort_keys=True))
-        legacy = tmp_path / "legacy.npz"
-        with open(legacy, "wb") as fh:
-            np.savez(fh, **arrays)
+        assert load_checkpoint(ck).config["train"]["mode"] == "controlled"
+        legacy = with_stored_config(
+            ck, tmp_path / "legacy.npz", lambda c: {**c, "train": {**c["train"], "mode": "controlled_perturb"}}
+        )
         assert load_checkpoint(legacy).config["train"]["mode"] == "controlled_perturb"
         assert main(["sweep", "--checkpoint", str(ck), "--out", str(tmp_path / "new.csv")]) == 0
         assert main(["sweep", "--checkpoint", str(legacy), "--out", str(tmp_path / "old.csv")]) == 0

@@ -1,5 +1,7 @@
 """Config loading, defaults, validation, and resolved-dump idempotence."""
 
+import hashlib
+import inspect
 import math
 
 import pytest
@@ -15,6 +17,7 @@ FIELD_TASK = {
     "guard": "monotone-regression",
     "threshold": "shifted-classification",
     "eval_only": "shifted-classification",
+    "bound": "monotone-regression",
 }
 HOSTILE_VALUES = (None, [1], "zz", math.nan, math.inf, -math.inf, 0, -1, 2.5, True)
 
@@ -62,9 +65,35 @@ class TestDefaults:
         assert spec.encoder_units == (100, 16)
         assert spec.decision_units == ()
 
+    def test_a_config_build_reads_no_signature(self, monkeypatch):
+        # defaults are read at import and each class's field types on its first build, not on every build
+        raws = [{"task": task, "rule": {"kind": kind}} for task in TASKS for kind in ("monotonic", "threshold")]
+        for raw in raws:
+            config_from_dict(raw)
+
+        def no_signature(*args, **kwargs):
+            raise AssertionError("inspect.signature called")
+
+        monkeypatch.setattr(inspect, "signature", no_signature)
+        for raw in raws + [{"task": task} for task in TASKS]:
+            config_from_dict(raw)
+
     def test_unknown_task_rejected(self):
         with pytest.raises(ConfigError, match="task"):
             default_config("double-pendulum")
+
+    @pytest.mark.parametrize(
+        "task,digest",
+        [
+            ("pendulum", "768b41b45b734617e924a258b4bd405d5a9fb9a7f822f07af090558e62a1c47a"),
+            ("monotone-regression", "e267f80dc706874cb5c8ad7c5043e0342dac2c3797f77438f6c9c09c0fefc421"),
+            ("shifted-classification", "6f4ffd6e793a0139f05fcdab03e1e2693db25a86f5fb0cf561c24b97c5fecf91"),
+        ],
+    )
+    def test_resolved_defaults_are_pinned(self, task, digest):
+        # the defaults are read from the classes; a changed class default shows here
+        dump = config_from_dict({"task": task}).resolved_yaml()
+        assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 
 class TestValidation:
@@ -134,13 +163,21 @@ class TestValidation:
             ("model", "encoder_units", [0]),
             ("model", "shared_units", [-3]),
             ("model", "decision_units", [64, 0]),
+            ("train", "patience", 2.5),
+            ("model", "encoder_units", [64, "x"]),
+            ("data", "m1", "heavy"),
+            ("data", "friction", "x"),
+            ("data", "seed", "x"),
+            ("sweep", "perturb_seed", [0]),
+            ("rule", "bound", "x"),
         ],
     )
     def test_bad_train_model_or_pendulum_data_field_fails_at_load(self, section, field, value):
         task = FIELD_TASK.get(field, "pendulum")
-        # a non-finite number fails in the class that owns the bound, and the message names the field
+        # a value that fails to convert reads "<field>: ...", one outside the bounds its class checks "<field> must";
+        # a non-finite number converts, so the class that owns the bound rejects it
         non_finite = isinstance(value, float) and not math.isfinite(value)
-        with pytest.raises(ConfigError, match=f"^{section}: {field} must" if non_finite else f"^{section}: "):
+        with pytest.raises(ConfigError, match=f"^{section}: {field}" + (" must " if non_finite else "(: | must )")):
             config_from_dict({"task": task, section: {field: value}})
 
     @pytest.mark.parametrize("task", TASKS)
