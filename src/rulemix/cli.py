@@ -217,7 +217,7 @@ def cmd_ablate(args) -> int:
             sub.metric_kind, split="test", perturb_seed=sub.sweep.perturb_seed,
         )
         sweep_to_csv(records, out_dir / f"sweep_{tag}.csv")
-        best = min(records, key=lambda r: r.task_metric)
+        best = select_alpha(records, sub.sweep.min_verification)
         rows.append((value, result.report.best_val, best.alpha, best.task_metric, records[-1].verification))
         print(
             f"{args.what}={value} best_val={result.report.best_val:.6g} "
@@ -253,27 +253,34 @@ def _unit_fraction(text: str) -> float:
     return value
 
 
+def _path(text: str) -> str:
+    """A path option: any non-empty text, or a usage error (an empty path would fall back to a default)."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rulemix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a dataset CSV from a config or task defaults")
-    p.add_argument("--config", help="experiment config YAML")
+    p.add_argument("--config", type=_path, help="experiment config YAML")
     p.add_argument("--task", choices=TASKS)
     p.add_argument("--seed", type=int, help="override experiment and data seeds")
-    p.add_argument("--out", help="output CSV path (default <output_dir>/dataset.csv)")
+    p.add_argument("--out", type=_path, help="output CSV path (default <output_dir>/dataset.csv)")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="fit a model per config; writes checkpoint + report CSV")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", type=_path, required=True)
     p.add_argument("--seeds", type=_positive_int, default=1, help="number of seed replicates (seed, seed+1, ...)")
     p.add_argument("--seed", type=int, help="override the base seed")
-    p.add_argument("--out-dir", help="override the config output_dir")
+    p.add_argument("--out-dir", type=_path, help="override the config output_dir")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="rule-strength sweep over a checkpoint; writes CSV")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out")
+    p.add_argument("--checkpoint", type=_path, required=True)
+    p.add_argument("--out", type=_path)
     p.add_argument("--splits", help="comma-separated splits (default from config)")
     p.add_argument(
         "--extended", action="store_true",
@@ -282,22 +289,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float)
     p.add_argument("--stop", type=float)
     p.add_argument("--step", type=float)
-    p.add_argument("--data-csv", help="evaluate on a CSV instead of regenerating from the config")
-    p.add_argument("--embeddings-out", help="also export latent representations as CSV")
+    p.add_argument("--data-csv", type=_path, help="evaluate on a CSV instead of regenerating from the config")
+    p.add_argument("--embeddings-out", type=_path, help="also export latent representations as CSV")
     p.add_argument("--embeddings-alpha", type=float, default=0.5)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("select", help="pick the operating strength from a sweep CSV")
-    p.add_argument("--sweep", required=True)
+    p.add_argument("--sweep", type=_path, required=True)
     p.add_argument("--split", default="val")
     p.add_argument("--min-verification", type=_unit_fraction, help="verification floor in [0, 1]")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("ablate", help="batch runs over beta / coupling / lambda grids")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", type=_path, required=True)
     p.add_argument("--what", required=True, choices=("beta", "coupling", "lambda"))
     p.add_argument("--values", required=True, help="comma-separated grid values")
-    p.add_argument("--out-dir")
+    p.add_argument("--out-dir", type=_path)
     p.set_defaults(func=cmd_ablate)
     return parser
 

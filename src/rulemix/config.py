@@ -175,7 +175,7 @@ class SweepConfig:
     stop: float
     step: float
     splits: tuple[str, ...]
-    min_verification: float | None  # read by no command; checked so that a typo fails at load
+    min_verification: float | None
     perturb_seed: int
 
     def __post_init__(self) -> None:
@@ -202,8 +202,10 @@ def _dataset_args(task: str, d: dict) -> dict:
         return {"spec": build_from(CorrGroupSpec, d, seed=seed)}
     if not isinstance(d["eval_only"], bool):
         raise ValueError(f"eval_only must be true or false, got {d['eval_only']!r}")
-    fractions = (0.0, 0.0, 1.0) if d["eval_only"] else (0.7, 0.1, 0.2)
-    return {"spec": build_from(ShiftMixSpec, d), "seed": seed, "split_fractions": fractions}
+    args = {"spec": build_from(ShiftMixSpec, d), "seed": seed}
+    if d["eval_only"]:
+        args["split_fractions"] = (0.0, 0.0, 1.0)
+    return args
 
 
 def _rule(r: dict, task: str, dataset_args: dict, input_dim: int) -> RuleSpec | None:

@@ -92,6 +92,10 @@ def read_dataset_csv(path: str | Path, n_targets: int) -> Dataset:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
     table = np.array(values)
+    finite = np.isfinite(table)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}:{i + 2}: non-finite value {rows[i][j]!r} in column {header[j]!r}")
     x, y = table[:, :d], table[:, d:]
     split = np.array([row[-1] for row in rows], dtype=object)
     return Dataset(x=x, y=y, split=split)

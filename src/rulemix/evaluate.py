@@ -19,7 +19,7 @@ from .errors import ConfigError, InfeasibleSelectionError
 from .model import ModelSpec, forward_per_alpha, predict_values  # noqa: F401  (evaluate.predict_values stays importable)
 from .rules import RuleSpec, perturb_batch, verification_ratio
 
-METRICS = ("mae", "cross_entropy", "accuracy")
+METRICS = ("mae", "cross_entropy", "error_rate")  # each lower-is-better, as select_alpha assumes
 EXTENDED_ALPHA_RANGE = (-0.2, 1.4)  # reaches beyond the training range on both sides
 MAX_ALPHA_POINTS = 100_001  # step 1e-5 over [0, 1]; a finer grid is a typo, not a sweep
 
@@ -36,8 +36,8 @@ def task_metric(kind: str, y_hat: np.ndarray, y: np.ndarray) -> float:
     if kind == "cross_entropy":
         p = np.clip(y_hat, PROB_CLAMP, 1.0 - PROB_CLAMP)
         return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
-    if kind == "accuracy":
-        return float(np.mean((y_hat >= 0.5) == (y >= 0.5)))
+    if kind == "error_rate":
+        return float(np.mean((y_hat >= 0.5) != (y >= 0.5)))
     raise ValueError(f"unknown metric {kind!r}")
 
 

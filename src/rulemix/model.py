@@ -253,7 +253,7 @@ def encode(
     coupling the encoding is the same at all strengths.
     """
     blocks = spec.blocks()
-    x_id = x if isinstance(x, int) else tape.constant(as_matrix(x, "input"), "input")
+    x_id = x if isinstance(x, int) else tape.constant(x, "input")
     if tape.value(x_id).shape[1] != spec.input_dim:
         raise ShapeError(
             f"input has {tape.value(x_id).shape[1]} columns, model expects {spec.input_dim}"

@@ -62,6 +62,8 @@ class ThresholdRule:
     def __post_init__(self) -> None:
         if not isinstance(self.fn, str) or self.fn not in THRESHOLD_FUNCTIONS:
             raise ValueError(f"unknown threshold function {self.fn!r}, expected one of {sorted(THRESHOLD_FUNCTIONS)}")
+        if not math.isfinite(self.limit):
+            raise ValueError(f"limit must be finite, got {self.limit!r}")
 
     def holds(self, x, y_hat, y_hat_p=None) -> np.ndarray:
         fn, _ = THRESHOLD_FUNCTIONS[self.fn]

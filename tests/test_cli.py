@@ -426,6 +426,29 @@ class TestSweepInputs:
             assert main(["sweep", "--checkpoint", str(path), "--out", str(out), "--data-csv", str(data)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_non_finite_data_csv_cell_names_file_line_and_column(self, trained, tmp_path, capsys):
+        ck, data = trained
+        lines = data.read_text().splitlines()
+        lines[2] = "nan" + lines[2][lines[2].index(",") :]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["sweep", "--checkpoint", str(ck), "--out", str(tmp_path / "s.csv"), "--data-csv", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: ValueError: {bad}:3: non-finite value 'nan' in column 'theta1'"]
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_checkpoint_storing_the_accuracy_metric_is_one_line_error(self, trained, tmp_path, capsys):
+        # accuracy is higher-is-better; selection minimises, so only error_rate is offered
+        ck, _ = trained
+        old = with_stored_config(ck, tmp_path / "old.npz", lambda c: {**c, "metric": "accuracy"})
+        capsys.readouterr()
+        assert main(["sweep", "--checkpoint", str(old), "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError: metric: unknown metric 'accuracy'")
+        assert "'error_rate'" in err[0] and not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize(
         "stored",
         [
@@ -598,10 +621,21 @@ class TestAblate:
             ]
         )
         assert code == 0
-        lines = (out_dir / "summary.csv").read_text().splitlines()
-        assert lines[0].startswith("coupling,")
-        assert len(lines) == 3
+        # every strength ties under these strength-invariant couplings; the first, alpha = 0, is chosen
+        assert (out_dir / "summary.csv").read_text() == (
+            "coupling,best_val,best_alpha,best_test_metric,verification_at_grid_end\n"
+            "concat,1.066416919931767,0,0.30518924723639412,0.52083333333333337\n"
+            "add,1.1227842129271357,0,0.36767279960076299,0.25\n"
+        )
         assert (out_dir / "sweep_coupling_concat.csv").exists()
+
+    def test_unreachable_verification_floor_is_one_line_error_without_summary(self, tmp_path, capsys):
+        cfg = tiny_pendulum_config(tmp_path, sweep={"step": 0.5, "min_verification": 0.9})
+        out_dir = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(cfg), "--what", "coupling", "--values", "concat", "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: InfeasibleSelectionError: no sweep point reaches"), err
+        assert not (out_dir / "summary.csv").exists()
 
     @pytest.mark.parametrize(
         "what,values",
@@ -614,3 +648,81 @@ class TestAblate:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ConfigError:"), err
         assert simulated == [] and not out_dir.exists()
+
+
+# the hostile-argument walk: each command's number and path options, one bad value at a time
+HOSTILE_NUMBERS = ("", "nan", "inf", "-inf", "-1", "x")
+WALK_BASE = {
+    "gen-data": ["gen-data", "--config", "{config}"],
+    "train": ["train", "--config", "{config}"],
+    "sweep": ["sweep", "--checkpoint", "{checkpoint}", "--out", "s.csv"],
+    "select": ["select", "--sweep", "{sweep}"],
+    "ablate": ["ablate", "--config", "{config}", "--what", "beta", "--values", "0.1"],
+}
+# the exit code for each of HOSTILE_NUMBERS; None where the value is valid
+NUMBER_CODES = {
+    ("gen-data", "--seed"): (2, 2, 2, 2, 1, 2),
+    ("train", "--seed"): (2, 2, 2, 2, 1, 2),
+    ("train", "--seeds"): (2, 2, 2, 2, 2, 2),
+    ("sweep", "--start"): (2, 1, 1, 1, None, 2),  # a negative start extrapolates
+    ("sweep", "--stop"): (2, 1, 1, 1, 1, 2),
+    ("sweep", "--step"): (2, 1, 1, 1, 1, 2),
+    ("sweep", "--embeddings-alpha"): (2, 1, 1, 1, None, 2),
+    ("select", "--min-verification"): (2, 2, 2, 2, 2, 2),
+    ("ablate", "--values"): (1, 1, 1, 1, 1, 1),
+}
+PATH_OPTIONS = {
+    "gen-data": ("--config", "--out"),
+    "train": ("--config", "--out-dir"),
+    "sweep": ("--checkpoint", "--out", "--data-csv", "--embeddings-out"),
+    "select": ("--sweep",),
+    "ablate": ("--config", "--out-dir"),
+}
+INPUT_PATHS = ("--config", "--checkpoint", "--data-csv", "--sweep")
+
+
+def walk_cases():
+    for (command, flag), codes in NUMBER_CODES.items():
+        for value, code in zip(HOSTILE_NUMBERS, codes):
+            if code is not None:
+                yield command, flag, value, code
+    for command, flags in PATH_OPTIONS.items():
+        for flag in flags:
+            yield command, flag, "", 2  # an empty path would fall back to a default
+            if flag in INPUT_PATHS:
+                yield command, flag, "missing", 1
+    yield from [("gen-data", "--task", "", 2), ("sweep", "--splits", "", 1), ("select", "--split", "", 1)]
+
+
+@pytest.fixture(scope="module")
+def walk_inputs(trained, tmp_path_factory):
+    """What the walk's commands read, kept outside the directory each case runs in."""
+    ck, _ = trained
+    root = tmp_path_factory.mktemp("walk")
+    sweep = root / "sweep.csv"
+    sweep.write_text("alpha,task_metric,verification,split\n0.5,0.1,0.9,val\n")
+    # a relative output_dir: a default output path lands in the directory the case runs in
+    return {"config": tiny_pendulum_config(root, output_dir="out"), "checkpoint": ck, "sweep": sweep}
+
+
+@pytest.mark.parametrize(
+    "command,flag,value,code", list(walk_cases()), ids=lambda v: repr(v) if isinstance(v, str) else str(v)
+)
+def test_hostile_argument_fails_cleanly_and_writes_nothing(
+    walk_inputs, tmp_path, monkeypatch, capsys, command, flag, value, code
+):
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format(**walk_inputs) for arg in WALK_BASE[command]] + [f"{flag}={value}"]
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code, err
+    assert "Traceback" not in err
+    if code == 1:
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert f"argument {flag}" in err, err
+    assert list(tmp_path.iterdir()) == []

@@ -19,6 +19,8 @@ FIELD_TASK = {
     "eval_only": "shifted-classification",
     "bound": "monotone-regression",
 }
+# the rule kind whose block has the field; other rule fields are the task's own rule's
+FIELD_RULE = {"limit": "threshold"}
 HOSTILE_VALUES = (None, [1], "zz", math.nan, math.inf, -math.inf, 0, -1, 2.5, True)
 
 
@@ -170,6 +172,9 @@ class TestValidation:
             ("data", "seed", "x"),
             ("sweep", "perturb_seed", [0]),
             ("rule", "bound", "x"),
+            ("rule", "limit", math.nan),
+            ("rule", "limit", math.inf),
+            ("rule", "limit", -math.inf),
         ],
     )
     def test_bad_train_model_or_pendulum_data_field_fails_at_load(self, section, field, value):
@@ -177,8 +182,9 @@ class TestValidation:
         # a value that fails to convert reads "<field>: ...", one outside the bounds its class checks "<field> must";
         # a non-finite number converts, so the class that owns the bound rejects it
         non_finite = isinstance(value, float) and not math.isfinite(value)
+        block = {"kind": FIELD_RULE[field]} if field in FIELD_RULE else {}
         with pytest.raises(ConfigError, match=f"^{section}: {field}" + (" must " if non_finite else "(: | must )")):
-            config_from_dict({"task": task, section: {field: value}})
+            config_from_dict({"task": task, section: {**block, field: value}})
 
     @pytest.mark.parametrize("task", TASKS)
     def test_every_leaf_loads_or_fails_with_config_error_on_hostile_values(self, task):
@@ -213,6 +219,12 @@ class TestValidation:
     def test_negative_seed_fails_at_load_naming_the_field(self, task, override, message):
         with pytest.raises(ConfigError, match=message):
             config_from_dict({"task": task, **override})
+
+    def test_accuracy_metric_is_gone_and_the_error_names_error_rate(self):
+        # every metric is lower-is-better, so selection minimises all of them
+        with pytest.raises(ConfigError, match=r"^metric: unknown metric 'accuracy', expected one of .*'error_rate'"):
+            config_from_dict({"task": "shifted-classification", "metric": "accuracy"})
+        assert config_from_dict({"task": "shifted-classification", "metric": "error_rate"}).metric_kind == "error_rate"
 
     def test_rule_none_supported(self):
         cfg = config_from_dict(

@@ -21,7 +21,7 @@ from rulemix.evaluate import (
     sweep_to_csv,
     task_metric,
 )
-from rulemix.model import COUPLINGS, ModelSpec, forward_per_alpha, init_params
+from rulemix.model import COUPLINGS, ModelSpec, forward_per_alpha, init_params, predict_values
 from rulemix.pendulum import DEFAULT_PARAMS
 from rulemix.rules import EnergyDampingRule, MonotonicRule, ThresholdRule
 
@@ -46,10 +46,10 @@ class TestTaskMetric:
         pairs = [(float(a[0]), float(b[0])) for a, b in zip(y_hat, y)]
         mae = sum(abs(a - b) for a, b in pairs) / 25
         ce = -sum(b * math.log(a) + (1 - b) * math.log(1 - a) for a, b in pairs) / 25
-        acc = sum(1.0 for a, b in pairs if (a >= 0.5) == (b >= 0.5)) / 25
+        err = sum(1.0 for a, b in pairs if (a >= 0.5) != (b >= 0.5)) / 25
         assert task_metric("mae", y_hat, y) == pytest.approx(mae, rel=1e-12)
         assert task_metric("cross_entropy", y_hat, y) == pytest.approx(ce, rel=1e-12)
-        assert task_metric("accuracy", y_hat, y) == pytest.approx(acc, rel=1e-12)
+        assert task_metric("error_rate", y_hat, y) == pytest.approx(err, rel=1e-12)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -292,6 +292,17 @@ class TestSelectAlpha:
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             select_alpha([])
+
+    def test_classification_sweep_picks_the_strength_with_most_correct_rows(self):
+        rng = np.random.default_rng(1)
+        spec, params = tiny_model(rng, output_dim=1, task="classification")
+        x = rng.uniform(-1, 1, (60, 4))
+        y = (x[:, :1] > 0).astype(float)
+        grid = alpha_grid()
+        correct = [int(np.sum((predict_values(spec, params, x, a) >= 0.5) == (y >= 0.5))) for a in grid]
+        assert len(set(correct)) > 1
+        records = alpha_sweep(spec, params, x, y, MonotonicRule(feature=0, direction="increase"), grid, "error_rate")
+        assert select_alpha(records).alpha == grid[correct.index(max(correct))]
 
 
 class TestSpearman:

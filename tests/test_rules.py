@@ -3,6 +3,8 @@
 Each rule class is compared with the per-row oracles in ``helpers``.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,11 +314,11 @@ class TestRuleProtocol:
         assert grads["y_hat"].shape == y_hat.shape
         assert np.any(grads["y_hat"] != 0.0)
 
-    def test_both_sides_infinite_holds(self):
-        # inf <= inf: the comparison holds where the hinge max(inf - inf, 0) is nan
-        rule = ThresholdRule(fn="row_mean", limit=float("inf"))
-        assert rule.holds(None, np.array([[np.inf]]))[0]
-        assert verification_ratio(rule, None, np.array([[np.inf], [0.0]])) == 1.0
+    @pytest.mark.parametrize("limit", [math.nan, math.inf, -math.inf])
+    def test_non_finite_limit_is_rejected(self, limit):
+        # an infinite limit holds vacuously (or never), and a NaN one never holds
+        with pytest.raises(ValueError, match="limit must be finite"):
+            ThresholdRule(fn="row_mean", limit=limit)
 
     def test_perturbing_rule_needs_pairs_to_verify(self):
         rule = MonotonicRule(feature=0, direction="decrease")
