@@ -2,7 +2,7 @@
 
 A checkpoint is a .npz archive holding the format version, a JSON snapshot
 of the resolved experiment config, the model layout, the loss-scale pair,
-seed/epoch metadata, and every parameter tensor. The version is checked
+the seed, the best epoch and every parameter tensor. The version is checked
 before anything else is touched; unreadable or truncated files, and
 parameters that do not match the model layout or are not finite, raise
 without producing a partial model. Writes are atomic: the archive goes to a
@@ -30,6 +30,12 @@ FORMAT_VERSION = 1
 
 @dataclass
 class Checkpoint:
+    """A loaded checkpoint; ``epoch`` is the epoch whose parameters it holds.
+
+    That is the fit's best validation epoch, not the epoch at which the fit
+    stopped.
+    """
+
     spec: ModelSpec
     params: dict[str, np.ndarray]
     config: dict
@@ -49,7 +55,7 @@ def save_checkpoint(
         "model_json": np.array(json.dumps(asdict(result.spec), sort_keys=True)),
         "config_json": np.array(json.dumps(config, sort_keys=True)),
         "seed": np.array(seed, dtype=np.int64),
-        "epoch": np.array(result.report.final_epoch, dtype=np.int64),
+        "epoch": np.array(result.report.best_epoch, dtype=np.int64),
         "scale_rule0": np.array(result.scale.rule0 if result.scale else np.nan),
         "scale_task0": np.array(result.scale.task0 if result.scale else np.nan),
     }

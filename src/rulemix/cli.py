@@ -113,6 +113,10 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     if not math.isfinite(args.embeddings_alpha):
         raise ConfigError(f"--embeddings-alpha must be finite, got {args.embeddings_alpha}")
+    out = Path(args.out) if args.out else Path(args.checkpoint).with_suffix(".sweep.csv")
+    for path in (out, args.embeddings_out):
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"{path}: output directory {Path(path).parent} does not exist")
     ck: Checkpoint = load_checkpoint(args.checkpoint)
     raw = ck.config
     data = raw.get("data", {}) if isinstance(raw, dict) else None
@@ -143,23 +147,21 @@ def cmd_sweep(args) -> int:
                 split=split, perturb_seed=s.perturb_seed,
             )
         )
-    out = Path(args.out) if args.out else Path(args.checkpoint).with_suffix(".sweep.csv")
-    sweep_to_csv(records, out)
-    print(f"wrote {out} records={len(records)} alphas={len(grid)} splits={','.join(splits)}")
-    if args.embeddings_out:
+    if args.embeddings_out:  # computed before anything is written
         x, _ = dataset.subset(splits[-1])
         tape, fwd = next(forward_per_alpha(ck.spec, ck.params, x, [args.embeddings_alpha]))
         nodes = {"z": fwd.latent, "z_rule": fwd.z_rule, "z_data": fwd.z_data}
         latents = {key: tape.value(node) for key, node in nodes.items() if node is not None}
+        names = [f"{key}{j}" for key, mat in latents.items() for j in range(mat.shape[1])]
+        stacked = np.concatenate(list(latents.values()), axis=1)
+    sweep_to_csv(records, out)
+    print(f"wrote {out} records={len(records)} alphas={len(grid)} splits={','.join(splits)}")
+    if args.embeddings_out:
         with open(args.embeddings_out, "w") as fh:
-            names = []
-            for key, mat in latents.items():
-                names.extend(f"{key}{j}" for j in range(mat.shape[1]))
             fh.write(",".join(names) + "\n")
-            stacked = np.concatenate(list(latents.values()), axis=1)
             for row in stacked:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        print(f"wrote {args.embeddings_out} rows={x.shape[0]}")
+        print(f"wrote {args.embeddings_out} rows={stacked.shape[0]}")
     return 0
 
 

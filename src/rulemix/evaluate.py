@@ -122,7 +122,11 @@ def sweep_to_csv(records: list[SweepRecord], path) -> None:
 
 
 def sweep_from_csv(path) -> list[SweepRecord]:
-    """Records written by ``sweep_to_csv``; a malformed line is named by file and number."""
+    """Records written by ``sweep_to_csv``; a malformed line is named by file and number.
+
+    Every number must be finite: a NaN metric would otherwise become an
+    operating point that no comparison can rank.
+    """
     records = []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -131,9 +135,14 @@ def sweep_from_csv(path) -> list[SweepRecord]:
         for lineno, line in enumerate(fh, start=2):
             try:
                 alpha, metric, ver, split = line.strip().split(",")
-                records.append(SweepRecord(float(alpha), float(metric), float(ver), split))
+                record = SweepRecord(float(alpha), float(metric), float(ver), split)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed sweep row {line.strip()!r}: {exc}") from exc
+            for column in ("alpha", "task_metric", "verification"):
+                value = getattr(record, column)
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: non-finite value {value!r} in column {column!r}")
+            records.append(record)
     return records
 
 

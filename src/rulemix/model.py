@@ -21,7 +21,6 @@ import numpy as np
 
 from .autodiff import Tape, as_matrix
 from .errors import ShapeError
-from .optim import param_views
 
 COUPLINGS = ("scaled_concat", "concat", "add", "input_concat_alpha", "single")
 TASKS = ("regression", "classification")
@@ -152,17 +151,13 @@ def width_matched_units(encoder_in: int, encoder_units: tuple[int, ...]) -> tupl
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Uniform fan-in-scaled init, U(-1/sqrt(fan_in), 1/sqrt(fan_in)).
-
-    The arrays are views into one contiguous float64 vector.
-    """
-    shapes = spec.param_shapes()
-    params = param_views(np.empty(sum(math.prod(s) for s in shapes.values())), shapes)
+    """Uniform fan-in-scaled init, U(-1/sqrt(fan_in), 1/sqrt(fan_in)), in layout order."""
+    params = {}
     for block, layers in spec.blocks().items():
         for i, layer in enumerate(layers):
             bound = 1.0 / math.sqrt(layer.fan_in)
-            params[f"{block}.{i}.w"][...] = rng.uniform(-bound, bound, size=(layer.fan_in, layer.fan_out))
-            params[f"{block}.{i}.b"][...] = rng.uniform(-bound, bound, size=(1, layer.fan_out))
+            params[f"{block}.{i}.w"] = rng.uniform(-bound, bound, size=(layer.fan_in, layer.fan_out))
+            params[f"{block}.{i}.b"] = rng.uniform(-bound, bound, size=(1, layer.fan_out))
     check_params(spec, params)
     return params
 

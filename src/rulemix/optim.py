@@ -1,114 +1,93 @@
-"""Adam optimizer over named parameter dicts, run on one flat vector.
+"""Adam optimizer that owns the parameters it trains, as one flat vector.
 
-A parameter dict maps names to 2-D arrays. ``adam_update`` lays the arrays
-out end to end in the order :meth:`AdamState.for_params` recorded, updates
-the whole vector with a few vector operations, and returns the new
-parameters as views into one fresh contiguous vector.
+:meth:`AdamState.for_params` copies the initial parameters once into one
+contiguous vector, ``theta``, and exposes them as named views, ``params``,
+in the order the dict gave. ``adam_update`` lays the gradient out end to
+end in that order and updates the moments and then ``theta`` in place with
+a few whole-vector operations, so a step allocates no parameter array and
+every view reads the new values.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import TrainingAborted
 
-
-def param_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Named views into consecutive slices of ``flat``, in ``shapes`` order."""
-    out: dict[str, np.ndarray] = {}
-    start = 0
-    for name, shape in shapes.items():
-        stop = start + math.prod(shape)
-        out[name] = flat[start:stop].reshape(shape)
-        start = stop
-    if start != flat.size:
-        raise ValueError(f"flat vector has {flat.size} entries, the shapes need {start}")
-    return out
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
 class AdamState:
-    """Flat first/second moment estimates, the layout and a step counter.
+    """The parameters, their flat moment estimates and a step counter.
 
-    ``shapes`` fixes the order of the parameters in the flat vectors.
+    ``params`` maps each name to a view into ``theta``, in layout order.
     ``work`` is two scratch vectors that every step reuses, so a step
-    allocates one fresh vector (the new parameters) and no temporaries.
+    allocates no float vector.
     """
 
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
+    theta: np.ndarray
+    params: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    work: np.ndarray = field(repr=False)
     step: int = 0
-    shapes: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    work: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)), repr=False)
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray], lr: float = 0.001) -> "AdamState":
-        shapes = {name: value.shape for name, value in params.items()}
-        size = sum(value.size for value in params.values())
-        return cls(lr=lr, shapes=shapes, m=np.zeros(size), v=np.zeros(size), work=np.empty((2, size)))
-
-
-def _flatten(
-    arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]], what: str, out: np.ndarray
-) -> np.ndarray:
-    """``arrays`` laid end to end in ``shapes`` order into ``out``, shapes checked."""
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise TrainingAborted(f"{what} shape {arrays[name].shape} != parameter shape {shape} for {name}")
-    return np.concatenate([arrays[name] for name in shapes], axis=None, out=out)
+        theta = np.concatenate(list(params.values()), axis=None, dtype=np.float64)
+        views, start = {}, 0
+        for name, value in params.items():
+            views[name] = theta[start : start + value.size].reshape(value.shape)
+            start += value.size
+        size = theta.size
+        return cls(lr=lr, theta=theta, params=views, m=np.zeros(size), v=np.zeros(size), work=np.empty((2, size)))
 
 
 def _first_non_finite(arrays: dict[str, np.ndarray]) -> str:
     return next(name for name, value in arrays.items() if not np.isfinite(value).all())
 
 
-def adam_update(
-    state: AdamState,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam step; returns a fresh parameter dict.
+def adam_update(state: AdamState, grads: dict[str, np.ndarray]) -> None:
+    """One bias-corrected Adam step on ``state.params``, in place.
 
-    The inputs are not modified. Every entry follows the per-array
-    expressions ``m = beta1 * m + (1 - beta1) * g``,
-    ``v = beta2 * v + (1 - beta2) * (g * g)`` and
-    ``p - lr * (m / c1) / (sqrt(v / c2) + eps)``; the in-place steps below
-    evaluate the same operations in the same order, so the result equals a
-    loop over the arrays bit for bit. The gradient is checked for
-    finiteness once, and so are the new parameters, so every parameter that
-    leaves a step is finite.
+    Every entry follows the per-array expressions
+    ``m = beta1 * m + (1 - beta1) * g``, ``v = beta2 * v + (1 - beta2) * (g * g)``
+    and ``p - lr * (m / c1) / (sqrt(v / c2) + eps)``; the in-place steps
+    below evaluate the same operations in the same order, so the result
+    equals a loop over the arrays bit for bit. The gradient is checked for
+    finiteness once, and so are the parameters after the step, so a step
+    that returns leaves every parameter finite.
     """
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
-    shapes = state.shapes
-    g = _flatten(grads, shapes, "gradient", out=state.work[0])
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
+    for name, p in state.params.items():
+        if grads[name].shape != p.shape:
+            raise TrainingAborted(f"gradient shape {grads[name].shape} != parameter shape {p.shape} for {name}")
+    g = np.concatenate([grads[name] for name in state.params], axis=None, out=state.work[0])
     if not np.isfinite(g).all():
         raise TrainingAborted(f"non-finite gradient for parameter {_first_non_finite(grads)} at step {t}")
     m, v = state.m, state.v
-    step = np.multiply(g, 1.0 - state.beta1, out=state.work[1])
-    m *= state.beta1
+    step = np.multiply(g, 1.0 - BETA1, out=state.work[1])
+    m *= BETA1
     m += step
     g *= g
-    g *= 1.0 - state.beta2
-    v *= state.beta2
+    g *= 1.0 - BETA2
+    v *= BETA2
     v += g
     np.divide(m, c1, out=step)
     step *= state.lr
     denom = np.divide(v, c2, out=g)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += EPS
     step /= denom
-    p = _flatten(params, shapes, "parameter", out=np.empty(m.size))  # the new parameters
-    p -= step
-    if not np.isfinite(p).all():
-        raise TrainingAborted(f"non-finite parameter {_first_non_finite(param_views(p, shapes))} after step {t}")
-    return param_views(p, shapes)
+    state.theta -= step
+    if not np.isfinite(state.theta).all():
+        raise TrainingAborted(f"non-finite parameter {_first_non_finite(state.params)} after step {t}")

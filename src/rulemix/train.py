@@ -136,7 +136,6 @@ class StepResult:
 
 def train_step(
     spec: ModelSpec,
-    params: dict[str, np.ndarray],
     adam: AdamState,
     x: np.ndarray,
     y: np.ndarray,
@@ -146,10 +145,11 @@ def train_step(
     scale: LossScale | None,
     rule_weight: float = 1.0,
     rng: np.random.Generator | None = None,
-) -> tuple[dict[str, np.ndarray], StepResult]:
-    """One minibatch update; returns the new parameters and loss components."""
+) -> StepResult:
+    """One minibatch update of ``adam.params``, in place; returns the loss components."""
     if x.shape[0] == 0:
         raise ValueError("empty batch")
+    params = adam.params
     tape = Tape()
     fwd = predict(tape, spec, params, x, alpha)
     rule_node = pert = None
@@ -190,8 +190,8 @@ def train_step(
             f"non-finite loss (task={result.task_loss}, rule={result.rule_loss}, "
             f"alpha={alpha}, batch_rows={x.shape[0]})"
         )
-    grads = tape.backprop(total_node)
-    return adam_update(adam, params, grads), result
+    adam_update(adam, tape.backprop(total_node))
+    return result
 
 
 def evaluate_task_loss(
@@ -328,6 +328,7 @@ def fit(
         val_pert = perturb_batch(x_val, rule, rng)
 
     adam = AdamState.for_params(params, lr=cfg.lr)
+    params = adam.params  # trained in place from here on
     report = TrainReport(rho=scale.ratio if scale is not None else None)
     best_params = {k: v.copy() for k, v in params.items()}
     best_scale = scale
@@ -346,8 +347,8 @@ def fit(
             else:
                 alpha = 0.0
             try:
-                params, step = train_step(
-                    spec, params, adam, x_tr[idx], y_tr[idx], rule,
+                step = train_step(
+                    spec, adam, x_tr[idx], y_tr[idx], rule,
                     cfg.mode, alpha, scale, cfg.rule_weight, rng,
                 )
             except TrainingAborted as exc:

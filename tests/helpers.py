@@ -181,13 +181,14 @@ def full_pass_task_losses(spec, params, x, y, alphas) -> list[float]:
 
 @dataclass
 class ReferenceAdamState:
-    """Per-array Adam state: one moment array per parameter name."""
+    """Per-array Adam state: one parameter and moment array per name."""
 
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
+    params: dict[str, np.ndarray] = field(default_factory=dict)
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -195,21 +196,23 @@ class ReferenceAdamState:
     def for_params(cls, params: dict[str, np.ndarray], lr: float = 0.001) -> "ReferenceAdamState":
         state = cls(lr=lr)
         for name, value in params.items():
+            state.params[name] = value.copy()
             state.m[name] = np.zeros_like(value)
             state.v[name] = np.zeros_like(value)
         return state
 
 
-def reference_adam_update(state, params, grads):
+def reference_adam_update(state, grads):
     """Adam as a loop over the parameter arrays, one array at a time.
 
-    The flat-vector ``adam_update`` must equal this bit for bit.
+    Each new array replaces its entry in ``state.params``. The flat-vector
+    ``adam_update`` must equal this bit for bit.
     """
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    out = {}
+    params = state.params
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -218,8 +221,7 @@ def reference_adam_update(state, params, grads):
             raise TrainingAborted(f"non-finite gradient for parameter {name} at step {t}")
         m = state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
         v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        out[name] = p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    return out
+        params[name] = p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 
 # ----------------------------------------------------------------------

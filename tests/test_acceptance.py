@@ -258,8 +258,8 @@ def test_criterion_04_objective_identity(desk_dataset):
 
     # exact identity at initialization through the objective train_step builds:
     # on the scale's own sample and strength, (task0 / task0) * rule0 is rule0
-    _, at_init = train_step(
-        DESK_SPEC, params, AdamState.for_params(params), x_tr, y_tr, DESK_RULE, "controlled", 0.5, scale,
+    at_init = train_step(
+        DESK_SPEC, AdamState.for_params(params), x_tr, y_tr, DESK_RULE, "controlled", 0.5, scale,
     )
     assert (at_init.task_loss, at_init.rule_loss) == (scale.task0, scale.rule0)
     assert at_init.total_loss == scale.rule0
@@ -270,8 +270,8 @@ def test_criterion_04_objective_identity(desk_dataset):
     for step_idx in range(25):
         alpha = sample_alpha(0.1, rng)
         idx = rng.permutation(len(x_tr))[:32]
-        params, step = train_step(
-            DESK_SPEC, params, adam, x_tr[idx], y_tr[idx], DESK_RULE,
+        step = train_step(
+            DESK_SPEC, adam, x_tr[idx], y_tr[idx], DESK_RULE,
             "controlled", alpha, scale,
         )
         recomposed = alpha * step.rule_loss + scale.ratio * (1.0 - alpha) * step.task_loss

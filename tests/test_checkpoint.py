@@ -35,6 +35,7 @@ class TestCheckpoint:
         after = predict_values(loaded.spec, loaded.params, probe, 0.37)
         assert np.array_equal(before, after)
         assert loaded.seed == 7
+        assert loaded.epoch == 4  # the best epoch, whose parameters the file holds, not the final 5
         assert loaded.scale.ratio == 2.0
         assert loaded.config["task"] == "pendulum"
 

@@ -273,6 +273,17 @@ class TestErrorsAndUsage:
         assert info.value.code == 2
         assert "--min-verification" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row,column", [("nan,0.1,0.9", "alpha"), ("0,nan,0.9", "task_metric"),
+                                            ("0,0.1,-inf", "verification"), ("0,inf,0.9", "task_metric")])
+    def test_non_finite_sweep_cell_names_file_line_and_column(self, tmp_path, capsys, row, column):
+        path = tmp_path / "sweep.csv"
+        path.write_text(f"alpha,task_metric,verification,split\n0.5,0.1,0.9,val\n{row},val\n")
+        assert main(["select", "--sweep", str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: ValueError: {path}:3:"), err
+        assert f"column {column!r}" in err[0] and captured.out == ""
+
     def test_malformed_sweep_row_names_file_and_line(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
         path.write_text("alpha,task_metric,verification,split\n0.5,0.1,0.9,val\n0.6,0.2\n")
@@ -553,6 +564,20 @@ class TestSweepRebuild:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(error), err
         assert simulated == [] and not out.exists() and not (tmp_path / "emb.csv").exists()
+
+    @pytest.mark.parametrize(
+        "out,emb", [("sweep.csv", "nodir/emb.csv"), ("nodir/sweep.csv", None), ("nodir/sweep.csv", "emb.csv")]
+    )
+    def test_missing_output_directory_fails_before_the_build_and_writes_nothing(
+        self, trained_ten, tmp_path, capsys, simulated, out, emb
+    ):
+        ck, _ = trained_ten
+        flags = ["--out", str(tmp_path / out)] + ([] if emb is None else ["--embeddings-out", str(tmp_path / emb)])
+        capsys.readouterr()
+        assert main(["sweep", "--checkpoint", str(ck), *flags]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: FileNotFoundError:") and "nodir" in err[0], err
+        assert simulated == [] and list(tmp_path.iterdir()) == []
 
 
 class TestLegacyMode:

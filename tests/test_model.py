@@ -183,18 +183,6 @@ class TestInit:
         params = init_params(spec, np.random.default_rng(0))
         assert np.max(np.abs(params["rule.0.w"])) <= 1.0 / 10.0
 
-    def test_params_are_views_into_one_vector_in_layout_order(self):
-        spec = ModelSpec(input_dim=4, output_dim=4, shared_units=(6,), encoder_units=(8, 6), decision_units=(8,))
-        params = init_params(spec, np.random.default_rng(0))
-        assert list(params) == list(spec.param_shapes())
-        base = params["shared.0.w"].base
-        assert base.ndim == 1 and base.flags.c_contiguous and base.size == sum(v.size for v in params.values())
-        offset = 0
-        for name, shape in spec.param_shapes().items():
-            assert params[name].shape == shape and params[name].base is base
-            assert np.shares_memory(params[name], base[offset : offset + params[name].size])
-            offset += params[name].size
-
     def test_flat_init_draws_the_same_numbers_as_per_array_draws(self):
         spec = ModelSpec(input_dim=4, output_dim=4, shared_units=(6,), encoder_units=(8, 6), decision_units=(8,))
         params = init_params(spec, np.random.default_rng(3))

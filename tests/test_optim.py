@@ -5,7 +5,9 @@ import pytest
 
 from helpers import ReferenceAdamState, reference_adam_update
 from rulemix.errors import TrainingAborted
-from rulemix.optim import AdamState, adam_update, param_views
+from rulemix.model import ModelSpec, init_params
+from rulemix.optim import AdamState, adam_update
+from rulemix.train import train_step
 
 
 def make_params(seed=0):
@@ -17,9 +19,9 @@ def test_zero_gradients_leave_params_unchanged():
     params = make_params()
     state = AdamState.for_params(params, lr=0.01)
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    updated = adam_update(state, params, grads)
+    adam_update(state, grads)
     for k in params:
-        np.testing.assert_array_equal(updated[k], params[k])
+        np.testing.assert_array_equal(state.params[k], params[k])
     assert state.step == 1
 
 
@@ -28,8 +30,8 @@ def test_first_step_magnitude_is_learning_rate():
     params = {"w": np.array([[1.0, -2.0]])}
     state = AdamState.for_params(params, lr=0.001)
     grads = {"w": np.array([[0.3, -0.7]])}
-    updated = adam_update(state, params, grads)
-    step = params["w"] - updated["w"]
+    adam_update(state, grads)
+    step = params["w"] - state.params["w"]
     np.testing.assert_allclose(np.abs(step), 0.001, rtol=1e-6)
     np.testing.assert_array_equal(np.sign(step), np.sign(grads["w"]))
 
@@ -41,8 +43,8 @@ def test_identical_runs_are_bit_identical():
         rng = np.random.default_rng(42)
         for _ in range(25):
             grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
-            params = adam_update(state, params, grads)
-        return params
+            adam_update(state, grads)
+        return state.params
 
     a, b = run(), run()
     for k in a:
@@ -55,11 +57,11 @@ def test_non_finite_gradient_aborts():
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     grads["w"][0, 0] = np.nan
     with pytest.raises(TrainingAborted, match="non-finite gradient for parameter w at step 1"):
-        adam_update(state, params, grads)
+        adam_update(state, grads)
     grads["w"][0, 0] = 0.0
     grads["b"][0, 1] = -np.inf
     with pytest.raises(TrainingAborted, match="non-finite gradient for parameter b at step 2"):
-        adam_update(state, params, grads)
+        adam_update(state, grads)
 
 
 def test_non_finite_parameter_after_step_aborts():
@@ -69,7 +71,7 @@ def test_non_finite_parameter_after_step_aborts():
     state = AdamState.for_params(params)
     grads = {k: np.ones_like(v) for k, v in params.items()}
     with pytest.raises(TrainingAborted, match="non-finite parameter b after step 1"):
-        adam_update(state, params, grads)
+        adam_update(state, grads)
 
 
 def test_gradient_shape_mismatch_aborts():
@@ -77,7 +79,7 @@ def test_gradient_shape_mismatch_aborts():
     state = AdamState.for_params(params)
     grads = {"w": np.zeros((2, 3)), "b": np.zeros((1, 2))}
     with pytest.raises(TrainingAborted, match="gradient shape"):
-        adam_update(state, params, grads)
+        adam_update(state, grads)
 
 
 def test_equals_per_array_reference_bit_for_bit():
@@ -89,38 +91,45 @@ def test_equals_per_array_reference_bit_for_bit():
     }
     flat_state = AdamState.for_params(params, lr=0.003)
     ref_state = ReferenceAdamState.for_params(params, lr=0.003)
-    flat = ref = params
     for _ in range(25):
         # gradients over many magnitudes, including exact zeros
         grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-8, 4, v.shape) for k, v in params.items()}
         grads["s"][0, 0] = 0.0 if rng.random() < 0.3 else grads["s"][0, 0]
-        flat = adam_update(flat_state, flat, grads)
-        ref = reference_adam_update(ref_state, ref, grads)
+        adam_update(flat_state, grads)
+        reference_adam_update(ref_state, grads)
+        flat, ref = flat_state.params, ref_state.params
         assert list(flat) == list(ref)
-        m = param_views(flat_state.m, flat_state.shapes)
-        v = param_views(flat_state.v, flat_state.shapes)
         for k in ref:
             assert flat[k].shape == ref[k].shape
             assert flat[k].tobytes() == ref[k].tobytes(), k
-            assert m[k].tobytes() == ref_state.m[k].tobytes()
-            assert v[k].tobytes() == ref_state.v[k].tobytes()
+        assert flat_state.m.tobytes() == np.concatenate(list(ref_state.m.values()), axis=None).tobytes()
+        assert flat_state.v.tobytes() == np.concatenate(list(ref_state.v.values()), axis=None).tobytes()
         assert flat_state.step == ref_state.step
 
 
-def test_inputs_are_not_modified_and_result_is_one_vector():
-    params = make_params(5)
-    grads = {k: np.full_like(v, 0.25) for k, v in params.items()}
-    kept_params = {k: v.copy() for k, v in params.items()}
-    kept_grads = {k: v.copy() for k, v in grads.items()}
+def test_params_are_views_of_one_vector_that_steps_in_place():
+    # the shapes and order of a model's parameters, from several blocks
+    spec = ModelSpec(input_dim=4, output_dim=4, shared_units=(6,), encoder_units=(8, 6), decision_units=(8,))
+    params = init_params(spec, np.random.default_rng(5))
+    kept = {k: v.copy() for k, v in params.items()}
+    x, y = np.random.default_rng(6).uniform(-1, 1, (2, 16, 4))
     state = AdamState.for_params(params)
-    updated = adam_update(state, params, grads)
-    for k in params:
-        assert np.array_equal(params[k], kept_params[k])
-        assert np.array_equal(grads[k], kept_grads[k])
-        assert not np.shares_memory(updated[k], params[k])
-    base = updated["w"].base
-    assert base is not None and base.ndim == 1 and base.size == 8
-    assert all(v.base is base for v in updated.values())
+    theta, views = state.theta, dict(state.params)
+    assert theta.ndim == 1 and theta.flags.c_contiguous and theta.size == sum(v.size for v in params.values())
+    for steps in (0, 2):
+        if steps:
+            train_step(spec, state, x, y, None, "task_only", 0.0, None)
+            adam_update(state, {k: np.full_like(v, 0.25) for k, v in params.items()})
+        assert state.step == steps and state.theta is theta and list(state.params) == list(spec.param_shapes())
+        offset = 0
+        for name, shape in spec.param_shapes().items():
+            view = state.params[name]
+            assert view is views[name] and view.base is theta and view.shape == shape
+            assert view.ctypes.data == theta[offset:].ctypes.data
+            offset += view.size
+            assert not np.shares_memory(params[name], theta)
+            assert np.array_equal(params[name], kept[name])
+    assert not np.array_equal(theta, np.concatenate(list(kept.values()), axis=None))
 
 
 def test_step_counter_strictly_increases():
@@ -128,5 +137,5 @@ def test_step_counter_strictly_increases():
     state = AdamState.for_params(params)
     grads = {k: np.ones_like(v) for k, v in params.items()}
     for expected in (1, 2, 3):
-        adam_update(state, params, grads)
+        adam_update(state, grads)
         assert state.step == expected

@@ -140,19 +140,22 @@ class TestTrainStep:
         # the objective rescales as (task / task0) * rule0: at task == task0 the
         # task term is (1 - alpha) * rule0 exactly, where ratio * task is only close
         spec, params, x, y, _ = self.make(4)
-        adam = AdamState.for_params(params)
         rng = np.random.default_rng(4)
         for _ in range(100):
             rule0, alpha = rng.uniform(1e-6, 1e3), rng.uniform(0.0, 1.0)
-            _, first = train_step(spec, params, adam, x, y, ENERGY_RULE, "controlled", alpha, LossScale(rule0, 1.0))
+            # a step moves the parameters it trains, so each step starts from a fresh copy of params
+            first = train_step(
+                spec, AdamState.for_params(params), x, y, ENERGY_RULE, "controlled", alpha, LossScale(rule0, 1.0)
+            )
             scale = LossScale(rule0=rule0, task0=first.task_loss)
-            _, step = train_step(spec, params, adam, x, y, ENERGY_RULE, "controlled", alpha, scale)
+            step = train_step(spec, AdamState.for_params(params), x, y, ENERGY_RULE, "controlled", alpha, scale)
             assert step.total_loss == step.rule_loss * alpha + (1.0 - alpha) * rule0
 
     def test_alpha_zero_freezes_rule_encoder_and_scales_task(self):
         spec, params, x, y, scale = self.make()
         adam = AdamState.for_params(params)
-        updated, step = train_step(spec, params, adam, x, y, ENERGY_RULE, "controlled", 0.0, scale)
+        step = train_step(spec, adam, x, y, ENERGY_RULE, "controlled", 0.0, scale)
+        updated = adam.params
         for name in params:
             if name.startswith("rule."):
                 np.testing.assert_array_equal(updated[name], params[name])
@@ -163,7 +166,8 @@ class TestTrainStep:
     def test_alpha_one_uses_rule_loss_only(self):
         spec, params, x, y, scale = self.make(1)
         adam = AdamState.for_params(params)
-        updated, step = train_step(spec, params, adam, x, y, ENERGY_RULE, "controlled", 1.0, scale)
+        step = train_step(spec, adam, x, y, ENERGY_RULE, "controlled", 1.0, scale)
+        updated = adam.params
         assert step.total_loss == step.rule_loss
         for name in params:
             if name.startswith("data."):
@@ -173,7 +177,7 @@ class TestTrainStep:
         spec, params, x, y, scale = self.make(2)
         adam = AdamState.for_params(params)
         for alpha in (0.1, 0.37, 0.5, 0.81):
-            _, step = train_step(spec, params, adam, x, y, ENERGY_RULE, "controlled", alpha, scale)
+            step = train_step(spec, adam, x, y, ENERGY_RULE, "controlled", alpha, scale)
             recomposed = alpha * step.rule_loss + scale.ratio * (1.0 - alpha) * step.task_loss
             assert abs(step.total_loss - recomposed) <= 1e-12 * abs(step.total_loss)
 
@@ -182,16 +186,11 @@ class TestTrainStep:
         spec, params = tiny_model(rng, coupling="single")
         ds = identity_dataset(seed=3)
         x, y = ds.subset("train")
-        updated_a, _ = train_step(
-            spec, {k: v.copy() for k, v in params.items()}, AdamState.for_params(params),
-            x[:32], y[:32], ENERGY_RULE, "task_and_rule", 0.0, None, rule_weight=0.0,
-        )
-        updated_b, _ = train_step(
-            spec, {k: v.copy() for k, v in params.items()}, AdamState.for_params(params),
-            x[:32], y[:32], None, "task_only", 0.0, None,
-        )
-        for name in updated_a:
-            np.testing.assert_array_equal(updated_a[name], updated_b[name])
+        adam_a, adam_b = AdamState.for_params(params), AdamState.for_params(params)
+        train_step(spec, adam_a, x[:32], y[:32], ENERGY_RULE, "task_and_rule", 0.0, None, rule_weight=0.0)
+        train_step(spec, adam_b, x[:32], y[:32], None, "task_only", 0.0, None)
+        for name in params:
+            np.testing.assert_array_equal(adam_a.params[name], adam_b.params[name])
 
     def test_non_finite_loss_aborts_with_batch_diagnostics(self):
         spec, params, x, y, scale = self.make(4)
@@ -201,7 +200,7 @@ class TestTrainStep:
 
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingAborted, match="batch_rows"):
-                train_step(spec, params, adam, x, y, ENERGY_RULE, "controlled", 0.5, scale)
+                train_step(spec, adam, x, y, ENERGY_RULE, "controlled", 0.5, scale)
 
     def test_monotonic_rule_trains_in_controlled_mode(self):
         # the perturbed pass follows from the rule; the old mode name is
@@ -302,8 +301,8 @@ class TestFit:
         scale = compute_loss_scale(spec, params, x, y, ENERGY_RULE, rng)
         adam = AdamState.for_params(params)
         for alpha in (0.0, 0.3, 1.0):
-            rulemix.model.predict_values(spec, params, x[:8], alpha)
-            params, _ = train_step(spec, params, adam, x[:8], y[:8], ENERGY_RULE, "controlled", alpha, scale)
+            rulemix.model.predict_values(spec, adam.params, x[:8], alpha)
+            train_step(spec, adam, x[:8], y[:8], ENERGY_RULE, "controlled", alpha, scale)
         assert len(calls) == 1
 
     def test_improving_validation_runs_to_max_epochs(self):
