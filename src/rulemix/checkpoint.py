@@ -2,18 +2,20 @@
 
 A checkpoint is a .npz archive holding the format version, a JSON snapshot
 of the resolved experiment config, the model layout, the loss-scale pair,
-the seed, the best epoch and every parameter tensor. The version is checked
-before anything else is touched; unreadable or truncated files, and
-parameters that do not match the model layout or are not finite, raise
-without producing a partial model. Writes are atomic: the archive goes to a
-temporary file in the target directory and is then renamed onto the path.
+the seed, the best epoch, every parameter tensor and, optionally, a JSON
+map from each split to the sha256 of the rows the model was trained beside
+(``Dataset.sha256``; files written before the field existed have none).
+The version is checked before anything else is touched; unreadable or
+truncated files, parameters that do not match the model layout or are not
+finite, and a malformed digest map raise without producing a partial
+model. Writes are atomic: the archive goes to a temporary file in the
+target directory and is then renamed onto the path.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import secrets
+import re
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -21,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import build_from
+from .data import SPLITS, staged_writes
 from .errors import CheckpointError, UnsupportedVersionError
 from .model import ModelSpec, check_params
 from .train import FitResult, LossScale
@@ -33,7 +36,8 @@ class Checkpoint:
     """A loaded checkpoint; ``epoch`` is the epoch whose parameters it holds.
 
     That is the fit's best validation epoch, not the epoch at which the fit
-    stopped.
+    stopped. ``data_sha256`` maps each split to the digest of its rows at
+    training time, or is None for a file written without it.
     """
 
     spec: ModelSpec
@@ -42,6 +46,7 @@ class Checkpoint:
     scale: LossScale | None
     seed: int
     epoch: int
+    data_sha256: dict[str, str] | None
 
 
 def save_checkpoint(
@@ -58,20 +63,26 @@ def save_checkpoint(
         "epoch": np.array(result.report.best_epoch, dtype=np.int64),
         "scale_rule0": np.array(result.scale.rule0 if result.scale else np.nan),
         "scale_task0": np.array(result.scale.task0 if result.scale else np.nan),
+        "data_sha256_json": np.array(json.dumps(result.data_sha256, sort_keys=True)),
     }
     for name, value in result.params.items():
         arrays[f"param:{name}"] = value
     # written through a handle, so np.savez adds no ".npz" to the path
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with staged_writes() as stage, open(stage(path), "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _data_sha256(path: Path, archive) -> dict[str, str] | None:
+    if "data_sha256_json" not in archive.files:
+        return None
+    digests = json.loads(str(archive["data_sha256_json"][()]))
+    if not (
+        isinstance(digests, dict)
+        and sorted(digests) == sorted(SPLITS)
+        and all(isinstance(d, str) and re.fullmatch("[0-9a-f]{64}", d) for d in digests.values())
+    ):
+        raise CheckpointError(f"{path}: malformed data_sha256 field: expected a sha256 for each of {SPLITS}")
+    return digests
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -106,6 +117,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 scale=scale,
                 seed=int(archive["seed"]),
                 epoch=int(archive["epoch"]),
+                data_sha256=_data_sha256(path, archive),
             )
     except (zipfile.BadZipFile, OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: corrupt or unreadable checkpoint: {exc}") from exc

@@ -2,7 +2,11 @@
 
 Every command is reproducible from its config file and seed alone; resolved
 configs are dumped next to the outputs and checkpoints embed them, so a
-sweep can rebuild its evaluation data without extra arguments.
+sweep needs no arguments beyond the checkpoint to find its evaluation data.
+A checkpoint also holds the sha256 of each split's rows as trained. A sweep
+reads those rows from ``rows-<sha256>.npz`` beside the checkpoint when that
+file re-hashes to the digest. Otherwise it rebuilds them from the config,
+fails if they hash differently, and writes the file for the next sweep.
 """
 
 from __future__ import annotations
@@ -11,13 +15,14 @@ import argparse
 import json
 import math
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TASKS, ExperimentConfig, checked, config_from_dict, load_config, sweep_splits
-from .data import Dataset, write_dataset_csv
+from .data import Dataset, staged_writes, write_dataset_csv
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -110,13 +115,100 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_sweep_paths(args, out: Path) -> None:
+    """Before any work: every path names its own file, and each output is a file in an existing directory."""
+    paths = {
+        "--out": out, "--embeddings-out": args.embeddings_out,
+        "--checkpoint": args.checkpoint, "--data-csv": args.data_csv,
+    }
+    seen: dict[Path, str] = {}
+    for flag, path in paths.items():
+        if path is None:
+            continue
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise ConfigError(f"{flag} {path} is the same file as {seen[resolved]}")
+        seen[resolved] = flag
+    for flag in ("--out", "--embeddings-out"):
+        if paths[flag] is None:
+            continue
+        path = Path(paths[flag])
+        if path.is_dir():
+            raise ConfigError(f"{flag} {path} is a directory")
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"{path}: output directory {path.parent} does not exist")
+
+
+def _rows_cache(directory: Path, digest: str) -> Path:
+    return directory / f"rows-{digest}.npz"
+
+
+def _read_cached_rows(path: Path, split: str, digest: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (x, y) cached at ``path`` if they re-hash to ``digest``; None for a missing or unusable file."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            x = np.asarray(archive["x"], dtype=np.float64)
+            y = np.asarray(archive["y"], dtype=np.float64)
+        rows = Dataset(x=x, y=y, split=np.full(x.shape[0], split, dtype=object))
+    except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError, zipfile.BadZipFile):
+        return None
+    return rows.subset(split) if rows.sha256(split) == digest else None
+
+
+def _swept_rows(
+    cfg: ExperimentConfig, splits: tuple[str, ...], digests: dict[str, str] | None, cache_dir: Path,
+) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], tuple[str, ...]]:
+    """Each swept split's (x, y), and the splits that were built rather than read from the cache.
+
+    With ``digests``, a split is read from its cache file in ``cache_dir``
+    when that re-hashes to the split's digest; a built split must hash to it.
+    """
+    rows = {}
+    if digests is not None:
+        for split in splits:
+            cached = _read_cached_rows(_rows_cache(cache_dir, digests[split]), split, digests[split])
+            if cached is not None:
+                rows[split] = cached
+    built = tuple(split for split in splits if split not in rows)
+    if built:
+        dataset = cfg.build_dataset(built)
+        for split in built:
+            if digests is not None and (digest := dataset.sha256(split)) != digests[split]:
+                raise ConfigError(
+                    f"split {split!r}: the rows rebuilt from the checkpoint's config have sha256 "
+                    f"{digest[:12]}..., the model was trained beside {digests[split][:12]}...: "
+                    "the data or the simulator changed since training"
+                )
+            rows[split] = dataset.subset(split)
+    return rows, built
+
+
+def _write_rows_cache(
+    cache_dir: Path, digests: dict[str, str], rows: dict[str, tuple[np.ndarray, np.ndarray]], splits: tuple[str, ...],
+) -> None:
+    """Cache the rows of ``splits`` for the next sweep; a failed write is a note, since it only costs a rebuild."""
+    try:
+        with staged_writes() as stage:
+            for split in splits:
+                x, y = rows[split]
+                with open(stage(_rows_cache(cache_dir, digests[split])), "wb") as fh:
+                    np.savez(fh, x=x, y=y)
+    except OSError as exc:
+        print(f"note: rows cache not written: {exc}", file=sys.stderr)
+
+
+def _write_embeddings(path: Path, names: list[str], stacked: np.ndarray) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in stacked:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
 def cmd_sweep(args) -> int:
     if not math.isfinite(args.embeddings_alpha):
         raise ConfigError(f"--embeddings-alpha must be finite, got {args.embeddings_alpha}")
     out = Path(args.out) if args.out else Path(args.checkpoint).with_suffix(".sweep.csv")
-    for path in (out, args.embeddings_out):
-        if path is not None and not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"{path}: output directory {Path(path).parent} does not exist")
+    _check_sweep_paths(args, out)
     ck: Checkpoint = load_checkpoint(args.checkpoint)
     raw = ck.config
     data = raw.get("data", {}) if isinstance(raw, dict) else None
@@ -135,10 +227,13 @@ def cmd_sweep(args) -> int:
     rule = cfg.rule()
     if rule is None:
         raise ConfigError("sweep needs a rule for verification; config has rule.kind=none")
-    dataset = cfg.build_dataset(splits)
+    # a --data-csv is other data on purpose: it is neither checked nor cached
+    digests = None if args.data_csv else ck.data_sha256
+    cache_dir = Path(args.checkpoint).parent
+    rows, built = _swept_rows(cfg, splits, digests, cache_dir)
     records = []
     for split in splits:
-        x, y = dataset.subset(split)
+        x, y = rows[split]
         if x.shape[0] == 0:
             raise ConfigError(f"split {split!r} is empty in the evaluation dataset")
         records.extend(
@@ -148,20 +243,21 @@ def cmd_sweep(args) -> int:
             )
         )
     if args.embeddings_out:  # computed before anything is written
-        x, _ = dataset.subset(splits[-1])
+        x, _ = rows[splits[-1]]
         tape, fwd = next(forward_per_alpha(ck.spec, ck.params, x, [args.embeddings_alpha]))
         nodes = {"z": fwd.latent, "z_rule": fwd.z_rule, "z_data": fwd.z_data}
         latents = {key: tape.value(node) for key, node in nodes.items() if node is not None}
         names = [f"{key}{j}" for key, mat in latents.items() for j in range(mat.shape[1])]
         stacked = np.concatenate(list(latents.values()), axis=1)
-    sweep_to_csv(records, out)
+    with staged_writes() as stage:  # either every output is written or none is
+        sweep_to_csv(records, stage(out))
+        if args.embeddings_out:
+            _write_embeddings(stage(args.embeddings_out), names, stacked)
     print(f"wrote {out} records={len(records)} alphas={len(grid)} splits={','.join(splits)}")
     if args.embeddings_out:
-        with open(args.embeddings_out, "w") as fh:
-            fh.write(",".join(names) + "\n")
-            for row in stacked:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
         print(f"wrote {args.embeddings_out} rows={stacked.shape[0]}")
+    if digests is not None and built:
+        _write_rows_cache(cache_dir, digests, rows, built)
     return 0
 
 

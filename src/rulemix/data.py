@@ -1,10 +1,15 @@
-"""Shared dataset container and CSV round-trip helpers."""
+"""Shared dataset container, CSV round-trip helpers and atomic file writes."""
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import os
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -55,6 +60,43 @@ class Dataset:
 
     def counts(self) -> dict[str, int]:
         return {s: int(np.sum(self.split == s)) for s in SPLITS}
+
+    def sha256(self, split: str) -> str:
+        """Digest of one split's rows: the shape and the float64 bytes of its x, then of its y."""
+        h = hashlib.sha256()
+        for a in self.subset(split):
+            a = np.ascontiguousarray(a, dtype=np.float64)
+            h.update(repr(a.shape).encode())
+            h.update(a)
+        return h.hexdigest()
+
+
+@contextmanager
+def staged_writes() -> Iterator[Callable[[str | Path], Path]]:
+    """Write files beside their targets, then rename them all onto the targets.
+
+    Inside the block, ``stage(path)`` creates an empty temporary file in
+    ``path``'s directory and returns its path for the caller to write. When
+    the block ends normally, every staged file is renamed onto its target in
+    staging order; when it raises, every staged file is removed and no target
+    is touched.
+    """
+    staged: list[tuple[Path, Path]] = []
+
+    def stage(path: str | Path) -> Path:
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+        open(tmp, "xb").close()
+        staged.append((tmp, path))
+        return tmp
+
+    try:
+        yield stage
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def write_dataset_csv(path: str | Path, dataset: Dataset, columns: list[str]) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import SPLITS, Dataset
 from .errors import ConfigError, TrainingAborted
 from .model import ModelSpec, Forward, forward_per_alpha, init_params, predict
 from .optim import AdamState, adam_update
@@ -282,6 +282,7 @@ class FitResult:
     params: dict[str, np.ndarray]
     scale: LossScale | None
     report: TrainReport
+    data_sha256: dict[str, str]  # split -> Dataset.sha256 of the rows fit was given
 
 
 def _validation_metric(
@@ -384,5 +385,6 @@ def fit(
                 scale = rescale
                 report.rho = scale.ratio
 
+    data_sha256 = {split: dataset.sha256(split) for split in SPLITS}
     report.wall_seconds = time.perf_counter() - started
-    return FitResult(spec=spec, params=best_params, scale=best_scale, report=report)
+    return FitResult(spec=spec, params=best_params, scale=best_scale, report=report, data_sha256=data_sha256)

@@ -9,18 +9,21 @@ import rulemix.checkpoint
 from helpers import tiny_model
 from rulemix.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from rulemix.config import config_from_dict
-from rulemix.data import read_dataset_csv, write_dataset_csv
+from rulemix.data import SPLITS, Dataset, assign_splits, read_dataset_csv, write_dataset_csv
 from rulemix.errors import CheckpointError, UnsupportedVersionError
 from rulemix.model import predict_values
-from rulemix.pendulum import PENDULUM_CSV_COLUMNS, build_pendulum_dataset
-from rulemix.train import FitResult, LossScale, TrainReport
+from rulemix.pendulum import PENDULUM_CSV_COLUMNS, PendulumParams, build_pendulum_dataset
+from rulemix.rules import EnergyDampingRule
+from rulemix.train import FitResult, LossScale, TrainConfig, TrainReport, fit
 
 
 def make_fit_result(seed=0):
     rng = np.random.default_rng(seed)
     spec, params = tiny_model(rng)
     report = TrainReport(final_epoch=5, best_epoch=4, best_val=0.25, rho=2.0)
-    return FitResult(spec=spec, params=params, scale=LossScale(rule0=1.0, task0=0.5), report=report)
+    digests = {split: f"{seed:064x}" for split in SPLITS}
+    scale = LossScale(rule0=1.0, task0=0.5)
+    return FitResult(spec=spec, params=params, scale=scale, report=report, data_sha256=digests)
 
 
 class TestCheckpoint:
@@ -201,6 +204,65 @@ class TestCheckpoint:
                 arrays[key] = np.array(value)
 
         self.rewrite_params(path, edit)
+        with pytest.raises(CheckpointError, match="corrupt or unreadable"):
+            load_checkpoint(path)
+
+
+class TestRowDigests:
+    def test_load_returns_the_digests_fit_recorded(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-0.15, 0.15, (60, 4))
+        ds = Dataset(x=x, y=x.copy(), split=assign_splits(60, (0.6, 0.2, 0.2)))
+        spec, _ = tiny_model(np.random.default_rng(1))
+        result = fit(spec, TrainConfig(max_epochs=2, patience=1), ds, EnergyDampingRule(PendulumParams()))
+        assert result.data_sha256 == {split: ds.sha256(split) for split in SPLITS}
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, result, {"task": "pendulum"}, seed=0)
+        assert load_checkpoint(path).data_sha256 == result.data_sha256
+
+    def test_file_without_digests_loads_with_none(self, tmp_path):
+        path = tmp_path / "model.npz"
+        result = make_fit_result(14)
+        save_checkpoint(path, result, {"task": "pendulum"}, seed=0)
+        assert load_checkpoint(path).data_sha256 == result.data_sha256
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {k: archive[k] for k in archive.files if k != "data_sha256_json"}
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        loaded = load_checkpoint(path)
+        assert loaded.data_sha256 is None and loaded.params.keys() == result.params.keys()
+
+    @pytest.mark.parametrize(
+        "stored",
+        [
+            "[1]",
+            '{"train": "x"}',
+            json.dumps({s: "a" * 64 for s in ("train", "val")}),
+            json.dumps({s: "a" * 64 for s in ("train", "val", "test", "extra")}),
+            json.dumps({s: "A" * 64 for s in SPLITS}),
+            json.dumps({s: 7 for s in SPLITS}),
+        ],
+        ids=["list", "short", "missing split", "extra split", "upper case", "not text"],
+    )
+    def test_malformed_digest_field_is_checkpoint_error(self, tmp_path, stored):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, make_fit_result(15), {"task": "pendulum"}, seed=0)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        arrays["data_sha256_json"] = np.array(stored)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(CheckpointError, match="malformed data_sha256 field"):
+            load_checkpoint(path)
+
+    def test_non_json_digest_field_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, make_fit_result(16), {"task": "pendulum"}, seed=0)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        arrays["data_sha256_json"] = np.array("{not json")
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
         with pytest.raises(CheckpointError, match="corrupt or unreadable"):
             load_checkpoint(path)
 

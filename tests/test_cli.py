@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from rulemix.autodiff import Tape
 from rulemix.checkpoint import load_checkpoint
 from rulemix.cli import main
 from rulemix.config import config_from_dict
+from rulemix.data import Dataset
 from rulemix.evaluate import sweep_from_csv
 from rulemix.model import predict
 
@@ -516,6 +518,19 @@ def trained_ten(tmp_path_factory):
 
 
 @pytest.fixture
+def ten(trained_ten, tmp_path_factory):
+    """``trained_ten`` with the checkpoint copied into a directory of its own.
+
+    A sweep writes its rows cache beside the checkpoint, so a copy keeps one
+    case's cache from turning the next case's rebuild into a cache hit.
+    """
+    ck, data = trained_ten
+    own = tmp_path_factory.mktemp("ten") / ck.name
+    shutil.copyfile(ck, own)
+    return own, data
+
+
+@pytest.fixture
 def simulated(monkeypatch):
     """Records the step count of every trajectory the pendulum build simulates."""
     import rulemix.pendulum
@@ -533,8 +548,8 @@ def simulated(monkeypatch):
 
 class TestSweepRebuild:
     @pytest.mark.parametrize("splits,trajectories", [(None, 4), ("test", 3), ("val", 1), ("test,train", 9)])
-    def test_simulates_only_the_swept_trajectories(self, trained_ten, tmp_path, simulated, splits, trajectories):
-        ck, data = trained_ten
+    def test_simulates_only_the_swept_trajectories(self, ten, tmp_path, simulated, splits, trajectories):
+        ck, data = ten
         flags = [] if splits is None else ["--splits", splits]
         rebuilt, from_csv = tmp_path / "rebuilt.csv", tmp_path / "from_csv.csv"
         assert main(["sweep", "--checkpoint", str(ck), "--out", str(rebuilt), *flags]) == 0
@@ -555,8 +570,8 @@ class TestSweepRebuild:
             (["--step", "1e-12"], "error: ConfigError: alpha grid would have 1e+12 points"),
         ],
     )
-    def test_bad_arguments_fail_before_the_build(self, trained_ten, tmp_path, capsys, simulated, flags, error):
-        ck, _ = trained_ten
+    def test_bad_arguments_fail_before_the_build(self, ten, tmp_path, capsys, simulated, flags, error):
+        ck, _ = ten
         out = tmp_path / "sweep.csv"
         capsys.readouterr()
         flags = [f.format(tmp=tmp_path) for f in flags]
@@ -569,15 +584,182 @@ class TestSweepRebuild:
         "out,emb", [("sweep.csv", "nodir/emb.csv"), ("nodir/sweep.csv", None), ("nodir/sweep.csv", "emb.csv")]
     )
     def test_missing_output_directory_fails_before_the_build_and_writes_nothing(
-        self, trained_ten, tmp_path, capsys, simulated, out, emb
+        self, ten, tmp_path, capsys, simulated, out, emb
     ):
-        ck, _ = trained_ten
+        ck, _ = ten
         flags = ["--out", str(tmp_path / out)] + ([] if emb is None else ["--embeddings-out", str(tmp_path / emb)])
         capsys.readouterr()
         assert main(["sweep", "--checkpoint", str(ck), *flags]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: FileNotFoundError:") and "nodir" in err[0], err
         assert simulated == [] and list(tmp_path.iterdir()) == []
+
+
+def rows_caches(directory):
+    return sorted(p.name for p in directory.iterdir() if p.name.startswith("rows-"))
+
+
+def without_digests(ck, path):
+    """A copy of checkpoint ``ck`` at ``path`` as written before it stored row digests."""
+    with np.load(ck, allow_pickle=False) as archive:
+        arrays = {k: archive[k] for k in archive.files if k != "data_sha256_json"}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return path
+
+
+class TestSweepRowsCache:
+    """A sweep reads the rows its checkpoint was trained beside from a digest-named cache."""
+
+    def test_second_sweep_simulates_nothing_and_writes_the_same_bytes(self, ten, tmp_path, simulated):
+        ck, _ = ten
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["sweep", "--checkpoint", str(ck), "--out", str(first)]) == 0
+        assert simulated == [80 * 20] * 4
+        digests = load_checkpoint(ck).data_sha256
+        assert rows_caches(ck.parent) == sorted(f"rows-{digests[s]}.npz" for s in ("val", "test"))
+        simulated.clear()
+        assert main(["sweep", "--checkpoint", str(ck), "--out", str(second)]) == 0
+        assert simulated == []
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_truncated_or_edited_cache_is_rebuilt_and_rewritten(self, ten, tmp_path, simulated):
+        ck, _ = ten
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["sweep", "--checkpoint", str(ck), "--out", str(first)]) == 0
+        digests = load_checkpoint(ck).data_sha256
+        val, test = (ck.parent / f"rows-{digests[s]}.npz" for s in ("val", "test"))
+        val.write_bytes(val.read_bytes()[: val.stat().st_size // 2])
+        with np.load(test) as archive:
+            x, y = archive["x"].copy(), archive["y"]
+        x[0, 0] += 1e-9
+        with open(test, "wb") as fh:
+            np.savez(fh, x=x, y=y)
+        simulated.clear()
+        assert main(["sweep", "--checkpoint", str(ck), "--out", str(second)]) == 0
+        assert simulated == [80 * 20] * 4
+        assert first.read_bytes() == second.read_bytes()
+        for split, path in (("val", val), ("test", test)):
+            with np.load(path) as archive:
+                rows = Dataset(x=archive["x"], y=archive["y"], split=np.full(len(archive["x"]), split, dtype=object))
+            assert rows.sha256(split) == digests[split]
+        assert rows_caches(ck.parent) == sorted([val.name, test.name])
+
+    def test_edited_training_csv_is_one_mismatch_line_and_writes_nothing(self, tmp_path, capsys):
+        base = tiny_pendulum_config(tmp_path)
+        data = tmp_path / "data.csv"
+        assert main(["gen-data", "--config", str(base), "--out", str(data)]) == 0
+        cfg = tiny_pendulum_config(tmp_path, data={"csv": str(data)})
+        assert main(["train", "--config", str(cfg)]) == 0
+        ck = tmp_path / "out" / "checkpoint_seed0.npz"
+        lines = data.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.endswith(",val"))
+        lines[i] = "0.125" + lines[i][lines[i].index(",") :]
+        data.write_text("\n".join(lines) + "\n")
+        stored = load_checkpoint(ck)
+        rebuilt = config_from_dict(stored.config).build_dataset().sha256("val")
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert main(["sweep", "--checkpoint", str(ck), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError: split 'val'"), err
+        assert rebuilt[:12] in err[0] and stored.data_sha256["val"][:12] in err[0]
+        assert not out.exists() and rows_caches(ck.parent) == []
+
+    def test_checkpoint_without_digests_sweeps_identically_and_caches_nothing(self, ten, tmp_path, simulated):
+        ck, _ = ten
+        legacy_dir = tmp_path / "legacy"
+        legacy_dir.mkdir()
+        legacy = without_digests(ck, legacy_dir / "checkpoint.npz")
+        assert load_checkpoint(legacy).data_sha256 is None
+        outs = [tmp_path / "new.csv", tmp_path / "old.csv", tmp_path / "old_again.csv"]
+        for path, out in zip((ck, legacy, legacy), outs):
+            assert main(["sweep", "--checkpoint", str(path), "--out", str(out)]) == 0
+        assert simulated == [80 * 20] * 12  # the legacy checkpoint rebuilds on every sweep
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+        assert rows_caches(legacy_dir) == []
+
+    def test_data_csv_is_neither_checked_nor_cached(self, ten, tmp_path):
+        ck, data = ten
+        assert main(["sweep", "--checkpoint", str(ck), "--out", str(tmp_path / "s.csv"), "--data-csv", str(data)]) == 0
+        assert rows_caches(ck.parent) == []
+
+    def test_seed_replicates_share_one_cache_file_per_split(self, tmp_path, simulated):
+        cfg = tiny_pendulum_config(tmp_path, data={"n_pairs": 800, "n_trajectories": 10})
+        out_dir = tmp_path / "multi"
+        assert main(["train", "--config", str(cfg), "--seeds", "2", "--out-dir", str(out_dir)]) == 0
+        cks = [load_checkpoint(out_dir / f"checkpoint_seed{seed}.npz") for seed in (0, 1)]
+        assert cks[0].data_sha256 == cks[1].data_sha256
+        simulated.clear()
+        for seed in (0, 1):
+            ck = out_dir / f"checkpoint_seed{seed}.npz"
+            assert main(["sweep", "--checkpoint", str(ck), "--out", str(tmp_path / f"s{seed}.csv")]) == 0
+        assert simulated == [80 * 20] * 4  # only the first seed's sweep builds
+        assert rows_caches(out_dir) == sorted(f"rows-{cks[0].data_sha256[s]}.npz" for s in ("val", "test"))
+
+    def test_failed_cache_write_is_a_note_and_the_sweep_succeeds(self, ten, tmp_path, capsys):
+        ck, _ = ten
+        blocker = ck.parent / f"rows-{load_checkpoint(ck).data_sha256['val']}.npz"
+        blocker.mkdir()  # neither readable nor replaceable as a file
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert main(["sweep", "--checkpoint", str(ck), "--out", str(out)]) == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("note: rows cache not written:"), err
+        assert out.exists() and sorted(p.name for p in ck.parent.iterdir()) == sorted([ck.name, blocker.name])
+
+
+class TestSweepOutputs:
+    """An output path that names an input, another output or a directory fails before any work."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--out", "{ck}"],
+            ["--out", "{ck_dir}/../{ck_dir_name}/{ck_name}"],
+            ["--out", "{tmp}/s.csv", "--embeddings-out", "{tmp}/s.csv"],
+            ["--out", "{tmp}/s.csv", "--embeddings-out", "{ck}"],
+            ["--out", "{data}", "--data-csv", "{data}"],
+            ["--out", "{tmp}/s.csv", "--embeddings-out", "{data}", "--data-csv", "{data}"],
+            ["--out", "{tmp}/adir"],
+            ["--out", "{tmp}/s.csv", "--embeddings-out", "{tmp}/adir"],
+        ],
+    )
+    def test_clashing_or_directory_output_is_one_line_before_the_load(
+        self, ten, tmp_path, capsys, monkeypatch, simulated, flags
+    ):
+        ck, data = ten
+        data = shutil.copyfile(data, tmp_path / "data.csv")
+        (tmp_path / "adir").mkdir()
+        before = {p: p.read_bytes() for p in (ck, data)}
+        loaded = []
+        monkeypatch.setattr("rulemix.cli.load_checkpoint", lambda path: loaded.append(path))
+        names = dict(ck=ck, ck_dir=ck.parent, ck_dir_name=ck.parent.name, ck_name=ck.name, data=data, tmp=tmp_path)
+        flags = [f.format(**names) for f in flags]
+        capsys.readouterr()
+        assert main(["sweep", "--checkpoint", str(ck), *flags]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError: --"), err
+        assert ("is a directory" in err[0]) == any(f.endswith("adir") for f in flags)
+        assert loaded == [] and simulated == []
+        assert {p: p.read_bytes() for p in (ck, data)} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "data.csv"]
+        assert list((tmp_path / "adir").iterdir()) == [] and sorted(ck.parent.iterdir()) == [ck]
+
+    def test_failed_embeddings_write_leaves_no_file(self, ten, tmp_path, capsys, monkeypatch):
+        ck, _ = ten
+
+        def failing(path, names, stacked):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr("rulemix.cli._write_embeddings", failing)
+        flags = ["--out", str(tmp_path / "s.csv"), "--embeddings-out", str(tmp_path / "e.csv")]
+        capsys.readouterr()
+        assert main(["sweep", "--checkpoint", str(ck), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == ["error: OSError: no space left on device"]
+        assert "wrote" not in captured.out
+        assert list(tmp_path.iterdir()) == [] and sorted(ck.parent.iterdir()) == [ck]
 
 
 class TestLegacyMode:
