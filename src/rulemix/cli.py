@@ -73,10 +73,12 @@ def _load_experiment(args) -> ExperimentConfig:
 
 def cmd_gen_data(args) -> int:
     cfg = _load_experiment(args)
-    dataset = cfg.build_dataset()
     out = Path(args.out) if args.out else cfg.output_dir / "dataset.csv"
+    _check_paths({"--config": args.config, "--out": out}, outputs=("--out",))
+    dataset = cfg.build_dataset()
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_dataset_csv(out, dataset, _dataset_columns(cfg, dataset))
+    with staged_writes() as stage:  # a failed write leaves no partial file
+        write_dataset_csv(stage(out), dataset, _dataset_columns(cfg, dataset))
     counts = dataset.counts()
     print(f"wrote {out} rows={len(dataset)} train={counts['train']} val={counts['val']} test={counts['test']}")
     return 0
@@ -115,12 +117,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_sweep_paths(args, out: Path) -> None:
-    """Before any work: every path names its own file, and each output is a file in an existing directory."""
-    paths = {
-        "--out": out, "--embeddings-out": args.embeddings_out,
-        "--checkpoint": args.checkpoint, "--data-csv": args.data_csv,
-    }
+def _check_paths(paths: dict[str, str | Path | None], outputs: tuple[str, ...]) -> None:
+    """Before any work: every given path names its own file, and no output is a directory."""
     seen: dict[Path, str] = {}
     for flag, path in paths.items():
         if path is None:
@@ -129,14 +127,18 @@ def _check_sweep_paths(args, out: Path) -> None:
         if resolved in seen:
             raise ConfigError(f"{flag} {path} is the same file as {seen[resolved]}")
         seen[resolved] = flag
-    for flag in ("--out", "--embeddings-out"):
-        if paths[flag] is None:
-            continue
-        path = Path(paths[flag])
-        if path.is_dir():
-            raise ConfigError(f"{flag} {path} is a directory")
-        if not path.parent.is_dir():
-            raise FileNotFoundError(f"{path}: output directory {path.parent} does not exist")
+    for flag in outputs:
+        if paths[flag] is not None and Path(paths[flag]).is_dir():
+            raise ConfigError(f"{flag} {paths[flag]} is a directory")
+
+
+def _check_sweep_paths(args, out: Path) -> None:
+    """``_check_paths`` for a sweep, whose outputs must also be in existing directories."""
+    outputs = {"--out": out, "--embeddings-out": args.embeddings_out}
+    _check_paths({**outputs, "--checkpoint": args.checkpoint, "--data-csv": args.data_csv}, tuple(outputs))
+    for path in outputs.values():
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"{path}: output directory {Path(path).parent} does not exist")
 
 
 def _rows_cache(directory: Path, digest: str) -> Path:

@@ -107,11 +107,18 @@ def write_dataset_csv(path: str | Path, dataset: Dataset, columns: list[str]) ->
     n_cols = dataset.x.shape[1] + dataset.y.shape[1] + 1
     if len(columns) != n_cols:
         raise ValueError(f"expected {n_cols} column names, got {len(columns)}")
+    # split labels come from SPLITS, so no data cell needs csv quoting
+    row = "%.17g," * (n_cols - 1) + "%s\n"
+    x, y, split = dataset.x, dataset.y, dataset.split
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for xi, yi, si in zip(dataset.x, dataset.y, dataset.split):
-            writer.writerow([f"{v:.17g}" for v in xi] + [f"{v:.17g}" for v in yi] + [si])
+        csv.writer(fh, lineterminator="\n").writerow(columns)
+        # converting a block of rows at a time bounds the Python floats alive at once
+        for start in range(0, len(dataset), 1024):
+            block = slice(start, start + 1024)
+            fh.writelines(
+                row % (*xi, *yi, si)
+                for xi, yi, si in zip(x[block].tolist(), y[block].tolist(), split[block].tolist())
+            )
 
 
 def read_dataset_csv(path: str | Path, n_targets: int) -> Dataset:

@@ -49,67 +49,6 @@ class PendulumParams:
 DEFAULT_PARAMS = PendulumParams()
 
 
-def _accelerations(params: PendulumParams):
-    """The equations of motion as ``(t1, w1, t2, w2) -> (alpha1, alpha2)``.
-
-    The parameters are read once, and only left-hand prefixes of products are
-    precomputed, so every expression rounds exactly as if written out term
-    by term with the constants inline.
-    """
-    m1, m2, l1, l2, g, b = params.m1, params.m2, params.l1, params.l2, params.g, params.b
-    neg_m2_l1_l2 = -m2 * l1 * l2
-    m2_l1_l2 = m2 * l1 * l2
-    m12_g_l1 = (m1 + m2) * g * l1
-    m2_g_l2 = m2 * g * l2
-    m2_l1_l1_l2_l2 = m2 * l1 * l1 * l2 * l2
-    m12 = m1 + m2
-    sin, cos = math.sin, math.cos
-
-    def accelerations(t1, w1, t2, w2):
-        d = t1 - t2
-        cd = cos(d)
-        sd = sin(d)
-        # generalized forces, including the viscous joint torques
-        f1 = neg_m2_l1_l2 * w2 * w2 * sd - m12_g_l1 * sin(t1) - b * w1
-        f2 = m2_l1_l2 * w1 * w1 * sd - m2_g_l2 * sin(t2) - b * w2
-        # mass-matrix solve; determinant is bounded below by m1*m2*(l1*l2)^2 > 0
-        det = m2_l1_l1_l2_l2 * (m1 + m2 * sd * sd)
-        a1 = (f1 * m2 * l2 * l2 - f2 * m2 * l1 * l2 * cd) / det
-        a2 = (f2 * m12 * l1 * l1 - f1 * m2 * l1 * l2 * cd) / det
-        return a1, a2
-
-    return accelerations
-
-
-def _rk4_stepper(params: PendulumParams, dt: float):
-    """One classic RK4 step as ``(t1, w1, t2, w2) -> next state tuple``."""
-    accelerations = _accelerations(params)
-    half = 0.5 * dt
-    sixth = dt / 6.0
-
-    def step(t1, w1, t2, w2):
-        # stage k_i is (u_i, p_i, v_i, q_i): the stage's angular velocities
-        # are the angle rates, p and q its angular accelerations
-        p1, q1 = accelerations(t1, w1, t2, w2)
-        u2 = w1 + half * p1
-        v2 = w2 + half * q1
-        p2, q2 = accelerations(t1 + half * w1, u2, t2 + half * w2, v2)
-        u3 = w1 + half * p2
-        v3 = w2 + half * q2
-        p3, q3 = accelerations(t1 + half * u2, u3, t2 + half * v2, v3)
-        u4 = w1 + dt * p3
-        v4 = w2 + dt * q3
-        p4, q4 = accelerations(t1 + dt * u3, u4, t2 + dt * v3, v4)
-        return (
-            t1 + sixth * (w1 + 2.0 * u2 + 2.0 * u3 + u4),
-            w1 + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
-            t2 + sixth * (w2 + 2.0 * v2 + 2.0 * v3 + v4),
-            w2 + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
-        )
-
-    return step
-
-
 def energy(states, params: PendulumParams):
     """Total mechanical energy (J); vectorized over rows for 2-D input."""
     arr = np.asarray(states, dtype=np.float64)
@@ -143,19 +82,96 @@ def energy_gradient(states, params: PendulumParams) -> np.ndarray:
     return grad
 
 
-def simulate_states(s0, params: PendulumParams, n_steps: int, dt: float) -> np.ndarray:
-    """Integrate n_steps of RK4 from s0; returns (n_steps+1, 4) states."""
-    step = _rk4_stepper(params, dt)
-    isfinite = math.isfinite
+def simulate_states(s0, params: PendulumParams, n_steps: int, dt: float, every: int = 1) -> np.ndarray:
+    """Integrate n_steps of classic RK4 from s0 and return every ``every``-th state.
+
+    ``every`` >= 1. The result holds states 0, every, 2*every, ... up to
+    n_steps, so it has ``n_steps // every + 1`` rows and equals
+    ``simulate_states(...)[::every]`` bit for bit. Every step is taken and
+    checked: the first step whose state is non-finite, or whose stages take
+    the sine of an infinite angle, raises ``SimulationBlowup`` with its index.
+
+    The equations of motion are written out in each of the four stages. Only
+    left-hand prefixes of products are precomputed, so every expression
+    rounds exactly as if written term by term with the parameters inline.
+    Stage k_i is (u_i, p_i, v_i, q_i): its angular velocities are the angle
+    rates, p and q its angular accelerations.
+    """
+    m1, m2, l1, l2, g, b = params.m1, params.m2, params.l1, params.l2, params.g, params.b
+    neg_m2_l1_l2 = -m2 * l1 * l2
+    m2_l1_l2 = m2 * l1 * l2
+    m12_g_l1 = (m1 + m2) * g * l1
+    m2_g_l2 = m2 * g * l2
+    m2_l1_l1_l2_l2 = m2 * l1 * l1 * l2 * l2
+    m12 = m1 + m2
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    sin, cos, isfinite = math.sin, math.cos, math.isfinite
     t1, w1, t2, w2 = state = tuple(float(v) for v in s0)
-    out = np.empty((n_steps + 1, 4))
-    out[0] = state
-    for i in range(1, n_steps + 1):
-        t1, w1, t2, w2 = state = step(t1, w1, t2, w2)
-        if not (isfinite(t1) and isfinite(w1) and isfinite(t2) and isfinite(w2)):
-            raise SimulationBlowup(i)
-        out[i] = state
-    return out
+    kept = [state]
+    try:
+        for i in range(1, n_steps + 1):
+            # stage 1 at (t1, w1, t2, w2); f1 and f2 are the generalized forces,
+            # viscous joint torques included, and det is bounded below by
+            # m1*m2*(l1*l2)^2 > 0
+            d = t1 - t2
+            cd = cos(d)
+            sd = sin(d)
+            f1 = neg_m2_l1_l2 * w2 * w2 * sd - m12_g_l1 * sin(t1) - b * w1
+            f2 = m2_l1_l2 * w1 * w1 * sd - m2_g_l2 * sin(t2) - b * w2
+            det = m2_l1_l1_l2_l2 * (m1 + m2 * sd * sd)
+            p1 = (f1 * m2 * l2 * l2 - f2 * m2 * l1 * l2 * cd) / det
+            q1 = (f2 * m12 * l1 * l1 - f1 * m2 * l1 * l2 * cd) / det
+            # stage 2 at (t1 + half*w1, u2, t2 + half*w2, v2)
+            u2 = w1 + half * p1
+            v2 = w2 + half * q1
+            x1 = t1 + half * w1
+            x2 = t2 + half * w2
+            d = x1 - x2
+            cd = cos(d)
+            sd = sin(d)
+            f1 = neg_m2_l1_l2 * v2 * v2 * sd - m12_g_l1 * sin(x1) - b * u2
+            f2 = m2_l1_l2 * u2 * u2 * sd - m2_g_l2 * sin(x2) - b * v2
+            det = m2_l1_l1_l2_l2 * (m1 + m2 * sd * sd)
+            p2 = (f1 * m2 * l2 * l2 - f2 * m2 * l1 * l2 * cd) / det
+            q2 = (f2 * m12 * l1 * l1 - f1 * m2 * l1 * l2 * cd) / det
+            # stage 3 at (t1 + half*u2, u3, t2 + half*v2, v3)
+            u3 = w1 + half * p2
+            v3 = w2 + half * q2
+            x1 = t1 + half * u2
+            x2 = t2 + half * v2
+            d = x1 - x2
+            cd = cos(d)
+            sd = sin(d)
+            f1 = neg_m2_l1_l2 * v3 * v3 * sd - m12_g_l1 * sin(x1) - b * u3
+            f2 = m2_l1_l2 * u3 * u3 * sd - m2_g_l2 * sin(x2) - b * v3
+            det = m2_l1_l1_l2_l2 * (m1 + m2 * sd * sd)
+            p3 = (f1 * m2 * l2 * l2 - f2 * m2 * l1 * l2 * cd) / det
+            q3 = (f2 * m12 * l1 * l1 - f1 * m2 * l1 * l2 * cd) / det
+            # stage 4 at (t1 + dt*u3, u4, t2 + dt*v3, v4)
+            u4 = w1 + dt * p3
+            v4 = w2 + dt * q3
+            x1 = t1 + dt * u3
+            x2 = t2 + dt * v3
+            d = x1 - x2
+            cd = cos(d)
+            sd = sin(d)
+            f1 = neg_m2_l1_l2 * v4 * v4 * sd - m12_g_l1 * sin(x1) - b * u4
+            f2 = m2_l1_l2 * u4 * u4 * sd - m2_g_l2 * sin(x2) - b * v4
+            det = m2_l1_l1_l2_l2 * (m1 + m2 * sd * sd)
+            p4 = (f1 * m2 * l2 * l2 - f2 * m2 * l1 * l2 * cd) / det
+            q4 = (f2 * m12 * l1 * l1 - f1 * m2 * l1 * l2 * cd) / det
+            t1 = t1 + sixth * (w1 + 2.0 * u2 + 2.0 * u3 + u4)
+            w1 = w1 + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+            t2 = t2 + sixth * (w2 + 2.0 * v2 + 2.0 * v3 + v4)
+            w2 = w2 + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+            if not (isfinite(t1) and isfinite(w1) and isfinite(t2) and isfinite(w2)):
+                raise SimulationBlowup(i)
+            if not i % every:
+                kept.append((t1, w1, t2, w2))
+    except ValueError:  # math.sin or math.cos of an infinite stage angle
+        raise SimulationBlowup(i) from None
+    return np.array(kept, dtype=np.float64)
 
 
 def rk4_simulate(
@@ -173,8 +189,7 @@ def rk4_simulate(
     into (x_t, x_{t+1}) pairs.
     """
     stride = SIM_HZ // KEEP_HZ
-    states = simulate_states(s0, params, (n_keep - 1) * stride, 1.0 / SIM_HZ)
-    kept = states[::stride].copy()
+    kept = simulate_states(s0, params, (n_keep - 1) * stride, 1.0 / SIM_HZ, every=stride)
     if noise_std > 0:
         kept += rng.normal(0.0, noise_std, size=kept.shape)
     return kept

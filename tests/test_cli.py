@@ -73,6 +73,57 @@ class TestGenData:
         main(["gen-data", "--config", str(cfg), "--seed", "9", "--out", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "config,out",
+        [("config.yaml", "config.yaml"), ("config.yaml", "./config.yaml"), ("{tmp}/config.yaml", "../{tmp_name}/config.yaml")],
+    )
+    def test_out_naming_the_config_fails_before_the_build(
+        self, tmp_path, capsys, monkeypatch, simulated, config, out
+    ):
+        path = tiny_pendulum_config(tmp_path)
+        before = path.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        names = dict(tmp=tmp_path, tmp_name=tmp_path.name)
+        argv = ["gen-data", "--config", config.format(**names), "--out", out.format(**names)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError: --out "), err
+        assert err[0].endswith("is the same file as --config"), err
+        assert simulated == [] and path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
+    @pytest.mark.parametrize("flags", [["--out", "{tmp}/adir"], []], ids=["given", "default"])
+    def test_out_naming_a_directory_fails_before_the_build(self, tmp_path, capsys, simulated, flags):
+        cfg = tiny_pendulum_config(tmp_path, output_dir=str(tmp_path))
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        (tmp_path / "dataset.csv").mkdir()  # the default output of that config
+        capsys.readouterr()
+        assert main(["gen-data", "--config", str(cfg), *[f.format(tmp=tmp_path) for f in flags]]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError: --out ") and "is a directory" in err[0], err
+        assert simulated == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "config.yaml", "dataset.csv"]
+        assert list(adir.iterdir()) == [] and list((tmp_path / "dataset.csv").iterdir()) == []
+
+    def test_failed_write_keeps_the_old_file_and_leaves_no_partial_one(self, tmp_path, capsys, monkeypatch):
+        cfg = tiny_pendulum_config(tmp_path)
+        out = tmp_path / "data.csv"
+        out.write_text("earlier\n")
+
+        def failing(path, dataset, columns):
+            Path(path).write_text(",".join(columns[:3]))
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr("rulemix.cli.write_dataset_csv", failing)
+        capsys.readouterr()
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: OSError: No space left on device"]
+        assert out.read_text() == "earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "data.csv"]
+
 
 class TestTrainSweepSelect:
     def test_full_pipeline_emits_selection_summary(self, tmp_path, capsys):

@@ -1,9 +1,15 @@
 """Dataset container invariants and the CSV round trip."""
 
+import csv
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
-from rulemix.data import Dataset, read_dataset_csv, staged_writes
+from rulemix.data import Dataset, assign_splits, read_dataset_csv, staged_writes, write_dataset_csv
+from rulemix.pendulum import DEFAULT_PARAMS, PENDULUM_CSV_COLUMNS, PendulumParams, build_pendulum_dataset
+from rulemix.tabular import ShiftMixSpec, synth_shifted_classification
 
 
 def test_unknown_split_label_rejected():
@@ -69,3 +75,54 @@ def test_staged_writes_leave_nothing_when_the_block_raises(tmp_path):
             raise OSError("disk full")
     assert a.read_text() == "earlier"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+
+
+@pytest.mark.parametrize(
+    "build,columns,digest",
+    [
+        (
+            lambda: build_pendulum_dataset(DEFAULT_PARAMS, n_pairs=400, n_trajectories=3, seed=11),
+            PENDULUM_CSV_COLUMNS,
+            "20a1be498dbfea3cf0441f3d62826c3c6d0b8386063485d92eed03f62359501d",
+        ),
+        (
+            lambda: build_pendulum_dataset(
+                PendulumParams(m1=1.7, m2=0.6, l1=1.3, l2=0.4, g=9.2, b=0.3), n_pairs=400, n_trajectories=3, seed=11
+            ),
+            PENDULUM_CSV_COLUMNS,
+            "06fcdbc581bb19d2a42e1b8f93da963562812732c84d97b9de60b2c5ec416539",
+        ),
+        (
+            lambda: synth_shifted_classification(ShiftMixSpec(n_usual=40, n_unusual=10), seed=5),
+            [f"x{i}" for i in range(6)] + ["y", "split"],
+            "9fb05089310316017ca77236301ef0335f7e067f2c98bd35ae873331c024d72f",
+        ),
+    ],
+    ids=["pendulum-default", "pendulum-other-params", "shifted-classification"],
+)
+def test_csv_bytes_are_pinned(tmp_path, build, columns, digest):
+    path = tmp_path / "data.csv"
+    dataset = build()
+    write_dataset_csv(path, dataset, list(columns))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    back = read_dataset_csv(path, n_targets=dataset.y.shape[1])
+    assert back.x.tobytes() == dataset.x.tobytes() and back.y.tobytes() == dataset.y.tobytes()
+    assert back.split.tolist() == dataset.split.tolist()
+
+
+def test_csv_equals_the_csv_module_rendering_over_many_blocks(tmp_path):
+    # more rows than one conversion block, with magnitudes from 1e-300 to 1e299
+    rng = np.random.default_rng(4)
+    n = 2500
+    x = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    x[:4, 0] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    dataset = Dataset(x=x, y=rng.standard_normal((n, 2)), split=assign_splits(n, (0.6, 0.1, 0.3)))
+    columns = ["a", "b", "c", "p", "q", "split"]
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(columns)
+    for xi, yi, si in zip(dataset.x, dataset.y, dataset.split):
+        writer.writerow([f"{v:.17g}" for v in xi] + [f"{v:.17g}" for v in yi] + [si])
+    path = tmp_path / "data.csv"
+    write_dataset_csv(path, dataset, columns)
+    assert path.read_bytes() == want.getvalue().encode()

@@ -13,7 +13,6 @@ from rulemix.errors import SimulationBlowup
 from rulemix.pendulum import (
     DEFAULT_PARAMS,
     PendulumParams,
-    _accelerations,
     build_pendulum_dataset,
     energy,
     rk4_simulate,
@@ -22,9 +21,9 @@ from rulemix.pendulum import (
 
 
 def derivatives(state, p: PendulumParams):
-    """Time derivative (omega1, alpha1, omega2, alpha2) from the simulator's equations."""
-    a1, a2 = _accelerations(p)(*state)
-    return (state[1], a1, state[3], a2)
+    """Time derivative (omega1, alpha1, omega2, alpha2) from the reference
+    equations, which the simulator's steps match bit for bit."""
+    return reference_eom(state, p)
 
 
 def rk4_step(state, dt: float, p: PendulumParams):
@@ -125,7 +124,6 @@ class TestIntegratorMatchesReference:
         for p in self.PARAMS:
             for _ in range(200):
                 s = tuple(float(v) for v in rng.uniform(-3, 3, 4))
-                assert derivatives(s, p) == reference_eom(s, p)
                 assert rk4_step(s, 0.005, p) == reference_rk4_step(s, 0.005, p)
 
     def test_simulate_states_equals_loop_of_steps(self):
@@ -149,6 +147,69 @@ class TestIntegratorMatchesReference:
         with pytest.raises(SimulationBlowup) as info:
             simulate_states(s0, p, 10000, 0.05)
         assert info.value.step == first_bad
+
+    @pytest.mark.parametrize("n_steps", [2000, 2013, 7])
+    @pytest.mark.parametrize("every", [1, 20])
+    def test_every_keeps_exactly_the_strided_states(self, every, n_steps):
+        dt = 1.0 / 200
+        for p in self.PARAMS:
+            for s0 in ((2.0, 0.0, 1.99, 0.0), (0.3, -1.0, -2.5, 4.0)):
+                want = simulate_states(s0, p, n_steps, dt)[::every]
+                got = simulate_states(s0, p, n_steps, dt, every=every)
+                assert got.shape == want.shape == (n_steps // every + 1, 4)
+                assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def reference_first_bad_step(s0, p, n_steps, dt):
+        """The first step whose reference state is non-finite, or whose
+        stages take the sine of an infinite angle (which would give NaN)."""
+        state = s0
+        for i in range(1, n_steps + 1):
+            try:
+                state = reference_rk4_step(state, dt, p)
+            except ValueError:
+                return i, "domain"
+            if not all(np.isfinite(state)):
+                return i, "non-finite"
+        return None, None
+
+    @pytest.mark.parametrize(
+        "friction,cause", [(544.0, "non-finite"), (541.0, "domain")], ids=["non-finite-state", "infinite-stage-angle"]
+    )
+    def test_blowup_between_retained_states_names_its_step(self, friction, cause):
+        # friction far above any physical setting makes the 200 Hz step unstable
+        p, s0, dt = PendulumParams(b=friction), (2.0, 0.0, 1.99, 0.0), 1.0 / 200
+        first_bad, found = self.reference_first_bad_step(s0, p, 1000, dt)
+        assert found == cause and first_bad > 20 and first_bad % 20, "setup assumption: a blow-up between kept states"
+        for every in (1, 20):
+            with pytest.raises(SimulationBlowup) as info:
+                simulate_states(s0, p, 1000, dt, every=every)
+            assert info.value.step == first_bad
+
+
+class TestBuildIsPinned:
+    """Digests of a noisy build, fixed when the simulator was last rewritten:
+    a change to the RK4 arithmetic or to the noise draws changes them."""
+
+    N_PAIRS, N_TRAJECTORIES, SEED = 400, 3, 11
+    SHA256 = (
+        {
+            "train": "5903390e4e24d8697af4c0306252854cf301bbc994afd5a20ac6c0058506decf",
+            "val": "dc46489534127ecd914b97de2e726c614f4498908b6f3f9b2c0d2fdc0c85cd59",
+            "test": "d9acb64c6d5b570e2b32bbb365fb55ba68869026b3bbdda72438394b455f6f3b",
+        },
+        {
+            "train": "781e803bafd8dad8c651126685a40bf18e6207a2f515f7510531c6d72d614cea",
+            "val": "f7a82f8fff8d1f51178ba6c0867c4e3a89445111e6b2d48783587fda0ee5f653",
+            "test": "834cecd6adf06fcab84e5b0d67478c6414a7a65ec657171ead91a9fa69f605b9",
+        },
+    )
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_split_digests(self, which):
+        p = TestIntegratorMatchesReference.PARAMS[which]
+        ds = build_pendulum_dataset(p, n_pairs=self.N_PAIRS, n_trajectories=self.N_TRAJECTORIES, seed=self.SEED)
+        assert {s: ds.sha256(s) for s in SPLITS} == self.SHA256[which]
 
 
 class TestDatasetBuilder:
