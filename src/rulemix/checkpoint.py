@@ -119,5 +119,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 epoch=int(archive["epoch"]),
                 data_sha256=_data_sha256(path, archive),
             )
-    except (zipfile.BadZipFile, OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (
+        zipfile.BadZipFile, OSError, EOFError, KeyError, TypeError, ValueError, OverflowError, RecursionError,
+    ) as exc:
         raise CheckpointError(f"{path}: corrupt or unreadable checkpoint: {exc}") from exc

@@ -3,10 +3,8 @@
 Every command is reproducible from its config file and seed alone; resolved
 configs are dumped next to the outputs and checkpoints embed them, so a
 sweep needs no arguments beyond the checkpoint to find its evaluation data.
-A checkpoint also holds the sha256 of each split's rows as trained. A sweep
-reads those rows from ``rows-<sha256>.npz`` beside the checkpoint when that
-file re-hashes to the digest. Otherwise it rebuilds them from the config,
-fails if they hash differently, and writes the file for the next sweep.
+Every command that writes lists its output paths, checks them once with
+``check_paths``, does its work, and then writes through ``staged_writes``.
 """
 
 from __future__ import annotations
@@ -15,39 +13,22 @@ import argparse
 import json
 import math
 import sys
-import zipfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TASKS, ExperimentConfig, checked, config_from_dict, load_config, sweep_splits
-from .data import Dataset, staged_writes, write_dataset_csv
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    GenerationError,
-    InfeasibleSelectionError,
-    SimulationBlowup,
-    TrainingAborted,
-    UndefinedRatioError,
-)
+from .data import Dataset, check_paths, staged_writes, swept_rows, write_dataset_csv, write_rows_cache
+from .errors import CheckpointError, ConfigError, GenerationError, SimulationBlowup, TrainingAborted
 from .evaluate import EXTENDED_ALPHA_RANGE, alpha_grid, alpha_sweep, select_alpha, sweep_from_csv, sweep_to_csv
 from .model import forward_per_alpha
 from .pendulum import PENDULUM_CSV_COLUMNS
 from .train import fit
 
-_HANDLED = (
-    CheckpointError,
-    ConfigError,
-    GenerationError,
-    InfeasibleSelectionError,
-    SimulationBlowup,
-    TrainingAborted,
-    UndefinedRatioError,
-    ValueError,
-    OSError,
-)
+# reported in one line; ConfigError and the selection and ratio errors are ValueErrors
+_HANDLED = (CheckpointError, GenerationError, SimulationBlowup, TrainingAborted, ValueError, OSError)
 
 
 def _dataset_columns(cfg: ExperimentConfig, dataset: Dataset) -> list[str]:
@@ -74,9 +55,8 @@ def _load_experiment(args) -> ExperimentConfig:
 def cmd_gen_data(args) -> int:
     cfg = _load_experiment(args)
     out = Path(args.out) if args.out else cfg.output_dir / "dataset.csv"
-    _check_paths({"--config": args.config, "--out": out}, outputs=("--out",))
+    check_paths({"--config": args.config}, [("--out", out)], make_dirs=True)
     dataset = cfg.build_dataset()
-    out.parent.mkdir(parents=True, exist_ok=True)
     with staged_writes() as stage:  # a failed write leaves no partial file
         write_dataset_csv(stage(out), dataset, _dataset_columns(cfg, dataset))
     counts = dataset.counts()
@@ -87,116 +67,34 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_experiment(args)
     out_dir = Path(args.out_dir) if args.out_dir else cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved.yaml").write_text(cfg.resolved_yaml())
+    resolved, summary = out_dir / "resolved.yaml", out_dir / "summary.csv"
+    seeds = range(cfg.seed, cfg.seed + args.seeds)
+    files = {s: (out_dir / f"checkpoint_seed{s}.npz", out_dir / f"report_seed{s}.csv") for s in seeds}
+    outputs = [resolved, *(path for pair in files.values() for path in pair), *([summary] if args.seeds > 1 else [])]
+    check_paths({"--config": args.config}, [("--out-dir", path) for path in outputs], make_dirs=True)
     print(cfg.resolved_yaml(), end="")
     dataset = cfg.build_dataset()
-    spec = cfg.model_spec()
-    rule = cfg.rule()
-    rows = []
-    for i in range(args.seeds):
-        seed = cfg.seed + i
-        train_cfg = cfg.train_config()
-        train_cfg = type(train_cfg)(**{**train_cfg.__dict__, "seed": seed})
-        result = fit(spec, train_cfg, dataset, rule)
-        ck_path = out_dir / f"checkpoint_seed{seed}.npz"
-        save_checkpoint(ck_path, result, cfg.raw, seed)
-        result.report.to_csv(out_dir / f"report_seed{seed}.csv")
-        rows.append((seed, result.report.best_val, result.report.final_epoch, result.report.wall_seconds))
+    spec, rule = cfg.model_spec(), cfg.rule()
+    best_vals, lines = [], []
+    for seed, (ck_path, report_path) in files.items():
+        result = fit(spec, replace(cfg.train_config(), seed=seed), dataset, rule)
+        with staged_writes() as stage:  # a seed's files appear together, once its fit has ended
+            if seed == cfg.seed:
+                stage(resolved).write_text(cfg.resolved_yaml())
+            save_checkpoint(stage(ck_path), result, cfg.raw, seed)
+            result.report.to_csv(stage(report_path))
+        report = result.report
+        best_vals.append(report.best_val)
+        lines.append(f"{seed},{report.best_val:.17g},{report.final_epoch},{report.wall_seconds:.3f}\n")
         print(
-            f"seed={seed} best_val={result.report.best_val:.6g} "
-            f"epochs={result.report.final_epoch} seconds={result.report.wall_seconds:.1f} -> {ck_path}"
+            f"seed={seed} best_val={report.best_val:.6g} "
+            f"epochs={report.final_epoch} seconds={report.wall_seconds:.1f} -> {ck_path}"
         )
     if args.seeds > 1:
-        vals = np.array([r[1] for r in rows])
-        with open(out_dir / "summary.csv", "w") as fh:
-            fh.write("seed,best_val,final_epoch,wall_seconds\n")
-            for seed, best, epochs, secs in rows:
-                fh.write(f"{seed},{best:.17g},{epochs},{secs:.3f}\n")
-        print(f"best_val mean={vals.mean():.6g} std={vals.std(ddof=1):.6g} over {args.seeds} seeds")
-    return 0
-
-
-def _check_paths(paths: dict[str, str | Path | None], outputs: tuple[str, ...]) -> None:
-    """Before any work: every given path names its own file, and no output is a directory."""
-    seen: dict[Path, str] = {}
-    for flag, path in paths.items():
-        if path is None:
-            continue
-        resolved = Path(path).resolve()
-        if resolved in seen:
-            raise ConfigError(f"{flag} {path} is the same file as {seen[resolved]}")
-        seen[resolved] = flag
-    for flag in outputs:
-        if paths[flag] is not None and Path(paths[flag]).is_dir():
-            raise ConfigError(f"{flag} {paths[flag]} is a directory")
-
-
-def _check_sweep_paths(args, out: Path) -> None:
-    """``_check_paths`` for a sweep, whose outputs must also be in existing directories."""
-    outputs = {"--out": out, "--embeddings-out": args.embeddings_out}
-    _check_paths({**outputs, "--checkpoint": args.checkpoint, "--data-csv": args.data_csv}, tuple(outputs))
-    for path in outputs.values():
-        if path is not None and not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"{path}: output directory {Path(path).parent} does not exist")
-
-
-def _rows_cache(directory: Path, digest: str) -> Path:
-    return directory / f"rows-{digest}.npz"
-
-
-def _read_cached_rows(path: Path, split: str, digest: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (x, y) cached at ``path`` if they re-hash to ``digest``; None for a missing or unusable file."""
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            x = np.asarray(archive["x"], dtype=np.float64)
-            y = np.asarray(archive["y"], dtype=np.float64)
-        rows = Dataset(x=x, y=y, split=np.full(x.shape[0], split, dtype=object))
-    except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError, zipfile.BadZipFile):
-        return None
-    return rows.subset(split) if rows.sha256(split) == digest else None
-
-
-def _swept_rows(
-    cfg: ExperimentConfig, splits: tuple[str, ...], digests: dict[str, str] | None, cache_dir: Path,
-) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], tuple[str, ...]]:
-    """Each swept split's (x, y), and the splits that were built rather than read from the cache.
-
-    With ``digests``, a split is read from its cache file in ``cache_dir``
-    when that re-hashes to the split's digest; a built split must hash to it.
-    """
-    rows = {}
-    if digests is not None:
-        for split in splits:
-            cached = _read_cached_rows(_rows_cache(cache_dir, digests[split]), split, digests[split])
-            if cached is not None:
-                rows[split] = cached
-    built = tuple(split for split in splits if split not in rows)
-    if built:
-        dataset = cfg.build_dataset(built)
-        for split in built:
-            if digests is not None and (digest := dataset.sha256(split)) != digests[split]:
-                raise ConfigError(
-                    f"split {split!r}: the rows rebuilt from the checkpoint's config have sha256 "
-                    f"{digest[:12]}..., the model was trained beside {digests[split][:12]}...: "
-                    "the data or the simulator changed since training"
-                )
-            rows[split] = dataset.subset(split)
-    return rows, built
-
-
-def _write_rows_cache(
-    cache_dir: Path, digests: dict[str, str], rows: dict[str, tuple[np.ndarray, np.ndarray]], splits: tuple[str, ...],
-) -> None:
-    """Cache the rows of ``splits`` for the next sweep; a failed write is a note, since it only costs a rebuild."""
-    try:
         with staged_writes() as stage:
-            for split in splits:
-                x, y = rows[split]
-                with open(stage(_rows_cache(cache_dir, digests[split])), "wb") as fh:
-                    np.savez(fh, x=x, y=y)
-    except OSError as exc:
-        print(f"note: rows cache not written: {exc}", file=sys.stderr)
+            stage(summary).write_text("seed,best_val,final_epoch,wall_seconds\n" + "".join(lines))
+        print(f"best_val mean={np.mean(best_vals):.6g} std={np.std(best_vals, ddof=1):.6g} over {args.seeds} seeds")
+    return 0
 
 
 def _write_embeddings(path: Path, names: list[str], stacked: np.ndarray) -> None:
@@ -210,7 +108,8 @@ def cmd_sweep(args) -> int:
     if not math.isfinite(args.embeddings_alpha):
         raise ConfigError(f"--embeddings-alpha must be finite, got {args.embeddings_alpha}")
     out = Path(args.out) if args.out else Path(args.checkpoint).with_suffix(".sweep.csv")
-    _check_sweep_paths(args, out)
+    inputs = {"--checkpoint": args.checkpoint, "--data-csv": args.data_csv}
+    check_paths(inputs, [("--out", out), ("--embeddings-out", args.embeddings_out)])
     ck: Checkpoint = load_checkpoint(args.checkpoint)
     raw = ck.config
     data = raw.get("data", {}) if isinstance(raw, dict) else None
@@ -232,7 +131,7 @@ def cmd_sweep(args) -> int:
     # a --data-csv is other data on purpose: it is neither checked nor cached
     digests = None if args.data_csv else ck.data_sha256
     cache_dir = Path(args.checkpoint).parent
-    rows, built = _swept_rows(cfg, splits, digests, cache_dir)
+    rows, built = swept_rows(cfg.build_dataset, splits, digests, cache_dir)
     records = []
     for split in splits:
         x, y = rows[split]
@@ -259,7 +158,10 @@ def cmd_sweep(args) -> int:
     if args.embeddings_out:
         print(f"wrote {args.embeddings_out} rows={stacked.shape[0]}")
     if digests is not None and built:
-        _write_rows_cache(cache_dir, digests, rows, built)
+        try:
+            write_rows_cache(cache_dir, digests, rows, built)
+        except OSError as exc:  # a missing cache only costs the next sweep a rebuild
+            print(f"note: rows cache not written: {exc}", file=sys.stderr)
     return 0
 
 
@@ -302,62 +204,59 @@ def _ablation_config(cfg: ExperimentConfig, what: str, value: str) -> Experiment
 
 def cmd_ablate(args) -> int:
     cfg = _load_experiment(args)
-    subs = [(value, _ablation_config(cfg, args.what, value)) for value in args.values.split(",")]
     out_dir = Path(args.out_dir) if args.out_dir else cfg.output_dir / f"ablate_{args.what}"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = cfg.build_dataset()
-    rows = []
-    for value, sub in subs:
-        result = fit(sub.model_spec(), sub.train_config(), dataset, sub.rule())
+    runs = []
+    for value in args.values.split(","):
         tag = f"{args.what}_{value}".replace("/", "_")
-        save_checkpoint(out_dir / f"checkpoint_{tag}.npz", result, sub.raw, sub.seed)
-        x, y = dataset.subset("test")
+        sub = _ablation_config(cfg, args.what, value)
+        runs.append((value, sub, out_dir / f"checkpoint_{tag}.npz", out_dir / f"sweep_{tag}.csv"))
+    summary = out_dir / "summary.csv"
+    outputs = [*(path for run in runs for path in run[2:]), summary]
+    check_paths({"--config": args.config}, [("--out-dir", path) for path in outputs], make_dirs=True)
+    dataset = cfg.build_dataset()
+    x, y = dataset.subset("test")
+    lines = []
+    for value, sub, ck_path, sweep_path in runs:
+        result = fit(sub.model_spec(), sub.train_config(), dataset, sub.rule())
         records = alpha_sweep(
             sub.model_spec(), result.params, x, y, sub.rule(), sub.sweep.grid(),
             sub.metric_kind, split="test", perturb_seed=sub.sweep.perturb_seed,
         )
-        sweep_to_csv(records, out_dir / f"sweep_{tag}.csv")
+        with staged_writes() as stage:  # a value's checkpoint and sweep appear together
+            save_checkpoint(stage(ck_path), result, sub.raw, sub.seed)
+            sweep_to_csv(records, stage(sweep_path))
         best = select_alpha(records, sub.sweep.min_verification)
-        rows.append((value, result.report.best_val, best.alpha, best.task_metric, records[-1].verification))
+        report, ver = result.report, records[-1].verification
+        lines.append(f"{value},{report.best_val:.17g},{best.alpha:g},{best.task_metric:.17g},{ver:.17g}\n")
         print(
-            f"{args.what}={value} best_val={result.report.best_val:.6g} "
+            f"{args.what}={value} best_val={report.best_val:.6g} "
             f"best_alpha={best.alpha:g} test_metric={best.task_metric:.6g}"
         )
-    with open(out_dir / "summary.csv", "w") as fh:
-        fh.write(f"{args.what},best_val,best_alpha,best_test_metric,verification_at_grid_end\n")
-        for value, best_val, alpha, metric, ver in rows:
-            fh.write(f"{value},{best_val:.17g},{alpha:g},{metric:.17g},{ver:.17g}\n")
-    print(f"wrote {out_dir / 'summary.csv'}")
+    header = f"{args.what},best_val,best_alpha,best_test_metric,verification_at_grid_end\n"
+    with staged_writes() as stage:
+        stage(summary).write_text(header + "".join(lines))
+    print(f"wrote {summary}")
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """``--seeds``: an integer >= 1, or a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _arg(convert, ok, what: str):
+    """An argparse type: ``convert(text)`` where ``ok`` holds for it, else the usage error "must be <what>"."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _unit_fraction(text: str) -> float:
-    """``--min-verification``: a number in [0, 1], or a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value <= 1.0:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
-    return value
-
-
-def _path(text: str) -> str:
-    """A path option: any non-empty text, or a usage error (an empty path would fall back to a default)."""
-    if not text:
-        raise argparse.ArgumentTypeError("must be a non-empty path")
-    return text
+_positive_int = _arg(int, lambda v: v >= 1, "an integer >= 1")
+_unit_fraction = _arg(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")  # NaN fails too
+_path = _arg(str, bool, "a non-empty path")  # an empty path would fall back to a default
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -140,8 +140,11 @@ def _param_types(fn) -> tuple[tuple[str, object], ...]:
 
 def build_from(fn, block: dict, **given):
     """``fn`` called with every parameter not ``given`` read from ``block``, converted to its annotated type."""
-    values = {name: checked(name, _convert, hint, block[name]) for name, hint in _param_types(fn) if name not in given}
-    return fn(**values, **given)
+    params = [(name, hint) for name, hint in _param_types(fn) if name not in given]
+    missing = [name for name, _ in params if name not in block]
+    if missing:
+        raise ValueError(f"missing field {missing[0]!r}")
+    return fn(**{name: checked(name, _convert, hint, block[name]) for name, hint in params}, **given)
 
 
 def _seed(value) -> int:
@@ -312,9 +315,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
     if raw is None:
         raise ConfigError(f"{path}: empty config")

@@ -1,4 +1,9 @@
-"""Shared dataset container, CSV round-trip helpers and atomic file writes."""
+"""Dataset container, CSV round trips, the rows cache, output checks and staged writes.
+
+A checkpoint stores each split's ``rows_sha256``. A sweep reads the rows from
+``rows-<sha256>.npz`` beside it when that file hashes to the digest, else
+rebuilds them, fails if they hash differently, and caches them.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +11,15 @@ import csv
 import hashlib
 import os
 import secrets
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
+
+from .errors import ConfigError
 
 SPLITS = ("train", "val", "test")
 
@@ -62,13 +70,98 @@ class Dataset:
         return {s: int(np.sum(self.split == s)) for s in SPLITS}
 
     def sha256(self, split: str) -> str:
-        """Digest of one split's rows: the shape and the float64 bytes of its x, then of its y."""
-        h = hashlib.sha256()
-        for a in self.subset(split):
-            a = np.ascontiguousarray(a, dtype=np.float64)
-            h.update(repr(a.shape).encode())
-            h.update(a)
-        return h.hexdigest()
+        return rows_sha256(*self.subset(split))
+
+
+def rows_sha256(x: np.ndarray, y: np.ndarray) -> str:
+    """Digest of one split's rows: the shape and the float64 bytes of its x, then of its y."""
+    h = hashlib.sha256()
+    for a in (x, y):
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        h.update(repr(a.shape).encode())
+        h.update(a)
+    return h.hexdigest()
+
+
+def _rows_cache(directory: Path, digest: str) -> Path:
+    return directory / f"rows-{digest}.npz"
+
+
+def _read_cached_rows(path: Path, digest: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (x, y) at ``path`` if they hash to ``digest``, which covers their shapes; else None."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            x = np.ascontiguousarray(archive["x"], dtype=np.float64)
+            y = np.ascontiguousarray(archive["y"], dtype=np.float64)
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+        return None
+    return (x, y) if rows_sha256(x, y) == digest else None
+
+
+def swept_rows(
+    build: Callable[[tuple[str, ...]], Dataset], splits: tuple[str, ...],
+    digests: dict[str, str] | None, cache_dir: Path,
+) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], tuple[str, ...]]:
+    """Each swept split's (x, y), and the splits that ``build`` made rather than the cache held.
+
+    With ``digests``, a split is read from its cache file in ``cache_dir``
+    when that hashes to the split's digest; a built split must hash to it.
+    """
+    rows = {}
+    for split in splits if digests is not None else ():
+        cached = _read_cached_rows(_rows_cache(cache_dir, digests[split]), digests[split])
+        if cached is not None:
+            rows[split] = cached
+    built = tuple(split for split in splits if split not in rows)
+    if built:
+        dataset = build(built)
+        for split in built:
+            if digests is not None and (digest := dataset.sha256(split)) != digests[split]:
+                raise ConfigError(
+                    f"split {split!r}: the rows rebuilt from the checkpoint's config have sha256 "
+                    f"{digest[:12]}..., the model was trained beside {digests[split][:12]}...: "
+                    "the data or the simulator changed since training"
+                )
+            rows[split] = dataset.subset(split)
+    return rows, built
+
+
+def write_rows_cache(
+    cache_dir: Path, digests: dict[str, str], rows: dict[str, tuple[np.ndarray, np.ndarray]], splits: tuple[str, ...],
+) -> None:
+    """Cache the rows of ``splits`` in ``cache_dir`` for the next sweep, all files or none."""
+    with staged_writes() as stage:
+        for split in splits:
+            x, y = rows[split]
+            with open(stage(_rows_cache(cache_dir, digests[split])), "wb") as fh:
+                np.savez(fh, x=x, y=y)
+
+
+def check_paths(
+    inputs: dict[str, str | Path | None], outputs: list[tuple[str, str | Path | None]], make_dirs: bool = False,
+) -> None:
+    """Before any work: every path, keyed by its flag, names its own file, and no output is a directory.
+
+    An output's directory must exist; with ``make_dirs`` a missing one is
+    created instead, once every check has passed, so a failed check creates nothing.
+    """
+    seen: dict[Path, str] = {}
+    for flag, path in [*inputs.items(), *outputs]:
+        if path is None:
+            continue
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise ConfigError(f"{flag} {path} is the same file as {seen[resolved]}")
+        seen[resolved] = flag
+    written = [(flag, Path(path)) for flag, path in outputs if path is not None]
+    for flag, path in written:
+        if path.is_dir():
+            raise ConfigError(f"{flag} {path} is a directory")
+        if not (make_dirs or path.parent.is_dir()):
+            raise FileNotFoundError(f"{path}: output directory {path.parent} does not exist")
+    if make_dirs:
+        for _, path in written:
+            path.parent.mkdir(parents=True, exist_ok=True)
 
 
 @contextmanager
@@ -124,9 +217,12 @@ def write_dataset_csv(path: str | Path, dataset: Dataset, columns: list[str]) ->
 def read_dataset_csv(path: str | Path, n_targets: int) -> Dataset:
     """Inverse of write_dataset_csv given the number of target columns."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = list(reader)
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
     d = len(header) - n_targets - 1

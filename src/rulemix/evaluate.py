@@ -128,21 +128,24 @@ def sweep_from_csv(path) -> list[SweepRecord]:
     operating point that no comparison can rank.
     """
     records = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "alpha,task_metric,verification,split":
-            raise ValueError(f"{path}:1: unexpected sweep header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                alpha, metric, ver, split = line.strip().split(",")
-                record = SweepRecord(float(alpha), float(metric), float(ver), split)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed sweep row {line.strip()!r}: {exc}") from exc
-            for column in ("alpha", "task_metric", "verification"):
-                value = getattr(record, column)
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}:{lineno}: non-finite value {value!r} in column {column!r}")
-            records.append(record)
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            if header != "alpha,task_metric,verification,split":
+                raise ValueError(f"{path}:1: unexpected sweep header {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                try:
+                    alpha, metric, ver, split = line.strip().split(",")
+                    record = SweepRecord(float(alpha), float(metric), float(ver), split)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed sweep row {line.strip()!r}: {exc}") from exc
+                for column in ("alpha", "task_metric", "verification"):
+                    value = getattr(record, column)
+                    if not math.isfinite(value):
+                        raise ValueError(f"{path}:{lineno}: non-finite value {value!r} in column {column!r}")
+                records.append(record)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return records
 
 

@@ -1,6 +1,7 @@
 """Checkpoint persistence and dataset CSV round-trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,33 @@ class TestCheckpoint:
 
         self.rewrite_params(path, edit)
         with pytest.raises(CheckpointError, match="corrupt or unreadable"):
+            load_checkpoint(path)
+
+    def test_empty_file_is_checkpoint_error_naming_it(self, tmp_path):
+        path = tmp_path / "model.npz"
+        path.write_bytes(b"")
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: corrupt or unreadable"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["config_json", "model_json", "data_sha256_json"])
+    def test_deeply_nested_json_field_is_checkpoint_error_naming_the_file(self, tmp_path, key):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, make_fit_result(17), {"task": "pendulum"}, seed=0)
+        self.rewrite_params(path, lambda arrays: arrays.update({key: np.array("[" * 100_000)}))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: corrupt or unreadable"):
+            load_checkpoint(path)
+
+    def test_layout_without_task_names_the_missing_field(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, make_fit_result(18), {"task": "pendulum"}, seed=0)
+
+        def drop_task(arrays):
+            layout = json.loads(str(arrays["model_json"][()]))
+            del layout["task"]
+            arrays["model_json"] = np.array(json.dumps(layout))
+
+        self.rewrite_params(path, drop_task)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: .*missing field 'task'$"):
             load_checkpoint(path)
 
 

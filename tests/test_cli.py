@@ -291,7 +291,7 @@ class TestErrorsAndUsage:
         assert main(["train", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ConfigError:") and "already holds" in err[0]
-        assert not (tmp_path / "out" / "checkpoint_seed0.npz").exists()
+        assert list((tmp_path / "out").iterdir()) == []  # not even resolved.yaml
 
     def test_nan_pendulum_mass_fails_at_load(self, tmp_path, capsys):
         cfg = tiny_pendulum_config(tmp_path, data={"m1": math.nan})
@@ -344,6 +344,26 @@ class TestErrorsAndUsage:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ValueError:")
         assert f"{path}:3:" in err[0]
+
+    @pytest.mark.parametrize(
+        "content,reason",
+        [(b"[" * 5000, "YAML parse error"), (b"\xfftask: pendulum\n", "'utf-8' codec can't decode byte 0xff")],
+        ids=["deeply nested", "not utf-8"],
+    )
+    def test_unreadable_config_text_is_one_line_naming_the_file(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(content)
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: ConfigError: {path}: {reason}"), err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_sweep_csv_that_is_not_utf8_is_one_line_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        path.write_bytes(b"\xffalpha,task_metric,verification,split\n")
+        assert main(["select", "--sweep", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: ValueError: {path}: 'utf-8' codec can't decode"), err
 
     @pytest.mark.parametrize(
         "task,override,block",
@@ -479,6 +499,17 @@ class TestSweepInputs:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: ValueError: {bad}") and error in err[0]
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_data_csv_that_is_not_utf8_is_one_line_naming_the_file(self, trained, tmp_path, capsys):
+        ck, data = trained
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff" + data.read_bytes())
+        capsys.readouterr()
+        code = main(["sweep", "--checkpoint", str(ck), "--out", str(tmp_path / "s.csv"), "--data-csv", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: ValueError: {bad}: 'utf-8' codec can't decode"), err
         assert not (tmp_path / "s.csv").exists()
 
     def test_data_csv_stands_in_for_a_moved_training_csv(self, trained, tmp_path):
@@ -906,6 +937,135 @@ class TestAblate:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ConfigError:"), err
         assert simulated == [] and not out_dir.exists()
+
+
+# the output walk: every output path of every writing command, made in turn to clash before any work
+OUTPUT_WALK = {
+    # name: (argv, the flag naming the outputs, the outputs, relative to the case's directory)
+    "gen-data": (["gen-data", "--config", "{config}", "--out", "{tmp}/out/data.csv"], "--out", ["out/data.csv"]),
+    "train": (
+        ["train", "--config", "{config}", "--out-dir", "{tmp}/out"],
+        "--out-dir",
+        ["out/resolved.yaml", "out/checkpoint_seed0.npz", "out/report_seed0.csv"],
+    ),
+    "train-2-seeds": (
+        ["train", "--config", "{config}", "--seeds", "2", "--out-dir", "{tmp}/out"],
+        "--out-dir",
+        ["out/resolved.yaml", "out/checkpoint_seed0.npz", "out/report_seed0.csv",
+         "out/checkpoint_seed1.npz", "out/report_seed1.csv", "out/summary.csv"],
+    ),
+    "sweep": (
+        ["sweep", "--checkpoint", "{checkpoint}", "--out", "{tmp}/out/s.csv", "--embeddings-out", "{tmp}/out/e.csv"],
+        None,  # each output has a flag of its own
+        ["out/s.csv", "out/e.csv"],
+    ),
+    "ablate": (
+        ["ablate", "--config", "{config}", "--what", "beta", "--values", "0.1,1.0", "--out-dir", "{tmp}/out"],
+        "--out-dir",
+        ["out/checkpoint_beta_0.1.npz", "out/sweep_beta_0.1.csv",
+         "out/checkpoint_beta_1.0.npz", "out/sweep_beta_1.0.csv", "out/summary.csv"],
+    ),
+}
+SWEEP_FLAGS = {"out/s.csv": "--out", "out/e.csv": "--embeddings-out"}
+
+
+def output_walk_cases():
+    for name, (_, _, outputs) in OUTPUT_WALK.items():
+        for output in outputs:
+            yield name, output, "directory"
+            yield name, output, "input"
+            if name == "sweep":
+                yield name, output, "missing directory"
+    yield "ablate", "out/checkpoint_beta_0.1.npz", "duplicate value"
+
+
+def listing(root):
+    """Every path under ``root`` with its bytes, or None for a directory."""
+    return sorted((str(p.relative_to(root)), None if p.is_dir() else p.read_bytes()) for p in root.rglob("*"))
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """The seed of every ``fit`` a command starts."""
+    import rulemix.cli
+
+    real = rulemix.cli.fit
+    calls = []
+
+    def counting(spec, cfg, *args, **kwargs):
+        calls.append(cfg.seed)
+        return real(spec, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(rulemix.cli, "fit", counting)
+    return calls
+
+
+class TestOutputWalk:
+    """Every writing command checks all of its outputs once, before the build and the first fit."""
+
+    @pytest.mark.parametrize("name,output,clash", list(output_walk_cases()))
+    def test_clashing_output_is_one_line_before_any_work_and_writes_nothing(
+        self, trained, tmp_path, capsys, simulated, fits, name, output, clash
+    ):
+        argv, flag, _ = OUTPUT_WALK[name]
+        flag = flag or SWEEP_FLAGS[output]
+        config = tiny_pendulum_config(tmp_path)
+        checkpoint = tmp_path / "checkpoint.npz"
+        shutil.copyfile(trained[0], checkpoint)
+        target = tmp_path / output
+        if clash == "directory":
+            target.mkdir(parents=True)
+        elif clash == "input":  # the command's input file sits at the output path
+            target.parent.mkdir()
+            shutil.move(checkpoint if name == "sweep" else config, target)
+            checkpoint, config = (target, config) if name == "sweep" else (checkpoint, target)
+        elif clash == "missing directory":  # the other output's directory exists
+            (tmp_path / "out").mkdir()
+            argv = [a.replace(output, f"nodir/{Path(output).name}") for a in argv]
+            target = tmp_path / "nodir" / Path(output).name
+        else:  # duplicate value: a second 0.1 names the first one's files
+            argv = [a.replace("0.1,1.0", "0.1,0.1") for a in argv]
+        before = listing(tmp_path)
+        argv = [a.format(tmp=tmp_path, config=config, checkpoint=checkpoint) for a in argv]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert "Traceback" not in err and len(lines) == 1, lines
+        expected = {
+            "directory": f"error: ConfigError: {flag} {target} is a directory",
+            "input": f"error: ConfigError: {flag} {target} is the same file as {argv[1]}",
+            "missing directory": f"error: FileNotFoundError: {target}: output directory {target.parent} does not exist",
+            "duplicate value": f"error: ConfigError: {flag} {target} is the same file as {flag}",
+        }[clash]
+        assert lines == [expected]
+        assert fits == [] and simulated == []
+        assert listing(tmp_path) == before
+
+    def test_failed_second_seed_keeps_the_first_seeds_files_whole(self, tmp_path, capsys, monkeypatch):
+        from rulemix.errors import TrainingAborted
+
+        cfg = tiny_pendulum_config(tmp_path)
+        single = tmp_path / "single"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(single)]) == 0
+        import rulemix.cli
+
+        real = rulemix.cli.fit
+
+        def second_fails(spec, train_cfg, *args, **kwargs):
+            if train_cfg.seed == 1:
+                raise TrainingAborted("non-finite loss at epoch 1")
+            return real(spec, train_cfg, *args, **kwargs)
+
+        monkeypatch.setattr(rulemix.cli, "fit", second_fails)
+        out_dir = tmp_path / "multi"
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--seeds", "2", "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == ["error: TrainingAborted: non-finite loss at epoch 1"]
+        kept = ["checkpoint_seed0.npz", "report_seed0.csv", "resolved.yaml"]
+        assert sorted(p.name for p in out_dir.iterdir()) == kept
+        for name in kept:
+            assert (out_dir / name).read_bytes() == (single / name).read_bytes(), name
 
 
 # the hostile-argument walk: each command's number and path options, one bad value at a time
