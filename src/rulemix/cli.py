@@ -20,7 +20,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TASKS, ExperimentConfig, checked, config_from_dict, load_config, sweep_splits
-from .data import Dataset, check_paths, staged_writes, swept_rows, write_dataset_csv, write_rows_cache
+from .data import Dataset, check_paths, staged_writes, swept_rows, write_dataset_csv, write_rows_cache, write_table
 from .errors import CheckpointError, ConfigError, GenerationError, SimulationBlowup, TrainingAborted
 from .evaluate import EXTENDED_ALPHA_RANGE, alpha_grid, alpha_sweep, select_alpha, sweep_from_csv, sweep_to_csv
 from .model import forward_per_alpha
@@ -55,7 +55,7 @@ def _load_experiment(args) -> ExperimentConfig:
 def cmd_gen_data(args) -> int:
     cfg = _load_experiment(args)
     out = Path(args.out) if args.out else cfg.output_dir / "dataset.csv"
-    check_paths({"--config": args.config}, [("--out", out)], make_dirs=True)
+    check_paths({"--config": args.config}, [("--out", out)])
     dataset = cfg.build_dataset()
     with staged_writes() as stage:  # a failed write leaves no partial file
         write_dataset_csv(stage(out), dataset, _dataset_columns(cfg, dataset))
@@ -71,7 +71,7 @@ def cmd_train(args) -> int:
     seeds = range(cfg.seed, cfg.seed + args.seeds)
     files = {s: (out_dir / f"checkpoint_seed{s}.npz", out_dir / f"report_seed{s}.csv") for s in seeds}
     outputs = [resolved, *(path for pair in files.values() for path in pair), *([summary] if args.seeds > 1 else [])]
-    check_paths({"--config": args.config}, [("--out-dir", path) for path in outputs], make_dirs=True)
+    check_paths({"--config": args.config}, [("--out-dir", path) for path in outputs])
     print(cfg.resolved_yaml(), end="")
     dataset = cfg.build_dataset()
     spec, rule = cfg.model_spec(), cfg.rule()
@@ -97,19 +97,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_embeddings(path: Path, names: list[str], stacked: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in stacked:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def cmd_sweep(args) -> int:
     if not math.isfinite(args.embeddings_alpha):
         raise ConfigError(f"--embeddings-alpha must be finite, got {args.embeddings_alpha}")
     out = Path(args.out) if args.out else Path(args.checkpoint).with_suffix(".sweep.csv")
     inputs = {"--checkpoint": args.checkpoint, "--data-csv": args.data_csv}
     check_paths(inputs, [("--out", out), ("--embeddings-out", args.embeddings_out)])
+    if missing := [Path(p) for p in (out, args.embeddings_out) if p and not Path(p).parent.is_dir()]:
+        raise FileNotFoundError(f"{missing[0]}: output directory {missing[0].parent} does not exist")
     ck: Checkpoint = load_checkpoint(args.checkpoint)
     raw = ck.config
     data = raw.get("data", {}) if isinstance(raw, dict) else None
@@ -149,14 +144,13 @@ def cmd_sweep(args) -> int:
         nodes = {"z": fwd.latent, "z_rule": fwd.z_rule, "z_data": fwd.z_data}
         latents = {key: tape.value(node) for key, node in nodes.items() if node is not None}
         names = [f"{key}{j}" for key, mat in latents.items() for j in range(mat.shape[1])]
-        stacked = np.concatenate(list(latents.values()), axis=1)
     with staged_writes() as stage:  # either every output is written or none is
         sweep_to_csv(records, stage(out))
         if args.embeddings_out:
-            _write_embeddings(stage(args.embeddings_out), names, stacked)
+            write_table(stage(args.embeddings_out), names, list(latents.values()))
     print(f"wrote {out} records={len(records)} alphas={len(grid)} splits={','.join(splits)}")
     if args.embeddings_out:
-        print(f"wrote {args.embeddings_out} rows={stacked.shape[0]}")
+        print(f"wrote {args.embeddings_out} rows={x.shape[0]}")
     if digests is not None and built:
         try:
             write_rows_cache(cache_dir, digests, rows, built)
@@ -212,7 +206,7 @@ def cmd_ablate(args) -> int:
         runs.append((value, sub, out_dir / f"checkpoint_{tag}.npz", out_dir / f"sweep_{tag}.csv"))
     summary = out_dir / "summary.csv"
     outputs = [*(path for run in runs for path in run[2:]), summary]
-    check_paths({"--config": args.config}, [("--out-dir", path) for path in outputs], make_dirs=True)
+    check_paths({"--config": args.config}, [("--out-dir", path) for path in outputs])
     dataset = cfg.build_dataset()
     x, y = dataset.subset("test")
     lines = []

@@ -309,6 +309,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(merged)
 
 
+def _where_and_problem(text: str, exc: yaml.YAMLError) -> str:
+    """`` at line L, column C: <problem>`` for what the YAML parser rejected, in one line."""
+    if isinstance(exc, yaml.reader.ReaderError):  # a character YAML does not allow: an offset, no mark
+        before = text[: exc.position]
+        line, column, problem = before.count("\n"), len(before) - before.rfind("\n") - 1, str(exc).splitlines()[0]
+    elif (mark := getattr(exc, "problem_mark", None)) is not None:
+        line, column, problem = mark.line, mark.column, exc.problem
+    else:
+        return ": " + " ".join(str(exc).split())
+    return f" at line {line + 1}, column {column + 1}: {problem}"
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
@@ -319,8 +331,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
         raw = yaml.safe_load(text)
-    except (yaml.YAMLError, RecursionError) as exc:
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: YAML parse error{_where_and_problem(text, exc)}") from exc
+    except RecursionError as exc:
         raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
     if raw is None:
         raise ConfigError(f"{path}: empty config")
-    return config_from_dict(raw)
+    try:
+        return config_from_dict(raw)
+    except ConfigError as exc:  # the message names the field; this names the file
+        raise ConfigError(f"{exc} (in {path})") from exc

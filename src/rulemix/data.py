@@ -1,4 +1,4 @@
-"""Dataset container, CSV round trips, the rows cache, output checks and staged writes.
+"""Dataset container, the numeric CSV table format, the rows cache, output checks and staged writes.
 
 A checkpoint stores each split's ``rows_sha256``. A sweep reads the rows from
 ``rows-<sha256>.npz`` beside it when that file hashes to the digest, else
@@ -137,14 +137,8 @@ def write_rows_cache(
                 np.savez(fh, x=x, y=y)
 
 
-def check_paths(
-    inputs: dict[str, str | Path | None], outputs: list[tuple[str, str | Path | None]], make_dirs: bool = False,
-) -> None:
-    """Before any work: every path, keyed by its flag, names its own file, and no output is a directory.
-
-    An output's directory must exist; with ``make_dirs`` a missing one is
-    created instead, once every check has passed, so a failed check creates nothing.
-    """
+def check_paths(inputs: dict[str, str | Path | None], outputs: list[tuple[str, str | Path | None]]) -> None:
+    """Before any work: every path, keyed by its flag, names its own file, and no output is a directory."""
     seen: dict[Path, str] = {}
     for flag, path in [*inputs.items(), *outputs]:
         if path is None:
@@ -153,32 +147,27 @@ def check_paths(
         if resolved in seen:
             raise ConfigError(f"{flag} {path} is the same file as {seen[resolved]}")
         seen[resolved] = flag
-    written = [(flag, Path(path)) for flag, path in outputs if path is not None]
-    for flag, path in written:
-        if path.is_dir():
+    for flag, path in outputs:
+        if path is not None and Path(path).is_dir():
             raise ConfigError(f"{flag} {path} is a directory")
-        if not (make_dirs or path.parent.is_dir()):
-            raise FileNotFoundError(f"{path}: output directory {path.parent} does not exist")
-    if make_dirs:
-        for _, path in written:
-            path.parent.mkdir(parents=True, exist_ok=True)
 
 
 @contextmanager
 def staged_writes() -> Iterator[Callable[[str | Path], Path]]:
     """Write files beside their targets, then rename them all onto the targets.
 
-    Inside the block, ``stage(path)`` creates an empty temporary file in
-    ``path``'s directory and returns its path for the caller to write. When
-    the block ends normally, every staged file is renamed onto its target in
-    staging order; when it raises, every staged file is removed and no target
-    is touched.
+    Inside the block, ``stage(path)`` creates ``path``'s directory if it is
+    missing, creates an empty temporary file there and returns its path for
+    the caller to write. When the block ends normally, every staged file is
+    renamed onto its target in staging order; when it raises, every staged
+    file is removed and no target is touched.
     """
     staged: list[tuple[Path, Path]] = []
 
     def stage(path: str | Path) -> Path:
         path = Path(path)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+        path.parent.mkdir(parents=True, exist_ok=True)
         open(tmp, "xb").close()
         staged.append((tmp, path))
         return tmp
@@ -192,55 +181,78 @@ def staged_writes() -> Iterator[Callable[[str | Path], Path]]:
             tmp.unlink(missing_ok=True)
 
 
-def write_dataset_csv(path: str | Path, dataset: Dataset, columns: list[str]) -> None:
-    """Write x columns, y columns, then the split column, with a header row.
+def write_table(path: str | Path, header: list[str], blocks: list[np.ndarray], labels=None) -> None:
+    """Write a numeric table: ``header``, then each row of ``blocks`` side by side, then its label if given.
 
-    Floats are rendered with %.17g so a read-back reproduces the exact values.
+    The one writer of every numeric CSV: datasets, sweeps, training reports
+    and exported latents. Numbers are rendered with %.17g so a read-back
+    reproduces the exact values; the labels (split names) need no csv quoting.
     """
-    n_cols = dataset.x.shape[1] + dataset.y.shape[1] + 1
-    if len(columns) != n_cols:
-        raise ValueError(f"expected {n_cols} column names, got {len(columns)}")
-    # split labels come from SPLITS, so no data cell needs csv quoting
-    row = "%.17g," * (n_cols - 1) + "%s\n"
-    x, y, split = dataset.x, dataset.y, dataset.split
+    n_numbers = sum(block.shape[1] for block in blocks)
+    if len(header) != n_numbers + (labels is not None):
+        raise ValueError(f"expected {n_numbers + (labels is not None)} column names, got {len(header)}")
+    row = ",".join(["%.17g"] * n_numbers + ([] if labels is None else ["%s"])) + "\n"
     with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(columns)
+        csv.writer(fh, lineterminator="\n").writerow(header)
         # converting a block of rows at a time bounds the Python floats alive at once
-        for start in range(0, len(dataset), 1024):
-            block = slice(start, start + 1024)
-            fh.writelines(
-                row % (*xi, *yi, si)
-                for xi, yi, si in zip(x[block].tolist(), y[block].tolist(), split[block].tolist())
-            )
+        for start in range(0, blocks[0].shape[0], 1024):
+            rows = slice(start, start + 1024)
+            values = np.hstack([block[rows] for block in blocks]).tolist()
+            if labels is None:
+                fh.writelines(row % tuple(v) for v in values)
+            else:
+                fh.writelines(row % (*v, s) for v, s in zip(values, labels[rows]))
 
 
-def read_dataset_csv(path: str | Path, n_targets: int) -> Dataset:
-    """Inverse of write_dataset_csv given the number of target columns."""
+def read_table(path: str | Path) -> tuple[list[str], np.ndarray, list[str]]:
+    """The header, the numbers and the labels of a ``write_table`` file with a label column.
+
+    The one reader of numeric CSVs; the tables read back (datasets and
+    sweeps) end in their split column. Each row is converted as it is
+    read, so of a row's text only its label is kept. Every error is one
+    ``ValueError`` naming the file, and the line and column where there is
+    one: text that is not UTF-8 or not CSV, a table without rows, a row of
+    the wrong length, and a cell that is not a finite number.
+    """
+    values, labels = [], []
     with open(path, newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            reader = csv.reader(fh)
             header = next(reader, [])
-            rows = list(reader)
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+                try:
+                    values.append([float(v) for v in row[:-1]])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                labels.append(row[-1])
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    if not rows:
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not values:
         raise ValueError(f"{path}: no data rows")
-    d = len(header) - n_targets - 1
-    if d < 1:
-        raise ValueError(f"{path}: header has too few columns for {n_targets} targets")
-    values = []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-        try:
-            values.append([float(v) for v in row[:-1]])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     table = np.array(values)
     finite = np.isfinite(table)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
-        raise ValueError(f"{path}:{i + 2}: non-finite value {rows[i][j]!r} in column {header[j]!r}")
-    x, y = table[:, :d], table[:, d:]
-    split = np.array([row[-1] for row in rows], dtype=object)
-    return Dataset(x=x, y=y, split=split)
+        raise ValueError(f"{path}:{i + 2}: non-finite value {str(table[i, j])!r} in column {header[j]!r}")
+    return header, table, labels
+
+
+def write_dataset_csv(path: str | Path, dataset: Dataset, columns: list[str]) -> None:
+    """Write x columns, y columns, then the split column, with a header row."""
+    write_table(path, columns, [dataset.x, dataset.y], dataset.split)
+
+
+def read_dataset_csv(path: str | Path, n_targets: int) -> Dataset:
+    """Inverse of write_dataset_csv given the number of target columns."""
+    header, table, split = read_table(path)
+    d = len(header) - n_targets - 1
+    if d < 1:
+        raise ValueError(f"{path}: header has too few columns for {n_targets} targets")
+    try:
+        return Dataset(x=table[:, :d], y=table[:, d:], split=np.array(split, dtype=object))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

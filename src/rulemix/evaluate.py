@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import PROB_CLAMP
+from .data import read_table, write_table
 from .errors import ConfigError, InfeasibleSelectionError
 from .model import ModelSpec, forward_per_alpha, predict_values  # noqa: F401  (evaluate.predict_values stays importable)
 from .rules import RuleSpec, perturb_batch, verification_ratio
@@ -114,39 +115,24 @@ def alpha_sweep(
     return records
 
 
+SWEEP_COLUMNS = ["alpha", "task_metric", "verification", "split"]
+
+
 def sweep_to_csv(records: list[SweepRecord], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("alpha,task_metric,verification,split\n")
-        for r in records:
-            fh.write(f"{r.alpha:.17g},{r.task_metric:.17g},{r.verification:.17g},{r.split}\n")
+    numbers = np.array([(r.alpha, r.task_metric, r.verification) for r in records], dtype=np.float64)
+    write_table(path, SWEEP_COLUMNS, [numbers.reshape(len(records), 3)], [r.split for r in records])
 
 
 def sweep_from_csv(path) -> list[SweepRecord]:
-    """Records written by ``sweep_to_csv``; a malformed line is named by file and number.
+    """Records written by ``sweep_to_csv``; ``read_table`` names a malformed file, line and column.
 
     Every number must be finite: a NaN metric would otherwise become an
     operating point that no comparison can rank.
     """
-    records = []
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "alpha,task_metric,verification,split":
-                raise ValueError(f"{path}:1: unexpected sweep header {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                try:
-                    alpha, metric, ver, split = line.strip().split(",")
-                    record = SweepRecord(float(alpha), float(metric), float(ver), split)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed sweep row {line.strip()!r}: {exc}") from exc
-                for column in ("alpha", "task_metric", "verification"):
-                    value = getattr(record, column)
-                    if not math.isfinite(value):
-                        raise ValueError(f"{path}:{lineno}: non-finite value {value!r} in column {column!r}")
-                records.append(record)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return records
+    header, numbers, splits = read_table(path)
+    if header != SWEEP_COLUMNS:
+        raise ValueError(f"{path}:1: unexpected sweep header {','.join(header)!r}")
+    return [SweepRecord(*row, split) for row, split in zip(numbers.tolist(), splits)]
 
 
 @dataclass(frozen=True)

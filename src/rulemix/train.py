@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SPLITS, Dataset
+from .data import SPLITS, Dataset, write_table
 from .errors import ConfigError, TrainingAborted
 from .model import ModelSpec, Forward, forward_per_alpha, init_params, predict
 from .optim import AdamState, adam_update
@@ -267,13 +267,9 @@ class TrainReport:
     wall_seconds: float = 0.0
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("epoch,train_task,train_rule,val_metric,alpha_mean\n")
-            for r in self.records:
-                fh.write(
-                    f"{r.epoch},{r.train_task:.17g},{r.train_rule:.17g},"
-                    f"{r.val_metric:.17g},{r.alpha_mean:.17g}\n"
-                )
+        columns = ["epoch", "train_task", "train_rule", "val_metric", "alpha_mean"]
+        rows = [(r.epoch, r.train_task, r.train_rule, r.val_metric, r.alpha_mean) for r in self.records]
+        write_table(path, columns, [np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))])
 
 
 @dataclass

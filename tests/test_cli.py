@@ -125,6 +125,22 @@ class TestGenData:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "data.csv"]
 
 
+    def test_failed_build_creates_no_directory(self, tmp_path, capsys, monkeypatch):
+        from rulemix.config import ExperimentConfig
+        from rulemix.errors import SimulationBlowup
+
+        def failing(self, splits=None):
+            raise SimulationBlowup("state left the finite range")
+
+        monkeypatch.setattr(ExperimentConfig, "build_dataset", failing)
+        cfg = tiny_pendulum_config(tmp_path)
+        capsys.readouterr()
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "new" / "data.csv")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: SimulationBlowup:"), err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
+
 class TestTrainSweepSelect:
     def test_full_pipeline_emits_selection_summary(self, tmp_path, capsys):
         cfg = tiny_pendulum_config(tmp_path)
@@ -291,7 +307,7 @@ class TestErrorsAndUsage:
         assert main(["train", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ConfigError:") and "already holds" in err[0]
-        assert list((tmp_path / "out").iterdir()) == []  # not even resolved.yaml
+        assert not (tmp_path / "out").exists()  # not even resolved.yaml, nor the directory
 
     def test_nan_pendulum_mass_fails_at_load(self, tmp_path, capsys):
         cfg = tiny_pendulum_config(tmp_path, data={"m1": math.nan})
@@ -356,6 +372,22 @@ class TestErrorsAndUsage:
         assert main(["train", "--config", str(path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: ConfigError: {path}: {reason}"), err
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "content,where,problem",
+        [
+            (b"task: [pendulum\n", "line 2, column 1", "expected ',' or ']', but got '<stream end>'"),
+            (b"task: pendulum\nseed: 0\x00\n", "line 2, column 8", "unacceptable character #x0000"),
+        ],
+        ids=["truncated", "nul byte"],
+    )
+    def test_yaml_syntax_error_is_one_line_naming_file_line_and_column(self, tmp_path, capsys, content, where, problem):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(content)
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: ConfigError: {path}: YAML parse error at {where}: {problem}"), err
         assert list(tmp_path.iterdir()) == [path]
 
     def test_sweep_csv_that_is_not_utf8_is_one_line_naming_the_file(self, tmp_path, capsys):
@@ -484,7 +516,7 @@ class TestSweepInputs:
         code = main(["sweep", "--checkpoint", str(ck), "--out", str(tmp_path / "s.csv"), "--data-csv", str(bad)])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ValueError:") and "vall" in err[0]
+        assert len(err) == 1 and err[0].startswith(f"error: ValueError: {bad}: unknown split labels ['vall']"), err
 
     @pytest.mark.parametrize("text,error", [("", "no data rows"), ("x\n", "no data rows"), (None, ":3: expected 9 columns")])
     def test_empty_or_ragged_data_csv_is_one_line_error(self, trained, tmp_path, capsys, text, error):
@@ -831,10 +863,10 @@ class TestSweepOutputs:
     def test_failed_embeddings_write_leaves_no_file(self, ten, tmp_path, capsys, monkeypatch):
         ck, _ = ten
 
-        def failing(path, names, stacked):
+        def failing(path, header, blocks, labels=None):
             raise OSError("no space left on device")
 
-        monkeypatch.setattr("rulemix.cli._write_embeddings", failing)
+        monkeypatch.setattr("rulemix.cli.write_table", failing)  # only the embeddings export calls it
         flags = ["--out", str(tmp_path / "s.csv"), "--embeddings-out", str(tmp_path / "e.csv")]
         capsys.readouterr()
         assert main(["sweep", "--checkpoint", str(ck), *flags]) == 1
@@ -1144,3 +1176,78 @@ def test_hostile_argument_fails_cleanly_and_writes_nothing(
     else:
         assert f"argument {flag}" in err, err
     assert list(tmp_path.iterdir()) == []
+
+
+# the hostile-file walk: each file reader, through the command that reads it, given a valid file spoiled one way
+HOSTILE_FILE_COMMANDS = {
+    "config": ["train", "--config", "{file}", "--out-dir", "out"],
+    "data-csv": ["sweep", "--checkpoint", "{checkpoint}", "--data-csv", "{file}", "--out", "s.csv"],
+    "sweep": ["select", "--sweep", "{file}"],
+    "checkpoint": ["sweep", "--checkpoint", "{file}", "--out", "s.csv"],
+}
+FLIPPED_AT = (0.0, 0.3, 0.6, 0.95)  # fractions of the file's length
+
+
+def flipped(data: bytes, at: int) -> bytes:
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1 :]
+
+
+def first_cell(data: bytes, cell: bytes) -> bytes:
+    """``data`` with the first cell of its first data row replaced by ``cell``."""
+    header, row, rest = data.split(b"\n", 2)
+    return b"\n".join([header, cell + row[row.index(b",") :], rest])
+
+
+def spoilings(reader: str):
+    """(name, spoil) for each way the walk spoils a valid file of ``reader``; ``spoil`` maps its bytes."""
+    yield "empty", lambda data: b""
+    for percent in (10, 50, 90):
+        yield f"truncated at {percent}%", lambda data, percent=percent: data[: len(data) * percent // 100]
+    for at in FLIPPED_AT:
+        yield f"byte at {at:.0%} flipped", lambda data, at=at: flipped(data, int(len(data) * at))
+    yield "leading 0xff", lambda data: b"\xff" + data
+    yield "nul in the middle", lambda data: data[: len(data) // 2] + b"\0" + data[len(data) // 2 :]
+    if reader in ("data-csv", "sweep"):
+        for cell in (b"1" * 200_000, b"nan", b"1e999"):
+            yield f"cell {cell[:8].decode()}", lambda data, cell=cell: first_cell(data, cell)
+    if reader == "config":
+        yield "5,000 nested [", lambda data: b"[" * 5000
+
+
+@pytest.fixture(scope="module")
+def valid_files(trained, tmp_path_factory):
+    """A valid file for each reader of the walk, and the checkpoint that ``--data-csv`` sweeps."""
+    ck, data = trained
+    root = tmp_path_factory.mktemp("valid")
+    assert main(["sweep", "--checkpoint", str(ck), "--out", str(root / "sweep.csv")]) == 0
+    config = tiny_pendulum_config(root, output_dir="out")
+    files = {"config": config, "data-csv": data, "sweep": root / "sweep.csv", "checkpoint": ck}
+    return {reader: path.read_bytes() for reader, path in files.items()}, ck
+
+
+@pytest.mark.parametrize(
+    "reader,spoiling",
+    [(reader, name) for reader in HOSTILE_FILE_COMMANDS for name, _ in spoilings(reader)],
+)
+def test_hostile_file_exits_0_or_names_itself_in_one_line_and_writes_nothing(
+    valid_files, tmp_path, monkeypatch, capsys, reader, spoiling
+):
+    files, checkpoint = valid_files
+    spoil = dict(spoilings(reader))[spoiling]
+    path = tmp_path / "in" / f"hostile.{'yaml' if reader == 'config' else 'npz' if reader == 'checkpoint' else 'csv'}"
+    path.parent.mkdir()
+    path.write_bytes(spoil(files[reader]))
+    monkeypatch.chdir(tmp_path)
+    before = listing(tmp_path)
+    argv = [arg.format(file=path, checkpoint=checkpoint) for arg in HOSTILE_FILE_COMMANDS[reader]]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        lines = err.strip().splitlines()
+        assert code == 1 and len(lines) == 1, lines
+        assert lines[0].startswith("error: ") and str(path) in lines[0], lines
+        assert listing(tmp_path) == before

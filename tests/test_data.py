@@ -1,15 +1,20 @@
-"""Dataset container invariants and the CSV round trip."""
+"""Dataset container invariants, the numeric table format and the CSV round trip."""
 
 import csv
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
 
-from rulemix.data import Dataset, assign_splits, read_dataset_csv, staged_writes, write_dataset_csv
+from rulemix.data import (
+    Dataset, assign_splits, check_paths, read_dataset_csv, read_table, staged_writes, write_dataset_csv, write_table,
+)
+from rulemix.evaluate import SweepRecord, sweep_from_csv, sweep_to_csv
 from rulemix.pendulum import DEFAULT_PARAMS, PENDULUM_CSV_COLUMNS, PendulumParams, build_pendulum_dataset
 from rulemix.tabular import ShiftMixSpec, synth_shifted_classification
+from rulemix.train import EpochRecord, TrainReport
 
 
 def test_unknown_split_label_rejected():
@@ -126,3 +131,92 @@ def test_csv_equals_the_csv_module_rendering_over_many_blocks(tmp_path):
     path = tmp_path / "data.csv"
     write_dataset_csv(path, dataset, columns)
     assert path.read_bytes() == want.getvalue().encode()
+
+
+def awkward_floats(rng, shape):
+    """Floats from 1e-300 to 1e299 in magnitude, with -0.0, the smallest subnormal and the largest float."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    values.flat[:3] = [-0.0, 5e-324, 1.7976931348623157e308]
+    return values
+
+
+def test_sweep_report_and_embeddings_bytes_equal_their_f_string_rendering(tmp_path):
+    # the oracle is each writer's own f-string row loop, as it was before write_table
+    rng = np.random.default_rng(8)
+    numbers = awkward_floats(rng, (1100, 4))
+    records = [SweepRecord(a, m, v, s) for (a, m, v, _), s in zip(numbers.tolist(), assign_splits(1100, (0.5, 0.2, 0.3)))]
+    want = "alpha,task_metric,verification,split\n" + "".join(
+        f"{r.alpha:.17g},{r.task_metric:.17g},{r.verification:.17g},{r.split}\n" for r in records
+    )
+    sweep_to_csv(records, tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_text() == want
+    assert sweep_from_csv(tmp_path / "sweep.csv") == records
+
+    epochs = [EpochRecord(i + 1, t, math.nan if i == 1 else r, v, a) for i, (t, r, v, a) in enumerate(numbers.tolist())]
+    want = "epoch,train_task,train_rule,val_metric,alpha_mean\n" + "".join(
+        f"{r.epoch},{r.train_task:.17g},{r.train_rule:.17g},{r.val_metric:.17g},{r.alpha_mean:.17g}\n" for r in epochs
+    )
+    TrainReport(records=epochs).to_csv(tmp_path / "report.csv")
+    assert (tmp_path / "report.csv").read_text() == want and ",nan," in want
+
+    latents = {"z": numbers[:, :3], "z_rule": numbers[:, 3:], "z_data": awkward_floats(rng, (1100, 2))}
+    names = [f"{key}{j}" for key, mat in latents.items() for j in range(mat.shape[1])]
+    want = ",".join(names) + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in np.concatenate(list(latents.values()), axis=1)
+    )
+    write_table(tmp_path / "latents.csv", names, list(latents.values()))
+    assert (tmp_path / "latents.csv").read_text() == want
+
+
+def test_table_of_no_rows_is_its_header_alone(tmp_path):
+    path = tmp_path / "sweep.csv"
+    sweep_to_csv([], path)
+    assert path.read_text() == "alpha,task_metric,verification,split\n"
+    with pytest.raises(ValueError, match=f"^{path}: no data rows$"):
+        read_table(path)
+
+
+def test_table_writer_rejects_a_header_that_does_not_fit(tmp_path):
+    with pytest.raises(ValueError, match="expected 3 column names, got 2"):
+        write_table(tmp_path / "t.csv", ["a", "b"], [np.zeros((2, 2))], ["train", "val"])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "content,error",
+    [
+        (b"x0,y,split\n" + b"1" * 200_000 + b",1.0,train\n", ":2: field larger than field limit (131072)"),
+        (b"x0,y,split\n1.0,2.0,train\n1.0,2\x00.0,val\n", ":3: could not convert string to float: '2\\x00.0'"),
+        (b"x0,y,split\n1.0,2.0,train\n\xff,2.0,val\n", ": 'utf-8' codec can't decode byte 0xff"),
+        (b"x0,y,split\n1.0,2.0,train\n1.0,1e999,val\n", ":3: non-finite value 'inf' in column 'y'"),
+    ],
+    ids=["field limit", "nul byte", "not utf-8", "overflow"],
+)
+def test_unreadable_table_is_one_value_error_naming_the_file(tmp_path, content, error):
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as info:
+        read_dataset_csv(path, n_targets=1)
+    assert str(info.value).startswith(f"{path}{error}") and "\n" not in str(info.value)
+
+
+def test_unknown_split_label_in_a_csv_names_the_file(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("x0,y,split\n0.5,1.0,train\n0.25,0.0,tset\n")
+    with pytest.raises(ValueError) as info:
+        read_dataset_csv(path, n_targets=1)
+    assert str(info.value).startswith(f"{path}: unknown split labels ['tset']")
+
+
+def test_first_staged_write_creates_the_missing_directory_and_the_check_creates_none(tmp_path):
+    target = tmp_path / "new" / "deeper" / "a.txt"
+    check_paths({}, [("--out", target)])
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(OSError, match="disk full"):
+        with staged_writes():
+            raise OSError("disk full")
+    assert list(tmp_path.iterdir()) == []
+    with staged_writes() as stage:
+        stage(target).write_text("one")
+    assert target.read_text() == "one"
+    assert [p.name for p in target.parent.iterdir()] == ["a.txt"]

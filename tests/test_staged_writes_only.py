@@ -20,7 +20,7 @@ PATH_ARGUMENT = {
     "to_csv": 0,
     "sweep_to_csv": 1,
     "write_dataset_csv": 0,
-    "_write_embeddings": 0,
+    "write_table": 0,
     "savez": 0,
 }
 
@@ -96,21 +96,21 @@ def unstaged_writes(tree: ast.Module) -> list[str]:
 def test_command_module_writes_only_staged_paths():
     tree = ast.parse(CLI.read_text())
     calls = {_name(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
-    assert {"stage", "save_checkpoint", "sweep_to_csv", "write_dataset_csv", "write_text"} <= calls
+    assert {"stage", "save_checkpoint", "sweep_to_csv", "write_dataset_csv", "write_table", "write_text"} <= calls
     found = unstaged_writes(tree)
     assert not found, f"write through staged_writes: stage(path), not the path itself: {found}"
 
 
 def test_guard_flags_each_write_outside_stage():
     module = ast.parse(
-        "def _write_embeddings(path, names, stacked):\n"
+        "def write_table(path, header, blocks):\n"
         "    with open(path, 'w') as fh:\n"
         "        fh.write(names)\n"
         "with staged_writes() as stage:\n"
         "    save_checkpoint(stage(a), result)\n"
         "    sweep_to_csv(records, stage(b))\n"
         "    stage(c).write_text(text)\n"
-        "    _write_embeddings(stage(d), names, stacked)\n"
+        "    write_table(stage(d), names, blocks)\n"
         "    with open(stage(e), 'wb') as fh:\n"
         "        np.savez(fh, x=x)\n"
         "np.savez(other, x=x)\n"
@@ -122,7 +122,7 @@ def test_guard_flags_each_write_outside_stage():
         "open(l, 'a')\n"
         "m.open(mode)\n"
         "report.to_csv(path=n)\n"
-        "_write_embeddings(o, names, stacked)\n"
+        "write_table(o, names, blocks)\n"
     )
     flagged = [int(line.split(":")[0]) for line in unstaged_writes(module)]
     assert flagged == [11, 14, 15, 16, 17, 18, 19, 20]

@@ -15,7 +15,8 @@ elsewhere (e.g. ``git clone`` and ``git checkout <rev>``):
 ``--workload`` and ``--seeds`` may be repeated in step, one seed list per
 workload. The file holds each side's env line, every end-to-end metric of
 every pair, each side's median and quartiles (``statistics.quantiles``,
-inclusive method), how many pairs the change won, and the parameter and
+inclusive method), how many pairs the change won, the median, minimum and
+maximum of the per-pair ratio change / parent, and the parameter and
 sweep-CSV digests of each seed, with a flag saying whether they agree.
 Next to each side's env line it records ``git describe --always --dirty``
 of that checkout, since the env line's ``git_sha`` is the checkout's HEAD
@@ -70,6 +71,18 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def ratios(parent: list[float], change: list[float]) -> dict:
+    """Median, min and max of change / parent over the pairs; None where a parent value is 0.
+
+    A pair shares the machine's state of the moment, so its ratio cancels
+    drift that the medians of the two sides do not.
+    """
+    if 0 in parent:
+        return {"median": None, "min": None, "max": None}
+    per_pair = [b / a for a, b in zip(parent, change)]
+    return {"median": statistics.median(per_pair), "min": min(per_pair), "max": max(per_pair)}
+
+
 def change_wins(better: str, parent: float, change: float) -> bool:
     return change < parent if better == "lower" else change > parent
 
@@ -100,6 +113,7 @@ def bench_workload(
             "parent": summary(per_side["parent"]),
             "change": summary(per_side["change"]),
             "change_wins": sum(change_wins(direction, a, b) for a, b in zip(per_side["parent"], per_side["change"])),
+            "ratio": ratios(per_side["parent"], per_side["change"]),
         }
     digests = []
     for p in pairs:
