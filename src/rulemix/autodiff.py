@@ -7,11 +7,23 @@ including zeros for parameters that do not reach the loss. Only the
 primitives needed for small MLPs and their training losses are provided;
 everything is float64 and the tape is rebuilt for every minibatch.
 
+A dense block (a stack of affine layers, each followed by its activation)
+is one node, :meth:`Tape.dense`. It keeps the block's input and each layer's
+activated output and nothing else: the backward pass reads the ReLU mask
+and the sigmoid derivative from the activated outputs, so the affine
+outputs are never stored. Its values and gradients equal those of the
+per-layer chain of ``affine``, ``relu`` and ``sigmoid`` nodes bit for bit.
+
 A tape built with ``reuse=previous`` writes each matrix a primitive computes
-into the array that the same node of ``previous`` allocated, when the shapes
-match. Inference passes that rebuild the same graph many times (one per rule
-strength) then run in a handful of buffers instead of fresh arrays, and the
-previous tape's values are overwritten.
+into the array that the same node of ``previous`` allocated (the same layer
+of the same node, for a dense block), when the shapes match. Inference
+passes that rebuild the same graph many times (one per rule strength) then
+run in a handful of buffers instead of fresh arrays, and the previous tape's
+values are overwritten.
+
+No gradient is computed towards a constant (a leaf that is not a
+parameter): a backward closure returns None for it, and ``backprop``
+skips it.
 
 Conventions:
     * data flows as (rows=samples, cols=features) matrices,
@@ -21,8 +33,9 @@ Conventions:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -43,12 +56,35 @@ def as_matrix(value, name: str = "tensor") -> np.ndarray:
     return arr
 
 
+def _check_affine(label: str, xv: np.ndarray, wv: np.ndarray, bv: np.ndarray) -> None:
+    if xv.shape[1] != wv.shape[0]:
+        raise ShapeError(f"{label}: input has {xv.shape[1]} columns, weight expects {wv.shape[0]}")
+    if bv.shape != (1, wv.shape[1]):
+        raise ShapeError(f"{label}: bias shape {bv.shape} != (1, {wv.shape[1]})")
+
+
+def _relu(xv: np.ndarray, out: np.ndarray) -> None:
+    # equals np.where(xv > 0, xv, 0.0) for every input, NaN and -0.0 included:
+    # fmax drops NaN for 0, and adding +0.0 turns -0.0 into +0.0
+    np.fmax(xv, 0.0, out=out)
+    out += 0.0
+
+
+def _sigmoid(xv: np.ndarray, out: np.ndarray) -> None:
+    """Logistic function of ``xv`` into ``out``, which may be ``xv`` itself."""
+    pos = xv >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-xv[pos]))
+    e = np.exp(xv[~pos])
+    out[~pos] = e / (1.0 + e)
+
+
 @dataclass
 class Node:
     value: np.ndarray
     parents: tuple[int, ...]
-    # maps the gradient at this node to gradients for each parent; None for leaves
-    backward: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None
+    # maps the gradient at this node to gradients for each parent (None where
+    # no gradient is needed); None for leaves
+    backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None
 
 
 class Tape:
@@ -63,8 +99,9 @@ class Tape:
     def __init__(self, reuse: Tape | None = None) -> None:
         self.nodes: list[Node] = []
         self._params: dict[str, int] = {}
-        # node index -> output array a primitive of this tape allocated
-        self._buffers: dict[int, np.ndarray] = {}
+        # node index, or (node index, layer) in a dense block -> output
+        # array a primitive of this tape allocated
+        self._buffers: dict[Hashable, np.ndarray] = {}
         self._spare = reuse._buffers if reuse is not None else {}
 
     def __len__(self) -> int:
@@ -83,18 +120,23 @@ class Tape:
         self.nodes.append(node)
         return len(self.nodes) - 1
 
-    def _buffer(self, shape: tuple[int, int]) -> np.ndarray:
-        """Output array for the node about to be appended.
+    def _buffer(self, shape: tuple[int, int], key: Hashable = None) -> np.ndarray:
+        """Output array for the node about to be appended, or for ``key``.
 
-        The reused tape's array for the same node index if the shape
-        matches, else a fresh one. The contents are undefined.
+        The reused tape's array for the same key (by default the node
+        index) if the shape matches, else a fresh one. The contents are
+        undefined.
         """
-        nid = len(self.nodes)
-        buf = self._spare.get(nid)
+        key = len(self.nodes) if key is None else key
+        buf = self._spare.get(key)
         if buf is None or buf.shape != shape:
             buf = np.empty(shape)
-        self._buffers[nid] = buf
+        self._buffers[key] = buf
         return buf
+
+    def _wants_grad(self, nid: int) -> bool:
+        """False for a constant: a leaf that is not a parameter."""
+        return self.nodes[nid].backward is not None or nid in self._params.values()
 
     # ------------------------------------------------------------------
     # leaves
@@ -127,12 +169,7 @@ class Tape:
 
     def affine(self, x: int, w: int, b: int, label: str = "affine") -> int:
         xv, wv, bv = self.value(x), self.value(w), self.value(b)
-        if xv.shape[1] != wv.shape[0]:
-            raise ShapeError(
-                f"{label}: input has {xv.shape[1]} columns, weight expects {wv.shape[0]}"
-            )
-        if bv.shape != (1, wv.shape[1]):
-            raise ShapeError(f"{label}: bias shape {bv.shape} != (1, {wv.shape[1]})")
+        _check_affine(label, xv, wv, bv)
         out = np.matmul(xv, wv, out=self._buffer((xv.shape[0], wv.shape[1])))
         np.add(out, bv, out=out)
 
@@ -143,10 +180,8 @@ class Tape:
 
     def relu(self, x: int) -> int:
         xv = self.value(x)
-        # equals np.where(xv > 0, xv, 0.0) for every input, NaN and -0.0 included:
-        # fmax drops NaN for 0, and adding +0.0 turns -0.0 into +0.0
-        out = np.fmax(xv, 0.0, out=self._buffer(xv.shape))
-        out += 0.0
+        out = self._buffer(xv.shape)
+        _relu(xv, out)
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
             return (g * (xv > 0.0),)  # ReLU'(0) = 0
@@ -156,15 +191,60 @@ class Tape:
     def sigmoid(self, x: int) -> int:
         xv = self.value(x)
         out = self._buffer(xv.shape)
-        pos = xv >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-xv[pos]))
-        e = np.exp(xv[~pos])
-        out[~pos] = e / (1.0 + e)
+        _sigmoid(xv, out)
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
             return (g * out * (1.0 - out),)
 
         return self._append(Node(out, (x,), bwd))
+
+    def dense(self, x: int, layers: Sequence[tuple[int, int, str]], label: str = "dense") -> int:
+        """A stack of dense layers as one node.
+
+        ``layers`` holds ``(weight node, bias node, activation)`` per layer,
+        the activation one of linear, relu, sigmoid. Values and gradients
+        equal those of ``affine`` (labelled ``{label}.{i}``) followed by the
+        activation, layer by layer. Only the input and each layer's
+        activated output are kept; no gradient is computed towards a
+        constant input.
+        """
+        if not layers:
+            raise ValueError(f"{label}: a dense block needs at least one layer")
+        nid = len(self.nodes)
+        xv = h = self.value(x)
+        weights, outs, parents = [], [], [x]
+        for i, (w, b, act) in enumerate(layers):
+            wv, bv = self.value(w), self.value(b)
+            _check_affine(f"{label}.{i}", h, wv, bv)
+            if act not in ("linear", "relu", "sigmoid"):
+                raise ValueError(f"unknown activation {act!r}")
+            h = np.matmul(h, wv, out=self._buffer((h.shape[0], wv.shape[1]), (nid, i)))
+            np.add(h, bv, out=h)
+            if act == "relu":
+                _relu(h, h)
+            elif act == "sigmoid":
+                _sigmoid(h, h)
+            weights.append((wv, act))
+            outs.append(h)
+            parents += [w, b]
+        wants_input = self._wants_grad(x)
+
+        def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
+            grads = []
+            for i in range(len(outs) - 1, -1, -1):
+                wv, act = weights[i]
+                out = outs[i]
+                if act == "relu":
+                    g = g * (out > 0.0)  # ReLU'(0) = 0; the same mask as the affine output's
+                elif act == "sigmoid":
+                    g = g * out * (1.0 - out)
+                h = outs[i - 1] if i else xv
+                grads += [g.sum(axis=0, keepdims=True), h.T @ g]
+                g = g @ wv.T if i or wants_input else None
+            grads.append(g)
+            return tuple(reversed(grads))
+
+        return self._append(Node(outs[-1], tuple(parents), bwd))
 
     def concat(self, a: int, b: int) -> int:
         # a product with 1.0 is exact, so values and gradients are those of a plain concatenation
@@ -280,10 +360,11 @@ class Tape:
         diff = pv - tv
         out = np.array([[float(np.mean(diff * diff))]])
         inv = 2.0 / diff.size
+        wants_target = self._wants_grad(target)
 
-        def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
             d = g[0, 0] * inv * diff
-            return d, -d
+            return d, -d if wants_target else None
 
         return self._append(Node(out, (pred, target), bwd))
 
@@ -299,10 +380,11 @@ class Tape:
         p = np.clip(pv, PROB_CLAMP, 1.0 - PROB_CLAMP)
         inside = (pv > PROB_CLAMP) & (pv < 1.0 - PROB_CLAMP)
         out = np.array([[float(np.mean(-(tv * np.log(p) + (1.0 - tv) * np.log1p(-p))))]])
+        wants_target = self._wants_grad(target)
 
-        def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
             dp = g[0, 0] * inside * (p - tv) / (p * (1.0 - p)) / pv.size
-            dt = g[0, 0] * (np.log1p(-p) - np.log(p)) / pv.size
+            dt = g[0, 0] * (np.log1p(-p) - np.log(p)) / pv.size if wants_target else None
             return dp, dt
 
         return self._append(Node(out, (pred, target), bwd))
@@ -331,6 +413,8 @@ class Tape:
             # never accumulate in place: a backward closure may hand the
             # same array to two parents, or a view of its incoming gradient
             for pid, pg in zip(node.parents, node.backward(g)):
+                if pg is None:  # a constant parent: nothing reads its gradient
+                    continue
                 prev = grads[pid]
                 grads[pid] = pg if prev is None else prev + pg
         out: dict[str, np.ndarray] = {}

@@ -5,7 +5,8 @@ of the resolved experiment config, the model layout, the loss-scale pair,
 the seed, the best epoch, every parameter tensor and, optionally, a JSON
 map from each split to the sha256 of the rows the model was trained beside
 (``Dataset.sha256``; files written before the field existed have none).
-The version is checked before anything else is touched; unreadable or
+A file that does not start with a zip header is refused unread, and the
+version is checked before anything else is touched; unreadable or
 truncated files, parameters that do not match the model layout or are not
 finite, and a malformed digest map raise without producing a partial
 model. Writes are atomic: the archive goes to a temporary file in the
@@ -29,6 +30,7 @@ from .model import ModelSpec, check_params
 from .train import FitResult, LossScale
 
 FORMAT_VERSION = 1
+ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")  # a zip's first entry, or the end record of an empty one
 
 
 @dataclass
@@ -85,10 +87,23 @@ def _data_sha256(path: Path, archive) -> dict[str, str] | None:
     return digests
 
 
+def _zip_archive(path: Path, fh):
+    """``fh`` rewound, if it starts as a zip archive does or is empty.
+
+    ``np.load`` unpickles, or advises unpickling, a file whose magic it
+    does not know, so anything else is refused before it is read.
+    """
+    magic = fh.read(4)
+    if magic and magic not in ZIP_MAGIC:  # an empty file is left to np.load, which reports it truncated
+        raise CheckpointError(f"{path}: not a checkpoint (no zip archive header)")
+    fh.seek(0)
+    return fh
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        with open(path, "rb") as fh, np.load(_zip_archive(path, fh), allow_pickle=False) as archive:
             if "version" not in archive:
                 raise CheckpointError(f"{path}: missing version field")
             version = int(archive["version"])

@@ -188,19 +188,12 @@ def mlp_forward(
     block: str,
     x: int,
 ) -> int:
-    """Run one block on the tape; raises ShapeError naming the failing layer."""
-    node = x
+    """Run one block on the tape as one node; raises ShapeError naming the failing layer."""
+    dense = []
     for i, layer in enumerate(layers):
-        w = tape.param(f"{block}.{i}.w", params[f"{block}.{i}.w"])
-        b = tape.param(f"{block}.{i}.b", params[f"{block}.{i}.b"])
-        node = tape.affine(node, w, b, label=f"{block}.{i}")
-        if layer.activation == "relu":
-            node = tape.relu(node)
-        elif layer.activation == "sigmoid":
-            node = tape.sigmoid(node)
-        elif layer.activation != "linear":
-            raise ValueError(f"unknown activation {layer.activation!r}")
-    return node
+        w, b = f"{block}.{i}.w", f"{block}.{i}.b"
+        dense.append((tape.param(w, params[w]), tape.param(b, params[b]), layer.activation))
+    return tape.dense(x, dense, block)
 
 
 def couple(tape: Tape, z_rule: int, z_data: int, alpha: float, mode: str) -> int:

@@ -361,3 +361,208 @@ class TestGradCheckHarness:
     def test_rejects_non_positive_h(self):
         with pytest.raises(ValueError):
             grad_check_fd(lambda p: (0.0, {}), {}, h=0.0)
+
+
+def chain(tape, x, layers, label):
+    """The per-layer oracle of ``Tape.dense``: ``affine`` then the activation node."""
+    for i, (w, b, act) in enumerate(layers):
+        x = tape.affine(x, w, b, label=f"{label}.{i}")
+        if act == "relu":
+            x = tape.relu(x)
+        elif act == "sigmoid":
+            x = tape.sigmoid(x)
+    return x
+
+
+STACKS = [
+    ("linear",),
+    ("linear", "linear"),
+    ("relu", "relu", "linear"),
+    ("relu", "sigmoid"),
+    ("sigmoid", "relu", "sigmoid"),
+]
+
+
+class TestDenseBlock:
+    """One ``dense`` node equals the ``affine`` -> activation chain bit for bit."""
+
+    # NaN, -0.0 and +-40 in the input; through an identity first layer a NaN fills its row,
+    # and +-40 reach the activation as they are
+    SPECIAL = np.array(
+        [[np.nan, 0.3, -0.2], [-0.0, 40.0, -40.0], [0.0, -0.7, 1.1], [2.5, -0.0, 0.0]]
+    )
+
+    @staticmethod
+    def params_for(acts, fan_in, rng, identity_first=False):
+        widths = [fan_in] + [int(rng.integers(2, 6)) for _ in acts]
+        if identity_first:
+            widths[1] = fan_in
+        params = {}
+        for i, act in enumerate(acts):
+            params[f"blk.{i}.w"] = rng.uniform(-1, 1, (widths[i], widths[i + 1]))
+            params[f"blk.{i}.b"] = rng.uniform(-1, 1, (1, widths[i + 1]))
+        if identity_first:
+            params["blk.0.w"], params["blk.0.b"] = np.eye(fan_in), np.zeros((1, fan_in))
+        return params
+
+    @staticmethod
+    def run(fused, acts, params, inputs, input_is_param, target_seed=0):
+        """Each input through the block on one tape, then an mse of the sum; (values, loss, grads)."""
+        tape = Tape()
+        outs = []
+        for k, xv in enumerate(inputs):
+            x = tape.param(f"x{k}", xv) if input_is_param else tape.leaf(xv)
+            layers = [
+                (tape.param(f"blk.{i}.w", params[f"blk.{i}.w"]), tape.param(f"blk.{i}.b", params[f"blk.{i}.b"]), act)
+                for i, act in enumerate(acts)
+            ]
+            outs.append(tape.dense(x, layers, "blk") if fused else chain(tape, x, layers, "blk"))
+        total = outs[0]
+        for out in outs[1:]:
+            total = tape.add(total, out)
+        target = RNG(target_seed).uniform(-1, 1, tape.value(total).shape)
+        loss = tape.mse(total, tape.constant(target))
+        return [tape.value(o).tobytes() for o in outs], tape.value(loss).tobytes(), tape.backprop(loss)
+
+    def assert_same(self, acts, params, inputs, input_is_param):
+        (v0, l0, g0), (v1, l1, g1) = (self.run(f, acts, params, inputs, input_is_param) for f in (False, True))
+        assert v0 == v1 and l0 == l1
+        assert g0.keys() == g1.keys()
+        for name in g0:
+            assert g0[name].tobytes() == g1[name].tobytes(), name
+
+    @pytest.mark.parametrize("acts", STACKS)
+    @pytest.mark.parametrize("input_is_param", [False, True])
+    def test_values_and_gradients_equal_the_chain(self, acts, input_is_param):
+        rng = RNG(40)
+        params = self.params_for(acts, 3, rng)
+        self.assert_same(acts, params, [rng.uniform(-2, 2, (7, 3))], input_is_param)
+
+    @pytest.mark.parametrize("acts", STACKS)
+    @pytest.mark.parametrize("input_is_param", [False, True])
+    def test_nan_negative_zero_and_saturated_inputs(self, acts, input_is_param):
+        params = self.params_for(acts, 3, RNG(41), identity_first=True)
+        self.assert_same(acts, params, [self.SPECIAL], input_is_param)
+
+    def test_sigmoid_sees_nan_and_saturated_values(self):
+        tape = Tape()
+        x = tape.leaf(self.SPECIAL)
+        layer = [(tape.param("w", np.eye(3)), tape.param("b", np.zeros((1, 3))), "sigmoid")]
+        fused = tape.value(tape.dense(x, layer))
+        assert fused.tobytes() == tape.value(chain(tape, x, layer, "dense")).tobytes()
+        assert np.isnan(fused[0]).all() and fused[1, 0] == 0.5 and fused[1, 1] == 1.0 and 0.0 < fused[1, 2] < 1e-17
+
+    @pytest.mark.parametrize("acts", STACKS)
+    def test_block_shared_by_passes_accumulates_as_the_chain(self, acts):
+        # an input and two perturbed copies through one parameter set
+        rng = RNG(42)
+        params = self.params_for(acts, 4, rng)
+        x = rng.uniform(-1, 1, (6, 4))
+        inputs = [x, x + rng.normal(0, 0.1, x.shape), x + rng.normal(0, 0.1, x.shape)]
+        self.assert_same(acts, params, inputs, input_is_param=False)
+        self.assert_same(acts, params, inputs, input_is_param=True)
+
+    def test_block_feeding_two_blocks_accumulates_as_the_chain(self):
+        # the shared block's output reaches the loss through the rule and the data blocks
+        rng = RNG(43)
+        params = {"x": rng.uniform(-1, 1, (6, 3))}
+        for blk, (fan_in, fan_out) in {"s": (3, 5), "r": (5, 4), "d": (5, 4)}.items():
+            params[f"{blk}.w"] = rng.uniform(-1, 1, (fan_in, fan_out))
+            params[f"{blk}.b"] = rng.uniform(-1, 1, (1, fan_out))
+        results = []
+        for fused in (False, True):
+            tape = Tape()
+
+            def block(x, blk):
+                layers = [(tape.param(f"{blk}.w", params[f"{blk}.w"]), tape.param(f"{blk}.b", params[f"{blk}.b"]), "relu")]
+                return tape.dense(x, layers, blk) if fused else chain(tape, x, layers, blk)
+
+            h = block(tape.param("x", params["x"]), "s")
+            z = tape.scaled_concat(block(h, "r"), 0.3, block(h, "d"), 0.7)
+            loss = tape.mse(z, tape.constant(np.ones((6, 8))))
+            results.append((tape.value(loss).tobytes(), tape.backprop(loss)))
+        (l0, g0), (l1, g1) = results
+        assert l0 == l1 and g0.keys() == g1.keys() == params.keys()
+        for name in g0:
+            assert g0[name].tobytes() == g1[name].tobytes(), name
+
+    def test_reused_tape_writes_into_the_previous_arrays_and_never_into_leaves(self):
+        rng = RNG(44)
+        acts = ("relu", "sigmoid", "linear")
+        params = self.params_for(acts, 3, rng)
+        x = rng.uniform(-1, 1, (5, 3))
+        leaves = [x, *params.values()]
+        before = [v.copy() for v in leaves]
+
+        def build(tape):
+            layers = [(tape.param(f"blk.{i}.w", params[f"blk.{i}.w"]), tape.param(f"blk.{i}.b", params[f"blk.{i}.b"]), act)
+                      for i, act in enumerate(acts)]
+            return tape.dense(tape.leaf(x), layers, "blk")
+
+        first = Tape()
+        nid = build(first)
+        want = first.value(nid).copy()
+        kept = {key: buf for key, buf in first._buffers.items()}
+        assert sorted(kept) == [(nid, 0), (nid, 1), (nid, 2)]
+        for buf in kept.values():
+            buf[...] = np.nan  # the reused tape must overwrite every entry
+        second = Tape(reuse=first)
+        assert build(second) == nid
+        assert second._buffers.keys() == kept.keys()
+        for key, buf in second._buffers.items():
+            assert buf is kept[key], key
+            assert not any(np.shares_memory(buf, v) for v in leaves), key
+        assert second.value(nid) is kept[(nid, 2)]
+        assert second.value(nid).tobytes() == want.tobytes()
+        for value, old in zip(leaves, before):
+            assert value.tobytes() == old.tobytes()
+
+    def test_width_mismatch_names_the_layer(self):
+        tape = Tape()
+        x = tape.leaf(np.ones((2, 3)))
+        w0, b0 = tape.param("w0", np.ones((3, 4))), tape.param("b0", np.ones((1, 4)))
+        w1, b1 = tape.param("w1", np.ones((5, 2))), tape.param("b1", np.ones((1, 2)))
+        with pytest.raises(ShapeError, match=r"^enc\.1: input has 4 columns, weight expects 5$"):
+            tape.dense(x, [(w0, b0, "relu"), (w1, b1, "linear")], "enc")
+        with pytest.raises(ShapeError, match=r"^enc\.0: bias shape \(1, 2\) != \(1, 4\)"):
+            tape.dense(x, [(w0, b1, "relu")], "enc")
+
+    def test_unknown_activation_and_empty_block_rejected(self):
+        tape = Tape()
+        x = tape.leaf(np.ones((2, 3)))
+        w, b = tape.param("w", np.ones((3, 4))), tape.param("b", np.ones((1, 4)))
+        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+            tape.dense(x, [(w, b, "tanh")], "enc")
+        with pytest.raises(ValueError, match="at least one layer"):
+            tape.dense(x, [], "enc")
+
+
+class TestNoGradientTowardsConstants:
+    """A leaf that is not a parameter gets no gradient computed; parameters and inner nodes do."""
+
+    @pytest.mark.parametrize("loss", ["mse", "bce"])
+    def test_loss_target(self, loss):
+        tape = Tape()
+        pred = tape.param("p", np.array([[0.2], [0.7]]))
+        for target, wanted in ((tape.constant(np.array([[0.0], [1.0]])), False),
+                               (tape.param("t", np.array([[0.0], [1.0]])), True),
+                               (tape.scale(tape.param("u", np.array([[0.0], [1.0]])), 1.0), True)):
+            dp, dt = tape.nodes[getattr(tape, loss)(pred, target)].backward(np.ones((1, 1)))
+            assert dp is not None and (dt is not None) == wanted
+
+    def test_dense_input(self):
+        tape = Tape()
+        w, b = tape.param("w", np.ones((3, 2))), tape.param("b", np.zeros((1, 2)))
+        for x, wanted in ((tape.leaf(np.ones((4, 3))), False),
+                          (tape.param("x", np.ones((4, 3))), True),
+                          (tape.scale(tape.leaf(np.ones((4, 3))), 2.0), True)):
+            node = tape.dense(x, [(w, b, "relu")], "blk")
+            gx, gw, gb = tape.nodes[node].backward(np.ones((4, 2)))
+            assert (gx is not None) == wanted and gw.shape == (3, 2) and gb.shape == (1, 2)
+
+    def test_backprop_skips_the_missing_gradients(self):
+        tape = Tape()
+        x = tape.leaf(np.ones((4, 3)))
+        node = tape.dense(x, [(tape.param("w", np.ones((3, 1))), tape.param("b", np.zeros((1, 1))), "sigmoid")], "blk")
+        grads = tape.backprop(tape.bce(node, tape.constant(np.ones((4, 1)))))
+        assert grads.keys() == {"w", "b"} and np.isfinite(grads["w"]).all()

@@ -208,6 +208,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="corrupt or unreadable"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name", ["bad.npz", "array.npy"])
+    def test_file_without_a_zip_header_is_refused_unread(self, tmp_path, name, monkeypatch):
+        # np.load would unpickle, or advise unpickling, a file whose magic it does not know
+        path = tmp_path / name
+        if name.endswith(".npy"):
+            np.save(path, np.arange(3.0))
+        else:
+            path.write_bytes(b"\xff\x93NUMPY")
+        monkeypatch.setattr(np, "load", lambda *a, **k: pytest.fail("np.load reached"))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: not a checkpoint \\(no zip archive header\\)$"):
+            load_checkpoint(path)
+
     def test_empty_file_is_checkpoint_error_naming_it(self, tmp_path):
         path = tmp_path / "model.npz"
         path.write_bytes(b"")

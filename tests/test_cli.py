@@ -617,6 +617,16 @@ class TestSweepInputs:
         assert defect.split()[-1] in err[0]
         assert not out.exists()
 
+    def test_checkpoint_without_a_zip_header_draws_no_advice_to_unpickle_it(self, tmp_path, capsys):
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(b"\xff\x93NUMPY")
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert main(["sweep", "--checkpoint", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: CheckpointError: {bad}: not a checkpoint (no zip archive header)"]
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trained_ten(tmp_path_factory):

@@ -1,6 +1,8 @@
 """Strength sampling, loss scaling, step semantics, and the fit loop."""
 
+import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,9 +11,10 @@ import pytest
 import rulemix.train
 import rulemix.model
 from helpers import ReferenceAdamState, full_pass_task_losses, reference_adam_update, tiny_model
+from rulemix.config import config_from_dict
 from rulemix.data import Dataset, assign_splits
 from rulemix.errors import ConfigError
-from rulemix.model import ModelSpec
+from rulemix.model import ModelSpec, init_params
 from rulemix.optim import AdamState
 from rulemix.pendulum import DEFAULT_PARAMS
 from rulemix.rules import EnergyDampingRule, MonotonicRule, ThresholdRule
@@ -406,3 +409,60 @@ class TestFit:
             TrainConfig(beta=-1.0)
         with pytest.raises(ConfigError):
             TrainConfig(patience=10, max_epochs=10)
+
+
+def params_sha256(params: dict[str, np.ndarray]) -> str:
+    """The benchmark's parameter digest: each name, then its float64 bytes, in name order."""
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(params[name], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# small 2-epoch fits, one per task; the digests were recorded before dense
+# blocks became one tape node, and any change to the training arithmetic moves them
+PINNED_FITS = {
+    "pendulum": (  # energy rule, shared block fed by the input
+        {"data": {"n_pairs": 400, "n_trajectories": 4, "friction": 2.0},
+         "model": {"shared_units": [8], "encoder_units": [8, 8], "decision_units": [8]}},
+        "193010140b28395395e416a229c03c6164646e1c032a9762653e081dca979ff3",
+    ),
+    "monotone-regression": (  # monotonic rule: the input and its perturbed copy share the parameters
+        {"data": {"n": 300}, "model": {"encoder_units": [8, 4], "decision_units": [8]}},
+        "31660bd97dede89ff73b1db097efdfbab3e690469f8d74d01e100289d9085e67",
+    ),
+    "shifted-classification": (  # monotonic rule, a sigmoid output and BCE
+        {"data": {"n_usual": 150, "n_unusual": 150}, "model": {"encoder_units": [10, 4]}},
+        "69abf45541983a845ec251f0e4f64ade481c0e34884549d482f6835dc6330a60",
+    ),
+}
+
+
+@pytest.mark.parametrize("task", sorted(PINNED_FITS))
+def test_trained_parameters_are_bit_identical_to_the_pinned_digest(task):
+    overrides, digest = PINNED_FITS[task]
+    cfg = config_from_dict({"task": task, **overrides, "train": {"max_epochs": 2, "patience": 1}})
+    result = fit(cfg.model_spec(), cfg.train_config(), cfg.build_dataset(), cfg.rule())
+    assert result.report.final_epoch == 2
+    assert params_sha256(result.params) == digest
+
+
+def test_loss_scale_pass_keeps_one_matrix_per_layer():
+    # the rescale pass records the train split and its perturbed copy; each dense
+    # layer keeps its activated output only, not its affine output beside it
+    cfg = config_from_dict({"task": "shifted-classification", "data": {"n_usual": 300, "n_unusual": 300}})
+    spec = cfg.model_spec()
+    x, y = cfg.build_dataset().subset("train")
+    params = init_params(spec, np.random.default_rng(0))
+    one_per_layer = 2 * x.shape[0] * sum(layer.fan_out for block in spec.blocks().values() for layer in block) * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        compute_loss_scale(spec, params, x, y, cfg.rule(), np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 1.19x at this size with one node per block, 2.05x with an affine and an activation node per layer
+    assert peak < 1.5 * one_per_layer, (peak, one_per_layer)
