@@ -270,9 +270,10 @@ class Tape:
         out = self._buffer((av.shape[0], na + bv.shape[1]))
         np.multiply(av, ca, out=out[:, :na])
         np.multiply(bv, cb, out=out[:, na:])
+        wants_a, wants_b = self._wants_grad(a), self._wants_grad(b)
 
-        def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
-            return g[:, :na] * ca, g[:, na:] * cb
+        def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
+            return g[:, :na] * ca if wants_a else None, g[:, na:] * cb if wants_b else None
 
         return self._append(Node(out, (a, b), bwd))
 
@@ -282,9 +283,10 @@ class Tape:
             raise ShapeError(f"add: shape mismatch {av.shape} vs {bv.shape}")
 
         out = np.add(av, bv, out=self._buffer(av.shape))
+        wants_a, wants_b = self._wants_grad(a), self._wants_grad(b)
 
-        def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
-            return g, g
+        def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
+            return g if wants_a else None, g if wants_b else None
 
         return self._append(Node(out, (a, b), bwd))
 
@@ -311,17 +313,22 @@ class Tape:
         """Row-wise scalar function with a supplied analytic jacobian.
 
         ``fn`` maps (n, d) -> (n,) and ``jac`` maps (n, d) -> (n, d); used to
-        put physics quantities (e.g. state energy) on the tape.
+        put physics quantities (e.g. state energy) on the tape. The jacobian
+        is evaluated, and its shape checked, in the backward pass, so a tape
+        that is never backpropagated never computes it. It reads the
+        parent's value as it stands when ``backprop`` runs, which is the
+        forward pass's value as long as no tape built with ``reuse=`` on
+        this one has written into it; no training tape is reused.
         """
         xv = self.value(x)
         out = np.asarray(fn(xv), dtype=np.float64).reshape(-1, 1)
         if out.shape[0] != xv.shape[0]:
             raise ShapeError("rowmap: fn must return one value per row")
-        jv = np.asarray(jac(xv), dtype=np.float64)
-        if jv.shape != xv.shape:
-            raise ShapeError(f"rowmap: jacobian shape {jv.shape} != {xv.shape}")
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
+            jv = np.asarray(jac(xv), dtype=np.float64)
+            if jv.shape != xv.shape:
+                raise ShapeError(f"rowmap: jacobian shape {jv.shape} != {xv.shape}")
             return (g * jv,)
 
         return self._append(Node(out, (x,), bwd))
@@ -346,10 +353,11 @@ class Tape:
         diff = av - bv
         active = (diff > 0.0) & (w != 0.0)
         out = np.array([[float(np.sum(w * np.maximum(diff, 0.0))) / n]])
+        wants_a, wants_b = self._wants_grad(a), self._wants_grad(b)
 
-        def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
             d = g[0, 0] * w * active / n
-            return d, -d
+            return d if wants_a else None, -d if wants_b else None
 
         return self._append(Node(out, (a, b), bwd))
 

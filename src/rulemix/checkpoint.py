@@ -7,7 +7,9 @@ map from each split to the sha256 of the rows the model was trained beside
 (``Dataset.sha256``; files written before the field existed have none).
 A file that does not start with a zip header is refused unread, and the
 version is checked before anything else is touched; unreadable or
-truncated files, parameters that do not match the model layout or are not
+truncated files, a field of the wrong dtype or rank (each field but the
+parameters is one integer, float or text value), a model layout that is
+not a JSON object, parameters that do not match the model layout or are not
 finite, and a malformed digest map raise without producing a partial
 model. Writes are atomic: the archive goes to a temporary file in the
 target directory and is then renamed onto the path.
@@ -31,6 +33,13 @@ from .train import FitResult, LossScale
 
 FORMAT_VERSION = 1
 ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")  # a zip's first entry, or the end record of an empty one
+# every field but the parameters is one value: its kind, and the numpy dtype kinds that hold it
+FIELD_KINDS = {
+    "version": "integer", "seed": "integer", "epoch": "integer",
+    "scale_rule0": "float", "scale_task0": "float",
+    "model_json": "text", "config_json": "text", "data_sha256_json": "text",
+}
+DTYPE_KINDS = {"integer": "iu", "float": "f", "text": "U"}
 
 
 @dataclass
@@ -74,10 +83,19 @@ def save_checkpoint(
         np.savez(fh, **arrays)
 
 
+def _field(archive, name: str):
+    """The 0-d field ``name`` as a Python value; ValueError unless its dtype holds the field's kind."""
+    value = archive[name]
+    kind = FIELD_KINDS[name]
+    if value.ndim != 0 or value.dtype.kind not in DTYPE_KINDS[kind]:
+        raise ValueError(f"field {name} must hold one {kind}, got {value.dtype} of shape {value.shape}")
+    return value.item()
+
+
 def _data_sha256(path: Path, archive) -> dict[str, str] | None:
     if "data_sha256_json" not in archive.files:
         return None
-    digests = json.loads(str(archive["data_sha256_json"][()]))
+    digests = json.loads(_field(archive, "data_sha256_json"))
     if not (
         isinstance(digests, dict)
         and sorted(digests) == sorted(SPLITS)
@@ -106,15 +124,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         with open(path, "rb") as fh, np.load(_zip_archive(path, fh), allow_pickle=False) as archive:
             if "version" not in archive:
                 raise CheckpointError(f"{path}: missing version field")
-            version = int(archive["version"])
+            version = _field(archive, "version")
             if version != FORMAT_VERSION:
                 raise UnsupportedVersionError(
                     f"{path}: format version {version} unsupported (this build reads {FORMAT_VERSION})"
                 )
-            spec = build_from(ModelSpec, json.loads(str(archive["model_json"][()])))
-            config = json.loads(str(archive["config_json"][()]))
-            rule0 = float(archive["scale_rule0"])
-            task0 = float(archive["scale_task0"])
+            layout = json.loads(_field(archive, "model_json"))
+            if not isinstance(layout, dict):
+                raise ValueError(f"field model_json must hold a JSON object, got {type(layout).__name__}")
+            spec = build_from(ModelSpec, layout)
+            config = json.loads(_field(archive, "config_json"))  # checked where it is read, as a config
+            rule0 = _field(archive, "scale_rule0")
+            task0 = _field(archive, "scale_task0")
             scale = None if np.isnan(task0) else LossScale(rule0=rule0, task0=task0)
             params = {
                 key[len("param:") :]: np.array(archive[key])
@@ -130,8 +151,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 params=params,
                 config=config,
                 scale=scale,
-                seed=int(archive["seed"]),
-                epoch=int(archive["epoch"]),
+                seed=_field(archive, "seed"),
+                epoch=_field(archive, "epoch"),
                 data_sha256=_data_sha256(path, archive),
             )
     except (

@@ -111,7 +111,10 @@ def cmd_sweep(args) -> int:
     if args.data_csv and isinstance(data, dict):
         # the given CSV replaces the one the checkpoint was trained from, which may have moved
         raw = {**raw, "data": {**data, "csv": args.data_csv}}
-    cfg = config_from_dict(raw)
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} (in the config stored in {args.checkpoint})") from exc
     s = cfg.sweep
     start, stop = EXTENDED_ALPHA_RANGE if args.extended else (s.start, s.stop)
     grid = alpha_grid(

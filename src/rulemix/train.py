@@ -12,6 +12,13 @@ through the identical parameters and the rule loss compares the paired
 outputs. Baselines: ``task_only`` (alpha pinned to 0, task loss only),
 ``rule_only`` (alpha pinned to 1, rule loss only), and ``task_and_rule``
 (fixed-weight sum, single-passage model).
+
+Only ``train_step`` records the model on a gradient tape. Every pass that
+takes no gradient (the loss-scale pass, and validation's task and rule
+losses) runs on the inference path, ``model.forward_per_alpha``, which
+encodes on a tape of its own, drops it and keeps only the latents; the
+rule loss and the loss scale then go on a small tape whose leaves are the
+model's outputs.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 
 from .data import SPLITS, Dataset, write_table
 from .errors import ConfigError, TrainingAborted
-from .model import ModelSpec, Forward, forward_per_alpha, init_params, predict
+from .model import ModelSpec, forward_per_alpha, init_params, predict
 from .optim import AdamState, adam_update
 from .autodiff import Tape
 from .rules import PerturbedBatch, RuleSpec, perturb_batch
@@ -107,23 +114,32 @@ def _task_loss_node(tape: Tape, spec: ModelSpec, y_hat: int, y: np.ndarray) -> i
     return tape.mse(y_hat, target)
 
 
-def _rule_loss_node(
+def _output(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray, alpha: float) -> np.ndarray:
+    """The model's output at one strength, from the inference path; no tape outlives the call."""
+    ((tape, fwd),) = forward_per_alpha(spec, params, x, (alpha,))
+    return tape.value(fwd.output)
+
+
+def _rule_loss_on_outputs(
     tape: Tape,
     spec: ModelSpec,
     params: dict[str, np.ndarray],
     rule: RuleSpec,
     x: np.ndarray,
-    fwd: Forward,
+    y_hat: int,
     alpha: float,
     pert: PerturbedBatch | None,
 ) -> int:
-    """The rule's loss node; runs the perturbed inputs first if the rule needs them."""
+    """The rule's loss node over the output leaf ``y_hat``, for a pass that takes no gradient.
+
+    A perturbing rule's copy ``pert.x_p`` runs on the inference path too and
+    enters ``tape`` as a leaf, so ``tape`` records the loss and nothing of the model.
+    """
     if not rule.needs_perturbation:
-        return rule.loss_node(tape, x, fwd.output)
+        return rule.loss_node(tape, x, y_hat)
     if pert is None:
         raise ValueError("this rule needs a perturbation set")
-    fwd_p = predict(tape, spec, params, pert.x_p, alpha)
-    return rule.loss_node(tape, x, fwd.output, fwd_p.output, pert.valid)
+    return rule.loss_node(tape, x, y_hat, tape.leaf(_output(spec, params, pert.x_p, alpha)), pert.valid)
 
 
 @dataclass(frozen=True)
@@ -152,13 +168,16 @@ def train_step(
     params = adam.params
     tape = Tape()
     fwd = predict(tape, spec, params, x, alpha)
-    rule_node = pert = None
+    rule_node = None
     if rule is not None and (mode != "task_only" or not rule.needs_perturbation):
-        if rule.needs_perturbation:
-            if rng is None:
-                raise ValueError("this rule needs an rng for the perturbation draw")
+        if not rule.needs_perturbation:
+            rule_node = rule.loss_node(tape, x, fwd.output)
+        elif rng is None:
+            raise ValueError("this rule needs an rng for the perturbation draw")
+        else:
             pert = perturb_batch(x, rule, rng)
-        rule_node = _rule_loss_node(tape, spec, params, rule, x, fwd, alpha, pert)
+            fwd_p = predict(tape, spec, params, pert.x_p, alpha)
+            rule_node = rule.loss_node(tape, x, fwd.output, fwd_p.output, pert.valid)
 
     task_node = _task_loss_node(tape, spec, fwd.output, y)
     if mode == "controlled":
@@ -218,8 +237,8 @@ def evaluate_rule_loss(
 ) -> float:
     """Mean rule loss at a fixed strength; perturbing rules need a fixed pert set."""
     tape = Tape()
-    fwd = predict(tape, spec, params, x, alpha)
-    return tape.scalar(_rule_loss_node(tape, spec, params, rule, x, fwd, alpha, pert))
+    y_hat = tape.leaf(_output(spec, params, x, alpha))
+    return tape.scalar(_rule_loss_on_outputs(tape, spec, params, rule, x, y_hat, alpha, pert))
 
 
 def compute_loss_scale(
@@ -232,17 +251,19 @@ def compute_loss_scale(
 ) -> LossScale:
     """Initial rule/task loss ratio on a fixed sample, before optimization.
 
-    Both losses are read from one forward pass at the midpoint strength. A
-    zero initial task loss is degenerate and rejected. A zero rule loss
-    gives ratio 0, which would switch the task term off; ``fit`` decides
-    what to do with it.
+    Both losses are read from one forward pass at the midpoint strength,
+    and a perturbing rule's from one more of the perturbed copy, each on
+    the inference path. A zero initial task loss is degenerate and
+    rejected. A zero rule loss gives ratio 0, which would switch the task
+    term off; ``fit`` decides what to do with it.
     """
     alpha = 0.5
-    tape = Tape()
-    fwd = predict(tape, spec, params, x, alpha)
+    out = _output(spec, params, x, alpha)
     pert = perturb_batch(x, rule, rng) if rule.needs_perturbation else None
-    rule0 = tape.scalar(_rule_loss_node(tape, spec, params, rule, x, fwd, alpha, pert))
-    task0 = tape.scalar(_task_loss_node(tape, spec, fwd.output, y))
+    tape = Tape()
+    y_hat = tape.leaf(out)
+    rule0 = tape.scalar(_rule_loss_on_outputs(tape, spec, params, rule, x, y_hat, alpha, pert))
+    task0 = tape.scalar(_task_loss_node(tape, spec, y_hat, y))
     if task0 == 0.0:
         raise ConfigError("initial task loss is zero; the task is degenerate")
     return LossScale(rule0=rule0, task0=task0)

@@ -219,6 +219,27 @@ class TestPrimitiveGradients:
         assert err < FD_TOL
 
 
+class TestRowmapJacobian:
+    """The jacobian is evaluated, and its shape checked, when the node is backpropagated."""
+
+    def test_a_tape_never_backpropagated_never_evaluates_it(self):
+        calls = []
+        tape = Tape()
+        x = tape.param("x", np.ones((3, 2)))
+        tape.rowmap(x, lambda v: v.sum(axis=1), lambda v: calls.append(v) or np.ones_like(v))
+        assert calls == []
+        tape.backprop(tape.mean_relu_diff(len(tape) - 1, tape.constant(np.zeros((3, 1)))))
+        assert len(calls) == 1 and calls[0] is tape.value(x)
+
+    def test_a_wrong_shape_is_refused_in_the_backward_pass(self):
+        tape = Tape()
+        x = tape.param("x", np.ones((3, 2)))
+        r = tape.rowmap(x, lambda v: v.sum(axis=1), lambda v: np.ones((3, 1)))
+        loss = tape.mean_relu_diff(r, tape.constant(np.zeros((3, 1))))
+        with pytest.raises(ShapeError, match=r"rowmap: jacobian shape \(3, 1\) != \(3, 2\)"):
+            tape.backprop(loss)
+
+
 class TestOutputBuffers:
     """Primitives of a tape built with ``reuse`` write into the arrays the
     reused tape's primitives allocated, with the values of fresh arrays."""
@@ -559,6 +580,28 @@ class TestNoGradientTowardsConstants:
             node = tape.dense(x, [(w, b, "relu")], "blk")
             gx, gw, gb = tape.nodes[node].backward(np.ones((4, 2)))
             assert (gx is not None) == wanted and gw.shape == (3, 2) and gb.shape == (1, 2)
+
+    @pytest.mark.parametrize("op", ["scaled_concat", "add", "mean_relu_diff"])
+    def test_two_parent_ops(self, op):
+        # energy_rule_node's state energy, threshold_rule_node's limit and
+        # input_concat_alpha's alpha column are constant parents of these three
+        tape = Tape()
+        build = {
+            "scaled_concat": lambda a, b: tape.scaled_concat(a, 0.25, b, 0.75),
+            "add": tape.add,
+            "mean_relu_diff": tape.mean_relu_diff,
+        }[op]
+        value = np.array([[0.5], [-1.0], [2.0]])
+        kinds = {
+            "constant": lambda: tape.constant(value),
+            "param": lambda: tape.param(f"p{len(tape)}", value),
+            "inner": lambda: tape.scale(tape.param(f"q{len(tape)}", value), 1.0),
+        }
+        for a_kind, make_a in kinds.items():
+            for b_kind, make_b in kinds.items():
+                node = build(make_a(), make_b())
+                ga, gb = tape.nodes[node].backward(np.ones_like(tape.value(node)))
+                assert (ga is None, gb is None) == (a_kind == "constant", b_kind == "constant"), (a_kind, b_kind)
 
     def test_backprop_skips_the_missing_gradients(self):
         tape = Tape()

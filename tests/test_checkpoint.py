@@ -247,6 +247,39 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: .*missing field 'task'$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "field,stored",
+        [
+            ("epoch", np.array(1.5)),
+            ("epoch", np.array(True)),
+            ("version", np.array("1")),
+            ("version", np.array([FORMAT_VERSION])),
+            ("seed", np.array([0, 1])),
+            ("scale_rule0", np.array([1.0, 2.0])),
+            ("scale_task0", np.array(1)),
+            ("model_json", np.array(["{}"])),
+            ("config_json", np.array(7)),
+        ],
+        ids=lambda v: v if isinstance(v, str) else f"{v.dtype}{list(v.shape)}",
+    )
+    def test_field_of_the_wrong_dtype_or_rank_is_refused_naming_it(self, tmp_path, field, stored):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, make_fit_result(19), {"task": "pendulum"}, seed=0)
+        self.rewrite_params(path, lambda arrays: arrays.update({field: stored}))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: corrupt or unreadable checkpoint: field {field} must hold one "):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("stored", ["[1, 2]", "null", '"text"', "7"])
+    def test_layout_that_is_not_an_object_is_refused_naming_it(self, tmp_path, stored):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, make_fit_result(20), {"task": "pendulum"}, seed=0)
+        self.rewrite_params(path, lambda arrays: arrays.update({"model_json": np.array(stored)}))
+        with pytest.raises(
+            CheckpointError,
+            match=f"^{re.escape(str(path))}: corrupt or unreadable checkpoint: field model_json must hold a JSON object",
+        ):
+            load_checkpoint(path)
+
 
 class TestRowDigests:
     def test_load_returns_the_digests_fit_recorded(self, tmp_path):

@@ -1208,6 +1208,22 @@ def first_cell(data: bytes, cell: bytes) -> bytes:
     return b"\n".join([header, cell + row[row.index(b",") :], rest])
 
 
+def with_field(data: bytes, name: str, value) -> bytes:
+    """The checkpoint ``data`` with its array ``name`` replaced by ``value``."""
+    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    arrays[name] = np.asarray(value)
+    out = io.BytesIO()
+    np.savez(out, **arrays)
+    return out.getvalue()
+
+
+# array-level spoilings of a checkpoint: fields of the wrong dtype or rank, and a config that is no mapping
+CHECKPOINT_FIELDS = (
+    ("epoch", 1.5), ("version", "1"), ("config_json", "[1,2]"), ("seed", [0, 1]), ("scale_rule0", [1.0, 2.0]),
+)
+
+
 def spoilings(reader: str):
     """(name, spoil) for each way the walk spoils a valid file of ``reader``; ``spoil`` maps its bytes."""
     yield "empty", lambda data: b""
@@ -1222,6 +1238,9 @@ def spoilings(reader: str):
             yield f"cell {cell[:8].decode()}", lambda data, cell=cell: first_cell(data, cell)
     if reader == "config":
         yield "5,000 nested [", lambda data: b"[" * 5000
+    if reader == "checkpoint":
+        for name, value in CHECKPOINT_FIELDS:
+            yield f"{name} {value!r}", lambda data, name=name, value=value: with_field(data, name, value)
 
 
 @pytest.fixture(scope="module")

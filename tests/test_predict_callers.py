@@ -1,0 +1,77 @@
+"""Only the training step records the model on a gradient tape.
+
+``model.predict`` records every layer's output on the tape it is given.
+Passes that take no gradient run on the inference path,
+``model.forward_per_alpha``, which keeps one encoding's latents and no
+layer's output. This test reads every module of ``src/rulemix`` and fails
+on a call of ``predict`` from any function but those in ``CALLERS``:
+
+* ``train_step``, the one pass that backpropagates;
+* ``forward_per_alpha``, whose ``input_concat_alpha`` encoder reads alpha,
+  so it runs the whole model at each strength;
+* ``predict_values``, the reference the benchmark checks sweeps against.
+
+A call is attributed to the innermost named function around it, a call at
+module level to ``<module>``, and a name imported as ``predict`` under
+another name counts as a call site in itself.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rulemix"
+CALLERS = {"train_step", "forward_per_alpha", "predict_values"}
+
+
+def predict_calls(tree: ast.Module) -> list[tuple[str, int]]:
+    """(calling function, line) for each call of ``predict`` or ``<module>.predict`` in ``tree``."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom):
+                found.extend((f"import as {a.asname}", child.lineno) for a in child.names
+                             if a.name == "predict" and a.asname not in (None, "predict"))
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == "predict"
+                        or isinstance(func, ast.Attribute) and func.attr == "predict"):
+                    found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_training_step_and_the_inference_path_call_predict():
+    calls = {
+        f"{path.name}:{line} in {owner}"
+        for path in sorted(SRC.glob("*.py"))
+        for owner, line in predict_calls(ast.parse(path.read_text()))
+        if owner not in CALLERS
+    }
+    assert not calls, f"run passes that take no gradient through forward_per_alpha: {sorted(calls)}"
+    owners = {owner for path in SRC.glob("*.py") for owner, _ in predict_calls(ast.parse(path.read_text()))}
+    assert owners == CALLERS  # each allowed caller is still one, so the list cannot go stale
+
+
+def test_guard_attributes_each_call_to_its_function():
+    module = ast.parse(
+        "from .model import predict as run\n"
+        "predict(tape, spec, params, x, 0.5)\n"
+        "def train_step(tape):\n"
+        "    fwd = predict(tape, spec, params, x, alpha)\n"
+        "    def inner():\n"
+        "        return model.predict(tape, spec, params, x, alpha)\n"
+        "    return [predict(t, s, p, v, a) for v in xs]\n"
+        "def compute_loss_scale(tape):\n"
+        "    f = lambda v: predict(tape, spec, params, v, 0.5)\n"
+        "    return predict_values(spec, params, x, 0.5), forward_per_alpha(spec, params, x, (0.5,))\n"
+    )
+    assert predict_calls(module) == [
+        ("import as run", 1), ("<module>", 2), ("train_step", 4), ("inner", 6), ("train_step", 7),
+        ("compute_loss_scale", 9),
+    ]
