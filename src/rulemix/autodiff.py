@@ -8,22 +8,14 @@ primitives needed for small MLPs and their training losses are provided;
 everything is float64 and the tape is rebuilt for every minibatch.
 
 A dense block (a stack of affine layers, each followed by its activation)
-is one node, :meth:`Tape.dense`. It keeps the block's input and each layer's
-activated output and nothing else: the backward pass reads the ReLU mask
-and the sigmoid derivative from the activated outputs, so the affine
-outputs are never stored. Its values and gradients equal those of the
-per-layer chain of ``affine``, ``relu`` and ``sigmoid`` nodes bit for bit.
+runs through one kernel, :func:`dense_forward`, which inference calls with
+no tape. On a tape the block is one node, :meth:`Tape.dense`, whose values
+and gradients equal those of the per-layer chain of ``affine``, ``relu``
+and ``sigmoid`` nodes bit for bit.
 
-A tape built with ``reuse=previous`` writes each matrix a primitive computes
-into the array that the same node of ``previous`` allocated (the same layer
-of the same node, for a dense block), when the shapes match. Inference
-passes that rebuild the same graph many times (one per rule strength) then
-run in a handful of buffers instead of fresh arrays, and the previous tape's
-values are overwritten.
-
-No gradient is computed towards a constant (a leaf that is not a
-parameter): a backward closure returns None for it, and ``backprop``
-skips it.
+No gradient is computed towards a node that no parameter reaches (a
+constant, or a node computed from constants alone): a backward closure
+returns None for it, and ``backprop`` skips it.
 
 Conventions:
     * data flows as (rows=samples, cols=features) matrices,
@@ -35,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import Callable
 
 import numpy as np
 
@@ -78,6 +70,58 @@ def _sigmoid(xv: np.ndarray, out: np.ndarray) -> None:
     out[~pos] = e / (1.0 + e)
 
 
+def out_array(buffers: list[np.ndarray] | None, i: int, shape: tuple[int, int]) -> np.ndarray:
+    """``buffers[i]`` if it has ``shape``, else a fresh array put in its place; the contents are undefined.
+
+    ``buffers`` is a list the caller keeps between passes, or None for a fresh array every time.
+    """
+    if buffers is None:
+        return np.empty(shape)
+    if i == len(buffers):
+        buffers.append(np.empty(shape))
+    elif buffers[i].shape != shape:
+        buffers[i] = np.empty(shape)
+    return buffers[i]
+
+
+def dense_forward(h: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray, str]], label: str = "dense",
+                  buffers: list[np.ndarray] | None = None, keep: bool = False) -> np.ndarray | list[np.ndarray]:
+    """A stack of dense layers: per layer ``h @ w + b``, then the activation (linear, relu or sigmoid).
+
+    ``layers`` holds ``(weight, bias, activation)`` per layer; a layer that
+    does not fit raises ShapeError naming ``{label}.{i}``. Layer ``i`` writes
+    into ``out_array(buffers, i, ...)``. Returns every layer's output with
+    ``keep``, else the last one, holding no earlier layer's output.
+    """
+    if not layers:
+        raise ValueError(f"{label}: a dense block needs at least one layer")
+    outs = []
+    for i, (wv, bv, act) in enumerate(layers):
+        _check_affine(f"{label}.{i}", h, wv, bv)
+        if act not in ("linear", "relu", "sigmoid"):
+            raise ValueError(f"unknown activation {act!r}")
+        h = np.matmul(h, wv, out=out_array(buffers, i, (h.shape[0], wv.shape[1])))
+        np.add(h, bv, out=h)
+        if act == "relu":
+            _relu(h, h)
+        elif act == "sigmoid":
+            _sigmoid(h, h)
+        if keep:
+            outs.append(h)
+    return outs if keep else h
+
+
+def scaled_concat(av: np.ndarray, ca: float, bv: np.ndarray, cb: float, buffers: list[np.ndarray] | None = None):
+    """``av * ca`` and ``bv * cb`` side by side, written into ``out_array(buffers, 0, ...)``."""
+    if av.shape[0] != bv.shape[0]:
+        raise ShapeError(f"scaled_concat: row mismatch {av.shape} vs {bv.shape}")
+    na = av.shape[1]
+    out = out_array(buffers, 0, (av.shape[0], na + bv.shape[1]))
+    np.multiply(av, ca, out=out[:, :na])
+    np.multiply(bv, cb, out=out[:, na:])
+    return out
+
+
 @dataclass
 class Node:
     value: np.ndarray
@@ -85,24 +129,16 @@ class Node:
     # maps the gradient at this node to gradients for each parent (None where
     # no gradient is needed); None for leaves
     backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None
+    # a parameter reaches this node; set for parameters, and by ``Tape._append`` from the parents
+    wants_grad: bool = False
 
 
 class Tape:
-    """Computation record for one forward pass.
+    """Computation record for one forward pass."""
 
-    With ``reuse``, primitives write their outputs into the arrays that
-    ``reuse``'s primitives allocated for the same node index, so ``reuse``
-    is invalid once this tape is built. Leaves (parameters, constants) are
-    never handed on. No value of ``reuse`` may feed this tape.
-    """
-
-    def __init__(self, reuse: Tape | None = None) -> None:
+    def __init__(self) -> None:
         self.nodes: list[Node] = []
         self._params: dict[str, int] = {}
-        # node index, or (node index, layer) in a dense block -> output
-        # array a primitive of this tape allocated
-        self._buffers: dict[Hashable, np.ndarray] = {}
-        self._spare = reuse._buffers if reuse is not None else {}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -117,26 +153,16 @@ class Tape:
         return float(v[0, 0])
 
     def _append(self, node: Node) -> int:
+        for p in () if node.wants_grad else node.parents:  # cheaper per node than any() over a generator
+            if self.nodes[p].wants_grad:
+                node.wants_grad = True
+                break
         self.nodes.append(node)
         return len(self.nodes) - 1
 
-    def _buffer(self, shape: tuple[int, int], key: Hashable = None) -> np.ndarray:
-        """Output array for the node about to be appended, or for ``key``.
-
-        The reused tape's array for the same key (by default the node
-        index) if the shape matches, else a fresh one. The contents are
-        undefined.
-        """
-        key = len(self.nodes) if key is None else key
-        buf = self._spare.get(key)
-        if buf is None or buf.shape != shape:
-            buf = np.empty(shape)
-        self._buffers[key] = buf
-        return buf
-
     def _wants_grad(self, nid: int) -> bool:
-        """False for a constant: a leaf that is not a parameter."""
-        return self.nodes[nid].backward is not None or nid in self._params.values()
+        """False for a constant, and for a node that no parameter reaches."""
+        return self.nodes[nid].wants_grad
 
     # ------------------------------------------------------------------
     # leaves
@@ -159,7 +185,7 @@ class Tape:
         """
         if name in self._params:
             return self._params[name]
-        nid = self._append(Node(value, (), None))
+        nid = self._append(Node(value, (), None, wants_grad=True))
         self._params[name] = nid
         return nid
 
@@ -170,18 +196,18 @@ class Tape:
     def affine(self, x: int, w: int, b: int, label: str = "affine") -> int:
         xv, wv, bv = self.value(x), self.value(w), self.value(b)
         _check_affine(label, xv, wv, bv)
-        out = np.matmul(xv, wv, out=self._buffer((xv.shape[0], wv.shape[1])))
+        out = np.matmul(xv, wv)
         np.add(out, bv, out=out)
+        wants_x = self._wants_grad(x)
 
-        def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
-            return g @ wv.T, xv.T @ g, g.sum(axis=0, keepdims=True)
+        def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
+            return g @ wv.T if wants_x else None, xv.T @ g, g.sum(axis=0, keepdims=True)
 
         return self._append(Node(out, (x, w, b), bwd))
 
     def relu(self, x: int) -> int:
         xv = self.value(x)
-        out = self._buffer(xv.shape)
-        _relu(xv, out)
+        _relu(xv, out := np.empty(xv.shape))
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
             return (g * (xv > 0.0),)  # ReLU'(0) = 0
@@ -190,8 +216,7 @@ class Tape:
 
     def sigmoid(self, x: int) -> int:
         xv = self.value(x)
-        out = self._buffer(xv.shape)
-        _sigmoid(xv, out)
+        _sigmoid(xv, out := np.empty(xv.shape))
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
             return (g * out * (1.0 - out),)
@@ -199,40 +224,23 @@ class Tape:
         return self._append(Node(out, (x,), bwd))
 
     def dense(self, x: int, layers: Sequence[tuple[int, int, str]], label: str = "dense") -> int:
-        """A stack of dense layers as one node.
+        """``dense_forward`` over ``(weight node, bias node, activation)`` layers, as one node.
 
-        ``layers`` holds ``(weight node, bias node, activation)`` per layer,
-        the activation one of linear, relu, sigmoid. Values and gradients
-        equal those of ``affine`` (labelled ``{label}.{i}``) followed by the
-        activation, layer by layer. Only the input and each layer's
-        activated output are kept; no gradient is computed towards a
-        constant input.
+        Values and gradients equal those of ``affine`` (labelled
+        ``{label}.{i}``) followed by the activation, layer by layer. Only the
+        input and each layer's activated output are kept: the backward pass
+        reads the ReLU mask and the sigmoid derivative from the latter.
         """
-        if not layers:
-            raise ValueError(f"{label}: a dense block needs at least one layer")
-        nid = len(self.nodes)
-        xv = h = self.value(x)
-        weights, outs, parents = [], [], [x]
-        for i, (w, b, act) in enumerate(layers):
-            wv, bv = self.value(w), self.value(b)
-            _check_affine(f"{label}.{i}", h, wv, bv)
-            if act not in ("linear", "relu", "sigmoid"):
-                raise ValueError(f"unknown activation {act!r}")
-            h = np.matmul(h, wv, out=self._buffer((h.shape[0], wv.shape[1]), (nid, i)))
-            np.add(h, bv, out=h)
-            if act == "relu":
-                _relu(h, h)
-            elif act == "sigmoid":
-                _sigmoid(h, h)
-            weights.append((wv, act))
-            outs.append(h)
-            parents += [w, b]
+        xv = self.value(x)
+        values = [(self.value(w), self.value(b), act) for w, b, act in layers]
+        outs = dense_forward(xv, values, label, keep=True)
+        parents = (x, *[nid for w, b, _ in layers for nid in (w, b)])
         wants_input = self._wants_grad(x)
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
             grads = []
             for i in range(len(outs) - 1, -1, -1):
-                wv, act = weights[i]
+                wv, _, act = values[i]
                 out = outs[i]
                 if act == "relu":
                     g = g * (out > 0.0)  # ReLU'(0) = 0; the same mask as the affine output's
@@ -244,7 +252,7 @@ class Tape:
             grads.append(g)
             return tuple(reversed(grads))
 
-        return self._append(Node(outs[-1], tuple(parents), bwd))
+        return self._append(Node(outs[-1], parents, bwd))
 
     def concat(self, a: int, b: int) -> int:
         # a product with 1.0 is exact, so values and gradients are those of a plain concatenation
@@ -252,8 +260,7 @@ class Tape:
 
     def scale(self, x: int, c: float) -> int:
         c = float(c)
-        xv = self.value(x)
-        out = np.multiply(xv, c, out=self._buffer(xv.shape))
+        out = np.multiply(self.value(x), c)
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
             return (g * c,)
@@ -263,13 +270,9 @@ class Tape:
     def scaled_concat(self, a: int, ca: float, b: int, cb: float) -> int:
         """``concat(scale(a, ca), scale(b, cb))`` as one node, same values and gradients."""
         ca, cb = float(ca), float(cb)
-        av, bv = self.value(a), self.value(b)
-        if av.shape[0] != bv.shape[0]:
-            raise ShapeError(f"scaled_concat: row mismatch {av.shape} vs {bv.shape}")
+        av = self.value(a)
+        out = scaled_concat(av, ca, self.value(b), cb)
         na = av.shape[1]
-        out = self._buffer((av.shape[0], na + bv.shape[1]))
-        np.multiply(av, ca, out=out[:, :na])
-        np.multiply(bv, cb, out=out[:, na:])
         wants_a, wants_b = self._wants_grad(a), self._wants_grad(b)
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
@@ -281,8 +284,7 @@ class Tape:
         av, bv = self.value(a), self.value(b)
         if av.shape != bv.shape:
             raise ShapeError(f"add: shape mismatch {av.shape} vs {bv.shape}")
-
-        out = np.add(av, bv, out=self._buffer(av.shape))
+        out = np.add(av, bv)
         wants_a, wants_b = self._wants_grad(a), self._wants_grad(b)
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
@@ -296,8 +298,7 @@ class Tape:
         c = float(c)
         if c == 0.0:
             raise ValueError("division by zero")
-        xv = self.value(x)
-        out = np.divide(xv, c, out=self._buffer(xv.shape))
+        out = np.divide(self.value(x), c)
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
             return (g / c,)
@@ -315,10 +316,7 @@ class Tape:
         ``fn`` maps (n, d) -> (n,) and ``jac`` maps (n, d) -> (n, d); used to
         put physics quantities (e.g. state energy) on the tape. The jacobian
         is evaluated, and its shape checked, in the backward pass, so a tape
-        that is never backpropagated never computes it. It reads the
-        parent's value as it stands when ``backprop`` runs, which is the
-        forward pass's value as long as no tape built with ``reuse=`` on
-        this one has written into it; no training tape is reused.
+        that is never backpropagated never computes it.
         """
         xv = self.value(x)
         out = np.asarray(fn(xv), dtype=np.float64).reshape(-1, 1)
@@ -416,7 +414,7 @@ class Tape:
             if g is None:
                 continue
             node = self.nodes[nid]
-            if node.backward is None:
+            if node.backward is None or not node.wants_grad:
                 continue
             # never accumulate in place: a backward closure may hand the
             # same array to two parents, or a view of its incoming gradient

@@ -143,9 +143,9 @@ def cmd_sweep(args) -> int:
         )
     if args.embeddings_out:  # computed before anything is written
         x, _ = rows[splits[-1]]
-        tape, fwd = next(forward_per_alpha(ck.spec, ck.params, x, [args.embeddings_alpha]))
-        nodes = {"z": fwd.latent, "z_rule": fwd.z_rule, "z_data": fwd.z_data}
-        latents = {key: tape.value(node) for key, node in nodes.items() if node is not None}
+        fwd = next(forward_per_alpha(ck.spec, ck.params, x, [args.embeddings_alpha]))
+        latents = {key: v for key, v in {"z": fwd.latent, "z_rule": fwd.z_rule, "z_data": fwd.z_data}.items()
+                   if v is not None}
         names = [f"{key}{j}" for key, mat in latents.items() for j in range(mat.shape[1])]
     with staged_writes() as stage:  # either every output is written or none is
         sweep_to_csv(records, stage(out))

@@ -93,7 +93,7 @@ def alpha_sweep(
     one, runs once on the input.
     """
     def outputs(inputs: np.ndarray):
-        return (tape.value(fwd.output) for tape, fwd in forward_per_alpha(spec, params, inputs, alphas))
+        return (out.output for out in forward_per_alpha(spec, params, inputs, alphas))
 
     perturbed, valid = itertools.repeat(None), None
     if rule.needs_perturbation:

@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .autodiff import Tape, as_matrix
+from .autodiff import Tape, as_matrix, dense_forward, out_array, scaled_concat
 from .errors import ShapeError
 
 COUPLINGS = ("scaled_concat", "concat", "add", "input_concat_alpha", "single")
@@ -196,18 +196,44 @@ def mlp_forward(
     return tape.dense(x, dense, block)
 
 
+def _block_values(
+    layers: Sequence[LayerSpec],
+    params: dict[str, np.ndarray],
+    block: str,
+    h: np.ndarray,
+    buffers: dict[str, list[np.ndarray]] | None,
+) -> np.ndarray:
+    """``mlp_forward``'s arithmetic with no tape, through ``buffers[block]`` when given."""
+    dense = [(params[f"{block}.{i}.w"], params[f"{block}.{i}.b"], layer.activation) for i, layer in enumerate(layers)]
+    return dense_forward(h, dense, block, None if buffers is None else buffers.setdefault(block, []))
+
+
+def _check_latents(z_rule: np.ndarray, z_data: np.ndarray) -> None:
+    if z_rule.shape != z_data.shape:
+        raise ShapeError(f"couple: latent shapes differ, {z_rule.shape} vs {z_data.shape}")
+
+
 def couple(tape: Tape, z_rule: int, z_data: int, alpha: float, mode: str) -> int:
     """Merge the two latent blocks; only scaled_concat consumes alpha."""
-    if tape.value(z_rule).shape != tape.value(z_data).shape:
-        raise ShapeError(
-            f"couple: latent shapes differ, {tape.value(z_rule).shape} vs {tape.value(z_data).shape}"
-        )
+    _check_latents(tape.value(z_rule), tape.value(z_data))
     if mode == "scaled_concat":
         return tape.scaled_concat(z_rule, alpha, z_data, 1.0 - alpha)
     if mode == "concat":
         return tape.concat(z_rule, z_data)
     if mode == "add":
         return tape.add(z_rule, z_data)
+    raise ValueError(f"unknown coupling {mode!r}")
+
+
+def _couple_values(z_rule: np.ndarray, z_data: np.ndarray, alpha: float, mode: str, buffers: list[np.ndarray]):
+    """``couple``'s arithmetic with no tape, written into ``buffers[0]``."""
+    _check_latents(z_rule, z_data)
+    if mode == "scaled_concat":
+        return scaled_concat(z_rule, alpha, z_data, 1.0 - alpha, buffers)
+    if mode == "concat":
+        return scaled_concat(z_rule, 1.0, z_data, 1.0, buffers)
+    if mode == "add":
+        return np.add(z_rule, z_data, out=out_array(buffers, 0, z_rule.shape))
     raise ValueError(f"unknown coupling {mode!r}")
 
 
@@ -221,6 +247,16 @@ class Forward:
     z_data: int | None = None
 
 
+@dataclass
+class Inference:
+    """Arrays of one inference pass, the fields of ``Forward``."""
+
+    output: np.ndarray
+    latent: np.ndarray
+    z_rule: np.ndarray | None = None
+    z_data: np.ndarray | None = None
+
+
 def _strength(alpha: float) -> float:
     alpha = float(alpha)
     if not math.isfinite(alpha):
@@ -228,54 +264,9 @@ def _strength(alpha: float) -> float:
     return alpha
 
 
-def encode(
-    tape: Tape,
-    spec: ModelSpec,
-    params: dict[str, np.ndarray],
-    x: np.ndarray | int,
-    alpha: float | None = None,
-) -> tuple[int, ...]:
-    """Shared block and encoders; returns (z_rule, z_data), or (z,) for one passage.
-
-    Only the ``input_concat_alpha`` encoder reads ``alpha``; under every other
-    coupling the encoding is the same at all strengths.
-    """
-    blocks = spec.blocks()
-    x_id = x if isinstance(x, int) else tape.constant(x, "input")
-    if tape.value(x_id).shape[1] != spec.input_dim:
-        raise ShapeError(
-            f"input has {tape.value(x_id).shape[1]} columns, model expects {spec.input_dim}"
-        )
-    h = mlp_forward(tape, blocks["shared"], params, "shared", x_id) if "shared" in blocks else x_id
-    if spec.coupling == "single":
-        return (mlp_forward(tape, blocks["data"], params, "data", h),)
-    if spec.coupling == "input_concat_alpha":
-        n = tape.value(h).shape[0]
-        alpha_col = tape.constant(np.full((n, 1), _strength(alpha)), "alpha")
-        return (mlp_forward(tape, blocks["encoder"], params, "encoder", tape.concat(h, alpha_col)),)
-    return (
-        mlp_forward(tape, blocks["rule"], params, "rule", h),
-        mlp_forward(tape, blocks["data"], params, "data", h),
-    )
-
-
-def decode(
-    tape: Tape,
-    spec: ModelSpec,
-    params: dict[str, np.ndarray],
-    latents: tuple[int, ...],
-    alpha: float,
-) -> Forward:
-    """Coupling and decision block over the latents that ``encode`` returned."""
-    alpha = _strength(alpha)
-    z_rule = z_data = None
-    if len(latents) == 1:
-        z = latents[0]
-    else:
-        z_rule, z_data = latents
-        z = couple(tape, z_rule, z_data, alpha, spec.coupling)
-    y = mlp_forward(tape, spec.decision_layers(), params, "decision", z)
-    return Forward(output=y, latent=z, z_rule=z_rule, z_data=z_data)
+def _check_input(spec: ModelSpec, x: np.ndarray) -> None:
+    if x.shape[1] != spec.input_dim:
+        raise ShapeError(f"input has {x.shape[1]} columns, model expects {spec.input_dim}")
 
 
 def predict(
@@ -285,9 +276,72 @@ def predict(
     x: np.ndarray | int,
     alpha: float,
 ) -> Forward:
-    """Full forward pass recorded on the tape; returns output/latent node ids."""
+    """Full forward pass recorded on the tape; returns output/latent node ids.
+
+    Only the ``input_concat_alpha`` encoder and the ``scaled_concat``
+    coupling read ``alpha``.
+    """
     alpha = _strength(alpha)
-    return decode(tape, spec, params, encode(tape, spec, params, x, alpha), alpha)
+    blocks = spec.blocks()
+    x_id = x if isinstance(x, int) else tape.constant(x, "input")
+    _check_input(spec, tape.value(x_id))
+    h = mlp_forward(tape, blocks["shared"], params, "shared", x_id) if "shared" in blocks else x_id
+    z_rule = z_data = None
+    if spec.coupling == "single":
+        z = mlp_forward(tape, blocks["data"], params, "data", h)
+    elif spec.coupling == "input_concat_alpha":
+        alpha_col = tape.constant(np.full((tape.value(h).shape[0], 1), alpha), "alpha")
+        z = mlp_forward(tape, blocks["encoder"], params, "encoder", tape.concat(h, alpha_col))
+    else:
+        z_rule = mlp_forward(tape, blocks["rule"], params, "rule", h)
+        z_data = mlp_forward(tape, blocks["data"], params, "data", h)
+        z = couple(tape, z_rule, z_data, alpha, spec.coupling)
+    y = mlp_forward(tape, spec.decision_layers(), params, "decision", z)
+    return Forward(output=y, latent=z, z_rule=z_rule, z_data=z_data)
+
+
+def _encode_values(
+    spec: ModelSpec,
+    params: dict[str, np.ndarray],
+    x: np.ndarray,
+    alpha: float | None,
+    buffers: dict[str, list[np.ndarray]] | None,
+) -> tuple[np.ndarray, ...]:
+    """``predict``'s shared block and encoders with no tape, on an input that ``as_matrix`` checked.
+
+    Returns (z_rule, z_data), or (z,) for one passage.
+    """
+    blocks = spec.blocks()
+    h = _block_values(blocks["shared"], params, "shared", x, buffers) if "shared" in blocks else x
+    if spec.coupling == "single":
+        return (_block_values(blocks["data"], params, "data", h, buffers),)
+    if spec.coupling == "input_concat_alpha":
+        alpha_col = np.full((h.shape[0], 1), _strength(alpha))
+        h = scaled_concat(h, 1.0, alpha_col, 1.0, None if buffers is None else buffers.setdefault("alpha", []))
+        return (_block_values(blocks["encoder"], params, "encoder", h, buffers),)
+    return (
+        _block_values(blocks["rule"], params, "rule", h, buffers),
+        _block_values(blocks["data"], params, "data", h, buffers),
+    )
+
+
+def _decode_values(
+    spec: ModelSpec,
+    params: dict[str, np.ndarray],
+    latents: tuple[np.ndarray, ...],
+    alpha: float,
+    buffers: dict[str, list[np.ndarray]],
+) -> Inference:
+    """``predict``'s coupling and decision block with no tape, over ``_encode_values``'s latents."""
+    alpha = _strength(alpha)
+    z_rule = z_data = None
+    if len(latents) == 1:
+        z = latents[0]
+    else:
+        z_rule, z_data = latents
+        z = _couple_values(z_rule, z_data, alpha, spec.coupling, buffers.setdefault("couple", []))
+    y = _block_values(spec.decision_layers(), params, "decision", z, buffers)
+    return Inference(output=y, latent=z, z_rule=z_rule, z_data=z_data)
 
 
 def forward_per_alpha(
@@ -295,32 +349,30 @@ def forward_per_alpha(
     params: dict[str, np.ndarray],
     x: np.ndarray,
     alphas: Iterable[float],
-) -> Iterator[tuple[Tape, Forward]]:
-    """Inference passes at each strength in turn, one tape per strength.
+) -> Iterator[Inference]:
+    """Inference passes at each strength in turn, with no tape.
 
     The encoding is computed once and only the decode step reruns per
     strength, except under ``input_concat_alpha``, whose encoder reads alpha.
-    The outputs equal those of ``predict`` bit for bit.
+    Every block runs through ``autodiff.dense_forward`` and the coupling
+    through ``autodiff.scaled_concat``, as on ``predict``'s tape, so the
+    outputs equal those of ``predict`` bit for bit. An encoding that runs
+    once keeps only the layer being computed, and only the latents outlive it.
 
-    Each strength's tape writes into the arrays the previous strength's tape
-    allocated (``Tape(reuse=...)``): a strength's tape and every value on it
-    are overwritten when the caller advances to the next strength, so read
-    them before advancing. The input is validated once, and so are the
-    latents, which outlive the encoding tape.
+    Each strength writes into the arrays of the strength before it: read
+    (or copy) a strength's arrays before advancing. The input and the
+    parameters are never written.
     """
-    tape = None
+    x = as_matrix(x, "input")
+    _check_input(spec, x)
+    buffers: dict[str, list[np.ndarray]] = {}
     if spec.coupling == "input_concat_alpha":
-        x = as_matrix(x, "input")
         for alpha in alphas:
-            tape = Tape(reuse=tape)
-            yield tape, predict(tape, spec, params, tape.leaf(x), alpha)
+            yield _decode_values(spec, params, _encode_values(spec, params, x, alpha, buffers), alpha, buffers)
         return
-    enc_tape = Tape()
-    values = [as_matrix(enc_tape.value(z), "latent") for z in encode(enc_tape, spec, params, x)]
-    del enc_tape
+    latents = _encode_values(spec, params, x, None, None)
     for alpha in alphas:
-        tape = Tape(reuse=tape)
-        yield tape, decode(tape, spec, params, tuple(tape.leaf(v) for v in values), alpha)
+        yield _decode_values(spec, params, latents, alpha, buffers)
 
 
 def predict_values(

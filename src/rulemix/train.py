@@ -16,9 +16,8 @@ outputs. Baselines: ``task_only`` (alpha pinned to 0, task loss only),
 Only ``train_step`` records the model on a gradient tape. Every pass that
 takes no gradient (the loss-scale pass, and validation's task and rule
 losses) runs on the inference path, ``model.forward_per_alpha``, which
-encodes on a tape of its own, drops it and keeps only the latents; the
-rule loss and the loss scale then go on a small tape whose leaves are the
-model's outputs.
+builds no tape and keeps only the live layer of each block; the losses
+then go on a small tape whose leaves are the model's outputs.
 """
 
 from __future__ import annotations
@@ -114,10 +113,23 @@ def _task_loss_node(tape: Tape, spec: ModelSpec, y_hat: int, y: np.ndarray) -> i
     return tape.mse(y_hat, target)
 
 
+def _task_loss(spec: ModelSpec, y_hat: np.ndarray, y: np.ndarray) -> float:
+    tape = Tape()
+    return tape.scalar(_task_loss_node(tape, spec, tape.leaf(y_hat), y))
+
+
 def _output(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray, alpha: float) -> np.ndarray:
-    """The model's output at one strength, from the inference path; no tape outlives the call."""
-    ((tape, fwd),) = forward_per_alpha(spec, params, x, (alpha,))
-    return tape.value(fwd.output)
+    """The model's output at one strength, from the inference path."""
+    return next(forward_per_alpha(spec, params, x, (alpha,))).output
+
+
+def _require_valid_pairs(rule: RuleSpec, pert: PerturbedBatch, split: str) -> None:
+    """A perturbation set with no valid pair leaves the rule unchecked: its loss is 0 whatever the model does."""
+    if not pert.valid.any():
+        raise ConfigError(
+            f"the {split} split has 0 valid perturbation pairs of {pert.valid.size}: no nudge of feature "
+            f"{rule.feature} exercises the rule (guard {rule.guard}), so the rule is never checked"
+        )
 
 
 def _rule_loss_on_outputs(
@@ -221,10 +233,7 @@ def evaluate_task_loss(
     alphas: tuple[float, ...],
 ) -> list[float]:
     """Task loss at each strength; the input is encoded once where the coupling allows."""
-    return [
-        tape.scalar(_task_loss_node(tape, spec, fwd.output, y))
-        for tape, fwd in forward_per_alpha(spec, params, x, alphas)
-    ]
+    return [_task_loss(spec, out.output, y) for out in forward_per_alpha(spec, params, x, alphas)]
 
 
 def evaluate_rule_loss(
@@ -254,12 +263,15 @@ def compute_loss_scale(
     Both losses are read from one forward pass at the midpoint strength,
     and a perturbing rule's from one more of the perturbed copy, each on
     the inference path. A zero initial task loss is degenerate and
-    rejected. A zero rule loss gives ratio 0, which would switch the task
-    term off; ``fit`` decides what to do with it.
+    rejected, and so is a perturbation set with no valid pair. A zero rule
+    loss gives ratio 0, which would switch the task term off; ``fit``
+    decides what to do with it.
     """
     alpha = 0.5
     out = _output(spec, params, x, alpha)
     pert = perturb_batch(x, rule, rng) if rule.needs_perturbation else None
+    if pert is not None:
+        _require_valid_pairs(rule, pert, "train")
     tape = Tape()
     y_hat = tape.leaf(out)
     rule0 = tape.scalar(_rule_loss_on_outputs(tape, spec, params, rule, x, y_hat, alpha, pert))
@@ -344,6 +356,7 @@ def fit(
     val_pert = None
     if cfg.mode == "rule_only" and rule.needs_perturbation:
         val_pert = perturb_batch(x_val, rule, rng)
+        _require_valid_pairs(rule, val_pert, "val")
 
     adam = AdamState.for_params(params, lr=cfg.lr)
     params = adam.params  # trained in place from here on

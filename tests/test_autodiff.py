@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import grad_check_fd, tape_sum
-from rulemix.autodiff import Tape, as_matrix
+from rulemix.autodiff import Tape, as_matrix, dense_forward, scaled_concat
 from rulemix.errors import ShapeError
 from rulemix.model import LayerSpec, mlp_forward
 from rulemix.pendulum import DEFAULT_PARAMS, energy, energy_gradient
@@ -241,24 +241,26 @@ class TestRowmapJacobian:
 
 
 class TestOutputBuffers:
-    """Primitives of a tape built with ``reuse`` write into the arrays the
-    reused tape's primitives allocated, with the values of fresh arrays."""
+    """``dense_forward`` and ``scaled_concat`` write into the buffers a caller
+    passes again, with the values of fresh arrays, and never into their inputs."""
 
     SPECIAL = np.array(
         [[np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf],
          [5e-324, -5e-324, 1e-310, -1e-310, np.finfo(float).tiny, -np.finfo(float).tiny],
          [1.5, -1.5, 1e300, -1e300, 0.1, -0.1]]
     )
+    # x @ [[1.0]] + [[-0.0]] is x for every x, -0.0 and NaN included
+    IDENTITY = [(np.ones((1, 1)), np.full((1, 1), -0.0), "relu")]
 
     def test_relu_equals_where_byte_for_byte(self):
-        want = np.where(self.SPECIAL > 0, self.SPECIAL, 0.0)
-        first = Tape()
-        fresh = first.value(first.relu(first.leaf(self.SPECIAL.copy())))
-        # the second tape writes into the first's output, which holds -0.0 and NaN
-        first.value(1)[...] = np.where(self.SPECIAL > 0, -0.0, np.nan)
-        second = Tape(reuse=first)
-        reused = second.value(second.relu(second.leaf(self.SPECIAL)))
-        assert np.shares_memory(reused, fresh)
+        column = self.SPECIAL.reshape(-1, 1)
+        want = np.where(column > 0, column, 0.0)
+        buffers = []
+        fresh = dense_forward(column.copy(), self.IDENTITY, "blk", buffers)
+        # the second pass writes into the first's output, which now holds -0.0 and NaN
+        buffers[0][...] = np.where(column > 0, -0.0, np.nan)
+        reused = dense_forward(column, self.IDENTITY, "blk", buffers)
+        assert reused is fresh is buffers[0]
         assert reused.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 7), (5, 17)])
@@ -268,49 +270,48 @@ class TestOutputBuffers:
         out = tape.value(tape.relu(tape.leaf(np.full(shape, -0.0))))
         assert out.tobytes() == np.zeros(shape).tobytes()
 
-    def test_leaf_arrays_are_never_handed_on(self):
-        a, b, c = np.ones((2, 3)), np.full((2, 3), 5.0), np.full((2, 3), 7.0)
-        first = Tape()
-        first.leaf(a)
-        first.constant(b)
-        first.param("c", c)
-        second = Tape(reuse=first)
-        ia = second.leaf(a)
-        out = second.value(second.scale(second.scale(ia, 2.0), 3.0))
-        assert not any(np.shares_memory(out, v) for v in (a, b, c))
-        assert (b == 5.0).all() and (c == 7.0).all()
+    def test_inputs_are_never_handed_on(self):
+        x, w, b = np.ones((2, 3)), np.full((3, 3), 5.0), np.full((1, 3), 7.0)
+        dense, concat = [], []
+        h = dense_forward(x, [(w, b, "linear"), (w, b, "relu")], "blk", dense)
+        out = scaled_concat(h, 2.0, x, 3.0, concat)
+        assert dense[-1] is h and concat == [out]
+        assert not any(np.shares_memory(v, leaf) for v in (*dense, *concat) for leaf in (x, w, b))
+        assert (x == 1.0).all() and (w == 5.0).all() and (b == 7.0).all()
 
-    def build_chain(self, tape, x, w, b):
-        h = tape.relu(tape.affine(tape.leaf(x), tape.param("w", w), tape.param("b", b)))
-        s = tape.sigmoid(tape.scaled_concat(h, 0.3, tape.scale(h, 2.0), 0.7))
-        return tape.divide(tape.add(tape.concat(s, s), tape.concat(s, s)), 3.0)
+    def build_chain(self, x, w, b, buffers):
+        h = dense_forward(x, [(w, b, "relu"), (np.eye(4), np.zeros((1, 4)), "sigmoid")], "blk", buffers["blk"])
+        return scaled_concat(h, 0.3, h, 0.7, buffers["concat"])
 
-    def test_primitives_write_into_the_reused_tape_and_never_into_leaves(self):
+    def test_kernels_write_into_the_previous_arrays_and_never_into_leaves(self):
         rng = RNG(30)
         x, w, b = rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (1, 4))
         leaves = [v.copy() for v in (x, w, b)]
-        first = Tape()
-        out_first = first.value(self.build_chain(first, x, w, b)).copy()
-        outputs = [first.value(i) for i in range(len(first))]
-        second = Tape(reuse=first)
-        out = self.build_chain(second, x, w, b)
-        for nid, node in enumerate(second.nodes):
-            if node.backward is None:
-                assert any(node.value is v for v in (x, w, b)), nid
-            else:
-                assert node.value is outputs[nid], nid
-                assert not any(np.shares_memory(node.value, v) for v in (x, w, b)), nid
-        assert second.value(out).tobytes() == out_first.tobytes()
+        buffers = {"blk": [], "concat": []}
+        out_first = self.build_chain(x, w, b, buffers)
+        want = out_first.copy()
+        kept = {key: list(bufs) for key, bufs in buffers.items()}
+        for buf in (*kept["blk"], *kept["concat"]):
+            buf[...] = np.nan  # the second pass must overwrite every entry
+        out = self.build_chain(x, w, b, buffers)
+        assert out is out_first
+        for key, bufs in buffers.items():
+            assert len(bufs) == len(kept[key]) and all(a is k for a, k in zip(bufs, kept[key])), key
+            assert not any(np.shares_memory(buf, v) for buf in bufs for v in (x, w, b)), key
+        assert out.tobytes() == want.tobytes()
         for value, before in zip((x, w, b), leaves):
             assert value.tobytes() == before.tobytes()
 
     def test_shape_mismatch_gets_a_fresh_array(self):
-        first = Tape()
-        a = first.value(first.scale(first.constant(np.ones((2, 3))), 2.0))
-        second = Tape(reuse=first)
-        b = second.value(second.scale(second.constant(np.ones((4, 3))), 2.0))
-        assert not np.shares_memory(a, b)
-        np.testing.assert_array_equal(b, np.full((4, 3), 2.0))
+        layer = [(np.full((3, 2), 2.0), np.zeros((1, 2)), "linear")]
+        buffers = []
+        a = dense_forward(np.ones((2, 3)), layer, "blk", buffers)
+        b = dense_forward(np.ones((4, 3)), layer, "blk", buffers)
+        assert not np.shares_memory(a, b) and buffers == [b]
+        np.testing.assert_array_equal(b, np.full((4, 2), 6.0))
+        c = scaled_concat(np.ones((4, 1)), 2.0, np.ones((4, 2)), 3.0, buffers)
+        assert not np.shares_memory(b, c) and buffers == [c]
+        np.testing.assert_array_equal(c, [[2.0, 3.0, 3.0]] * 4)
 
     def test_scaled_concat_matches_the_scale_scale_concat_chain_bit_for_bit(self):
         rng = RNG(31)
@@ -507,34 +508,30 @@ class TestDenseBlock:
         for name in g0:
             assert g0[name].tobytes() == g1[name].tobytes(), name
 
-    def test_reused_tape_writes_into_the_previous_arrays_and_never_into_leaves(self):
+    def test_kernel_buffers_are_overwritten_and_never_alias_leaves(self):
         rng = RNG(44)
         acts = ("relu", "sigmoid", "linear")
         params = self.params_for(acts, 3, rng)
         x = rng.uniform(-1, 1, (5, 3))
         leaves = [x, *params.values()]
         before = [v.copy() for v in leaves]
-
-        def build(tape):
-            layers = [(tape.param(f"blk.{i}.w", params[f"blk.{i}.w"]), tape.param(f"blk.{i}.b", params[f"blk.{i}.b"]), act)
-                      for i, act in enumerate(acts)]
-            return tape.dense(tape.leaf(x), layers, "blk")
-
-        first = Tape()
-        nid = build(first)
-        want = first.value(nid).copy()
-        kept = {key: buf for key, buf in first._buffers.items()}
-        assert sorted(kept) == [(nid, 0), (nid, 1), (nid, 2)]
-        for buf in kept.values():
-            buf[...] = np.nan  # the reused tape must overwrite every entry
-        second = Tape(reuse=first)
-        assert build(second) == nid
-        assert second._buffers.keys() == kept.keys()
-        for key, buf in second._buffers.items():
-            assert buf is kept[key], key
-            assert not any(np.shares_memory(buf, v) for v in leaves), key
-        assert second.value(nid) is kept[(nid, 2)]
-        assert second.value(nid).tobytes() == want.tobytes()
+        layers = [(params[f"blk.{i}.w"], params[f"blk.{i}.b"], act) for i, act in enumerate(acts)]
+        tape = Tape()
+        want = tape.value(tape.dense(tape.leaf(x), [(tape.param(f"blk.{i}.w", w), tape.param(f"blk.{i}.b", b), act)
+                                                    for i, (w, b, act) in enumerate(layers)], "blk"))
+        buffers = []
+        first = dense_forward(x, layers, "blk", buffers)
+        kept = list(buffers)
+        assert len(kept) == 3 and first is kept[2]
+        for buf in kept:
+            buf[...] = np.nan  # the next pass must overwrite every entry
+        assert dense_forward(x, layers, "blk", buffers) is kept[2]
+        assert all(buf is k for buf, k in zip(buffers, kept))
+        for buf in buffers:
+            assert not any(np.shares_memory(buf, v) for v in leaves)
+        assert kept[2].tobytes() == want.tobytes()
+        kept_all = dense_forward(x, layers, "blk", keep=True)
+        assert [v.tobytes() for v in kept_all] == [v.tobytes() for v in buffers]
         for value, old in zip(leaves, before):
             assert value.tobytes() == old.tobytes()
 
@@ -576,7 +573,8 @@ class TestNoGradientTowardsConstants:
         w, b = tape.param("w", np.ones((3, 2))), tape.param("b", np.zeros((1, 2)))
         for x, wanted in ((tape.leaf(np.ones((4, 3))), False),
                           (tape.param("x", np.ones((4, 3))), True),
-                          (tape.scale(tape.leaf(np.ones((4, 3))), 2.0), True)):
+                          (tape.scale(tape.param("y", np.ones((4, 3))), 2.0), True),
+                          (tape.scale(tape.leaf(np.ones((4, 3))), 2.0), False)):  # no parameter reaches it
             node = tape.dense(x, [(w, b, "relu")], "blk")
             gx, gw, gb = tape.nodes[node].backward(np.ones((4, 2)))
             assert (gx is not None) == wanted and gw.shape == (3, 2) and gb.shape == (1, 2)
@@ -602,6 +600,21 @@ class TestNoGradientTowardsConstants:
                 node = build(make_a(), make_b())
                 ga, gb = tape.nodes[node].backward(np.ones_like(tape.value(node)))
                 assert (ga is None, gb is None) == (a_kind == "constant", b_kind == "constant"), (a_kind, b_kind)
+
+    def test_backprop_calls_no_backward_of_a_node_that_no_parameter_reaches(self):
+        tape = Tape()
+        inner = tape.sigmoid(tape.scale(tape.leaf(np.full((2, 3), 0.5)), 2.0))  # constants alone
+        total = tape.add(inner, tape.param("p", np.ones((2, 3))))
+
+        def unreachable(g):
+            raise AssertionError("backward of a node that no parameter reaches")
+
+        for nid in range(inner + 1):
+            assert not tape.nodes[nid].wants_grad
+            tape.nodes[nid].backward = tape.nodes[nid].backward and unreachable
+        assert tape.nodes[total].wants_grad
+        grads = tape.backprop(tape.mse(total, tape.constant(np.zeros((2, 3)))))
+        assert grads.keys() == {"p"} and np.isfinite(grads["p"]).all()
 
     def test_backprop_skips_the_missing_gradients(self):
         tape = Tape()

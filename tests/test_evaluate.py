@@ -178,13 +178,13 @@ class TestSweepMatchesFullPasses:
     def test_encoders_run_once_unless_they_read_alpha(self, coupling, monkeypatch):
         spec, params, x, y, rule, metric = self.make(coupling, "monotonic")
         calls = []
-        original = rulemix.model.mlp_forward
+        original = rulemix.model.dense_forward
 
-        def counting(tape, layers, params, block, node):
-            calls.append(block)
-            return original(tape, layers, params, block, node)
+        def counting(h, layers, label, *args, **kwargs):
+            calls.append(label)
+            return original(h, layers, label, *args, **kwargs)
 
-        monkeypatch.setattr(rulemix.model, "mlp_forward", counting)
+        monkeypatch.setattr(rulemix.model, "dense_forward", counting)
         alpha_sweep(spec, params, x, y, rule, alpha_grid(), metric)
         # the input and its perturbed copy: two encodings, two decodes per strength
         per_alpha = 2 if coupling == "input_concat_alpha" else 0
@@ -205,12 +205,15 @@ class TestSweepBuffers:
     def test_second_strength_writes_into_the_first_strengths_arrays(self, coupling):
         spec, params, x, _, _, _ = self.make(coupling, "energy")
         passes = forward_per_alpha(spec, params, x, [0.2, 0.7])
-        tape, fwd = next(passes)
-        first = [tape.value(fwd.output), tape.value(fwd.latent)]
-        tape, fwd = next(passes)
-        assert np.shares_memory(tape.value(fwd.output), first[0])
-        if coupling != "single":  # there the latent is a leaf, the encoder's own array
-            assert np.shares_memory(tape.value(fwd.latent), first[1])
+        first = next(passes)
+        output, latent = first.output, first.latent
+        second = next(passes)
+        assert np.shares_memory(second.output, output)
+        # under single the latent is the encoder's output, computed once for every strength
+        assert np.shares_memory(second.latent, latent)
+        assert (second.z_rule is None) == (coupling not in ("scaled_concat", "concat", "add"))
+        if second.z_rule is not None:  # the encoding is computed once
+            assert second.z_rule is first.z_rule and second.z_data is first.z_data
 
     @pytest.mark.parametrize("family", sorted(SWEEP_RULES))
     @pytest.mark.parametrize("coupling", COUPLINGS)

@@ -85,6 +85,24 @@ class TestPredict:
             elif name.startswith("data."):
                 assert np.any(g != 0.0), name
 
+    @pytest.mark.parametrize("shared_units, wanted", [((), False), ((5,), True)])
+    def test_alpha_fed_encoder_takes_a_gradient_towards_its_input_only_through_a_shared_block(
+        self, shared_units, wanted
+    ):
+        # the encoder reads concat(h, alpha column); with no shared block h is the input, so
+        # no parameter reaches the concat and the encoder's backward computes nothing towards it
+        rng = np.random.default_rng(4)
+        spec = ModelSpec(input_dim=3, output_dim=2, coupling="input_concat_alpha", shared_units=shared_units,
+                         encoder_units=(6, 4), decision_units=(5,))
+        params = init_params(spec, rng)
+        tape = Tape()
+        fwd = predict(tape, spec, params, rng.uniform(-1, 1, (7, 3)), 0.3)
+        encoder = tape.nodes[fwd.latent]
+        towards_input, *towards_params = encoder.backward(np.ones_like(tape.value(fwd.latent)))
+        assert (towards_input is not None) == wanted == tape.nodes[encoder.parents[0]].wants_grad
+        assert len(towards_params) == 2 * len(spec.blocks()["encoder"])
+        assert all(g is not None for g in towards_params)
+
     def test_gating_zeroes_data_gradients_at_alpha_one(self):
         rng = np.random.default_rng(3)
         spec, params = tiny_model(rng)

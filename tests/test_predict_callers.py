@@ -2,25 +2,28 @@
 
 ``model.predict`` records every layer's output on the tape it is given.
 Passes that take no gradient run on the inference path,
-``model.forward_per_alpha``, which keeps one encoding's latents and no
-layer's output. This test reads every module of ``src/rulemix`` and fails
-on a call of ``predict`` from any function but those in ``CALLERS``:
+``model.forward_per_alpha``, which builds no tape at all. This test reads
+every module of ``src/rulemix`` and fails on a call of ``predict`` from any
+function but those in ``CALLERS``:
 
 * ``train_step``, the one pass that backpropagates;
-* ``forward_per_alpha``, whose ``input_concat_alpha`` encoder reads alpha,
-  so it runs the whole model at each strength;
 * ``predict_values``, the reference the benchmark checks sweeps against.
 
 A call is attributed to the innermost named function around it, a call at
 module level to ``<module>``, and a name imported as ``predict`` under
 another name counts as a call site in itself.
+
+A second guard follows every call by name from the inference path's entry
+points in ``TAPELESS`` through the package's module-level functions, and
+fails where one of them constructs a ``Tape``.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rulemix"
-CALLERS = {"train_step", "forward_per_alpha", "predict_values"}
+CALLERS = {"train_step", "predict_values"}
+TAPELESS = {"forward_per_alpha", "alpha_sweep", "_output"}  # model, evaluate and train
 
 
 def predict_calls(tree: ast.Module) -> list[tuple[str, int]]:
@@ -75,3 +78,56 @@ def test_guard_attributes_each_call_to_its_function():
         ("import as run", 1), ("<module>", 2), ("train_step", 4), ("inner", 6), ("train_step", 7),
         ("compute_loss_scale", 9),
     ]
+
+
+def functions(trees: list[ast.Module]) -> dict[str, list[ast.AST]]:
+    """Module-level function definitions by name, over every module (a name defined twice keeps both)."""
+    found: dict[str, list[ast.AST]] = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.setdefault(node.name, []).append(node)
+    return found
+
+
+def tape_constructions(roots: set[str], defs: dict[str, list[ast.AST]]) -> list[tuple[str, int]]:
+    """(function, line) of each ``Tape(...)`` call in ``roots`` or a function they call by name, transitively."""
+    found, seen, todo = [], set(), sorted(roots)
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        for fn in defs[name]:
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                if callee == "Tape":
+                    found.append((name, node.lineno))
+                elif isinstance(func, ast.Name):
+                    todo.append(callee)
+    return found
+
+
+def test_the_inference_path_constructs_no_tape():
+    defs = functions([ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))])
+    assert TAPELESS <= defs.keys()
+    assert not tape_constructions(TAPELESS, defs)
+
+
+def test_tape_guard_follows_calls_by_name():
+    module = ast.parse(
+        "def entry(x):\n"
+        "    return [helper(v) for v in x]\n"
+        "def helper(v):\n"
+        "    def inner():\n"
+        "        return autodiff.Tape()\n"
+        "    return inner()\n"
+        "def unrelated():\n"
+        "    return Tape()\n"
+    )
+    defs = functions([module])
+    assert tape_constructions({"entry"}, defs) == [("helper", 5)]
+    assert tape_constructions({"unrelated"}, defs) == [("unrelated", 8)]
