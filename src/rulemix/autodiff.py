@@ -8,10 +8,12 @@ primitives needed for small MLPs and their training losses are provided;
 everything is float64 and the tape is rebuilt for every minibatch.
 
 A dense block (a stack of affine layers, each followed by its activation)
-runs through one kernel, :func:`dense_forward`, which inference calls with
-no tape. On a tape the block is one node, :meth:`Tape.dense`, whose values
-and gradients equal those of the per-layer chain of ``affine``, ``relu``
-and ``sigmoid`` nodes bit for bit.
+runs through one kernel, :func:`dense_forward`. On a tape the block is one
+node, :meth:`Tape.dense`, whose values and gradients equal those of the
+per-layer chain of ``affine``, ``relu`` and ``sigmoid`` nodes bit for bit.
+:class:`Arrays` has the forward methods of ``Tape`` that the model calls,
+over plain arrays and through the same kernels, so one model function runs
+either recorded for a gradient or as bare inference.
 
 No gradient is computed towards a node that no parameter reaches (a
 constant, or a node computed from constants alone): a backward closure
@@ -429,3 +431,50 @@ class Tape:
             out[name] = np.zeros_like(self.nodes[nid].value) if g is None else g
         return out
 
+
+class Arrays:
+    """The forward methods of ``Tape`` that the model calls, on plain arrays.
+
+    Each method returns its array and records nothing; values equal the
+    tape's bit for bit, as both run the same kernels. With ``buffers``, the
+    k-th call that makes a matrix writes into ``buffers[k]`` (a list, added
+    when missing; see ``out_array``), so a pass that repeats the calls of the
+    pass before it writes into that pass's arrays. With no buffers every
+    matrix is fresh, and a dense block keeps only the layer being computed.
+    """
+
+    def __init__(self, buffers: list[list[np.ndarray]] | None = None) -> None:
+        self._buffers = buffers
+        self._calls = 0
+
+    def _next(self) -> list[np.ndarray] | None:
+        if self._buffers is None:
+            return None
+        if self._calls == len(self._buffers):
+            self._buffers.append([])
+        self._calls += 1
+        return self._buffers[self._calls - 1]
+
+    def value(self, v: np.ndarray) -> np.ndarray:
+        return v
+
+    def param(self, name: str, value: np.ndarray) -> np.ndarray:
+        return value
+
+    def constant(self, value, name: str = "constant") -> np.ndarray:
+        return as_matrix(value, name)
+
+    def dense(self, x: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray, str]],
+              label: str = "dense") -> np.ndarray:
+        return dense_forward(x, layers, label, self._next())
+
+    def scaled_concat(self, a: np.ndarray, ca: float, b: np.ndarray, cb: float) -> np.ndarray:
+        return scaled_concat(a, float(ca), b, float(cb), self._next())
+
+    def concat(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.scaled_concat(a, 1.0, b, 1.0)
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if a.shape != b.shape:
+            raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
+        return np.add(a, b, out=out_array(self._next(), 0, a.shape))

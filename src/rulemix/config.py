@@ -16,6 +16,7 @@ from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
 import yaml
 
 from .data import SPLITS, Dataset, read_dataset_csv
@@ -279,10 +280,20 @@ class ExperimentConfig:
 
         Rows of other splits may be absent: the pendulum build skips the
         trajectories that feed only those. CSV input and the tabular tasks
-        are built whole.
+        are built whole. A CSV for a classification model must hold targets
+        in [0, 1], which the cross-entropy loss and metric read as
+        probabilities; the first one outside is a ConfigError naming the
+        file and line.
         """
         if self._csv is not None:
-            return read_dataset_csv(self._csv, n_targets=self._spec.output_dim)
+            dataset = read_dataset_csv(self._csv, n_targets=self._spec.output_dim)
+            if self._spec.task == "classification":
+                outside = np.argwhere((dataset.y < 0.0) | (dataset.y > 1.0))  # the reader refused NaN already
+                if outside.size:
+                    row, col = outside[0]
+                    raise ConfigError(f"{self._csv}:{row + 2}: classification target "
+                                      f"{float(dataset.y[row, col])} is outside [0, 1]")
+            return dataset
         if self.task == "pendulum":
             return build_pendulum_dataset(**self._dataset_args, splits=splits)
         if self.task == "monotone-regression":

@@ -7,6 +7,12 @@ alpha=0 routes exclusively through the data passage and alpha=1 through the
 rule passage. ``single`` builds one encoder and ignores alpha (the baseline
 architecture); ``input_concat_alpha`` feeds alpha as an extra input feature
 to one width-matched encoder instead of using two passages.
+
+The network is written once, in ``encode`` (every layer that does not read
+alpha) and ``decode`` (the rest), against the forward methods shared by
+``autodiff.Tape`` and ``autodiff.Arrays``. ``predict`` runs both on a tape
+for training; ``forward_per_alpha`` runs ``encode`` once over plain arrays
+and ``decode`` once per strength.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .autodiff import Tape, as_matrix, dense_forward, out_array, scaled_concat
+from .autodiff import Arrays, Tape, as_matrix  # noqa: F401  (perfbench traces model.as_matrix)
 from .errors import ShapeError
 
 COUPLINGS = ("scaled_concat", "concat", "add", "input_concat_alpha", "single")
@@ -182,79 +188,43 @@ def check_params(spec: ModelSpec, params: dict[str, np.ndarray]) -> None:
 
 
 def mlp_forward(
-    tape: Tape,
+    ops: Tape | Arrays,
     layers: Sequence[LayerSpec],
     params: dict[str, np.ndarray],
     block: str,
-    x: int,
-) -> int:
-    """Run one block on the tape as one node; raises ShapeError naming the failing layer."""
+    x: int | np.ndarray,
+) -> int | np.ndarray:
+    """Run one block through ``ops.dense``; raises ShapeError naming the failing layer."""
     dense = []
     for i, layer in enumerate(layers):
         w, b = f"{block}.{i}.w", f"{block}.{i}.b"
-        dense.append((tape.param(w, params[w]), tape.param(b, params[b]), layer.activation))
-    return tape.dense(x, dense, block)
+        dense.append((ops.param(w, params[w]), ops.param(b, params[b]), layer.activation))
+    return ops.dense(x, dense, block)
 
 
-def _block_values(
-    layers: Sequence[LayerSpec],
-    params: dict[str, np.ndarray],
-    block: str,
-    h: np.ndarray,
-    buffers: dict[str, list[np.ndarray]] | None,
-) -> np.ndarray:
-    """``mlp_forward``'s arithmetic with no tape, through ``buffers[block]`` when given."""
-    dense = [(params[f"{block}.{i}.w"], params[f"{block}.{i}.b"], layer.activation) for i, layer in enumerate(layers)]
-    return dense_forward(h, dense, block, None if buffers is None else buffers.setdefault(block, []))
-
-
-def _check_latents(z_rule: np.ndarray, z_data: np.ndarray) -> None:
-    if z_rule.shape != z_data.shape:
-        raise ShapeError(f"couple: latent shapes differ, {z_rule.shape} vs {z_data.shape}")
-
-
-def couple(tape: Tape, z_rule: int, z_data: int, alpha: float, mode: str) -> int:
+def couple(ops: Tape | Arrays, z_rule: int | np.ndarray, z_data: int | np.ndarray, alpha: float,
+           mode: str) -> int | np.ndarray:
     """Merge the two latent blocks; only scaled_concat consumes alpha."""
-    _check_latents(tape.value(z_rule), tape.value(z_data))
+    zr, zd = ops.value(z_rule), ops.value(z_data)
+    if zr.shape != zd.shape:
+        raise ShapeError(f"couple: latent shapes differ, {zr.shape} vs {zd.shape}")
     if mode == "scaled_concat":
-        return tape.scaled_concat(z_rule, alpha, z_data, 1.0 - alpha)
+        return ops.scaled_concat(z_rule, alpha, z_data, 1.0 - alpha)
     if mode == "concat":
-        return tape.concat(z_rule, z_data)
+        return ops.concat(z_rule, z_data)
     if mode == "add":
-        return tape.add(z_rule, z_data)
-    raise ValueError(f"unknown coupling {mode!r}")
-
-
-def _couple_values(z_rule: np.ndarray, z_data: np.ndarray, alpha: float, mode: str, buffers: list[np.ndarray]):
-    """``couple``'s arithmetic with no tape, written into ``buffers[0]``."""
-    _check_latents(z_rule, z_data)
-    if mode == "scaled_concat":
-        return scaled_concat(z_rule, alpha, z_data, 1.0 - alpha, buffers)
-    if mode == "concat":
-        return scaled_concat(z_rule, 1.0, z_data, 1.0, buffers)
-    if mode == "add":
-        return np.add(z_rule, z_data, out=out_array(buffers, 0, z_rule.shape))
+        return ops.add(z_rule, z_data)
     raise ValueError(f"unknown coupling {mode!r}")
 
 
 @dataclass
 class Forward:
-    """Node ids of one recorded prediction pass."""
+    """One prediction pass: node ids on a ``Tape``, or the arrays themselves from ``Arrays``."""
 
-    output: int
-    latent: int
-    z_rule: int | None = None
-    z_data: int | None = None
-
-
-@dataclass
-class Inference:
-    """Arrays of one inference pass, the fields of ``Forward``."""
-
-    output: np.ndarray
-    latent: np.ndarray
-    z_rule: np.ndarray | None = None
-    z_data: np.ndarray | None = None
+    output: int | np.ndarray
+    latent: int | np.ndarray
+    z_rule: int | np.ndarray | None = None
+    z_data: int | np.ndarray | None = None
 
 
 def _strength(alpha: float) -> float:
@@ -264,9 +234,41 @@ def _strength(alpha: float) -> float:
     return alpha
 
 
-def _check_input(spec: ModelSpec, x: np.ndarray) -> None:
-    if x.shape[1] != spec.input_dim:
-        raise ShapeError(f"input has {x.shape[1]} columns, model expects {spec.input_dim}")
+def encode(ops: Tape | Arrays, spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray | int) -> tuple:
+    """Every layer that does not read alpha: the shared block, and the encoders.
+
+    Returns (z_rule, z_data) for two passages, (z,) for ``single``, and the
+    shared block's output (or the input), as (h,), for ``input_concat_alpha``,
+    whose encoder reads alpha.
+    """
+    blocks = spec.blocks()
+    x = x if isinstance(x, int) else ops.constant(x, "input")
+    if ops.value(x).shape[1] != spec.input_dim:
+        raise ShapeError(f"input has {ops.value(x).shape[1]} columns, model expects {spec.input_dim}")
+    h = mlp_forward(ops, blocks["shared"], params, "shared", x) if "shared" in blocks else x
+    if spec.coupling == "input_concat_alpha":
+        return (h,)
+    if spec.coupling == "single":
+        return (mlp_forward(ops, blocks["data"], params, "data", h),)
+    return mlp_forward(ops, blocks["rule"], params, "rule", h), mlp_forward(ops, blocks["data"], params, "data", h)
+
+
+def decode(ops: Tape | Arrays, spec: ModelSpec, params: dict[str, np.ndarray], latents: tuple,
+           alpha: float) -> Forward:
+    """The layers after ``encode``: the alpha-fed encoder or the coupling, then the decision block."""
+    alpha = _strength(alpha)
+    z_rule = z_data = None
+    if spec.coupling == "input_concat_alpha":
+        (h,) = latents
+        alpha_col = ops.constant(np.full((ops.value(h).shape[0], 1), alpha), "alpha")
+        z = mlp_forward(ops, spec.blocks()["encoder"], params, "encoder", ops.concat(h, alpha_col))
+    elif spec.coupling == "single":
+        (z,) = latents
+    else:
+        z_rule, z_data = latents
+        z = couple(ops, z_rule, z_data, alpha, spec.coupling)
+    y = mlp_forward(ops, spec.decision_layers(), params, "decision", z)
+    return Forward(output=y, latent=z, z_rule=z_rule, z_data=z_data)
 
 
 def predict(
@@ -276,72 +278,8 @@ def predict(
     x: np.ndarray | int,
     alpha: float,
 ) -> Forward:
-    """Full forward pass recorded on the tape; returns output/latent node ids.
-
-    Only the ``input_concat_alpha`` encoder and the ``scaled_concat``
-    coupling read ``alpha``.
-    """
-    alpha = _strength(alpha)
-    blocks = spec.blocks()
-    x_id = x if isinstance(x, int) else tape.constant(x, "input")
-    _check_input(spec, tape.value(x_id))
-    h = mlp_forward(tape, blocks["shared"], params, "shared", x_id) if "shared" in blocks else x_id
-    z_rule = z_data = None
-    if spec.coupling == "single":
-        z = mlp_forward(tape, blocks["data"], params, "data", h)
-    elif spec.coupling == "input_concat_alpha":
-        alpha_col = tape.constant(np.full((tape.value(h).shape[0], 1), alpha), "alpha")
-        z = mlp_forward(tape, blocks["encoder"], params, "encoder", tape.concat(h, alpha_col))
-    else:
-        z_rule = mlp_forward(tape, blocks["rule"], params, "rule", h)
-        z_data = mlp_forward(tape, blocks["data"], params, "data", h)
-        z = couple(tape, z_rule, z_data, alpha, spec.coupling)
-    y = mlp_forward(tape, spec.decision_layers(), params, "decision", z)
-    return Forward(output=y, latent=z, z_rule=z_rule, z_data=z_data)
-
-
-def _encode_values(
-    spec: ModelSpec,
-    params: dict[str, np.ndarray],
-    x: np.ndarray,
-    alpha: float | None,
-    buffers: dict[str, list[np.ndarray]] | None,
-) -> tuple[np.ndarray, ...]:
-    """``predict``'s shared block and encoders with no tape, on an input that ``as_matrix`` checked.
-
-    Returns (z_rule, z_data), or (z,) for one passage.
-    """
-    blocks = spec.blocks()
-    h = _block_values(blocks["shared"], params, "shared", x, buffers) if "shared" in blocks else x
-    if spec.coupling == "single":
-        return (_block_values(blocks["data"], params, "data", h, buffers),)
-    if spec.coupling == "input_concat_alpha":
-        alpha_col = np.full((h.shape[0], 1), _strength(alpha))
-        h = scaled_concat(h, 1.0, alpha_col, 1.0, None if buffers is None else buffers.setdefault("alpha", []))
-        return (_block_values(blocks["encoder"], params, "encoder", h, buffers),)
-    return (
-        _block_values(blocks["rule"], params, "rule", h, buffers),
-        _block_values(blocks["data"], params, "data", h, buffers),
-    )
-
-
-def _decode_values(
-    spec: ModelSpec,
-    params: dict[str, np.ndarray],
-    latents: tuple[np.ndarray, ...],
-    alpha: float,
-    buffers: dict[str, list[np.ndarray]],
-) -> Inference:
-    """``predict``'s coupling and decision block with no tape, over ``_encode_values``'s latents."""
-    alpha = _strength(alpha)
-    z_rule = z_data = None
-    if len(latents) == 1:
-        z = latents[0]
-    else:
-        z_rule, z_data = latents
-        z = _couple_values(z_rule, z_data, alpha, spec.coupling, buffers.setdefault("couple", []))
-    y = _block_values(spec.decision_layers(), params, "decision", z, buffers)
-    return Inference(output=y, latent=z, z_rule=z_rule, z_data=z_data)
+    """Full forward pass recorded on the tape; returns output/latent node ids."""
+    return decode(tape, spec, params, encode(tape, spec, params, x), alpha)
 
 
 def forward_per_alpha(
@@ -349,30 +287,22 @@ def forward_per_alpha(
     params: dict[str, np.ndarray],
     x: np.ndarray,
     alphas: Iterable[float],
-) -> Iterator[Inference]:
+) -> Iterator[Forward]:
     """Inference passes at each strength in turn, with no tape.
 
-    The encoding is computed once and only the decode step reruns per
-    strength, except under ``input_concat_alpha``, whose encoder reads alpha.
-    Every block runs through ``autodiff.dense_forward`` and the coupling
-    through ``autodiff.scaled_concat``, as on ``predict``'s tape, so the
-    outputs equal those of ``predict`` bit for bit. An encoding that runs
-    once keeps only the layer being computed, and only the latents outlive it.
+    ``encode`` runs once, keeping only the layer being computed of each
+    block, and ``decode`` reruns per strength. Both are ``predict``'s own
+    functions, run over ``Arrays``, so the outputs equal those of
+    ``predict`` bit for bit.
 
     Each strength writes into the arrays of the strength before it: read
     (or copy) a strength's arrays before advancing. The input and the
     parameters are never written.
     """
-    x = as_matrix(x, "input")
-    _check_input(spec, x)
-    buffers: dict[str, list[np.ndarray]] = {}
-    if spec.coupling == "input_concat_alpha":
-        for alpha in alphas:
-            yield _decode_values(spec, params, _encode_values(spec, params, x, alpha, buffers), alpha, buffers)
-        return
-    latents = _encode_values(spec, params, x, None, None)
+    latents = encode(Arrays(), spec, params, x)
+    buffers: list[list[np.ndarray]] = []
     for alpha in alphas:
-        yield _decode_values(spec, params, latents, alpha, buffers)
+        yield decode(Arrays(buffers), spec, params, latents, alpha)
 
 
 def predict_values(

@@ -13,10 +13,11 @@ outputs. Baselines: ``task_only`` (alpha pinned to 0, task loss only),
 ``rule_only`` (alpha pinned to 1, rule loss only), and ``task_and_rule``
 (fixed-weight sum, single-passage model).
 
-Only ``train_step`` records the model on a gradient tape. Every pass that
-takes no gradient (the loss-scale pass, and validation's task and rule
-losses) runs on the inference path, ``model.forward_per_alpha``, which
-builds no tape and keeps only the live layer of each block; the losses
+Only ``train_step`` records the model on a gradient tape, through
+``model.predict``. Every pass that takes no gradient (the loss-scale pass,
+and validation's task and rule losses) runs on the inference path,
+``model.forward_per_alpha``: the same ``encode`` and ``decode`` over plain
+arrays, with no tape, keeping only the live layer of each block. The losses
 then go on a small tape whose leaves are the model's outputs.
 """
 
@@ -62,8 +63,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive and finite, got {self.lr!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if not 0 <= self.patience < self.max_epochs:
-            raise ConfigError("patience must be >= 0 and smaller than max_epochs")
+        if not 1 <= self.patience < self.max_epochs:  # patience 0 would stop after the first epoch, always
+            raise ConfigError(f"patience must be >= 1 and smaller than max_epochs, got {self.patience!r}")
         if not 0 <= self.rule_weight < np.inf:
             raise ConfigError(f"rule_weight must be >= 0 and finite, got {self.rule_weight!r}")
         if self.rho_policy not in RHO_POLICIES:

@@ -628,6 +628,28 @@ class TestSweepInputs:
         assert not out.exists()
 
 
+def test_classification_data_csv_with_a_target_outside_0_1_is_one_line_error(tmp_path, capsys):
+    raw = {"task": "shifted-classification", "output_dir": str(tmp_path / "out"),
+           "data": {"n_usual": 30, "n_unusual": 30}, "model": {"encoder_units": [4, 2]},
+           "train": {"max_epochs": 2, "patience": 1}}
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    data = tmp_path / "data.csv"
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+    lines = data.read_text().splitlines()
+    cells = lines[3].split(",")
+    lines[3] = ",".join(cells[:-2] + ["3", cells[-1]])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    ck, out = tmp_path / "out" / "checkpoint_seed0.npz", tmp_path / "s.csv"
+    assert main(["sweep", "--checkpoint", str(ck), "--out", str(out), "--data-csv", str(bad)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: ConfigError: {bad}:4: classification target 3.0 is outside [0, 1]"]
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def trained_ten(tmp_path_factory):
     """A checkpoint over 10 trajectories of 80 pairs, split 0.6/0.1/0.3, plus its dataset CSV.

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from rulemix.config import TASKS, config_from_dict, default_config, load_config
+from rulemix.data import write_dataset_csv
 from rulemix.errors import ConfigError
 from rulemix.rules import EnergyDampingRule, MonotonicRule, ThresholdRule
 from rulemix.train import fit
@@ -118,6 +119,20 @@ class TestValidation:
     def test_missing_csv_rejected(self):
         with pytest.raises(ConfigError, match="data.csv"):
             config_from_dict({"task": "pendulum", "data": {"csv": "/nonexistent/file.csv"}})
+
+    def test_classification_csv_with_targets_outside_0_1_rejected(self, tmp_path):
+        # bce against a target of 3.0 is no cross-entropy: such a file once trained and swept in silence
+        data = {"n_usual": 30, "n_unusual": 30}
+        ds = config_from_dict({"task": "shifted-classification", "data": data}).build_dataset()
+        ds.y[2, 0], ds.y[5, 0] = 3.0, -2.0
+        path = tmp_path / "shifted.csv"
+        write_dataset_csv(path, ds, [f"x{i}" for i in range(ds.x.shape[1])] + ["y", "split"])
+        cfg = config_from_dict({"task": "shifted-classification", "data": {**data, "csv": str(path)}})
+        with pytest.raises(ConfigError, match=f"^{path}:4: classification target 3.0 is outside \\[0, 1\\]$"):
+            cfg.build_dataset()
+        ds.y[2, 0], ds.y[5, 0] = 0.0, 1.0  # both ends are targets
+        write_dataset_csv(path, ds, [f"x{i}" for i in range(ds.x.shape[1])] + ["y", "split"])
+        assert cfg.build_dataset().y.tolist() == ds.y.tolist()
 
     def test_rule_kind_switch_pulls_matching_defaults(self):
         cfg = config_from_dict({"task": "pendulum", "rule": {"kind": "threshold", "limit": 2.0}})

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import rulemix.autodiff
 import rulemix.evaluate
 import rulemix.model
 import rulemix.rules
@@ -178,21 +179,52 @@ class TestSweepMatchesFullPasses:
     def test_encoders_run_once_unless_they_read_alpha(self, coupling, monkeypatch):
         spec, params, x, y, rule, metric = self.make(coupling, "monotonic")
         calls = []
-        original = rulemix.model.dense_forward
+        original = rulemix.autodiff.dense_forward
 
         def counting(h, layers, label, *args, **kwargs):
             calls.append(label)
             return original(h, layers, label, *args, **kwargs)
 
-        monkeypatch.setattr(rulemix.model, "dense_forward", counting)
+        monkeypatch.setattr(rulemix.autodiff, "dense_forward", counting)
         alpha_sweep(spec, params, x, y, rule, alpha_grid(), metric)
-        # the input and its perturbed copy: two encodings, two decodes per strength
-        per_alpha = 2 if coupling == "input_concat_alpha" else 0
+        # the input and its perturbed copy: two encodings, two decodes per strength;
+        # the shared block never reads alpha, so it runs once per input under every coupling
         n = len(alpha_grid())
-        assert calls.count("shared") == 2 + per_alpha * (n - 1)
+        assert calls.count("shared") == 2
         assert calls.count("decision") == 2 * n
-        encoder = "encoder" if coupling == "input_concat_alpha" else "data"
-        assert calls.count(encoder) == calls.count("shared")
+        if coupling == "input_concat_alpha":
+            assert calls.count("encoder") == 2 * n
+        else:
+            assert calls.count("data") == 2
+
+
+# (task_metric, verification) as hex floats at each strength of PINNED_SWEEP_ALPHAS, for the
+# monotonic sweep of TestSweepMatchesFullPasses.make; recorded while predict and the inference
+# path still wrote the network twice, so unlike direct_sweep they do not share code with the sweep
+PINNED_SWEEP_ALPHAS = [-0.2, 0.0, 0.3, 1.0, 1.4]
+PINNED_SWEEPS = {
+    "scaled_concat": [
+        ("0x1.5c46f4d35a905p-1", "0x1.f5c28f5c28f5cp-1"), ("0x1.5c482c1d43568p-1", "0x1.eb851eb851eb8p-1"),
+        ("0x1.5c4a919003384p-1", "0x1.47ae147ae147bp-4"), ("0x1.5c3736f4501d1p-1", "0x0.0p+0"),
+        ("0x1.5c3f156dfd0f4p-1", "0x0.0p+0"),
+    ],
+    "concat": [("0x1.5c445d0cfe0edp-1", "0x0.0p+0")] * 5,
+    "add": [("0x1.749fa00858097p-1", "0x0.0p+0")] * 5,
+    "input_concat_alpha": [
+        ("0x1.5c6f54d929053p-1", "0x1.3333333333333p-2"), ("0x1.5c7553d0e3951p-1", "0x1.ae147ae147ae1p-2"),
+        ("0x1.5c87036e2896cp-1", "0x1.eb851eb851eb8p-4"), ("0x1.5ca1182bac4a4p-1", "0x0.0p+0"),
+        ("0x1.5c93ed9a48573p-1", "0x0.0p+0"),
+    ],
+    "single": [("0x1.670107594ed13p-1", "0x1.b851eb851eb85p-1")] * 5,
+}
+
+
+@pytest.mark.parametrize("coupling", COUPLINGS)
+def test_sweep_under_each_coupling_equals_the_pinned_records(coupling):
+    spec, params, x, y, rule, metric = TestSweepMatchesFullPasses().make(coupling, "monotonic")
+    records = alpha_sweep(spec, params, x, y, rule, PINNED_SWEEP_ALPHAS, metric, perturb_seed=5)
+    assert [r.alpha for r in records] == PINNED_SWEEP_ALPHAS
+    assert [(r.task_metric.hex(), r.verification.hex()) for r in records] == PINNED_SWEEPS[coupling]
 
 
 class TestSweepBuffers:

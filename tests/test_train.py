@@ -421,6 +421,8 @@ class TestFit:
             TrainConfig(beta=-1.0)
         with pytest.raises(ConfigError):
             TrainConfig(patience=10, max_epochs=10)
+        with pytest.raises(ConfigError, match="patience must be >= 1"):
+            TrainConfig(patience=0, max_epochs=5)  # loaded, then always trained exactly one epoch
 
 
 def params_sha256(params: dict[str, np.ndarray]) -> str:
@@ -491,6 +493,32 @@ def test_rule_only_fit_is_bit_identical_to_the_pinned_digest():
     result = fit(cfg.model_spec(), cfg.train_config(), cfg.build_dataset(), cfg.rule())
     assert [r.val_metric.hex() for r in result.report.records] == ["0x1.02b40b0fe4e39p-15", "0x1.38cff7f1fb111p-16"]
     assert params_sha256(result.params) == "fd7014f36815fc1c89d76aaa9e06e35f67db57a70a31262161d65d73efd4e0ff"
+
+
+# 2-epoch monotone-regression fits under every other coupling, with and without a
+# shared block; recorded while predict and the inference path still wrote the network twice
+PINNED_COUPLING_FITS = {
+    "concat": ({"coupling": "concat", "shared_units": [6]},
+               "31c90e6bd49642f3528db74d37764f7c36c221753c4f4181f93a7383c43b5811"),
+    "add": ({"coupling": "add"}, "48a7563acea60e707c9b1fd5c19da8f42a1eed2861d921c3a475da45128f0e8c"),
+    "single": ({"coupling": "single", "shared_units": [6]},
+               "6d2ad981df56f7b53a444dc6b599189fb06bede51c6023be11780f7069bee0e4"),
+    "input_concat_alpha": ({"coupling": "input_concat_alpha"},
+                           "96b63f79919fe6af5119047d594f38f9bff47795cdb96fc2ff41e5f35769a92a"),
+    "input_concat_alpha, shared block": ({"coupling": "input_concat_alpha", "shared_units": [6]},
+                                         "35e6840d43da6fe3c9d8c063869a6ecabda56f4b510b60393e033b58150c8f10"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_COUPLING_FITS))
+def test_fit_under_each_coupling_is_bit_identical_to_the_pinned_digest(case):
+    model, digest = PINNED_COUPLING_FITS[case]
+    cfg = config_from_dict({"task": "monotone-regression", "data": {"n": 300},
+                            "model": {"encoder_units": [8, 4], "decision_units": [8], **model},
+                            "train": {"max_epochs": 2, "patience": 1}})
+    result = fit(cfg.model_spec(), cfg.train_config(), cfg.build_dataset(), cfg.rule())
+    assert result.report.final_epoch == 2
+    assert params_sha256(result.params) == digest
 
 
 def traced_peak(run) -> int:
