@@ -11,8 +11,10 @@ truncated files, a field of the wrong dtype or rank (each field but the
 parameters is one integer, float or text value), a model layout that is
 not a JSON object, parameters that do not match the model layout or are not
 finite, and a malformed digest map raise without producing a partial
-model. Writes are atomic: the archive goes to a temporary file in the
-target directory and is then renamed onto the path.
+model. Writes to a path are atomic: the archive goes to a temporary file in
+the target directory and is then renamed onto the path. A caller that
+stages its own files (the CLI writes a seed's files together) passes a
+handle on its staged file instead, so each checkpoint is staged once.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import re
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -61,11 +64,12 @@ class Checkpoint:
 
 
 def save_checkpoint(
-    path: str | Path,
+    path: str | Path | BinaryIO,
     result: FitResult,
     config: dict,
     seed: int,
 ) -> None:
+    """Write ``result`` to ``path`` atomically, or into ``path`` if it is a binary handle open for writing."""
     arrays: dict[str, np.ndarray] = {
         "version": np.array(FORMAT_VERSION, dtype=np.int64),
         "model_json": np.array(json.dumps(asdict(result.spec), sort_keys=True)),
@@ -78,6 +82,9 @@ def save_checkpoint(
     }
     for name, value in result.params.items():
         arrays[f"param:{name}"] = value
+    if hasattr(path, "write"):  # a handle the caller opened, on a file it staged itself
+        np.savez(path, **arrays)
+        return
     # written through a handle, so np.savez adds no ".npz" to the path
     with staged_writes() as stage, open(stage(path), "wb") as fh:
         np.savez(fh, **arrays)

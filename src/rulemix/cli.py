@@ -81,7 +81,8 @@ def cmd_train(args) -> int:
         with staged_writes() as stage:  # a seed's files appear together, once its fit has ended
             if seed == cfg.seed:
                 stage(resolved).write_text(cfg.resolved_yaml())
-            save_checkpoint(stage(ck_path), result, cfg.raw, seed)
+            with open(stage(ck_path), "wb") as fh:
+                save_checkpoint(fh, result, cfg.raw, seed)
             result.report.to_csv(stage(report_path))
         report = result.report
         best_vals.append(report.best_val)
@@ -220,7 +221,8 @@ def cmd_ablate(args) -> int:
             sub.metric_kind, split="test", perturb_seed=sub.sweep.perturb_seed,
         )
         with staged_writes() as stage:  # a value's checkpoint and sweep appear together
-            save_checkpoint(stage(ck_path), result, sub.raw, sub.seed)
+            with open(stage(ck_path), "wb") as fh:
+                save_checkpoint(fh, result, sub.raw, sub.seed)
             sweep_to_csv(records, stage(sweep_path))
         best = select_alpha(records, sub.sweep.min_verification)
         report, ver = result.report, records[-1].verification

@@ -16,6 +16,9 @@ class SimulationBlowup(RuntimeError):
         self.step = step
         super().__init__(f"non-finite state at integration step {step}")
 
+    def __reduce__(self):  # unpickled from the step, not the message, as in a forked build's worker
+        return type(self), (self.step,)
+
 
 class UndefinedRatioError(ValueError):
     """Verification ratio requested on an empty (or all-invalid) sample set."""

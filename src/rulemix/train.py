@@ -337,7 +337,12 @@ def fit(
     dataset: Dataset,
     rule: RuleSpec | None = None,
 ) -> FitResult:
-    """Epoch loop with per-batch strength draws and best-validation restore."""
+    """Epoch loop with per-batch strength draws and best-validation restore.
+
+    An epoch that leaves every parameter bit-equal to its value at the
+    epoch's start raises ``TrainingAborted`` naming the epoch: such a fit
+    would return its initial parameters with no message.
+    """
     if cfg.mode != "task_only" and rule is None:
         raise ConfigError(f"mode {cfg.mode!r} requires a rule")
     started = time.perf_counter()
@@ -367,7 +372,9 @@ def fit(
     epochs_since_best = 0
     n = x_tr.shape[0]
 
+    epoch_start = np.empty_like(adam.theta)
     for epoch in range(1, cfg.max_epochs + 1):
+        np.copyto(epoch_start, adam.theta)
         order = rng.permutation(n)
         task_losses, rule_losses, alphas = [], [], []
         for start in range(0, n, cfg.batch_size):
@@ -388,6 +395,11 @@ def fit(
             task_losses.append(step.task_loss)
             rule_losses.append(step.rule_loss)
             alphas.append(alpha)
+        if np.array_equal(adam.theta, epoch_start):
+            raise TrainingAborted(
+                f"epoch {epoch} left every parameter bit-equal to its value at the epoch's start: "
+                f"lr {cfg.lr:g} is too small to move them, or every gradient was zero"
+            )
 
         val_metric = _validation_metric(spec, params, x_val, y_val, cfg, rule, val_pert)
         report.records.append(

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
+import pytest
 
+import rulemix.pendulum
 from rulemix.autodiff import Node, Tape
 from rulemix.errors import TrainingAborted
 from rulemix.evaluate import SweepRecord, task_metric
@@ -201,6 +205,11 @@ class ReferenceAdamState:
             state.v[name] = np.zeros_like(value)
         return state
 
+    @property
+    def theta(self) -> np.ndarray:
+        """Every parameter end to end, as ``AdamState.theta`` lays them out (a copy)."""
+        return np.concatenate([p.ravel() for p in self.params.values()])
+
 
 def reference_adam_update(state, grads):
     """Adam as a loop over the parameter arrays, one array at a time.
@@ -352,3 +361,67 @@ def spearman_rank_corr(a, b) -> float:
     if denom == 0.0:
         raise ValueError("constant input has no rank correlation")
     return float(np.sum(ra * rb) / denom)
+
+
+# ----------------------------------------------------------------------
+# pendulum builds on a chosen number of processes, and a record of the
+# trajectories they simulate that forked workers write to as well
+# ----------------------------------------------------------------------
+
+
+def assert_reaped(pids) -> None:
+    """No child of this process is left running or unreaped: each of ``pids`` is gone."""
+    assert multiprocessing.active_children() == []
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def force_workers(monkeypatch, workers: int) -> None:
+    """Make every pendulum build use ``workers`` processes, at most one per trajectory it simulates."""
+    monkeypatch.setattr(rulemix.pendulum, "FORK_MIN_STEPS", 0)
+    monkeypatch.setattr(rulemix.pendulum, "worker_count", lambda n_tasks: min(n_tasks, workers))
+
+
+class SimulatedTrajectories:
+    """Every trajectory a pendulum build simulates, whichever process simulates it.
+
+    ``install`` wraps ``pendulum.simulate_states``; a forked worker inherits
+    the wrapper and appends to the same file. The record compares equal to
+    the list of RK4 step counts in trajectory order, and ``trajectories()``
+    gives the indices of the trajectories simulated.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        path.write_text("")
+
+    def install(self, monkeypatch) -> "SimulatedTrajectories":
+        real = rulemix.pendulum.simulate_states
+
+        def recording(s0, params, n_steps, *args, **kwargs):
+            index = round((s0[0] - s0[2]) / 0.02)  # released at theta0 + 0.01 i and theta0 - 0.01 i
+            with open(self.path, "a") as fh:
+                fh.write(f"{index} {n_steps}\n")
+            return real(s0, params, n_steps, *args, **kwargs)
+
+        monkeypatch.setattr(rulemix.pendulum, "simulate_states", recording)
+        return self
+
+    def _calls(self) -> list[tuple[int, int]]:
+        return sorted(tuple(map(int, line.split())) for line in self.path.read_text().splitlines())
+
+    def trajectories(self) -> list[int]:
+        return [index for index, _ in self._calls()]
+
+    def clear(self) -> None:
+        self.path.write_text("")
+
+    def __eq__(self, other) -> bool:
+        return [steps for _, steps in self._calls()] == other
+
+    def __len__(self) -> int:
+        return len(self._calls())
+
+    def __repr__(self) -> str:
+        return f"SimulatedTrajectories({self._calls()})"

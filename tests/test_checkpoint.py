@@ -1,7 +1,9 @@
 """Checkpoint persistence and dataset CSV round-trips."""
 
 import json
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +94,22 @@ class TestCheckpoint:
         loaded = load_checkpoint(tmp_path / "ck")
         for k in result.params:
             assert np.array_equal(loaded.params[k], result.params[k])
+
+    def test_a_path_is_staged_once_and_a_handle_is_written_as_given(self, tmp_path, monkeypatch):
+        renames = []
+        real = os.replace
+
+        def counting(src, dst):
+            renames.append(Path(dst).name)
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting)
+        save_checkpoint(tmp_path / "a.npz", make_fit_result(5), {"task": "pendulum"}, seed=0)
+        with open(tmp_path / "b.npz", "wb") as fh:
+            save_checkpoint(fh, make_fit_result(5), {"task": "pendulum"}, seed=0)
+        assert renames == ["a.npz"]
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.npz", "b.npz"]
 
     def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.npz"

@@ -14,6 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import SimulatedTrajectories, force_workers
 from rulemix.autodiff import Tape
 from rulemix.checkpoint import load_checkpoint
 from rulemix.cli import main
@@ -140,8 +141,46 @@ class TestGenData:
         assert len(err) == 1 and err[0].startswith("error: SimulationBlowup:"), err
         assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
 
+    def test_blowup_in_a_worker_is_one_error_line_with_its_step(self, tmp_path, capsys, monkeypatch):
+        import os
+
+        import rulemix.pendulum
+        from rulemix.errors import SimulationBlowup
+
+        caller, real = os.getpid(), rulemix.pendulum.simulate_states
+
+        def blowing_up_in_a_worker(*args, **kwargs):
+            if os.getpid() != caller:
+                raise SimulationBlowup(17)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rulemix.pendulum, "simulate_states", blowing_up_in_a_worker)
+        force_workers(monkeypatch, 2)
+        cfg = tiny_pendulum_config(tmp_path)
+        capsys.readouterr()
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data.csv")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: SimulationBlowup: non-finite state at integration step 17"]
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
 
 class TestTrainSweepSelect:
+    def test_each_output_is_staged_and_renamed_once(self, tmp_path, monkeypatch):
+        import os
+
+        renames = []
+        real = os.replace
+
+        def counting(src, dst):
+            renames.append(Path(dst).name)
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting)
+        cfg = tiny_pendulum_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--seeds", "1"]) == 0
+        assert renames == ["resolved.yaml", "checkpoint_seed0.npz", "report_seed0.csv"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(renames)
+
     def test_full_pipeline_emits_selection_summary(self, tmp_path, capsys):
         cfg = tiny_pendulum_config(tmp_path)
         out_dir = tmp_path / "out"
@@ -677,31 +716,29 @@ def ten(trained_ten, tmp_path_factory):
 
 
 @pytest.fixture
-def simulated(monkeypatch):
-    """Records the step count of every trajectory the pendulum build simulates."""
-    import rulemix.pendulum
-
-    real = rulemix.pendulum.simulate_states
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(rulemix.pendulum, "simulate_states", counting)
-    return calls
+def simulated(monkeypatch, tmp_path_factory):
+    """Records the step count of every trajectory the pendulum build simulates, in any process."""
+    return SimulatedTrajectories(tmp_path_factory.mktemp("simulated") / "log").install(monkeypatch)
 
 
 class TestSweepRebuild:
-    @pytest.mark.parametrize("splits,trajectories", [(None, 4), ("test", 3), ("val", 1), ("test,train", 9)])
-    def test_simulates_only_the_swept_trajectories(self, ten, tmp_path, simulated, splits, trajectories):
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "splits,trajectories",
+        [(None, [6, 7, 8, 9]), ("test", [7, 8, 9]), ("val", [6]), ("test,train", [0, 1, 2, 3, 4, 5, 7, 8, 9])],
+    )
+    def test_simulates_only_the_swept_trajectories(
+        self, ten, tmp_path, monkeypatch, simulated, splits, trajectories, workers
+    ):
         ck, data = ten
+        force_workers(monkeypatch, workers)
         flags = [] if splits is None else ["--splits", splits]
         rebuilt, from_csv = tmp_path / "rebuilt.csv", tmp_path / "from_csv.csv"
         assert main(["sweep", "--checkpoint", str(ck), "--out", str(rebuilt), *flags]) == 0
-        assert simulated == [80 * 20] * trajectories  # whole trajectories of 80 pairs, 20 RK4 steps each
+        # whole trajectories of 80 pairs, 20 RK4 steps each
+        assert simulated == [80 * 20] * len(trajectories) and simulated.trajectories() == trajectories
         assert main(["sweep", "--checkpoint", str(ck), "--out", str(from_csv), "--data-csv", str(data), *flags]) == 0
-        assert len(simulated) == trajectories
+        assert len(simulated) == len(trajectories)
         assert rebuilt.read_bytes() == from_csv.read_bytes()
 
     @pytest.mark.parametrize(

@@ -1,13 +1,15 @@
 """Simulator physics, energy function, and dataset construction."""
 
 import math
+import os
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cartesian_energy, reference_eom, reference_rk4_step, reference_states
+from helpers import assert_reaped, cartesian_energy, force_workers, reference_eom, reference_rk4_step, reference_states
 from rulemix.data import SPLITS
 from rulemix.errors import SimulationBlowup
 from rulemix.pendulum import (
@@ -15,7 +17,6 @@ from rulemix.pendulum import (
     PendulumParams,
     build_pendulum_dataset,
     energy,
-    rk4_simulate,
     simulate_states,
 )
 
@@ -97,11 +98,11 @@ class TestSimulation:
         assert drift < 1e-6
 
     def test_rest_stays_at_rest(self):
-        kept = rk4_simulate((0.0, 0.0, 0.0, 0.0), DEFAULT_PARAMS, 50, 0.0, np.random.default_rng(0))
+        kept = simulate_states((0.0, 0.0, 0.0, 0.0), DEFAULT_PARAMS, 49 * 20, 1.0 / 200, every=20)
         np.testing.assert_array_equal(kept, np.zeros((50, 4)))
 
     def test_damped_pairs_lose_energy(self):
-        kept = rk4_simulate((2.0, 0.0, 2.0, 0.0), DEFAULT_PARAMS, 1000, 0.0, np.random.default_rng(0))
+        kept = simulate_states((2.0, 0.0, 2.0, 0.0), DEFAULT_PARAMS, 999 * 20, 1.0 / 200, every=20)
         e = energy(kept, DEFAULT_PARAMS)
         assert np.all(np.diff(e) < 0.0)
 
@@ -324,3 +325,86 @@ class TestSplitBuild:
         assert len(calls) == simulated
         assert calls == [10 * 20] * simulated  # whole trajectories: 10 pairs of 20 RK4 steps each
         assert len(ds) == 10 * simulated
+
+
+class TestForkedBuild:
+    """A build gives the same bytes on any number of processes, and leaves none behind."""
+
+    CASES = {
+        "all splits": dict(n_pairs=300, n_trajectories=6, seed=3),
+        "skipped trajectories draw their noise": dict(n_pairs=300, n_trajectories=6, seed=3, splits=("val", "test")),
+        "no noise": dict(n_pairs=300, n_trajectories=6, seed=3, noise_std=0.0),
+        "uneven pairs per trajectory": dict(n_pairs=307, n_trajectories=7, seed=4, split_fractions=(0.3, 0.3, 0.4)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_and_digests_equal_for_one_and_several_workers(self, monkeypatch, forks, case):
+        args = self.CASES[case]
+        force_workers(monkeypatch, 1)
+        serial = build_pendulum_dataset(**args)
+        assert forks == []
+        force_workers(monkeypatch, 3)
+        forked = build_pendulum_dataset(**args)
+        assert len(forks) == 2
+        assert forked.x.tobytes() == serial.x.tobytes() and forked.y.tobytes() == serial.y.tobytes()
+        assert forked.split.tolist() == serial.split.tolist()
+        assert [forked.sha256(s) for s in SPLITS] == [serial.sha256(s) for s in SPLITS]
+        assert_reaped(forks)
+
+    def test_blowup_in_a_worker_raises_the_serial_error(self, monkeypatch, forks):
+        args = dict(params=PendulumParams(g=1e200), n_pairs=60, n_trajectories=3)
+        force_workers(monkeypatch, 1)
+        with pytest.raises(SimulationBlowup) as serial:
+            build_pendulum_dataset(**args)
+        force_workers(monkeypatch, 3)
+        with pytest.raises(SimulationBlowup) as forked:
+            build_pendulum_dataset(**args)
+        assert len(forks) == 2
+        assert (forked.value.step, str(forked.value)) == (serial.value.step, str(serial.value))
+        assert_reaped(forks)
+
+    def test_first_blowup_in_trajectory_order_wins(self, monkeypatch, forks):
+        import rulemix.pendulum
+
+        real = rulemix.pendulum.simulate_states
+
+        def blowing_up(s0, *args, **kwargs):
+            index = round((s0[0] - s0[2]) / 0.02)
+            if index in (1, 2):  # 1 in a forked worker, 2 in the calling process
+                raise SimulationBlowup(100 + index)
+            return real(s0, *args, **kwargs)
+
+        monkeypatch.setattr(rulemix.pendulum, "simulate_states", blowing_up)
+        force_workers(monkeypatch, 3)
+        with pytest.raises(SimulationBlowup) as info:
+            build_pendulum_dataset(n_pairs=60, n_trajectories=6)
+        assert info.value.step == 101
+        assert_reaped(forks)
+
+    def test_workers_never_outnumber_the_usable_cores(self, monkeypatch):
+        import rulemix.pendulum
+
+        def no_fork():
+            raise AssertionError("a process was started")
+
+        planned = []
+
+        def in_process(fn, tasks, workers):
+            planned.append((len(tasks), workers))
+            return [fn(*task) for task in tasks]
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(rulemix.pendulum, "forked_map", in_process)
+        build_pendulum_dataset(n_pairs=5000, n_trajectories=5000, noise_std=0.0)
+        cores = len(os.sched_getaffinity(0))
+        assert planned == [(5000, min(cores, 5000))]
+
+    def test_a_build_below_the_cut_off_runs_in_the_calling_process(self, forks):
+        from rulemix.pendulum import FORK_MIN_STEPS
+
+        build_pendulum_dataset(n_pairs=FORK_MIN_STEPS // 20 - 2, n_trajectories=2)
+        assert forks == []
+
+    def test_blowup_survives_pickling(self):
+        back = pickle.loads(pickle.dumps(SimulationBlowup(17)))
+        assert (type(back), back.step, str(back)) == (SimulationBlowup, 17, "non-finite state at integration step 17")

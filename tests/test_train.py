@@ -13,7 +13,7 @@ import rulemix.model
 from helpers import ReferenceAdamState, full_pass_task_losses, reference_adam_update, tiny_model
 from rulemix.config import config_from_dict
 from rulemix.data import Dataset, assign_splits
-from rulemix.errors import ConfigError
+from rulemix.errors import ConfigError, TrainingAborted
 from rulemix.model import ModelSpec, forward_per_alpha, init_params
 from rulemix.optim import AdamState
 from rulemix.pendulum import DEFAULT_PARAMS
@@ -473,6 +473,12 @@ def test_trained_parameters_are_bit_identical_to_the_pinned_digest(task):
     result = fit(cfg.model_spec(), cfg.train_config(), cfg.build_dataset(), cfg.rule())
     assert result.report.final_epoch == 2
     assert params_sha256(result.params) == PINNED_FITS[task][1]
+
+
+def test_an_epoch_that_moves_no_parameter_stops_the_fit():
+    cfg = pinned_config("monotone-regression", lr=1e-300, max_epochs=3)
+    with pytest.raises(TrainingAborted, match="^epoch 1 left every parameter bit-equal .*lr 1e-300"):
+        fit(cfg.model_spec(), cfg.train_config(), cfg.build_dataset(), cfg.rule())
 
 
 @pytest.mark.parametrize("task", sorted(PINNED_LOSS_SCALES))
