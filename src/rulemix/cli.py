@@ -18,12 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import Arrays
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TASKS, ExperimentConfig, checked, config_from_dict, load_config, sweep_splits
 from .data import Dataset, check_paths, staged_writes, swept_rows, write_dataset_csv, write_rows_cache, write_table
 from .errors import CheckpointError, ConfigError, GenerationError, SimulationBlowup, TrainingAborted
 from .evaluate import EXTENDED_ALPHA_RANGE, alpha_grid, alpha_sweep, select_alpha, sweep_from_csv, sweep_to_csv
-from .model import forward_per_alpha
+from .model import encode, forward_per_alpha
 from .pendulum import PENDULUM_CSV_COLUMNS
 from .train import fit
 
@@ -144,7 +145,8 @@ def cmd_sweep(args) -> int:
         )
     if args.embeddings_out:  # computed before anything is written
         x, _ = rows[splits[-1]]
-        fwd = next(forward_per_alpha(ck.spec, ck.params, x, [args.embeddings_alpha]))
+        encoded = encode(Arrays(), ck.spec, ck.params, x)
+        fwd = next(forward_per_alpha(ck.spec, ck.params, encoded, [args.embeddings_alpha]))
         latents = {key: v for key, v in {"z": fwd.latent, "z_rule": fwd.z_rule, "z_data": fwd.z_data}.items()
                    if v is not None}
         names = [f"{key}{j}" for key, mat in latents.items() for j in range(mat.shape[1])]

@@ -14,15 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import PROB_CLAMP
+from .autodiff import PROB_CLAMP, Arrays
 from .data import read_table, write_table
 from .errors import ConfigError, InfeasibleSelectionError
-from .model import ModelSpec, forward_per_alpha, predict_values  # noqa: F401  (evaluate.predict_values stays importable)
+from .model import ModelSpec, encode, forward_per_alpha, predict_values  # noqa: F401  (evaluate.predict_values stays importable)
+from .parallel import forked_map, worker_count
 from .rules import RuleSpec, perturb_batch, verification_ratio
 
 METRICS = ("mae", "cross_entropy", "error_rate")  # each lower-is-better, as select_alpha assumes
 EXTENDED_ALPHA_RANGE = (-0.2, 1.4)  # reaches beyond the training range on both sides
 MAX_ALPHA_POINTS = 100_001  # step 1e-5 over [0, 1]; a finer grid is a typo, not a sweep
+# A sweep whose decodes take fewer multiply-adds (``decode_macs`` per row,
+# times rows, passes and strengths) runs in the calling process. On a 2-core
+# x86-64 host with one BLAS thread, in a process holding 40 MB, a 2-worker
+# desk-spec sweep of 21 strengths broke even between 71M (8.0 ms serial,
+# 10.9 ms forked) and 106M (12.0 ms serial, 11.3 ms forked), medians of 31
+# sweeps each; one of 81 strengths already gained at 17M.
+FORK_MIN_MACS = 150_000_000
 
 
 def task_metric(kind: str, y_hat: np.ndarray, y: np.ndarray) -> float:
@@ -73,6 +81,12 @@ class SweepRecord:
     split: str
 
 
+def decode_macs(spec: ModelSpec) -> int:
+    """Multiply-adds of one row's decode at one strength: the decision block and any alpha-fed encoder."""
+    layers = spec.decision_layers() + spec.blocks().get("encoder", ())
+    return sum(layer.fan_in * layer.fan_out for layer in layers)
+
+
 def alpha_sweep(
     spec: ModelSpec,
     params: dict[str, np.ndarray],
@@ -87,32 +101,38 @@ def alpha_sweep(
     """Evaluate the frozen model at each strength; parameters are never touched.
 
     The input (and, for rules that need perturbation, its perturbed copy) is
-    encoded once; see ``forward_per_alpha``. For such rules one seeded
-    perturbation set is drawn up front and reused at every grid point so
-    records are comparable across strengths. A rule's ``prepare``, if it has
-    one, runs once on the input.
-    """
-    def outputs(inputs: np.ndarray):
-        return (out.output for out in forward_per_alpha(spec, params, inputs, alphas))
+    encoded once, then decoded at each strength (``forward_per_alpha``). For
+    such rules one seeded perturbation set is drawn up front and reused at
+    every grid point so records are comparable across strengths. A rule's
+    ``prepare``, if it has one, runs once on the input.
 
-    perturbed, valid = itertools.repeat(None), None
-    if rule.needs_perturbation:
-        pert = perturb_batch(x, rule, np.random.default_rng(perturb_seed))
-        perturbed, valid = outputs(pert.x_p), pert.valid
+    The strengths are decoded in contiguous shares, one forked process per
+    usable core (``parallel.forked_map``), when the decodes take at least
+    ``FORK_MIN_MACS`` multiply-adds and ``parallel.worker_count`` allows
+    children that call BLAS (this process runs one OS thread); otherwise in
+    the calling process. The records and the first error, in grid order, do
+    not depend on the number of processes.
+    """
+    pert = perturb_batch(x, rule, np.random.default_rng(perturb_seed)) if rule.needs_perturbation else None
     prepare = getattr(rule, "prepare", None)
     inputs = x if prepare is None else prepare(x)
-    records = []
-    for alpha, y_hat, y_hat_p in zip(alphas, outputs(x), perturbed):
-        ver = verification_ratio(rule, inputs, y_hat, y_hat_p, valid)
-        records.append(
-            SweepRecord(
-                alpha=float(alpha),
-                task_metric=task_metric(metric_kind, y_hat, y),
-                verification=ver,
-                split=split,
-            )
-        )
-    return records
+    latents = encode(Arrays(), spec, params, x)
+    latents_p, valid = (None, None) if pert is None else (encode(Arrays(), spec, params, pert.x_p), pert.valid)
+
+    def decode_share(share: list[float]) -> list[tuple[float, float, float]]:
+        """(alpha, task metric, verification) at each strength of ``share``, in its own buffers."""
+        perturbed = itertools.repeat(None) if pert is None else forward_per_alpha(spec, params, latents_p, share)
+        rows = []
+        for alpha, out, out_p in zip(share, forward_per_alpha(spec, params, latents, share), perturbed):
+            ver = verification_ratio(rule, inputs, out.output, None if out_p is None else out_p.output, valid)
+            rows.append((float(alpha), task_metric(metric_kind, out.output, y), ver))
+        return rows
+
+    n = len(alphas)
+    macs = n * x.shape[0] * (1 if pert is None else 2) * decode_macs(spec)
+    workers = worker_count(n, blas=True) if macs >= FORK_MIN_MACS else 1
+    shares = [(list(alphas[k * n // workers:(k + 1) * n // workers]),) for k in range(workers)]
+    return [SweepRecord(*row, split) for rows in forked_map(decode_share, shares, workers) for row in rows]
 
 
 SWEEP_COLUMNS = ["alpha", "task_metric", "verification", "split"]

@@ -11,8 +11,8 @@ to one width-matched encoder instead of using two passages.
 The network is written once, in ``encode`` (every layer that does not read
 alpha) and ``decode`` (the rest), against the forward methods shared by
 ``autodiff.Tape`` and ``autodiff.Arrays``. ``predict`` runs both on a tape
-for training; ``forward_per_alpha`` runs ``encode`` once over plain arrays
-and ``decode`` once per strength.
+for training; over plain arrays, ``encode`` runs once per input and
+``forward_per_alpha`` runs ``decode`` on its latents once per strength.
 """
 
 from __future__ import annotations
@@ -285,21 +285,21 @@ def predict(
 def forward_per_alpha(
     spec: ModelSpec,
     params: dict[str, np.ndarray],
-    x: np.ndarray,
+    latents: tuple,
     alphas: Iterable[float],
 ) -> Iterator[Forward]:
     """Inference passes at each strength in turn, with no tape.
 
-    ``encode`` runs once, keeping only the layer being computed of each
-    block, and ``decode`` reruns per strength. Both are ``predict``'s own
-    functions, run over ``Arrays``, so the outputs equal those of
+    ``latents`` is what ``encode(Arrays(), spec, params, x)`` returned for
+    an input ``x``, an encoding that kept only the layer being computed of
+    each block; ``decode`` runs on it per strength. Both are ``predict``'s
+    own functions, run over ``Arrays``, so the outputs equal those of
     ``predict`` bit for bit.
 
     Each strength writes into the arrays of the strength before it: read
-    (or copy) a strength's arrays before advancing. The input and the
+    (or copy) a strength's arrays before advancing. The latents and the
     parameters are never written.
     """
-    latents = encode(Arrays(), spec, params, x)
     buffers: list[list[np.ndarray]] = []
     for alpha in alphas:
         yield decode(Arrays(buffers), spec, params, latents, alpha)

@@ -6,8 +6,15 @@ process runs the last share itself, and one child forked from it runs each
 other share, pickles its results into a pipe and exits. A forked child
 inherits the caller's modules and data, so nothing is sent to it, and no
 process machinery is imported: ``os.fork`` and ``os.pipe`` do the work.
-The children should run pure-Python work only, not a BLAS call, whose
-thread pool the fork may have copied in a locked state.
+
+A fork copies only the thread that calls it, so a lock another thread held
+at that moment stays held in the child. Children may call BLAS only when
+the caller runs a single OS thread, as ``worker_count(n, blas=True)``
+checks: numpy's OpenBLAS starts a thread pool at import unless limited to
+one thread (``OPENBLAS_NUM_THREADS=1``), and forked children then each
+restart a pool and overload the cores. Pure-Python work, such as the
+pendulum's RK4 steps, needs only that no other Python thread runs
+(``worker_count(n)``).
 
 Each share runs its tasks in order and stops at the first that raises.
 The results are merged in task order, and the first task that did not
@@ -25,14 +32,26 @@ import threading
 from typing import Callable, Sequence
 
 
-def worker_count(n_tasks: int) -> int:
+def os_threads() -> int | None:
+    """The OS threads of this process, BLAS pool included; None where ``/proc/self/task`` cannot be read."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
+
+
+def worker_count(n_tasks: int, blas: bool = False) -> int:
     """Processes ``forked_map`` should use for ``n_tasks`` tasks: the usable cores, at most one per task.
 
     1 where the platform cannot fork or report this process's CPU affinity,
     and in a process running other Python threads, one of which could hold
-    a lock at the fork that a child would then wait on for ever.
+    a lock at the fork that a child would then wait on for ever. With
+    ``blas``, for tasks that call BLAS, also 1 unless this process runs a
+    single OS thread (see the module docstring).
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+        return 1
+    if blas and os_threads() != 1:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), n_tasks))
 

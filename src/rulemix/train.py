@@ -30,9 +30,9 @@ import numpy as np
 
 from .data import SPLITS, Dataset, write_table
 from .errors import ConfigError, TrainingAborted
-from .model import ModelSpec, forward_per_alpha, init_params, predict
+from .model import ModelSpec, encode, forward_per_alpha, init_params, predict
 from .optim import AdamState, adam_update
-from .autodiff import Tape
+from .autodiff import Arrays, Tape
 from .rules import PerturbedBatch, RuleSpec, perturb_batch
 from .rules import energy_rule_node, monotonic_rule_node  # noqa: F401  (perfbench traces train.<name>)
 
@@ -121,7 +121,7 @@ def _task_loss(spec: ModelSpec, y_hat: np.ndarray, y: np.ndarray) -> float:
 
 def _output(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray, alpha: float) -> np.ndarray:
     """The model's output at one strength, from the inference path."""
-    return next(forward_per_alpha(spec, params, x, (alpha,))).output
+    return next(forward_per_alpha(spec, params, encode(Arrays(), spec, params, x), (alpha,))).output
 
 
 def _require_valid_pairs(rule: RuleSpec, pert: PerturbedBatch, split: str) -> None:
@@ -234,7 +234,8 @@ def evaluate_task_loss(
     alphas: tuple[float, ...],
 ) -> list[float]:
     """Task loss at each strength; the input is encoded once where the coupling allows."""
-    return [_task_loss(spec, out.output, y) for out in forward_per_alpha(spec, params, x, alphas)]
+    passes = forward_per_alpha(spec, params, encode(Arrays(), spec, params, x), alphas)
+    return [_task_loss(spec, out.output, y) for out in passes]
 
 
 def evaluate_rule_loss(

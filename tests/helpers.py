@@ -11,6 +11,7 @@ from typing import Callable, ClassVar
 import numpy as np
 import pytest
 
+import rulemix.evaluate
 import rulemix.pendulum
 from rulemix.autodiff import Node, Tape
 from rulemix.errors import TrainingAborted
@@ -364,8 +365,9 @@ def spearman_rank_corr(a, b) -> float:
 
 
 # ----------------------------------------------------------------------
-# pendulum builds on a chosen number of processes, and a record of the
-# trajectories they simulate that forked workers write to as well
+# pendulum builds and strength sweeps on a chosen number of processes, and
+# a record of the trajectories they simulate that forked workers write to
+# as well
 # ----------------------------------------------------------------------
 
 
@@ -381,6 +383,12 @@ def force_workers(monkeypatch, workers: int) -> None:
     """Make every pendulum build use ``workers`` processes, at most one per trajectory it simulates."""
     monkeypatch.setattr(rulemix.pendulum, "FORK_MIN_STEPS", 0)
     monkeypatch.setattr(rulemix.pendulum, "worker_count", lambda n_tasks: min(n_tasks, workers))
+
+
+def force_sweep_workers(monkeypatch, workers: int) -> None:
+    """Make every strength sweep decode in ``workers`` processes, at most one per strength."""
+    monkeypatch.setattr(rulemix.evaluate, "FORK_MIN_MACS", 0)
+    monkeypatch.setattr(rulemix.evaluate, "worker_count", lambda n_tasks, blas=False: max(1, min(n_tasks, workers)))
 
 
 class SimulatedTrajectories:

@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SimulatedTrajectories, force_workers
+from helpers import SimulatedTrajectories, assert_reaped, force_sweep_workers, force_workers
 from rulemix.autodiff import Tape
 from rulemix.checkpoint import load_checkpoint
 from rulemix.cli import main
@@ -890,6 +890,38 @@ class TestSweepRowsCache:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("note: rows cache not written:"), err
         assert out.exists() and sorted(p.name for p in ck.parent.iterdir()) == sorted([ck.name, blocker.name])
+
+
+class TestSweepInWorkers:
+    """``rulemix sweep`` with the strengths decoded in forked shares: the bytes and errors of one process."""
+
+    def test_csv_bytes_equal_those_of_one_process(self, trained, tmp_path, monkeypatch, forks):
+        ck, data = trained
+        written = {}
+        for workers in (1, 2):
+            force_sweep_workers(monkeypatch, workers)
+            out = tmp_path / f"sweep{workers}.csv"
+            flags = ["--data-csv", str(data), "--extended", "--step", "0.02"]
+            assert main(["sweep", "--checkpoint", str(ck), "--out", str(out), *flags]) == 0
+            written[workers] = out.read_bytes()
+        assert len(forks) == 2  # one worker for each of the val and test splits
+        assert written[2] == written[1] and len(sweep_from_csv(tmp_path / "sweep2.csv")) == 2 * 81
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_guard_no_pair_crosses_is_one_error_line(self, trained, tmp_path, capsys, monkeypatch, forks, workers):
+        ck, data = trained
+        # pendulum inputs stay far below 100, so no perturbation crosses the guard
+        rule = {"kind": "monotonic", "feature": 0, "direction": "decrease", "guard": 100.0}
+        guarded = with_stored_config(ck, tmp_path / "guarded.npz", lambda raw: {**raw, "rule": rule})
+        force_sweep_workers(monkeypatch, workers)
+        out = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        assert main(["sweep", "--checkpoint", str(guarded), "--out", str(out), "--data-csv", str(data)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: UndefinedRatioError: no valid perturbation pairs to verify"]
+        assert not out.exists() and len(forks) == workers - 1
+        assert_reaped(forks)
 
 
 class TestSweepOutputs:

@@ -1,6 +1,8 @@
 """Metrics, strength sweeps, selection, and rank correlation."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ import pytest
 import rulemix.autodiff
 import rulemix.evaluate
 import rulemix.model
+import rulemix.parallel
 import rulemix.rules
-from helpers import direct_sweep, spearman_rank_corr, tiny_model
-from rulemix.errors import ConfigError, InfeasibleSelectionError
+from helpers import assert_reaped, direct_sweep, force_sweep_workers, spearman_rank_corr, tiny_model
+from rulemix.errors import ConfigError, InfeasibleSelectionError, UndefinedRatioError
 from rulemix.evaluate import (
     EXTENDED_ALPHA_RANGE,
     MAX_ALPHA_POINTS,
@@ -22,7 +25,10 @@ from rulemix.evaluate import (
     sweep_to_csv,
     task_metric,
 )
-from rulemix.model import COUPLINGS, ModelSpec, forward_per_alpha, init_params, predict_values
+from rulemix.autodiff import Arrays
+from rulemix.model import (
+    COUPLINGS, ModelSpec, encode, forward_per_alpha, init_params, predict_values, width_matched_units,
+)
 from rulemix.pendulum import DEFAULT_PARAMS
 from rulemix.rules import EnergyDampingRule, MonotonicRule, ThresholdRule
 
@@ -176,18 +182,23 @@ class TestSweepMatchesFullPasses:
         assert got == want
 
     @pytest.mark.parametrize("coupling", COUPLINGS)
-    def test_encoders_run_once_unless_they_read_alpha(self, coupling, monkeypatch):
+    def test_encoders_run_once_unless_they_read_alpha(self, coupling, monkeypatch, tmp_path, forks):
         spec, params, x, y, rule, metric = self.make(coupling, "monotonic")
-        calls = []
+        log = tmp_path / "dense_calls"
+        log.write_text("")
         original = rulemix.autodiff.dense_forward
 
         def counting(h, layers, label, *args, **kwargs):
-            calls.append(label)
+            with open(log, "a") as fh:  # a forked worker appends to the same file
+                fh.write(label + "\n")
             return original(h, layers, label, *args, **kwargs)
 
         monkeypatch.setattr(rulemix.autodiff, "dense_forward", counting)
+        force_sweep_workers(monkeypatch, 2)
         alpha_sweep(spec, params, x, y, rule, alpha_grid(), metric)
-        # the input and its perturbed copy: two encodings, two decodes per strength;
+        assert len(forks) == 1
+        calls = log.read_text().splitlines()
+        # the input and its perturbed copy: two encodings, two decodes per strength, over both processes;
         # the shared block never reads alpha, so it runs once per input under every coupling
         n = len(alpha_grid())
         assert calls.count("shared") == 2
@@ -196,6 +207,123 @@ class TestSweepMatchesFullPasses:
             assert calls.count("encoder") == 2 * n
         else:
             assert calls.count("data") == 2
+
+
+class TestSweepInWorkers:
+    """Strengths decoded in forked shares give the records, and raise the errors, of one process."""
+
+    make = TestSweepMatchesFullPasses.make
+
+    # 17 strengths share unevenly over 2 and 3 workers; 2 are fewer than 3 workers
+    GRIDS = {"extended": alpha_grid(*EXTENDED_ALPHA_RANGE, 0.1), "one point": [0.3], "two points": [0.0, 1.0]}
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("family", sorted(SWEEP_RULES))
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_records_equal_per_alpha_predict_values(self, workers, coupling, family, grid, monkeypatch, forks):
+        spec, params, x, y, rule, metric = self.make(coupling, family)
+        alphas = self.GRIDS[grid]
+        force_sweep_workers(monkeypatch, workers)
+        got = alpha_sweep(spec, params, x, y, rule, alphas, metric, split="val", perturb_seed=5)
+        assert len(forks) == min(workers, len(alphas)) - 1
+        assert got == direct_sweep(spec, params, x, y, rule, alphas, metric, split="val", perturb_seed=5)
+        assert_reaped(forks)
+
+    def raised(self, workers, monkeypatch, forks, rule, alphas) -> tuple[type, str]:
+        spec, params, x, y, _, metric = self.make("scaled_concat", "monotonic")
+        force_sweep_workers(monkeypatch, workers)
+        with pytest.raises(ValueError) as info:
+            alpha_sweep(spec, params, x, y, rule, alphas, metric)
+        assert_reaped(forks)
+        return type(info.value), str(info.value)
+
+    def test_a_guard_no_pair_crosses_raises_as_in_one_process(self, monkeypatch, forks):
+        rule = MonotonicRule(feature=0, direction="increase", guard=100.0)  # inputs stay below 2
+        alphas = alpha_grid()
+        one = self.raised(1, monkeypatch, forks, rule, alphas)
+        assert one == (UndefinedRatioError, "no valid perturbation pairs to verify")
+        assert self.raised(2, monkeypatch, forks, rule, alphas) == one
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("at", [1, 2])  # in the forked worker's share, in the caller's
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_strength_raises_as_in_one_process(self, monkeypatch, forks, bad, at):
+        rule = SWEEP_RULES["monotonic"][0]
+        alphas = [0.0, 0.5, 1.0, 1.4]
+        alphas[at] = bad
+        one = self.raised(1, monkeypatch, forks, rule, alphas)
+        assert one == (ValueError, "rule strength must be finite")
+        assert self.raised(2, monkeypatch, forks, rule, alphas) == one
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_first_error_in_grid_order_is_raised(self, monkeypatch, forks, workers):
+        real = rulemix.model._strength
+
+        def refusing(alpha):
+            if alpha in (0.5, 1.0):
+                raise ValueError(f"strength {alpha} refused")
+            return real(alpha)
+
+        monkeypatch.setattr(rulemix.model, "_strength", refusing)
+        raised = self.raised(workers, monkeypatch, forks, SWEEP_RULES["monotonic"][0], [0.0, 0.5, 1.0, 1.4])
+        assert raised == (ValueError, "strength 0.5 refused")
+        assert len(forks) == workers - 1
+
+
+class TestSweepGates:
+    """A sweep forks only for enough work, in a process that runs one OS thread."""
+
+    @pytest.fixture
+    def sweep(self, monkeypatch):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one usable core: a sweep never forks")
+        monkeypatch.setattr(rulemix.parallel, "os_threads", lambda: 1)  # as with OPENBLAS_NUM_THREADS=1
+        spec, params, x, y, rule, metric = TestSweepMatchesFullPasses().make("scaled_concat", "energy")
+
+        def run(min_macs=0):
+            monkeypatch.setattr(rulemix.evaluate, "FORK_MIN_MACS", min_macs)
+            got = alpha_sweep(spec, params, x, y, rule, alpha_grid(), metric)
+            assert got == direct_sweep(spec, params, x, y, rule, alpha_grid(), metric)
+
+        # 21 strengths x 50 rows x the decision block's weights: the sweep's multiply-adds
+        run.macs = len(alpha_grid()) * x.shape[0] * rulemix.evaluate.decode_macs(spec)
+        return run
+
+    def test_enough_work_in_one_thread_forks(self, sweep, forks):
+        sweep(min_macs=sweep.macs)
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_a_live_thread_keeps_the_sweep_in_one_process(self, sweep, forks):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            sweep()
+        finally:
+            release.set()
+            thread.join(30)
+        assert forks == []
+
+    def test_other_os_threads_keep_the_sweep_in_one_process(self, sweep, forks, monkeypatch):
+        monkeypatch.setattr(rulemix.parallel, "os_threads", lambda: 2)  # a BLAS pool that Python does not see
+        sweep()
+        assert forks == []
+
+    def test_work_below_the_gate_stays_in_one_process(self, sweep, forks):
+        sweep(min_macs=sweep.macs + 1)
+        assert forks == []
+
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    def test_decode_work_counts_the_decision_block_and_an_alpha_fed_encoder(self, coupling):
+        spec = ModelSpec(input_dim=4, output_dim=2, coupling=coupling, encoder_units=(8, 5), decision_units=(7,))
+        decision = (5 if coupling in ("single", "add") else 10) * 7 + 7 * 2
+        # the width-matched encoder reads h and alpha: 5 inputs, then widths (u, 10)
+        (u, _) = width_matched_units(4, (8, 5)) if coupling == "input_concat_alpha" else (0, 0)
+        encoder = 5 * u + u * 10 if coupling == "input_concat_alpha" else 0
+        assert rulemix.evaluate.decode_macs(spec) == decision + encoder
 
 
 # (task_metric, verification) as hex floats at each strength of PINNED_SWEEP_ALPHAS, for the
@@ -236,7 +364,7 @@ class TestSweepBuffers:
     @pytest.mark.parametrize("coupling", COUPLINGS)
     def test_second_strength_writes_into_the_first_strengths_arrays(self, coupling):
         spec, params, x, _, _, _ = self.make(coupling, "energy")
-        passes = forward_per_alpha(spec, params, x, [0.2, 0.7])
+        passes = forward_per_alpha(spec, params, encode(Arrays(), spec, params, x), [0.2, 0.7])
         first = next(passes)
         output, latent = first.output, first.latent
         second = next(passes)

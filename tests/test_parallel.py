@@ -1,13 +1,16 @@
 """``parallel.forked_map``: results in task order, errors as a loop raises them, no process left behind."""
 
 import os
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import rulemix.parallel
 from helpers import assert_reaped
-from rulemix.parallel import forked_map, worker_count
+from rulemix.parallel import forked_map, os_threads, worker_count
 
 
 def power(base, exponent):
@@ -97,3 +100,27 @@ def test_a_process_with_other_threads_does_not_fork():
         release.set()
         thread.join(30)
     assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("threads,blas_workers", [(1, None), (2, 1), (None, 1)])
+def test_work_that_calls_blas_forks_only_from_one_os_thread(monkeypatch, threads, blas_workers):
+    cores = len(os.sched_getaffinity(0))
+    monkeypatch.setattr(rulemix.parallel, "os_threads", lambda: threads)
+    assert worker_count(5000, blas=True) == (cores if blas_workers is None else blas_workers)
+    assert worker_count(5000) == cores  # pure-Python work ignores threads Python does not run
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count OS threads")
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS starts no pool on one core")
+def test_numpy_runs_one_os_thread_only_with_one_blas_thread():
+    def threads_after_import(blas_threads: str) -> int:
+        env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)  # where this process found rulemix
+        code = "import numpy, rulemix.parallel; print(rulemix.parallel.os_threads())"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return int(out.stdout)
+
+    assert threads_after_import("2") > 1
+    assert threads_after_import("1") == 1
+    assert os_threads() >= 1

@@ -11,10 +11,11 @@ import pytest
 import rulemix.train
 import rulemix.model
 from helpers import ReferenceAdamState, full_pass_task_losses, reference_adam_update, tiny_model
+from rulemix.autodiff import Arrays
 from rulemix.config import config_from_dict
 from rulemix.data import Dataset, assign_splits
 from rulemix.errors import ConfigError, TrainingAborted
-from rulemix.model import ModelSpec, forward_per_alpha, init_params
+from rulemix.model import ModelSpec, encode, forward_per_alpha, init_params
 from rulemix.optim import AdamState
 from rulemix.pendulum import DEFAULT_PARAMS
 from rulemix.rules import EnergyDampingRule, MonotonicRule, ThresholdRule
@@ -566,5 +567,5 @@ def test_inference_encoding_keeps_only_the_live_layer(coupling):
     rng = np.random.default_rng(3)
     params = init_params(spec, rng)
     x = rng.uniform(-1, 1, (500, 4))
-    peak = traced_peak(lambda: next(forward_per_alpha(spec, params, x, [0.5])))
+    peak = traced_peak(lambda: next(forward_per_alpha(spec, params, encode(Arrays(), spec, params, x), [0.5])))
     assert peak < 2.5 * widest_matrix_bytes(spec, x.shape[0]), (peak, widest_matrix_bytes(spec, x.shape[0]))
