@@ -22,14 +22,14 @@ from .autodiff import Arrays
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TASKS, ExperimentConfig, checked, config_from_dict, load_config, sweep_splits
 from .data import Dataset, check_paths, staged_writes, swept_rows, write_dataset_csv, write_rows_cache, write_table
-from .errors import CheckpointError, ConfigError, GenerationError, SimulationBlowup, TrainingAborted
+from .errors import CheckpointError, ConfigError, GenerationError, SimulationBlowup, TrainingAborted, WorkerDied
 from .evaluate import EXTENDED_ALPHA_RANGE, alpha_grid, alpha_sweep, select_alpha, sweep_from_csv, sweep_to_csv
 from .model import encode, forward_per_alpha
 from .pendulum import PENDULUM_CSV_COLUMNS
 from .train import fit
 
 # reported in one line; ConfigError and the selection and ratio errors are ValueErrors
-_HANDLED = (CheckpointError, GenerationError, SimulationBlowup, TrainingAborted, ValueError, OSError)
+_HANDLED = (CheckpointError, GenerationError, SimulationBlowup, TrainingAborted, WorkerDied, ValueError, OSError)
 
 
 def _dataset_columns(cfg: ExperimentConfig, dataset: Dataset) -> list[str]:
@@ -316,6 +316,9 @@ def main(argv=None) -> int:
     except _HANDLED as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: staged writes are already undone
+        print("error: interrupted", file=sys.stderr)
+        return 130  # the shell's code for a process ended by SIGINT
 
 
 if __name__ == "__main__":

@@ -24,6 +24,10 @@ class UndefinedRatioError(ValueError):
     """Verification ratio requested on an empty (or all-invalid) sample set."""
 
 
+class WorkerDied(RuntimeError):
+    """A forked worker process ended without sending its result: killed, say, or out of memory."""
+
+
 class GenerationError(RuntimeError):
     """Synthetic data generation could not satisfy its target statistics."""
 

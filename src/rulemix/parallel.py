@@ -31,6 +31,8 @@ import signal
 import threading
 from typing import Callable, Sequence
 
+from .errors import WorkerDied
+
 
 def os_threads() -> int | None:
     """The OS threads of this process, BLAS pool included; None where ``/proc/self/task`` cannot be read."""
@@ -85,8 +87,11 @@ def _receive(pid: int, read: int) -> tuple[list, BaseException | None]:
     """The outcome child ``pid`` sent through ``read``, once it has closed its end."""
     with open(read, "rb") as fh:
         payload = fh.read()
-    if not payload:
-        raise RuntimeError(f"worker process {pid} ended without a result")
+    if not payload:  # peek at how it ended, leaving the child for forked_map to reap
+        info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        ended = (f"exit status {info.si_status}" if info.si_code == os.CLD_EXITED
+                 else f"signal {signal.Signals(info.si_status).name}")
+        raise WorkerDied(f"worker process {pid} ended without a result ({ended})")
     return pickle.loads(payload)
 
 

@@ -1,30 +1,30 @@
-"""Training loops: blended rule/task objective, baselines, and early stopping.
+"""Training loops: the blended rule/task objective, its baselines, and early stopping.
 
-The central mode, ``controlled``, draws a fresh rule strength per minibatch
-from Beta(beta, beta) and optimizes
+``MODES`` holds one ``Mode`` record per training mode; ``fit`` and ``train_step`` read it, never the name:
 
-    total = alpha * rule_loss + ratio * (1 - alpha) * task_loss,
+    mode           alpha per batch   rule term              total                           stops on
+    controlled     Beta(beta, beta)  pairs drawn per batch  alpha * rule + (1 - alpha) * R  task loss, mean over val_alphas
+    task_only      0                 reported, no pairs     task                            task loss at alpha 0
+    task_and_rule  0                 pairs drawn per batch  task + rule_weight * rule       task loss at alpha 0
+    rule_only      1                 pairs drawn per batch  rule                            rule loss at 1, pairs drawn once
 
-where ``ratio`` rescales the task objective by the ratio of the two initial
-losses so neither objective dominates purely through units. For a rule that
-needs perturbation, each batch additionally runs the perturbed inputs
-through the identical parameters and the rule loss compares the paired
-outputs. Baselines: ``task_only`` (alpha pinned to 0, task loss only),
-``rule_only`` (alpha pinned to 1, rule loss only), and ``task_and_rule``
-(fixed-weight sum, single-passage model).
+R, written ((1 - alpha) * rule0) * (task / task0), rescales the task loss by
+the ratio of the initial losses (``LossScale``), so neither objective wins
+through units alone. A rule that needs perturbation runs each batch's
+perturbed copy through the same parameters and compares the paired outputs;
+``task_only`` draws no pairs, so such a rule's ``train_rule`` is NaN there.
 
-Only ``train_step`` records the model on a gradient tape, through
-``model.predict``. Every pass that takes no gradient (the loss-scale pass,
-and validation's task and rule losses) runs on the inference path,
-``model.forward_per_alpha``: the same ``encode`` and ``decode`` over plain
-arrays, with no tape, keeping only the live layer of each block. The losses
-then go on a small tape whose leaves are the model's outputs.
+Only ``train_step`` records the model on a gradient tape (``model.predict``).
+Passes that take no gradient (the loss scale, validation) run ``encode`` and
+``decode`` over plain arrays (``model.forward_per_alpha``), and their losses
+go on a small tape whose leaves are the model's outputs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +36,26 @@ from .autodiff import Arrays, Tape
 from .rules import PerturbedBatch, RuleSpec, perturb_batch
 from .rules import energy_rule_node, monotonic_rule_node  # noqa: F401  (perfbench traces train.<name>)
 
-MODES = ("controlled", "task_only", "task_and_rule", "rule_only")
+
+@dataclass(frozen=True)
+class Mode:
+    """What one training mode does; ``MODES`` holds one per name."""
+
+    alpha: float | None  # every batch's strength; None draws one per batch with sample_alpha
+    rule_term: bool  # the total has a rule term: a rule is required, and a perturbing one draws pairs per batch
+    scaled: bool  # fit computes a LossScale, which the total reads
+    stops_on: str  # "task" or "rule": validation's loss, averaged over val_alphas if alpha is None, else at alpha
+    total: Callable[..., int]  # (tape, task, rule, alpha, scale, rule_weight) -> the node a step minimizes
+
+
+MODES = {
+    "controlled": Mode(None, True, True, "task", lambda tape, task, rule, alpha, scale, weight: tape.add(
+        tape.scale(rule, alpha), tape.scale(tape.divide(task, scale.task0), (1.0 - alpha) * scale.rule0))),
+    "task_only": Mode(0.0, False, False, "task", lambda tape, task, rule, alpha, scale, weight: task),
+    "task_and_rule": Mode(0.0, True, False, "task",
+                          lambda tape, task, rule, alpha, scale, weight: tape.add(task, tape.scale(rule, weight))),
+    "rule_only": Mode(1.0, True, False, "rule", lambda tape, task, rule, alpha, scale, weight: rule),
+}
 RHO_POLICIES = ("fixed", "per_epoch")
 
 
@@ -69,8 +88,8 @@ class TrainConfig:
             raise ConfigError(f"rule_weight must be >= 0 and finite, got {self.rule_weight!r}")
         if self.rho_policy not in RHO_POLICIES:
             raise ConfigError(f"unknown rho policy {self.rho_policy!r}")
-        if not (self.val_alphas and np.isfinite(self.val_alphas).all()):
-            raise ConfigError(f"val_alphas must hold at least one strength, all finite, got {self.val_alphas!r}")
+        if not (self.val_alphas and all(0.0 <= a <= 1.0 for a in self.val_alphas)):  # training draws in [0, 1]
+            raise ConfigError(f"val_alphas must hold at least one strength, each in [0, 1], got {self.val_alphas!r}")
 
 
 def sample_alpha(beta: float, rng: np.random.Generator) -> float:
@@ -95,8 +114,8 @@ def sample_alpha(beta: float, rng: np.random.Generator) -> float:
 class LossScale:
     """Initial loss pair defining the task-objective rescale.
 
-    ``train_step`` applies the rescale as (task / task0) * rule0, which is
-    algebraically ratio * task but exact (not just close) at task == task0.
+    The ``controlled`` total applies the rescale as (task / task0) * rule0,
+    which is algebraically ratio * task but exact (not just close) at task == task0.
     """
 
     rule0: float
@@ -124,25 +143,34 @@ def _output(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray, alpha
     return next(forward_per_alpha(spec, params, encode(Arrays(), spec, params, x), (alpha,))).output
 
 
-def _require_valid_pairs(rule: RuleSpec, pert: PerturbedBatch, split: str) -> None:
-    """A perturbation set with no valid pair leaves the rule unchecked: its loss is 0 whatever the model does."""
+def _mode(name: str, rule: RuleSpec | None, has_scale: bool = True) -> Mode:
+    """``MODES[name]``, once a rule and a loss scale are there if it needs them (``fit`` computes its own scale)."""
+    if name not in MODES:
+        raise ConfigError(f"unknown training mode {name!r}")
+    mode = MODES[name]
+    if mode.rule_term and rule is None:
+        raise ConfigError(f"mode {name!r} requires a rule")
+    if mode.scaled and not has_scale:
+        raise ConfigError(f"mode {name!r} requires a LossScale")
+    return mode
+
+
+def _fixed_perturbation(x: np.ndarray, rule: RuleSpec, rng: np.random.Generator,
+                        split: str) -> PerturbedBatch | None:
+    """A perturbation set of ``split``'s rows, fixed for passes that take no gradient; None if the rule needs none."""
+    if not rule.needs_perturbation:
+        return None
+    pert = perturb_batch(x, rule, rng)
     if not pert.valid.any():
         raise ConfigError(
             f"the {split} split has 0 valid perturbation pairs of {pert.valid.size}: no nudge of feature "
             f"{rule.feature} exercises the rule (guard {rule.guard}), so the rule is never checked"
         )
+    return pert
 
 
-def _rule_loss_on_outputs(
-    tape: Tape,
-    spec: ModelSpec,
-    params: dict[str, np.ndarray],
-    rule: RuleSpec,
-    x: np.ndarray,
-    y_hat: int,
-    alpha: float,
-    pert: PerturbedBatch | None,
-) -> int:
+def _rule_loss_on_outputs(tape: Tape, spec: ModelSpec, params: dict[str, np.ndarray], rule: RuleSpec,
+                          x: np.ndarray, y_hat: int, alpha: float, pert: PerturbedBatch | None) -> int:
     """The rule's loss node over the output leaf ``y_hat``, for a pass that takes no gradient.
 
     A perturbing rule's copy ``pert.x_p`` runs on the inference path too and
@@ -175,41 +203,25 @@ def train_step(
     rule_weight: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> StepResult:
-    """One minibatch update of ``adam.params``, in place; returns the loss components."""
+    """One minibatch update of ``adam.params``, in place, as ``MODES[mode]`` says; returns the loss components."""
     if x.shape[0] == 0:
         raise ValueError("empty batch")
+    record = _mode(mode, rule, scale is not None)
     params = adam.params
     tape = Tape()
     fwd = predict(tape, spec, params, x, alpha)
     rule_node = None
-    if rule is not None and (mode != "task_only" or not rule.needs_perturbation):
-        if not rule.needs_perturbation:
-            rule_node = rule.loss_node(tape, x, fwd.output)
-        elif rng is None:
+    if rule is not None and not rule.needs_perturbation:  # on the tape in every mode, for the report
+        rule_node = rule.loss_node(tape, x, fwd.output)
+    elif rule is not None and record.rule_term:
+        if rng is None:
             raise ValueError("this rule needs an rng for the perturbation draw")
-        else:
-            pert = perturb_batch(x, rule, rng)
-            fwd_p = predict(tape, spec, params, pert.x_p, alpha)
-            rule_node = rule.loss_node(tape, x, fwd.output, fwd_p.output, pert.valid)
+        pert = perturb_batch(x, rule, rng)
+        fwd_p = predict(tape, spec, params, pert.x_p, alpha)
+        rule_node = rule.loss_node(tape, x, fwd.output, fwd_p.output, pert.valid)
 
     task_node = _task_loss_node(tape, spec, fwd.output, y)
-    if mode == "controlled":
-        if scale is None:
-            raise ValueError("controlled mode requires a LossScale")
-        # the rescaled task term is (task / task0) * rule0: algebraically
-        # ratio * task, but exact (not merely close) when task == task0
-        total_node = tape.add(
-            tape.scale(rule_node, alpha),
-            tape.scale(tape.divide(task_node, scale.task0), (1.0 - alpha) * scale.rule0),
-        )
-    elif mode == "task_only":
-        total_node = task_node
-    elif mode == "rule_only":
-        total_node = rule_node
-    elif mode == "task_and_rule":
-        total_node = tape.add(task_node, tape.scale(rule_node, rule_weight))
-    else:
-        raise ConfigError(f"unknown training mode {mode!r}")
+    total_node = record.total(tape, task_node, rule_node, alpha, scale, rule_weight)
 
     result = StepResult(
         alpha=alpha,
@@ -271,9 +283,7 @@ def compute_loss_scale(
     """
     alpha = 0.5
     out = _output(spec, params, x, alpha)
-    pert = perturb_batch(x, rule, rng) if rule.needs_perturbation else None
-    if pert is not None:
-        _require_valid_pairs(rule, pert, "train")
+    pert = _fixed_perturbation(x, rule, rng, "train")
     tape = Tape()
     y_hat = tape.leaf(out)
     rule0 = tape.scalar(_rule_loss_on_outputs(tape, spec, params, rule, x, y_hat, alpha, pert))
@@ -316,20 +326,14 @@ class FitResult:
     data_sha256: dict[str, str]  # split -> Dataset.sha256 of the rows fit was given
 
 
-def _validation_metric(
-    spec: ModelSpec,
-    params: dict[str, np.ndarray],
-    x_val: np.ndarray,
-    y_val: np.ndarray,
-    cfg: TrainConfig,
-    rule: RuleSpec | None,
-    val_pert: PerturbedBatch | None,
-) -> float:
-    if cfg.mode == "controlled":
-        return float(np.mean(evaluate_task_loss(spec, params, x_val, y_val, cfg.val_alphas)))
-    if cfg.mode == "rule_only":
-        return evaluate_rule_loss(spec, params, x_val, rule, 1.0, val_pert)
-    return evaluate_task_loss(spec, params, x_val, y_val, (0.0,))[0]
+def _validation_metric(spec: ModelSpec, params: dict[str, np.ndarray], x_val: np.ndarray, y_val: np.ndarray,
+                       mode: Mode, val_alphas: tuple[float, ...], rule: RuleSpec | None,
+                       val_pert: PerturbedBatch | None) -> float:
+    """The mean of the loss ``mode`` stops on, over its strengths; the mean of one value is that value."""
+    alphas = val_alphas if mode.alpha is None else (mode.alpha,)
+    if mode.stops_on == "rule":
+        return float(np.mean([evaluate_rule_loss(spec, params, x_val, rule, a, val_pert) for a in alphas]))
+    return float(np.mean(evaluate_task_loss(spec, params, x_val, y_val, alphas)))
 
 
 def fit(
@@ -344,8 +348,7 @@ def fit(
     epoch's start raises ``TrainingAborted`` naming the epoch: such a fit
     would return its initial parameters with no message.
     """
-    if cfg.mode != "task_only" and rule is None:
-        raise ConfigError(f"mode {cfg.mode!r} requires a rule")
+    mode = _mode(cfg.mode, rule)
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     params = init_params(spec, rng)
@@ -354,16 +357,11 @@ def fit(
     if x_tr.shape[0] == 0 or x_val.shape[0] == 0:
         raise ConfigError("dataset needs non-empty train and val splits")
 
-    scale = None
-    if cfg.mode == "controlled":
-        scale = compute_loss_scale(spec, params, x_tr, y_tr, rule, rng)
-        if scale.rule0 == 0.0:
-            raise ConfigError("initial rule loss is zero: the rule already holds on the training "
-                              "sample, so the rescaled task term would be 0")
-    val_pert = None
-    if cfg.mode == "rule_only" and rule.needs_perturbation:
-        val_pert = perturb_batch(x_val, rule, rng)
-        _require_valid_pairs(rule, val_pert, "val")
+    scale = compute_loss_scale(spec, params, x_tr, y_tr, rule, rng) if mode.scaled else None
+    if scale is not None and scale.rule0 == 0.0:
+        raise ConfigError("initial rule loss is zero: the rule already holds on the training "
+                          "sample, so the rescaled task term would be 0")
+    val_pert = _fixed_perturbation(x_val, rule, rng, "val") if mode.stops_on == "rule" else None
 
     adam = AdamState.for_params(params, lr=cfg.lr)
     params = adam.params  # trained in place from here on
@@ -380,12 +378,7 @@ def fit(
         task_losses, rule_losses, alphas = [], [], []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            if cfg.mode == "controlled":
-                alpha = sample_alpha(cfg.beta, rng)
-            elif cfg.mode == "rule_only":
-                alpha = 1.0
-            else:
-                alpha = 0.0
+            alpha = sample_alpha(cfg.beta, rng) if mode.alpha is None else mode.alpha
             try:
                 step = train_step(
                     spec, adam, x_tr[idx], y_tr[idx], rule,
@@ -402,7 +395,7 @@ def fit(
                 f"lr {cfg.lr:g} is too small to move them, or every gradient was zero"
             )
 
-        val_metric = _validation_metric(spec, params, x_val, y_val, cfg, rule, val_pert)
+        val_metric = _validation_metric(spec, params, x_val, y_val, mode, cfg.val_alphas, rule, val_pert)
         report.records.append(
             EpochRecord(
                 epoch=epoch,

@@ -163,6 +163,41 @@ class TestGenData:
         assert err == ["error: SimulationBlowup: non-finite state at integration step 17"]
         assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
 
+    def test_a_worker_that_dies_is_one_error_line_naming_it(self, tmp_path, capsys, monkeypatch, forks):
+        import os
+
+        import rulemix.pendulum
+
+        caller, real = os.getpid(), rulemix.pendulum._trajectory
+
+        def dying_in_a_worker(*args):
+            if os.getpid() != caller:
+                os._exit(3)  # ends the worker before it sends a result, as a kill would
+            return real(*args)
+
+        monkeypatch.setattr(rulemix.pendulum, "_trajectory", dying_in_a_worker)
+        force_workers(monkeypatch, 2)
+        cfg = tiny_pendulum_config(tmp_path)
+        capsys.readouterr()
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data.csv")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(forks) == 1
+        assert err == [f"error: WorkerDied: worker process {forks[0]} ended without a result (exit status 3)"]
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+        assert_reaped(forks)
+
+    def test_an_interrupt_is_one_error_line_and_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def interrupted(path, dataset, columns):
+            Path(path).write_text(",".join(columns[:3]))  # the staged file is half written
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("rulemix.cli.write_dataset_csv", interrupted)
+        cfg = tiny_pendulum_config(tmp_path)
+        capsys.readouterr()
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data.csv")]) == 130
+        assert capsys.readouterr().err.strip().splitlines() == ["error: interrupted"]
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]  # no target, no .tmp
+
 
 class TestTrainSweepSelect:
     def test_each_output_is_staged_and_renamed_once(self, tmp_path, monkeypatch):

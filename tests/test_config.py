@@ -156,6 +156,8 @@ class TestValidation:
             ("train", "batch_size", [1]),
             ("train", "val_alphas", None),
             ("train", "val_alphas", []),
+            ("train", "val_alphas", [2.0]),  # loaded, then stopped on a strength training never draws
+            ("train", "val_alphas", [0.0, -0.5]),
             ("train", "rule_weight", {}),
             ("data", "n_pairs", None),
             ("data", "theta0", None),

@@ -1,6 +1,7 @@
 """``parallel.forked_map``: results in task order, errors as a loop raises them, no process left behind."""
 
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -10,6 +11,7 @@ import pytest
 
 import rulemix.parallel
 from helpers import assert_reaped
+from rulemix.errors import WorkerDied
 from rulemix.parallel import forked_map, os_threads, worker_count
 
 
@@ -62,6 +64,18 @@ def test_a_worker_that_dies_is_an_error(forks):
 
     with pytest.raises(RuntimeError, match="ended without a result"):
         forked_map(dying, [(0,), (1,)], 2)
+    assert_reaped(forks)
+
+
+def test_a_worker_killed_by_a_signal_is_named_with_it(forks):
+    def killed(k):
+        if k == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return k
+
+    with pytest.raises(WorkerDied) as caught:
+        forked_map(killed, [(0,), (1,)], 2)
+    assert str(caught.value) == f"worker process {forks[0]} ended without a result (signal SIGKILL)"
     assert_reaped(forks)
 
 

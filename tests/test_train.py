@@ -196,6 +196,22 @@ class TestTrainStep:
         for name in params:
             np.testing.assert_array_equal(adam_a.params[name], adam_b.params[name])
 
+    @pytest.mark.parametrize(
+        "mode, rule, scale, missing",
+        [("controlled", None, LossScale(1.0, 1.0), "a rule"), ("controlled", ENERGY_RULE, None, "a LossScale"),
+         ("task_and_rule", None, None, "a rule"), ("rule_only", None, None, "a rule")],
+    )
+    def test_a_mode_missing_what_it_needs_is_refused_before_the_step(self, mode, rule, scale, missing):
+        spec, params, x, y, _ = self.make()
+        adam = AdamState.for_params(params)
+        before = adam.theta.copy()
+        with pytest.raises(ConfigError, match=f"^mode '{mode}' requires {missing}$"):
+            train_step(spec, adam, x, y, rule, mode, 0.5, scale)
+        np.testing.assert_array_equal(adam.theta, before)
+        if missing == "a rule":  # fit reads the same check
+            with pytest.raises(ConfigError, match=f"^mode '{mode}' requires a rule$"):
+                fit(spec, TrainConfig(mode=mode, max_epochs=2, patience=1), identity_dataset())
+
     def test_non_finite_loss_aborts_with_batch_diagnostics(self):
         spec, params, x, y, scale = self.make(4)
         params = {k: v * 1e200 for k, v in params.items()}  # overflow the forward pass
@@ -500,6 +516,37 @@ def test_rule_only_fit_is_bit_identical_to_the_pinned_digest():
     result = fit(cfg.model_spec(), cfg.train_config(), cfg.build_dataset(), cfg.rule())
     assert [r.val_metric.hex() for r in result.report.records] == ["0x1.02b40b0fe4e39p-15", "0x1.38cff7f1fb111p-16"]
     assert params_sha256(result.params) == "fd7014f36815fc1c89d76aaa9e06e35f67db57a70a31262161d65d73efd4e0ff"
+
+
+# 2-epoch fits in the two baselines the pins above leave out, recorded while fit and train_step
+# still branched on the mode's name: (task, train) -> (digest, train_rule hex, val_metric hex)
+PINNED_MODE_FITS = {
+    "task_only, monotone-regression": (  # a perturbing rule: no perturbation is drawn, train_rule is NaN
+        ("monotone-regression", {"mode": "task_only"}),
+        ("7399c9dc3e0669666eb30648023d781e972a4156be91a4ff9c8f28a00df41d74",
+         ["nan", "nan"], ["0x1.10303ec821e8ep+1", "0x1.0f788e4cce237p+1"]),
+    ),
+    "task_only, pendulum": (  # the energy term is on the tape for the report, out of the total
+        ("pendulum", {"mode": "task_only"}),
+        ("f95b7cb6e71f0de216aa80ac741a821d90b76bef3c6f0e76bdc9a43cda2dec5f",
+         ["0x1.8db3f51087eb8p-4", "0x1.5ee81834f9e70p-4"], ["0x1.58bb80375bc93p-4", "0x1.4c3e4f0e73f9dp-4"]),
+    ),
+    "task_and_rule, monotone-regression": (
+        ("monotone-regression", {"mode": "task_and_rule", "rule_weight": 0.5}),
+        ("a6815798f6de0805131976763174b410bc3a44b2bba768091d613e5df0994957",
+         ["0x1.5e786c93e06dap-13", "0x1.081de43dd138bp-13"], ["0x1.1030003421f49p+1", "0x1.0f56c684f6806p+1"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_MODE_FITS))
+def test_baseline_fit_is_bit_identical_to_the_pinned_digest(case):
+    (task, train), (digest, train_rule, val_metric) = PINNED_MODE_FITS[case]
+    cfg = pinned_config(task, **train)
+    result = fit(cfg.model_spec(), cfg.train_config(), cfg.build_dataset(), cfg.rule())
+    assert [r.train_rule.hex() for r in result.report.records] == train_rule
+    assert [r.val_metric.hex() for r in result.report.records] == val_metric
+    assert params_sha256(result.params) == digest
 
 
 # 2-epoch monotone-regression fits under every other coupling, with and without a
