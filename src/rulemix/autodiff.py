@@ -1,11 +1,16 @@
 """Dense 2-D matrices with reverse-mode automatic differentiation.
 
 A :class:`Tape` records one forward computation as a flat list of nodes in
-topological order (parents always precede children). ``backprop`` walks the
-list once in reverse and returns a gradient for every named parameter,
-including zeros for parameters that do not reach the loss. Only the
-primitives needed for small MLPs and their training losses are provided;
-everything is float64 and the tape is rebuilt for every minibatch.
+topological order (parents always precede children). Each op allocates its
+output arrays when it is recorded and keeps a forward kernel that writes
+into them, so ``replay`` reruns the computation once the owners of the
+leaves (a batch's rows, the parameters) have refilled them in place; a
+:class:`Coefficient` is a scalar, such as the strength ``alpha``, that may
+change between runs. ``backprop`` walks the list once in reverse and
+writes a gradient for every named parameter into an array the caller owns
+(in training, a view into the optimizer's flat gradient vector), zeros for
+parameters that do not reach the loss. Only the primitives needed for small
+MLPs and their training losses are provided; everything is float64.
 
 A dense block (a stack of affine layers, each followed by its activation)
 runs through one kernel, :func:`dense_forward`. On a tape the block is one
@@ -65,11 +70,15 @@ def _relu(xv: np.ndarray, out: np.ndarray) -> None:
 
 
 def _sigmoid(xv: np.ndarray, out: np.ndarray) -> None:
-    """Logistic function of ``xv`` into ``out``, which may be ``xv`` itself."""
+    """Logistic function of ``xv`` into ``out``, which may be ``xv`` itself.
+
+    ``where(x >= 0, -x, x)`` is ``-|x|`` but leaves a NaN as it is, so one
+    ``exp`` serves both signs: ``1 / (1 + e)`` where ``x >= 0`` and
+    ``e / (1 + e)`` elsewhere, with no masked gathers or scatters.
+    """
     pos = xv >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-xv[pos]))
-    e = np.exp(xv[~pos])
-    out[~pos] = e / (1.0 + e)
+    e = np.exp(np.where(pos, -xv, xv))
+    np.divide(np.where(pos, 1.0, e), 1.0 + e, out=out)
 
 
 def out_array(buffers: list[np.ndarray] | None, i: int, shape: tuple[int, int]) -> np.ndarray:
@@ -102,15 +111,21 @@ def dense_forward(h: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray, 
         _check_affine(f"{label}.{i}", h, wv, bv)
         if act not in ("linear", "relu", "sigmoid"):
             raise ValueError(f"unknown activation {act!r}")
-        h = np.matmul(h, wv, out=out_array(buffers, i, (h.shape[0], wv.shape[1])))
-        np.add(h, bv, out=h)
-        if act == "relu":
-            _relu(h, h)
-        elif act == "sigmoid":
-            _sigmoid(h, h)
+        h = _dense_layer(h, wv, bv, act, out_array(buffers, i, (h.shape[0], wv.shape[1])))
         if keep:
             outs.append(h)
     return outs if keep else h
+
+
+def _dense_layer(h: np.ndarray, wv: np.ndarray, bv: np.ndarray, act: str, out: np.ndarray) -> np.ndarray:
+    """``h @ wv + bv``, then the activation, written into ``out``, which it returns; the caller checked the shapes."""
+    np.matmul(h, wv, out=out)
+    np.add(out, bv, out=out)
+    if act == "relu":
+        _relu(out, out)
+    elif act == "sigmoid":
+        _sigmoid(out, out)
+    return out
 
 
 def scaled_concat(av: np.ndarray, ca: float, bv: np.ndarray, cb: float, buffers: list[np.ndarray] | None = None):
@@ -124,19 +139,60 @@ def scaled_concat(av: np.ndarray, ca: float, bv: np.ndarray, cb: float, buffers:
     return out
 
 
+class Coefficient:
+    """A scalar that a recorded op reads again on every run of its kernel.
+
+    ``Coefficient(value)`` is an input of a recorded step: set ``value``
+    before a replay. Arithmetic with numbers or other coefficients gives a
+    derived coefficient that evaluates the same Python expression, operand
+    for operand, whenever it is read, so a replayed op reads bit for bit the
+    number that recording the step again would compute. ``float()`` reads it.
+    """
+
+    __slots__ = ("value", "_fn")
+
+    def __init__(self, value: float = 0.0, fn: Callable[[], float] | None = None) -> None:
+        self.value = value
+        self._fn = fn
+
+    def __float__(self) -> float:
+        return float(self.value) if self._fn is None else self._fn()
+
+    def __sub__(self, other) -> "Coefficient":
+        return Coefficient(fn=lambda: float(self) - float(other))
+
+    def __rsub__(self, other) -> "Coefficient":
+        return Coefficient(fn=lambda: float(other) - float(self))
+
+    def __mul__(self, other) -> "Coefficient":
+        return Coefficient(fn=lambda: float(self) * float(other))
+
+    def __rmul__(self, other) -> "Coefficient":
+        return Coefficient(fn=lambda: float(other) * float(self))
+
+
 @dataclass
 class Node:
     value: np.ndarray
     parents: tuple[int, ...]
     # maps the gradient at this node to gradients for each parent (None where
     # no gradient is needed); None for leaves
-    backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None
+    backward: Callable[..., tuple[np.ndarray | None, ...]] | None
     # a parameter reaches this node; set for parameters, and by ``Tape._append`` from the parents
     wants_grad: bool = False
+    # recomputes ``value`` in place from the parents' values and coefficients; None for a leaf its owner writes
+    forward: Callable[[], None] | None = None
+    # ``backward`` takes a second argument: per parent, the array to write its gradient into, or None
+    writes_grads: bool = False
 
 
 class Tape:
-    """Computation record for one forward pass."""
+    """Computation record for one forward pass, which can be replayed.
+
+    Every op allocates its output arrays when it is recorded and keeps a
+    forward kernel that writes into them: run once when recorded, and again
+    by ``replay``.
+    """
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
@@ -162,9 +218,26 @@ class Tape:
         self.nodes.append(node)
         return len(self.nodes) - 1
 
+    def _record(self, out: np.ndarray, parents: tuple[int, ...], backward, forward: Callable[[], None]) -> int:
+        """Run ``forward`` once, which writes ``out``, and append the node it computes."""
+        forward()
+        return self._append(Node(out, parents, backward, forward=forward))
+
     def _wants_grad(self, nid: int) -> bool:
         """False for a constant, and for a node that no parameter reaches."""
         return self.nodes[nid].wants_grad
+
+    def replay(self) -> None:
+        """Rerun every node's forward kernel in recording order, into the same arrays.
+
+        Leaves are not written: their owners refill them in place (a batch's
+        rows, the parameters that Adam steps in place), and every
+        ``Coefficient`` is read anew, so each value equals what recording the
+        same calls on the refilled leaves would compute.
+        """
+        for node in self.nodes:
+            if node.forward is not None:
+                node.forward()
 
     # ------------------------------------------------------------------
     # leaves
@@ -191,6 +264,11 @@ class Tape:
         self._params[name] = nid
         return nid
 
+    def column(self, rows: int, c) -> int:
+        """A (rows, 1) constant column holding ``c``, a number or a ``Coefficient`` read on every run."""
+        out = np.empty((rows, 1))
+        return self._record(out, (), None, lambda: out.fill(float(c)))
+
     # ------------------------------------------------------------------
     # primitives
     # ------------------------------------------------------------------
@@ -198,32 +276,35 @@ class Tape:
     def affine(self, x: int, w: int, b: int, label: str = "affine") -> int:
         xv, wv, bv = self.value(x), self.value(w), self.value(b)
         _check_affine(label, xv, wv, bv)
-        out = np.matmul(xv, wv)
-        np.add(out, bv, out=out)
+        out = np.empty((xv.shape[0], wv.shape[1]))
         wants_x = self._wants_grad(x)
+
+        def forward() -> None:
+            np.matmul(xv, wv, out=out)
+            np.add(out, bv, out=out)
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
             return g @ wv.T if wants_x else None, xv.T @ g, g.sum(axis=0, keepdims=True)
 
-        return self._append(Node(out, (x, w, b), bwd))
+        return self._record(out, (x, w, b), bwd, forward)
 
     def relu(self, x: int) -> int:
         xv = self.value(x)
-        _relu(xv, out := np.empty(xv.shape))
+        out = np.empty(xv.shape)
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
             return (g * (xv > 0.0),)  # ReLU'(0) = 0
 
-        return self._append(Node(out, (x,), bwd))
+        return self._record(out, (x,), bwd, lambda: _relu(xv, out))
 
     def sigmoid(self, x: int) -> int:
         xv = self.value(x)
-        _sigmoid(xv, out := np.empty(xv.shape))
+        out = np.empty(xv.shape)
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
             return (g * out * (1.0 - out),)
 
-        return self._append(Node(out, (x,), bwd))
+        return self._record(out, (x,), bwd, lambda: _sigmoid(xv, out))
 
     def dense(self, x: int, layers: Sequence[tuple[int, int, str]], label: str = "dense") -> int:
         """``dense_forward`` over ``(weight node, bias node, activation)`` layers, as one node.
@@ -231,15 +312,23 @@ class Tape:
         Values and gradients equal those of ``affine`` (labelled
         ``{label}.{i}``) followed by the activation, layer by layer. Only the
         input and each layer's activated output are kept: the backward pass
-        reads the ReLU mask and the sigmoid derivative from the latter.
+        reads the ReLU mask and the sigmoid derivative from the latter. The
+        backward pass writes each weight and bias gradient straight into the
+        array ``backprop`` hands it, if any.
         """
         xv = self.value(x)
         values = [(self.value(w), self.value(b), act) for w, b, act in layers]
-        outs = dense_forward(xv, values, label, keep=True)
+        outs = dense_forward(xv, values, label, keep=True)  # each layer's output, rewritten by a replay
+        runs = [(h, wv, bv, act, out) for h, (wv, bv, act), out in zip([xv, *outs[:-1]], values, outs)]
+
+        def forward() -> None:  # the layers dense_forward checked, without the checks
+            for h, wv, bv, act, out in runs:
+                _dense_layer(h, wv, bv, act, out)
+
         parents = (x, *[nid for w, b, _ in layers for nid in (w, b)])
         wants_input = self._wants_grad(x)
 
-        def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
+        def bwd(g: np.ndarray, into: Sequence[np.ndarray | None] | None = None) -> tuple[np.ndarray | None, ...]:
             grads = []
             for i in range(len(outs) - 1, -1, -1):
                 wv, _, act = values[i]
@@ -249,63 +338,70 @@ class Tape:
                 elif act == "sigmoid":
                     g = g * out * (1.0 - out)
                 h = outs[i - 1] if i else xv
-                grads += [g.sum(axis=0, keepdims=True), h.T @ g]
+                w_into, b_into = (None, None) if into is None else (into[1 + 2 * i], into[2 + 2 * i])
+                grads += [np.add.reduce(g, axis=0, keepdims=True, out=b_into), np.matmul(h.T, g, out=w_into)]
                 g = g @ wv.T if i or wants_input else None
             grads.append(g)
             return tuple(reversed(grads))
 
-        return self._append(Node(outs[-1], parents, bwd))
+        # a parameter used twice in one block would get both of its gradients written into one array
+        writes_grads = len(set(parents)) == len(parents)
+        return self._append(Node(outs[-1], parents, bwd, forward=forward, writes_grads=writes_grads))
 
     def concat(self, a: int, b: int) -> int:
         # a product with 1.0 is exact, so values and gradients are those of a plain concatenation
         return self.scaled_concat(a, 1.0, b, 1.0)
 
-    def scale(self, x: int, c: float) -> int:
-        c = float(c)
-        out = np.multiply(self.value(x), c)
+    def scale(self, x: int, c) -> int:
+        """``x * c`` for a number or a ``Coefficient`` ``c``."""
+        xv = self.value(x)
+        out = np.empty(xv.shape)
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
-            return (g * c,)
+            return (g * float(c),)
 
-        return self._append(Node(out, (x,), bwd))
+        return self._record(out, (x,), bwd, lambda: np.multiply(xv, float(c), out=out))
 
-    def scaled_concat(self, a: int, ca: float, b: int, cb: float) -> int:
+    def scaled_concat(self, a: int, ca, b: int, cb) -> int:
         """``concat(scale(a, ca), scale(b, cb))`` as one node, same values and gradients."""
-        ca, cb = float(ca), float(cb)
-        av = self.value(a)
-        out = scaled_concat(av, ca, self.value(b), cb)
+        av, bv = self.value(a), self.value(b)
         na = av.shape[1]
+        buffers = [np.empty((av.shape[0], na + bv.shape[1]))]
         wants_a, wants_b = self._wants_grad(a), self._wants_grad(b)
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-            return g[:, :na] * ca if wants_a else None, g[:, na:] * cb if wants_b else None
+            return g[:, :na] * float(ca) if wants_a else None, g[:, na:] * float(cb) if wants_b else None
 
-        return self._append(Node(out, (a, b), bwd))
+        return self._record(buffers[0], (a, b), bwd, lambda: scaled_concat(av, float(ca), bv, float(cb), buffers))
 
     def add(self, a: int, b: int) -> int:
         av, bv = self.value(a), self.value(b)
         if av.shape != bv.shape:
             raise ShapeError(f"add: shape mismatch {av.shape} vs {bv.shape}")
-        out = np.add(av, bv)
+        out = np.empty(av.shape)
         wants_a, wants_b = self._wants_grad(a), self._wants_grad(b)
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
             return g if wants_a else None, g if wants_b else None
 
-        return self._append(Node(out, (a, b), bwd))
+        return self._record(out, (a, b), bwd, lambda: np.add(av, bv, out=out))
 
-    def divide(self, x: int, c: float) -> int:
-        """Division by a scalar constant (not multiplication by 1/c, which
-        would round differently; x/x must be exactly 1)."""
-        c = float(c)
-        if c == 0.0:
-            raise ValueError("division by zero")
-        out = np.divide(self.value(x), c)
+    def divide(self, x: int, c) -> int:
+        """Division by a scalar constant or ``Coefficient`` (not multiplication
+        by 1/c, which would round differently; x/x must be exactly 1)."""
+        xv = self.value(x)
+        out = np.empty(xv.shape)
+
+        def forward() -> None:
+            cv = float(c)
+            if cv == 0.0:
+                raise ValueError("division by zero")
+            np.divide(xv, cv, out=out)
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
-            return (g / c,)
+            return (g / float(c),)
 
-        return self._append(Node(out, (x,), bwd))
+        return self._record(out, (x,), bwd, forward)
 
     def rowmap(
         self,
@@ -321,9 +417,13 @@ class Tape:
         that is never backpropagated never computes it.
         """
         xv = self.value(x)
-        out = np.asarray(fn(xv), dtype=np.float64).reshape(-1, 1)
-        if out.shape[0] != xv.shape[0]:
-            raise ShapeError("rowmap: fn must return one value per row")
+        out = np.empty((xv.shape[0], 1))
+
+        def forward() -> None:
+            v = np.asarray(fn(xv), dtype=np.float64).reshape(-1, 1)
+            if v.shape[0] != xv.shape[0]:
+                raise ShapeError("rowmap: fn must return one value per row")
+            out[...] = v
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray, ...]:
             jv = np.asarray(jac(xv), dtype=np.float64)
@@ -331,7 +431,7 @@ class Tape:
                 raise ShapeError(f"rowmap: jacobian shape {jv.shape} != {xv.shape}")
             return (g * jv,)
 
-        return self._append(Node(out, (x,), bwd))
+        return self._record(out, (x,), bwd, forward)
 
     # ------------------------------------------------------------------
     # reductions / losses (scalar outputs)
@@ -341,7 +441,9 @@ class Tape:
         """(1/n) * sum_i w_i * max(a_i - b_i, 0) over single-column inputs.
 
         The optional 0/1 weight column gates invalid rows out of the sum while
-        keeping the batch size as the denominator.
+        keeping the batch size as the denominator. A (n, 1) float64 weight
+        array is read as it is on every run, so refilling it in place before a
+        replay changes the gate.
         """
         av, bv = self.value(a), self.value(b)
         if av.shape != bv.shape or av.shape[1] != 1:
@@ -350,31 +452,37 @@ class Tape:
         w = np.ones((n, 1)) if weights is None else as_matrix(weights, "weights")
         if w.shape != (n, 1):
             raise ShapeError(f"mean_relu_diff: weights shape {w.shape} != ({n}, 1)")
-        diff = av - bv
-        active = (diff > 0.0) & (w != 0.0)
-        out = np.array([[float(np.sum(w * np.maximum(diff, 0.0))) / n]])
+        diff, active, out = np.empty(av.shape), np.empty(av.shape, dtype=bool), np.empty((1, 1))
         wants_a, wants_b = self._wants_grad(a), self._wants_grad(b)
+
+        def forward() -> None:
+            np.subtract(av, bv, out=diff)
+            np.logical_and(diff > 0.0, w != 0.0, out=active)
+            out[0, 0] = float(np.sum(w * np.maximum(diff, 0.0))) / n
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
             d = g[0, 0] * w * active / n
             return d if wants_a else None, -d if wants_b else None
 
-        return self._append(Node(out, (a, b), bwd))
+        return self._record(out, (a, b), bwd, forward)
 
     def mse(self, pred: int, target: int) -> int:
         pv, tv = self.value(pred), self.value(target)
         if pv.shape != tv.shape:
             raise ShapeError(f"mse: shape mismatch {pv.shape} vs {tv.shape}")
-        diff = pv - tv
-        out = np.array([[float(np.mean(diff * diff))]])
+        diff, out = np.empty(pv.shape), np.empty((1, 1))
         inv = 2.0 / diff.size
         wants_target = self._wants_grad(target)
+
+        def forward() -> None:
+            np.subtract(pv, tv, out=diff)
+            out[0, 0] = float(np.mean(diff * diff))
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
             d = g[0, 0] * inv * diff
             return d, -d if wants_target else None
 
-        return self._append(Node(out, (pred, target), bwd))
+        return self._record(out, (pred, target), bwd, forward)
 
     def bce(self, pred: int, target: int) -> int:
         """Mean binary cross-entropy of probabilities against 0/1 targets.
@@ -385,51 +493,80 @@ class Tape:
         pv, tv = self.value(pred), self.value(target)
         if pv.shape != tv.shape:
             raise ShapeError(f"bce: shape mismatch {pv.shape} vs {tv.shape}")
-        p = np.clip(pv, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        inside = (pv > PROB_CLAMP) & (pv < 1.0 - PROB_CLAMP)
-        out = np.array([[float(np.mean(-(tv * np.log(p) + (1.0 - tv) * np.log1p(-p))))]])
+        p, inside, out = np.empty(pv.shape), np.empty(pv.shape, dtype=bool), np.empty((1, 1))
         wants_target = self._wants_grad(target)
+
+        def forward() -> None:
+            np.clip(pv, PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
+            np.logical_and(pv > PROB_CLAMP, pv < 1.0 - PROB_CLAMP, out=inside)
+            out[0, 0] = float(np.mean(-(tv * np.log(p) + (1.0 - tv) * np.log1p(-p))))
 
         def bwd(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
             dp = g[0, 0] * inside * (p - tv) / (p * (1.0 - p)) / pv.size
             dt = g[0, 0] * (np.log1p(-p) - np.log(p)) / pv.size if wants_target else None
             return dp, dt
 
-        return self._append(Node(out, (pred, target), bwd))
+        return self._record(out, (pred, target), bwd, forward)
 
     # ------------------------------------------------------------------
     # reverse pass
     # ------------------------------------------------------------------
 
-    def backprop(self, loss: int) -> dict[str, np.ndarray]:
-        """Gradient of a scalar loss node with respect to every parameter.
+    def backprop(self, loss: int, into: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+        """Gradient of a scalar loss node with respect to every parameter, written into ``into``.
 
-        Parameters with no path to the loss get zero gradients.
+        ``into`` maps every parameter name on the tape to an array of that
+        parameter's shape (fresh ones when None); names that are not on the
+        tape, and parameters with no path to the loss, get zeros. A
+        parameter's first gradient is written into its array (straight from
+        a dense block's kernels), and each later one added in place, which
+        rounds as ``prev + pg``. Returns ``into``.
         """
         lv = self.value(loss)
         if lv.shape != (1, 1):
             raise ShapeError(f"backprop: loss must be 1x1, got shape {lv.shape}")
+        nodes = self.nodes
+        if into is None:
+            into = {name: np.empty_like(nodes[nid].value) for name, nid in self._params.items()}
+        dest: list[np.ndarray | None] = [None] * (loss + 1)  # the array a parameter's gradient lands in
+        for name, nid in self._params.items():
+            if nid <= loss:
+                dest[nid] = into[name]
         grads: list[np.ndarray | None] = [None] * (loss + 1)
         grads[loss] = np.ones((1, 1))
         for nid in range(loss, -1, -1):
             g = grads[nid]
             if g is None:
                 continue
-            node = self.nodes[nid]
+            node = nodes[nid]
             if node.backward is None or not node.wants_grad:
                 continue
-            # never accumulate in place: a backward closure may hand the
-            # same array to two parents, or a view of its incoming gradient
-            for pid, pg in zip(node.parents, node.backward(g)):
+            if node.writes_grads:
+                pgs = node.backward(g, [dest[p] if grads[p] is None else None for p in node.parents])
+            else:
+                pgs = node.backward(g)
+            # never accumulate in place into a node's own gradient: a backward closure may
+            # hand the same array to two parents, or a view of its incoming gradient
+            for pid, pg in zip(node.parents, pgs):
                 if pg is None:  # a constant parent: nothing reads its gradient
                     continue
-                prev = grads[pid]
-                grads[pid] = pg if prev is None else prev + pg
-        out: dict[str, np.ndarray] = {}
-        for name, nid in self._params.items():
-            g = grads[nid] if nid <= loss else None
-            out[name] = np.zeros_like(self.nodes[nid].value) if g is None else g
-        return out
+                prev, d = grads[pid], dest[pid]
+                if d is None:
+                    grads[pid] = pg if prev is None else prev + pg
+                elif prev is None:
+                    if pg is not d:
+                        if pg.shape != d.shape:
+                            name = next(k for k, v in self._params.items() if v == pid)
+                            raise ShapeError(f"gradient shape {pg.shape} != parameter shape {d.shape} for {name}")
+                        np.copyto(d, pg)
+                    grads[pid] = d
+                else:
+                    np.add(d, pg, out=d)
+        for name, arr in into.items():
+            nid = self._params.get(name)
+            if nid is None or nid > loss or grads[nid] is None:
+                arr.fill(0.0)
+        return into
 
 
 class Arrays:
@@ -463,6 +600,9 @@ class Arrays:
 
     def constant(self, value, name: str = "constant") -> np.ndarray:
         return as_matrix(value, name)
+
+    def column(self, rows: int, c) -> np.ndarray:
+        return np.full((rows, 1), float(c))
 
     def dense(self, x: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray, str]],
               label: str = "dense") -> np.ndarray:

@@ -19,7 +19,7 @@ from .data import read_table, write_table
 from .errors import ConfigError, InfeasibleSelectionError
 from .model import ModelSpec, encode, forward_per_alpha, predict_values  # noqa: F401  (evaluate.predict_values stays importable)
 from .parallel import forked_map, worker_count
-from .rules import RuleSpec, perturb_batch, verification_ratio
+from .rules import RuleSpec, perturb_batch, rule_inputs, verification_ratio
 
 METRICS = ("mae", "cross_entropy", "error_rate")  # each lower-is-better, as select_alpha assumes
 EXTENDED_ALPHA_RANGE = (-0.2, 1.4)  # reaches beyond the training range on both sides
@@ -114,8 +114,7 @@ def alpha_sweep(
     not depend on the number of processes.
     """
     pert = perturb_batch(x, rule, np.random.default_rng(perturb_seed)) if rule.needs_perturbation else None
-    prepare = getattr(rule, "prepare", None)
-    inputs = x if prepare is None else prepare(x)
+    inputs = rule_inputs(rule, x)
     latents = encode(Arrays(), spec, params, x)
     latents_p, valid = (None, None) if pert is None else (encode(Arrays(), spec, params, pert.x_p), pert.valid)
 

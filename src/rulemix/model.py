@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .autodiff import Arrays, Tape, as_matrix  # noqa: F401  (perfbench traces model.as_matrix)
+from .autodiff import Arrays, Coefficient, Tape, as_matrix  # noqa: F401  (perfbench traces model.as_matrix)
 from .errors import ShapeError
 
 COUPLINGS = ("scaled_concat", "concat", "add", "input_concat_alpha", "single")
@@ -202,7 +202,7 @@ def mlp_forward(
     return ops.dense(x, dense, block)
 
 
-def couple(ops: Tape | Arrays, z_rule: int | np.ndarray, z_data: int | np.ndarray, alpha: float,
+def couple(ops: Tape | Arrays, z_rule: int | np.ndarray, z_data: int | np.ndarray, alpha: float | Coefficient,
            mode: str) -> int | np.ndarray:
     """Merge the two latent blocks; only scaled_concat consumes alpha."""
     zr, zd = ops.value(z_rule), ops.value(z_data)
@@ -227,11 +227,12 @@ class Forward:
     z_data: int | np.ndarray | None = None
 
 
-def _strength(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
+def _strength(alpha: float | Coefficient) -> float | Coefficient:
+    """``alpha`` as a float, or as it is if it is a ``Coefficient`` a recorded step refills; finite either way."""
+    value = float(alpha)
+    if not math.isfinite(value):
         raise ValueError("rule strength must be finite")
-    return alpha
+    return alpha if isinstance(alpha, Coefficient) else value
 
 
 def encode(ops: Tape | Arrays, spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray | int) -> tuple:
@@ -254,13 +255,17 @@ def encode(ops: Tape | Arrays, spec: ModelSpec, params: dict[str, np.ndarray], x
 
 
 def decode(ops: Tape | Arrays, spec: ModelSpec, params: dict[str, np.ndarray], latents: tuple,
-           alpha: float) -> Forward:
-    """The layers after ``encode``: the alpha-fed encoder or the coupling, then the decision block."""
+           alpha: float | Coefficient) -> Forward:
+    """The layers after ``encode``: the alpha-fed encoder or the coupling, then the decision block.
+
+    On a tape, ``alpha`` may be a ``Coefficient``: every op that reads it
+    reads it anew when the tape replays.
+    """
     alpha = _strength(alpha)
     z_rule = z_data = None
     if spec.coupling == "input_concat_alpha":
         (h,) = latents
-        alpha_col = ops.constant(np.full((ops.value(h).shape[0], 1), alpha), "alpha")
+        alpha_col = ops.column(ops.value(h).shape[0], alpha)
         z = mlp_forward(ops, spec.blocks()["encoder"], params, "encoder", ops.concat(h, alpha_col))
     elif spec.coupling == "single":
         (z,) = latents
@@ -276,7 +281,7 @@ def predict(
     spec: ModelSpec,
     params: dict[str, np.ndarray],
     x: np.ndarray | int,
-    alpha: float,
+    alpha: float | Coefficient,
 ) -> Forward:
     """Full forward pass recorded on the tape; returns output/latent node ids."""
     return decode(tape, spec, params, encode(tape, spec, params, x), alpha)

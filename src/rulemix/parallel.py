@@ -21,6 +21,14 @@ The results are merged in task order, and the first task that did not
 return raises its exception in the caller, as ``fn`` would have raised in
 a loop. Every child is reaped before ``forked_map`` returns or raises, and
 killed first if the caller itself fails.
+
+Ctrl-C in a terminal sends SIGINT to every process of the foreground
+group, children included. A child ignores it, so only the caller raises
+``KeyboardInterrupt``; it then kills and reaps its children. SIGINT is
+blocked from before each fork until the child ignores it and the caller
+has registered the child, and while the caller reaps: an interrupt in
+those windows waits, rather than reaching a child's at-fork hooks or
+cutting the reaping short.
 """
 
 from __future__ import annotations
@@ -69,9 +77,15 @@ def _run(fn: Callable, tasks: Sequence[tuple]) -> tuple[list, BaseException | No
     return results, None
 
 
-def _child(fn: Callable, share: Sequence[tuple], write: int) -> None:
-    """Run ``share``, send its outcome through ``write`` and exit, whatever happens."""
+def _child(fn: Callable, share: Sequence[tuple], read: int, write: int, mask: set) -> None:
+    """Ignore SIGINT, run ``share``, send its outcome through ``write`` and exit, whatever happens.
+
+    ``mask`` is the signal mask to restore, once SIGINT is ignored; ``read`` is the caller's end of the pipe.
+    """
     try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(read)
         results, exc = _run(fn, share)
         try:
             payload = pickle.dumps((results, exc))
@@ -103,26 +117,31 @@ def forked_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
     try:
         for share in shares[:-1]:
             read, write = os.pipe()
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
                 pid = os.fork()
-            except OSError:
+                if pid == 0:
+                    _child(fn, share, read, write, mask)
+                children.append(pid)
+                unread[pid] = read
+            except OSError:  # the fork failed: no child reads or writes the pipe
                 os.close(read)
-                os.close(write)
                 raise
-            if pid == 0:
-                os.close(read)
-                _child(fn, share, write)
-            os.close(write)
-            children.append(pid)
-            unread[pid] = read
+            finally:  # the child never gets here: it exits in _child
+                os.close(write)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # an interrupt held back raises now
         own = _run(fn, shares[-1])
         outcomes = [_receive(pid, unread.pop(pid)) for pid in children] + [own]
     finally:
-        for pid in children:
-            if pid in unread:  # the caller failed before reading this child, so it need not finish
-                os.close(unread.pop(pid))
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for pid in children:
+                if pid in unread:  # the caller failed before reading this child, so it need not finish
+                    os.close(unread.pop(pid))
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     merged = []
     for i in range(len(tasks)):
         results, exc = outcomes[i % workers]

@@ -39,9 +39,17 @@ class RuleSpec(Protocol):
     ``y_hat_p``, and only the pairs flagged ``valid`` count.
 
     A rule whose check compares the outputs with a quantity of the inputs
-    alone may also define ``prepare(x)``: ``holds`` then accepts its result
-    in place of ``x``, and a sweep calls it once per input set instead of
-    recomputing the quantity at every strength.
+    alone may also define ``prepare(x)``: ``holds`` and ``loss_node`` then
+    accept its result in place of ``x``, and a sweep calls it once per input
+    set, and a fit once per training split, instead of recomputing the
+    quantity for every strength or batch.
+
+    A rule may set ``replayable = True`` when its ``loss_node`` puts what it
+    reads of the batch (``x``, ``prepare``'s result, ``valid``) on the tape
+    over the very arrays it is given, or views of them, and derives anything
+    else with tape ops. ``fit`` then records its training step once and
+    replays it, refilling those arrays in place for each batch; a rule
+    without it gets a freshly recorded step for every batch.
     """
 
     needs_perturbation: ClassVar[bool]
@@ -58,6 +66,7 @@ class ThresholdRule:
     fn: str = "row_mean"
     limit: float = 0.0
     needs_perturbation: ClassVar[bool] = False
+    replayable: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.fn, str) or self.fn not in THRESHOLD_FUNCTIONS:
@@ -86,6 +95,7 @@ class EnergyDampingRule:
 
     params: PendulumParams
     needs_perturbation: ClassVar[bool] = False
+    replayable: ClassVar[bool] = True
 
     def prepare(self, x) -> InputEnergy:
         return InputEnergy(energy(np.asarray(x), self.params))
@@ -112,6 +122,7 @@ class MonotonicRule:
     guard: float | None = None
     bound: float = DEFAULT_PERTURB_BOUND
     needs_perturbation: ClassVar[bool] = True
+    replayable: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if self.direction not in ("increase", "decrease"):
@@ -206,17 +217,28 @@ def verification_ratio(
     return float(np.mean(rule.holds(inputs, outputs, perturbed_outputs)[valid]))
 
 
+def rule_inputs(rule: RuleSpec | None, x: np.ndarray):
+    """What ``rule`` reads of the inputs ``x``: ``rule.prepare(x)`` if the rule defines it, else ``x``."""
+    prepare = getattr(rule, "prepare", None)
+    return x if prepare is None else prepare(x)
+
+
 # ----------------------------------------------------------------------
 # tape-side loss builders (training path)
 # ----------------------------------------------------------------------
 
 
-def energy_rule_node(tape: Tape, rule: EnergyDampingRule, x: np.ndarray, y_hat: int) -> int:
-    """Mean max(E(y_hat) - E(x), 0) as a differentiable tape node."""
+def energy_rule_node(tape: Tape, rule: EnergyDampingRule, x: np.ndarray | InputEnergy, y_hat: int) -> int:
+    """Mean max(E(y_hat) - E(x), 0) as a differentiable tape node.
+
+    ``x`` is the input states, or ``rule.prepare``'s result for them. The
+    input energy enters the tape as a constant over a view of that result's
+    own array, so a replayed tape reads it as refilled.
+    """
     p = rule.params
+    e_in = x if isinstance(x, InputEnergy) else rule.prepare(x)
     e_pred = tape.rowmap(y_hat, lambda s: energy(s, p), lambda s: energy_gradient(s, p))
-    e_in = tape.constant(energy(np.asarray(x), p).reshape(-1, 1), "state_energy")
-    return tape.mean_relu_diff(e_pred, e_in)
+    return tape.mean_relu_diff(e_pred, tape.constant(e_in.values.reshape(-1, 1), "state_energy"))
 
 
 def monotonic_rule_node(
@@ -226,7 +248,11 @@ def monotonic_rule_node(
     y_hat_p: int,
     valid: np.ndarray,
 ) -> int:
-    """Batch-mean directed hinge between paired outputs, gated by validity."""
+    """Batch-mean directed hinge between paired outputs, gated by validity.
+
+    A float64 ``valid`` is gated through a view of itself, so a replayed
+    tape reads it as refilled.
+    """
     weights = np.asarray(valid, dtype=np.float64).reshape(-1, 1)
     if rule.direction == "decrease":
         return tape.mean_relu_diff(y_hat_p, y_hat, weights)

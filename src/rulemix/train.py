@@ -14,16 +14,21 @@ through units alone. A rule that needs perturbation runs each batch's
 perturbed copy through the same parameters and compares the paired outputs;
 ``task_only`` draws no pairs, so such a rule's ``train_rule`` is NaN there.
 
-Only ``train_step`` records the model on a gradient tape (``model.predict``).
-Passes that take no gradient (the loss scale, validation) run ``encode`` and
-``decode`` over plain arrays (``model.forward_per_alpha``), and their losses
-go on a small tape whose leaves are the model's outputs.
+Only the training step records the model on a gradient tape
+(``model.predict``, in ``_Step``). ``fit`` records it once, on its first
+full batch, and every later full batch refills the tape's inputs and
+replays it; a short last batch, and ``train_step`` called on its own,
+record a fresh tape through the same code. Gradients land in the flat
+vector Adam steps from. Passes that take no gradient (the loss scale,
+validation) run ``encode`` and ``decode`` over plain arrays
+(``model.forward_per_alpha``), and their losses go on a small tape whose
+leaves are the model's outputs.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -32,8 +37,8 @@ from .data import SPLITS, Dataset, write_table
 from .errors import ConfigError, TrainingAborted
 from .model import ModelSpec, encode, forward_per_alpha, init_params, predict
 from .optim import AdamState, adam_update
-from .autodiff import Arrays, Tape
-from .rules import PerturbedBatch, RuleSpec, perturb_batch
+from .autodiff import Arrays, Coefficient, Tape, as_matrix
+from .rules import PerturbedBatch, RuleSpec, perturb_batch, rule_inputs
 from .rules import energy_rule_node, monotonic_rule_node  # noqa: F401  (perfbench traces train.<name>)
 
 
@@ -126,8 +131,8 @@ class LossScale:
         return self.rule0 / self.task0
 
 
-def _task_loss_node(tape: Tape, spec: ModelSpec, y_hat: int, y: np.ndarray) -> int:
-    target = tape.constant(y, "target")
+def _task_loss_node(tape: Tape, spec: ModelSpec, y_hat: int, y: np.ndarray | int) -> int:
+    target = y if isinstance(y, int) else tape.constant(y, "target")
     if spec.task == "classification":
         return tape.bce(y_hat, target)
     return tape.mse(y_hat, target)
@@ -191,6 +196,93 @@ class StepResult:
     total_loss: float
 
 
+class _Step:
+    """One training step on a tape, over arrays that every batch of its size refills.
+
+    A step over ``rows`` rows of the split ``x``, ``y`` owns arrays that
+    ``run`` fills for each batch (``np.take``): its rows of the inputs, of
+    the targets and of ``inputs``, what the rule reads of the whole split
+    (``rules.rule_inputs``); the perturbed copy and its ``valid`` weights;
+    and the strength and loss scale, as ``Coefficient`` inputs. The first run records the step through ``predict``, the rule's
+    ``loss_node``, the task loss and the mode's total; every later run
+    replays the recorded kernels into the same arrays. A step with ``rows``
+    None reads the split's own arrays, for one run.
+    """
+
+    def __init__(self, spec: ModelSpec, rule: RuleSpec | None, mode: Mode, rule_weight: float, adam: AdamState,
+                 x: np.ndarray, y: np.ndarray, inputs, rows: int | None) -> None:
+        self.spec, self.rule, self.mode, self.rule_weight, self.adam = spec, rule, mode, rule_weight, adam
+        self.split = (x, y, inputs)
+        if rows is None:
+            self.x, self.y, self.inputs = x, y, inputs
+        else:
+            self.x, self.y = np.empty((rows, x.shape[1])), np.empty((rows, y.shape[1]))
+            # a prepared quantity holds one row of ``values`` per input row
+            self.inputs = self.x if inputs is x else replace(
+                inputs, values=np.empty((rows, *inputs.values.shape[1:])))
+        self.pairs = rule is not None and rule.needs_perturbation and mode.rule_term  # a perturbation per batch
+        self.x_p = np.empty_like(self.x) if self.pairs else None
+        self.valid = np.empty((self.x.shape[0], 1)) if self.pairs else None
+        self.alpha = Coefficient()
+        self.scale = LossScale(rule0=Coefficient(), task0=Coefficient())
+        self.tape: Tape | None = None
+        self.task_node = self.rule_node = self.total_node = None  # node ids, once recorded
+
+    def run(self, rows: np.ndarray | None, alpha: float, scale: LossScale | None,
+            rng: np.random.Generator | None) -> StepResult:
+        if rows is not None:
+            x, y, inputs = self.split
+            np.take(x, rows, axis=0, out=self.x)
+            np.take(y, rows, axis=0, out=self.y)
+            if inputs is not x:
+                np.take(inputs.values, rows, axis=0, out=self.inputs.values)
+        self.alpha.value = alpha
+        if scale is not None:
+            self.scale.rule0.value, self.scale.task0.value = scale.rule0, scale.task0
+        if self.tape is None:
+            self.record(rng)
+        else:
+            if self.pairs:
+                self._perturb(rng)
+            self.tape.replay()
+        tape = self.tape
+        result = StepResult(
+            alpha=alpha,
+            task_loss=tape.scalar(self.task_node),
+            rule_loss=tape.scalar(self.rule_node) if self.rule_node is not None else float("nan"),
+            total_loss=tape.scalar(self.total_node),
+        )
+        if not np.isfinite(result.total_loss):
+            raise TrainingAborted(
+                f"non-finite loss (task={result.task_loss}, rule={result.rule_loss}, "
+                f"alpha={alpha}, batch_rows={self.x.shape[0]})"
+            )
+        tape.backprop(self.total_node, self.adam.grads)
+        adam_update(self.adam)
+        return result
+
+    def _perturb(self, rng: np.random.Generator | None) -> None:
+        if rng is None:
+            raise ValueError("this rule needs an rng for the perturbation draw")
+        pert = perturb_batch(self.x, self.rule, rng)
+        np.copyto(self.x_p, pert.x_p)
+        np.copyto(self.valid, pert.valid.reshape(-1, 1))
+
+    def record(self, rng: np.random.Generator | None) -> None:
+        spec, rule, params = self.spec, self.rule, self.adam.params
+        tape = self.tape = Tape()
+        fwd = predict(tape, spec, params, tape.leaf(self.x), self.alpha)
+        if rule is not None and not rule.needs_perturbation:  # on the tape in every mode, for the report
+            self.rule_node = rule.loss_node(tape, self.inputs, fwd.output)
+        elif self.pairs:
+            self._perturb(rng)
+            fwd_p = predict(tape, spec, params, tape.leaf(self.x_p), self.alpha)
+            self.rule_node = rule.loss_node(tape, self.inputs, fwd.output, fwd_p.output, self.valid)
+        self.task_node = _task_loss_node(tape, spec, fwd.output, tape.leaf(self.y))
+        self.total_node = self.mode.total(tape, self.task_node, self.rule_node, self.alpha, self.scale,
+                                          self.rule_weight)
+
+
 def train_step(
     spec: ModelSpec,
     adam: AdamState,
@@ -202,40 +294,24 @@ def train_step(
     scale: LossScale | None,
     rule_weight: float = 1.0,
     rng: np.random.Generator | None = None,
+    step: _Step | None = None,
+    rows: np.ndarray | None = None,
 ) -> StepResult:
-    """One minibatch update of ``adam.params``, in place, as ``MODES[mode]`` says; returns the loss components."""
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    record = _mode(mode, rule, scale is not None)
-    params = adam.params
-    tape = Tape()
-    fwd = predict(tape, spec, params, x, alpha)
-    rule_node = None
-    if rule is not None and not rule.needs_perturbation:  # on the tape in every mode, for the report
-        rule_node = rule.loss_node(tape, x, fwd.output)
-    elif rule is not None and record.rule_term:
-        if rng is None:
-            raise ValueError("this rule needs an rng for the perturbation draw")
-        pert = perturb_batch(x, rule, rng)
-        fwd_p = predict(tape, spec, params, pert.x_p, alpha)
-        rule_node = rule.loss_node(tape, x, fwd.output, fwd_p.output, pert.valid)
+    """One minibatch update of ``adam.params``, in place, as ``MODES[mode]`` says; returns the loss components.
 
-    task_node = _task_loss_node(tape, spec, fwd.output, y)
-    total_node = record.total(tape, task_node, rule_node, alpha, scale, rule_weight)
-
-    result = StepResult(
-        alpha=alpha,
-        task_loss=tape.scalar(task_node),
-        rule_loss=tape.scalar(rule_node) if rule_node is not None else float("nan"),
-        total_loss=tape.scalar(total_node),
-    )
-    if not np.isfinite(result.total_loss):
-        raise TrainingAborted(
-            f"non-finite loss (task={result.task_loss}, rule={result.rule_loss}, "
-            f"alpha={alpha}, batch_rows={x.shape[0]})"
-        )
-    adam_update(adam, tape.backprop(total_node))
-    return result
+    Called on its own, the batch is every row of ``x`` and ``y``, checked as
+    matrices and recorded on a fresh tape. ``fit`` passes the batch's
+    ``rows`` of its training split ``x``, ``y`` and the ``step`` it made for
+    batches of that size from these arguments, which records on its first
+    run and replays after.
+    """
+    if step is None:
+        if x.shape[0] == 0:
+            raise ValueError("empty batch")
+        record = _mode(mode, rule, scale is not None)
+        x, y = as_matrix(x, "input"), as_matrix(y, "target")
+        step = _Step(spec, rule, record, rule_weight, adam, x, y, rule_inputs(rule, x), None)
+    return step.run(rows, alpha, scale, rng)
 
 
 def evaluate_task_loss(
@@ -352,7 +428,7 @@ def fit(
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     params = init_params(spec, rng)
-    x_tr, y_tr = dataset.subset("train")
+    x_tr, y_tr = (np.asarray(a, dtype=np.float64) for a in dataset.subset("train"))  # steps copy rows into float64
     x_val, y_val = dataset.subset("val")
     if x_tr.shape[0] == 0 or x_val.shape[0] == 0:
         raise ConfigError("dataset needs non-empty train and val splits")
@@ -370,6 +446,9 @@ def fit(
     best_scale = scale
     epochs_since_best = 0
     n = x_tr.shape[0]
+    inputs = rule_inputs(rule, x_tr)  # computed once, for every batch
+    replays = rule is None or getattr(rule, "replayable", False)
+    full = None  # the step recorded on the first full batch, which every later one replays
 
     epoch_start = np.empty_like(adam.theta)
     for epoch in range(1, cfg.max_epochs + 1):
@@ -379,15 +458,20 @@ def fit(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             alpha = sample_alpha(cfg.beta, rng) if mode.alpha is None else mode.alpha
+            if full is not None and idx.size == cfg.batch_size:
+                step = full
+            else:  # the first full batch, a short last one, or a rule that does not replay: a fresh record
+                step = _Step(spec, rule, mode, cfg.rule_weight, adam, x_tr, y_tr, inputs, idx.size)
+                if replays and idx.size == cfg.batch_size:
+                    full = step
             try:
-                step = train_step(
-                    spec, adam, x_tr[idx], y_tr[idx], rule,
-                    cfg.mode, alpha, scale, cfg.rule_weight, rng,
+                result = train_step(
+                    spec, adam, x_tr, y_tr, rule, cfg.mode, alpha, scale, cfg.rule_weight, rng, step, idx,
                 )
             except TrainingAborted as exc:
                 raise TrainingAborted(f"epoch {epoch}, batch at row {start}: {exc}") from exc
-            task_losses.append(step.task_loss)
-            rule_losses.append(step.rule_loss)
+            task_losses.append(result.task_loss)
+            rule_losses.append(result.rule_loss)
             alphas.append(alpha)
         if np.array_equal(adam.theta, epoch_start):
             raise TrainingAborted(

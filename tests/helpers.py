@@ -186,7 +186,7 @@ def full_pass_task_losses(spec, params, x, y, alphas) -> list[float]:
 
 @dataclass
 class ReferenceAdamState:
-    """Per-array Adam state: one parameter and moment array per name."""
+    """Per-array Adam state: one parameter, gradient and moment array per name."""
 
     lr: float = 0.001
     beta1: float = 0.9
@@ -196,6 +196,7 @@ class ReferenceAdamState:
     params: dict[str, np.ndarray] = field(default_factory=dict)
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    grads: dict[str, np.ndarray] = field(default_factory=dict)  # what ``Tape.backprop`` writes into
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray], lr: float = 0.001) -> "ReferenceAdamState":
@@ -204,6 +205,7 @@ class ReferenceAdamState:
             state.params[name] = value.copy()
             state.m[name] = np.zeros_like(value)
             state.v[name] = np.zeros_like(value)
+            state.grads[name] = np.zeros_like(value)
         return state
 
     @property
@@ -212,11 +214,12 @@ class ReferenceAdamState:
         return np.concatenate([p.ravel() for p in self.params.values()])
 
 
-def reference_adam_update(state, grads):
-    """Adam as a loop over the parameter arrays, one array at a time.
+def reference_adam_update(state):
+    """Adam as a loop over the parameter arrays, one array at a time, from ``state.grads``.
 
-    Each new array replaces its entry in ``state.params``. The flat-vector
-    ``adam_update`` must equal this bit for bit.
+    Each new array is computed whole and then copied into its parameter's
+    array, which a replayed tape reads. The flat-vector ``adam_update`` must
+    equal this bit for bit.
     """
     state.step += 1
     t = state.step
@@ -224,14 +227,21 @@ def reference_adam_update(state, grads):
     c2 = 1.0 - state.beta2**t
     params = state.params
     for name, p in params.items():
-        g = grads[name]
+        g = state.grads[name]
         if g.shape != p.shape:
             raise TrainingAborted(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
         if not np.all(np.isfinite(g)):
             raise TrainingAborted(f"non-finite gradient for parameter {name} at step {t}")
         m = state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
         v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        params[name] = p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p[...] = p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+
+
+def set_grads(state, grads: dict[str, np.ndarray]) -> None:
+    """Write ``grads`` into the gradient arrays of an Adam state, as ``Tape.backprop`` does."""
+    for name, g in grads.items():
+        assert g.shape == state.grads[name].shape, name
+        np.copyto(state.grads[name], g)
 
 
 # ----------------------------------------------------------------------

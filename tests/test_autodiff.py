@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import grad_check_fd, tape_sum
-from rulemix.autodiff import Tape, as_matrix, dense_forward, scaled_concat
+from rulemix.autodiff import Tape, _sigmoid, as_matrix, dense_forward, scaled_concat
 from rulemix.errors import ShapeError
 from rulemix.model import LayerSpec, mlp_forward
 from rulemix.pendulum import DEFAULT_PARAMS, energy, energy_gradient
@@ -622,3 +622,38 @@ class TestNoGradientTowardsConstants:
         node = tape.dense(x, [(tape.param("w", np.ones((3, 1))), tape.param("b", np.zeros((1, 1))), "sigmoid")], "blk")
         grads = tape.backprop(tape.bce(node, tape.constant(np.ones((4, 1)))))
         assert grads.keys() == {"w", "b"} and np.isfinite(grads["w"]).all()
+
+
+def masked_sigmoid(xv: np.ndarray) -> np.ndarray:
+    """The logistic function as written before it was mask-free: a gather and a scatter per sign."""
+    out = np.empty_like(xv)
+    pos = xv >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-xv[pos]))
+    e = np.exp(xv[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestMaskFreeSigmoid:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, -709.0, 745.0, -745.0, 1e-300, -1e-300]
+
+    def values(self) -> np.ndarray:
+        rng = RNG(50)
+        random = rng.normal(0.0, 1.0, 100_000) * 10.0 ** rng.integers(-3, 4, 100_000)
+        return np.concatenate([self.SPECIAL, random]).reshape(-1, 1)
+
+    def test_bits_equal_the_masked_implementation_nan_included(self):
+        xv = self.values()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = masked_sigmoid(xv)
+            got = np.empty_like(xv)
+            _sigmoid(xv, got)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.isnan(got[4:6]).all() and np.signbit(got[5, 0]) == np.signbit(xv[5, 0])
+
+    def test_writes_over_its_input(self):
+        xv = self.values()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = masked_sigmoid(xv)
+            _sigmoid(xv, xv)
+        assert np.array_equal(xv.view(np.int64), want.view(np.int64))

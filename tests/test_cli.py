@@ -1406,3 +1406,168 @@ def test_hostile_file_exits_0_or_names_itself_in_one_line_and_writes_nothing(
         assert code == 1 and len(lines) == 1, lines
         assert lines[0].startswith("error: ") and str(path) in lines[0], lines
         assert listing(tmp_path) == before
+
+
+# ----------------------------------------------------------------------
+# hostile regimes: each exits 1 with one line naming the cause, or exits 0
+# with parameters that moved; none trains in silence
+# ----------------------------------------------------------------------
+
+
+def write_regression_csv(path, x, y) -> None:
+    """A monotone-regression data CSV: 60% train, 20% val, 20% test rows, in order."""
+    n = len(y)
+    split = ["train"] * (n * 6 // 10) + ["val"] * (n * 2 // 10)
+    split += ["test"] * (n - len(split))
+    lines = [",".join(f"x{i}" for i in range(x.shape[1])) + ",y,split"]
+    lines += [",".join(repr(float(v)) for v in (*row, t)) + f",{s}" for row, t, s in zip(x, y, split)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def regime_data(tmp_path) -> dict[str, dict]:
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(-1, 1, (150, 5)), rng.uniform(-1, 1, 150)
+    write_regression_csv(tmp_path / "constant_target.csv", x, np.full(150, 0.5))
+    flat = x.copy()
+    flat[:, 0] = 1.0  # the rule's feature: every nudge moves it, but it never varies
+    write_regression_csv(tmp_path / "flat_feature.csv", flat, y)
+    return {
+        "constant target": {"data": {"csv": str(tmp_path / "constant_target.csv")}},
+        "zero-variance rule feature": {"data": {"csv": str(tmp_path / "flat_feature.csv")}},
+        "batch_size above the train rows": {"data": {"n": 120}, "train": {"batch_size": 1000}},
+        "beta 1e-300": {"data": {"n": 120}, "train": {"beta": 1e-300}},
+        "beta 1e300": {"data": {"n": 120}, "train": {"beta": 1e300}},
+    }
+
+
+# (exit code, the parameters left at their initial values, params_sha256 of the checkpoint), recorded while
+# every batch of a fit recorded its own tape. At beta 1e-300 every strength is 0 or 1, and at 1 the
+# hinge's gradient reaches the rule encoder from a row and its copy with opposite signs: their bias
+# terms cancel exactly, so the rule biases never move while its weights do.
+REGIME_OUTCOMES = {
+    "constant target": (0, [], "678ed193c7e798a6569662ce80306f6262286c38beee0276e2c1732514a02d02"),
+    "zero-variance rule feature": (0, [], "61056e9bd35008eebaa345f8c9e335e8645ddff7402e69c706ce2e13f6df45bc"),
+    "batch_size above the train rows": (0, [], "3d63b597859e9bc15cfb0afe4bebbb5b58fbef5722220518de5675595ba916dc"),
+    "beta 1e-300": (0, ["rule.0.b", "rule.1.b"], "2e8b973adfad8c622f846954324523ca18c5aa7405c0f9d06b805f3ad2e3a25c"),
+    "beta 1e300": (0, [], "a16a70592e6a76622c8fc969c40c79f00672eda821f7c22c4071ca2ba19e52bd"),
+}
+
+
+def test_each_hostile_regime_trains_with_moved_parameters_or_names_its_cause(tmp_path, capsys):
+    from rulemix.model import init_params
+
+    cases = regime_data(tmp_path)
+    assert cases.keys() == REGIME_OUTCOMES.keys()
+    for name, over in cases.items():
+        raw = {"task": "monotone-regression", "model": {"encoder_units": [8, 4], "decision_units": [8]},
+               **over, "train": {"max_epochs": 2, "patience": 1, **over.get("train", {})}}
+        cfg, out = tmp_path / f"{name}.yaml", tmp_path / name
+        cfg.write_text(yaml.safe_dump(raw))
+        capsys.readouterr()
+        code = main(["train", "--config", str(cfg), "--out-dir", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        want_code, still, digest = REGIME_OUTCOMES[name]
+        assert code == want_code, (name, err)
+        if code:
+            assert len(err) == 1 and err[0].startswith("error: "), (name, err)
+            continue
+        assert err == [], name
+        ck = load_checkpoint(out / "checkpoint_seed0.npz")
+        initial = init_params(ck.spec, np.random.default_rng(0))
+        assert [k for k in initial if np.array_equal(initial[k], ck.params[k])] == still, name
+        assert len(still) < len(initial), name
+        assert params_digest(ck.params) == digest, name
+
+
+def params_digest(params: dict[str, np.ndarray]) -> str:
+    """The benchmark's parameter digest: each name, then its float64 bytes, in name order."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(params[name], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# ----------------------------------------------------------------------
+# Ctrl-C in a terminal: SIGINT reaches every process of the foreground group,
+# the forked build workers included
+# ----------------------------------------------------------------------
+
+SIGINT_SCRIPT = """
+import os, sys, time
+import rulemix.pendulum
+from rulemix.cli import main
+
+rulemix.pendulum.FORK_MIN_STEPS = 0  # two build workers, as helpers.force_workers makes them
+rulemix.pendulum.worker_count = lambda n_tasks: min(n_tasks, 2)
+real_fork, marker = os.fork, sys.argv[1]
+# a slow at-fork hook in the child (the interpreter runs its own there) holds open the window in which
+# an interrupt reaches a child that has not yet started its share
+os.register_at_fork(after_in_child=lambda: time.sleep(0.3))
+
+
+def fork():
+    pid = real_fork()
+    if pid:
+        with open(marker, "w") as fh:  # a child exists
+            fh.write(str(pid))
+    return pid
+
+
+os.fork = fork
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def group_members(pgid: int) -> dict[int, str]:
+    """The state (``R``, ``S``, ``Z`` for a zombie, ...) of each process in group ``pgid``, read from /proc."""
+    found = {}
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                state, _, pgrp = (entry / "stat").read_text().rsplit(")", 1)[1].split()[:3]
+            except OSError:  # ended while being read
+                continue
+            if int(pgrp) == pgid:
+                found[int(entry.name)] = state
+    return found
+
+
+@pytest.mark.skipif(not hasattr(__import__("os"), "fork") or not Path("/proc/self/stat").exists(),
+                    reason="needs fork and /proc")
+def test_sigint_to_the_process_group_of_a_forked_build_is_one_line_and_leaves_nothing(tmp_path):
+    import os
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    cfg = tiny_pendulum_config(tmp_path, data={"n_pairs": 100_000, "n_trajectories": 2})  # seconds per share
+    out, marker = tmp_path / "data.csv", tmp_path / "forked"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", SIGINT_SCRIPT, str(marker), "gen-data", "--config", str(cfg), "--out", str(out)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert marker.exists(), "the build forked no worker"
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130, err
+    assert err.splitlines() == ["error: interrupted"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "forked"]  # no output, no .tmp
+    # no member runs on; an orphaned zombie may linger until init reaps it
+    assert [state for state in group_members(proc.pid).values() if state != "Z"] == []
+    deadline = time.monotonic() + 10
+    while group_members(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert group_members(proc.pid) == {}

@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
-from helpers import ReferenceAdamState, reference_adam_update
-from rulemix.errors import TrainingAborted
+from helpers import ReferenceAdamState, reference_adam_update, set_grads
+from rulemix.autodiff import Node, Tape
+from rulemix.errors import ShapeError, TrainingAborted
 from rulemix.model import ModelSpec, init_params
 from rulemix.optim import AdamState, adam_update
 from rulemix.train import train_step
+
+
+def update(state, grads):
+    """One Adam step from ``grads``, written where ``Tape.backprop`` writes them."""
+    set_grads(state, grads)
+    adam_update(state)
 
 
 def make_params(seed=0):
@@ -19,7 +26,7 @@ def test_zero_gradients_leave_params_unchanged():
     params = make_params()
     state = AdamState.for_params(params, lr=0.01)
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    adam_update(state, grads)
+    update(state, grads)
     for k in params:
         np.testing.assert_array_equal(state.params[k], params[k])
     assert state.step == 1
@@ -30,7 +37,7 @@ def test_first_step_magnitude_is_learning_rate():
     params = {"w": np.array([[1.0, -2.0]])}
     state = AdamState.for_params(params, lr=0.001)
     grads = {"w": np.array([[0.3, -0.7]])}
-    adam_update(state, grads)
+    update(state, grads)
     step = params["w"] - state.params["w"]
     np.testing.assert_allclose(np.abs(step), 0.001, rtol=1e-6)
     np.testing.assert_array_equal(np.sign(step), np.sign(grads["w"]))
@@ -43,7 +50,7 @@ def test_identical_runs_are_bit_identical():
         rng = np.random.default_rng(42)
         for _ in range(25):
             grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
-            adam_update(state, grads)
+            update(state, grads)
         return state.params
 
     a, b = run(), run()
@@ -57,11 +64,11 @@ def test_non_finite_gradient_aborts():
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     grads["w"][0, 0] = np.nan
     with pytest.raises(TrainingAborted, match="non-finite gradient for parameter w at step 1"):
-        adam_update(state, grads)
+        update(state, grads)
     grads["w"][0, 0] = 0.0
     grads["b"][0, 1] = -np.inf
     with pytest.raises(TrainingAborted, match="non-finite gradient for parameter b at step 2"):
-        adam_update(state, grads)
+        update(state, grads)
 
 
 def test_non_finite_parameter_after_step_aborts():
@@ -71,15 +78,20 @@ def test_non_finite_parameter_after_step_aborts():
     state = AdamState.for_params(params)
     grads = {k: np.ones_like(v) for k, v in params.items()}
     with pytest.raises(TrainingAborted, match="non-finite parameter b after step 1"):
-        adam_update(state, grads)
+        update(state, grads)
 
 
 def test_gradient_shape_mismatch_aborts():
+    # gradients reach the state through backprop, which refuses one that does not fit its parameter
     params = make_params()
     state = AdamState.for_params(params)
-    grads = {"w": np.zeros((2, 3)), "b": np.zeros((1, 2))}
-    with pytest.raises(TrainingAborted, match="gradient shape"):
-        adam_update(state, grads)
+    tape = Tape()
+    w = tape.param("w", state.params["w"])
+    tape.param("b", state.params["b"])
+    loss = tape._append(Node(np.zeros((1, 1)), (w,), lambda g: (np.zeros((2, 3)),), wants_grad=True))
+    with pytest.raises(ShapeError, match=r"^gradient shape \(2, 3\) != parameter shape \(3, 2\) for w$"):
+        tape.backprop(loss, state.grads)
+    assert state.step == 0
 
 
 def test_equals_per_array_reference_bit_for_bit():
@@ -95,8 +107,9 @@ def test_equals_per_array_reference_bit_for_bit():
         # gradients over many magnitudes, including exact zeros
         grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-8, 4, v.shape) for k, v in params.items()}
         grads["s"][0, 0] = 0.0 if rng.random() < 0.3 else grads["s"][0, 0]
-        adam_update(flat_state, grads)
-        reference_adam_update(ref_state, grads)
+        update(flat_state, grads)
+        set_grads(ref_state, grads)
+        reference_adam_update(ref_state)
         flat, ref = flat_state.params, ref_state.params
         assert list(flat) == list(ref)
         for k in ref:
@@ -119,7 +132,7 @@ def test_params_are_views_of_one_vector_that_steps_in_place():
     for steps in (0, 2):
         if steps:
             train_step(spec, state, x, y, None, "task_only", 0.0, None)
-            adam_update(state, {k: np.full_like(v, 0.25) for k, v in params.items()})
+            update(state, {k: np.full_like(v, 0.25) for k, v in params.items()})
         assert state.step == steps and state.theta is theta and list(state.params) == list(spec.param_shapes())
         offset = 0
         for name, shape in spec.param_shapes().items():
@@ -137,5 +150,5 @@ def test_step_counter_strictly_increases():
     state = AdamState.for_params(params)
     grads = {k: np.ones_like(v) for k, v in params.items()}
     for expected in (1, 2, 3):
-        adam_update(state, grads)
+        update(state, grads)
         assert state.step == expected

@@ -138,3 +138,34 @@ def test_numpy_runs_one_os_thread_only_with_one_blas_thread():
     assert threads_after_import("2") > 1
     assert threads_after_import("1") == 1
     assert os_threads() >= 1
+
+
+def test_a_child_ignores_sigint_and_the_caller_keeps_its_handler(forks):
+    # Ctrl-C reaches every process of the group: a child carries on, and only the caller is interrupted
+    caller = os.getpid()
+
+    def interrupted(k):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGINT)
+            time.sleep(0.05)  # time for a handler to run, had it not been ignored
+        return signal.getsignal(signal.SIGINT)
+
+    assert forked_map(interrupted, [(0,), (1,)], 2) == [signal.SIG_IGN, signal.default_int_handler]
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, set()) == set()  # nothing left blocked in the caller
+    assert_reaped(forks)
+
+
+def test_an_interrupted_caller_kills_and_reaps_its_children(forks):
+    caller = os.getpid()
+
+    def interrupted(k):
+        if os.getpid() == caller:
+            os.kill(caller, signal.SIGINT)
+        time.sleep(30)  # only the kill ends a child
+
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        forked_map(interrupted, [(0,), (1,), (2,)], 3)
+    assert time.monotonic() - started < 20
+    assert len(forks) == 2
+    assert_reaped(forks)

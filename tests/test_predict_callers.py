@@ -6,7 +6,8 @@ Passes that take no gradient run on the inference path,
 every module of ``src/rulemix`` and fails on a call of ``predict`` from any
 function but those in ``CALLERS``:
 
-* ``train_step``, the one pass that backpropagates;
+* ``record``, the method of ``train._Step`` that records the training
+  step, the one pass that backpropagates;
 * ``predict_values``, the reference the benchmark checks sweeps against.
 
 A call is attributed to the innermost named function around it, a call at
@@ -22,7 +23,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rulemix"
-CALLERS = {"train_step", "predict_values"}
+CALLERS = {"record", "predict_values"}
 TAPELESS = {"forward_per_alpha", "alpha_sweep", "_output"}  # model, evaluate and train
 
 

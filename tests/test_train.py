@@ -1,5 +1,6 @@
 """Strength sampling, loss scaling, step semantics, and the fit loop."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -8,9 +9,11 @@ import warnings
 import numpy as np
 import pytest
 
+import rulemix.autodiff
 import rulemix.train
 import rulemix.model
-from helpers import ReferenceAdamState, full_pass_task_losses, reference_adam_update, tiny_model
+from helpers import (MeanBelowFeatureRule, ReferenceAdamState, full_pass_task_losses, reference_adam_update,
+                     tiny_model)
 from rulemix.autodiff import Arrays
 from rulemix.config import config_from_dict
 from rulemix.data import Dataset, assign_splits
@@ -18,7 +21,7 @@ from rulemix.errors import ConfigError, TrainingAborted
 from rulemix.model import ModelSpec, encode, forward_per_alpha, init_params
 from rulemix.optim import AdamState
 from rulemix.pendulum import DEFAULT_PARAMS
-from rulemix.rules import EnergyDampingRule, MonotonicRule, ThresholdRule
+from rulemix.rules import EnergyDampingRule, MonotonicRule, ThresholdRule, rule_inputs
 from rulemix.tabular import CorrGroupSpec, synth_monotone_regression
 from rulemix.train import (
     LossScale,
@@ -539,6 +542,43 @@ PINNED_MODE_FITS = {
 }
 
 
+# Every record of 2-epoch controlled fits, recorded while every batch of a fit still recorded its own
+# tape and read its input energy from its own rows: (task, train) -> (per epoch: the hex of train_task,
+# train_rule, val_metric and alpha_mean; params_sha256). A change that moves a reported loss but no
+# parameter shows here. ``per_epoch`` trains its second epoch under the loss scale recomputed after the first.
+PINNED_RECORDS = {
+    "controlled, pendulum": (
+        ("pendulum", {}),
+        ([["0x1.29030c4396a46p+0", "0x1.015b76130b4ebp-3", "0x1.62d1137c36119p-4", "0x1.00752cfc2b3dcp-1"],
+          ["0x1.2f6e74fd6f308p+0", "0x1.6eb6be32f57a2p-4", "0x1.574cbd9c7ad00p-4", "0x1.6f7a275639c55p-2"]],
+         "193010140b28395395e416a229c03c6164646e1c032a9762653e081dca979ff3"),
+    ),
+    "controlled, shifted-classification": (
+        ("shifted-classification", {}),
+        ([["0x1.77818b84e650bp-1", "0x1.faffd401d2a4ep-11", "0x1.683fbe5b53483p-1", "0x1.8842c4b5421f6p-2"],
+          ["0x1.729b609c64115p-1", "0x1.abd4917e9e337p-11", "0x1.6727c896a3684p-1", "0x1.2300d50d50304p-1"]],
+         "69abf45541983a845ec251f0e4f64ade481c0e34884549d482f6835dc6330a60"),
+    ),
+    "per_epoch, pendulum": (
+        ("pendulum", {"rho_policy": "per_epoch"}),
+        ([["0x1.29030c4396a46p+0", "0x1.015b76130b4ebp-3", "0x1.62d1137c36119p-4", "0x1.00752cfc2b3dcp-1"],
+          ["0x1.2f78227dd9fbap+0", "0x1.6eb6c08f14f64p-4", "0x1.5765a6a135825p-4", "0x1.6f7a275639c55p-2"]],
+         "3c71605da3e299ac8b8a73e14a4fec2e4529fb71e308fdd0eb13294509242bad"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RECORDS))
+def test_every_record_of_a_controlled_fit_is_bit_identical_to_the_pin(case):
+    (task, train), (records, digest) = PINNED_RECORDS[case]
+    cfg = pinned_config(task, **train)
+    result = fit(cfg.model_spec(), cfg.train_config(), cfg.build_dataset(), cfg.rule())
+    got = [[r.train_task.hex(), r.train_rule.hex(), r.val_metric.hex(), r.alpha_mean.hex()]
+           for r in result.report.records]
+    assert got == records
+    assert params_sha256(result.params) == digest
+
+
 @pytest.mark.parametrize("case", sorted(PINNED_MODE_FITS))
 def test_baseline_fit_is_bit_identical_to_the_pinned_digest(case):
     (task, train), (digest, train_rule, val_metric) = PINNED_MODE_FITS[case]
@@ -616,3 +656,155 @@ def test_inference_encoding_keeps_only_the_live_layer(coupling):
     x = rng.uniform(-1, 1, (500, 4))
     peak = traced_peak(lambda: next(forward_per_alpha(spec, params, encode(Arrays(), spec, params, x), [0.5])))
     assert peak < 2.5 * widest_matrix_bytes(spec, x.shape[0]), (peak, widest_matrix_bytes(spec, x.shape[0]))
+
+
+# ----------------------------------------------------------------------
+# a fit records its step once and replays it: every replayed step equals a
+# step recorded afresh on the same batch, bit for bit
+# ----------------------------------------------------------------------
+
+RULES = {
+    "threshold": ThresholdRule(fn="row_mean", limit=-0.05),
+    "energy": ENERGY_RULE,
+    "monotonic": MonotonicRule(feature=0, direction="decrease"),
+    # valid only where a nudge crosses the guard, so each batch draws a different gate
+    "monotonic, guarded": MonotonicRule(feature=0, direction="decrease", guard=0.05, bound=1.0),
+}
+# every rule family each mode accepts; task_only also trains with no rule
+MODE_RULES = [(mode, family) for mode in ("controlled", "task_and_rule", "rule_only") for family in RULES]
+MODE_RULES += [("task_only", family) for family in (None, *RULES)]
+
+
+def step_results_hex(result) -> list[str]:
+    return [float(v).hex() for v in dataclasses.astuple(result)]
+
+
+def replay_against_fresh(spec, rule, mode, x, y, plan, batch_size, seed=0):
+    """Run ``plan`` [(alpha, scale, rows)] as ``fit`` runs it and as fresh ``train_step`` calls; compare each step."""
+    params = init_params(spec, np.random.default_rng(seed))
+    replayed, fresh = AdamState.for_params(params), AdamState.for_params(params)
+    rng_r, rng_f = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    record, inputs = rulemix.train.MODES[mode], rule_inputs(rule, x)
+    full = rulemix.train._Step(spec, rule, record, 0.5, replayed, x, y, inputs, batch_size)
+    for k, (alpha, scale, rows) in enumerate(plan):
+        step = full if rows.size == batch_size else rulemix.train._Step(
+            spec, rule, record, 0.5, replayed, x, y, inputs, rows.size)
+        got = train_step(spec, replayed, x, y, rule, mode, alpha, scale, 0.5, rng_r, step, rows)
+        want = train_step(spec, fresh, x[rows], y[rows], rule, mode, alpha, scale, 0.5, rng_f)
+        assert step_results_hex(got) == step_results_hex(want), k
+        assert replayed.theta.tobytes() == fresh.theta.tobytes(), k
+    assert full.tape is not None and len(full.tape) > 0
+
+
+def step_plan(n: int, batch_size: int, scaled: bool, seed: int = 2):
+    """Strengths exactly 0 and 1 and drawn ones, a loss scale that changes, and a short last batch."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    alphas = [0.0, 1.0, 0.0, 1.0] + [sample_alpha(0.3, rng) for _ in range(4)]
+    scales = [LossScale(0.3, 1.7), LossScale(0.3, 1.7), LossScale(2.5, 0.125), LossScale(0.7, 3.0)] * 2
+    starts = [(k * batch_size) % (n - batch_size) for k in range(len(alphas))]
+    plan = [(a, s if scaled else None, order[i : i + batch_size]) for a, s, i in zip(alphas, scales, starts)]
+    return plan + [(0.6, LossScale(1.5, 0.5) if scaled else None, order[: batch_size // 3])]
+
+
+def assert_fit_equals_one_recording_every_batch(monkeypatch, spec, cfg, dataset, rule) -> None:
+    """``fit`` gives the records and parameters of a fit whose every batch calls ``train_step`` on its own rows."""
+    got = fit(spec, cfg, dataset, rule)
+    real = rulemix.train.train_step
+
+    def recording_every_batch(spec, adam, x, y, rule, mode, alpha, scale, rule_weight, rng, step, rows):
+        return real(spec, adam, x[rows], y[rows], rule, mode, alpha, scale, rule_weight, rng)
+
+    monkeypatch.setattr(rulemix.train, "train_step", recording_every_batch)
+    want = fit(spec, cfg, dataset, rule)
+    assert [dataclasses.astuple(r) for r in got.report.records] == [dataclasses.astuple(r) for r in want.report.records]
+    assert params_sha256(got.params) == params_sha256(want.params)
+
+
+class TestReplay:
+    @pytest.mark.parametrize("mode, family", MODE_RULES)
+    def test_each_mode_with_each_rule_family(self, mode, family):
+        x, y = identity_dataset(n=120, seed=1).subset("train")
+        rule = RULES[family] if family else None
+        if family and family.startswith("monotonic"):  # a hinge between paired single outputs
+            y = y[:, :1] - y[:, 1:2]
+        spec, _ = tiny_model(np.random.default_rng(0), output_dim=y.shape[1])
+        plan = step_plan(x.shape[0], 16, rulemix.train.MODES[mode].scaled)
+        replay_against_fresh(spec, rule, mode, x, y, plan, 16)
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("coupling", rulemix.model.COUPLINGS)
+    def test_each_coupling(self, coupling, task):
+        rng = np.random.default_rng(3)
+        spec = ModelSpec(input_dim=5, output_dim=1, task=task, coupling=coupling,
+                         shared_units=(6,), encoder_units=(8, 4), decision_units=(8,))
+        x = rng.uniform(-1, 1, (90, 5))
+        y = (x[:, :1] < 0.0).astype(np.float64) if task == "classification" else x[:, :1] - x[:, 1:2]
+        rule = MonotonicRule(feature=0, direction="decrease", guard=0.3, bound=1.0)
+        replay_against_fresh(spec, rule, "controlled", x, y, step_plan(90, 20, True), 20)
+
+    @pytest.mark.parametrize("task", sorted(PINNED_FITS))
+    def test_a_fit_equals_one_that_records_every_batch(self, task, monkeypatch):
+        # per_epoch: the second epoch trains under a recomputed loss scale; 2 epochs of short last batches
+        cfg = pinned_config(task, rho_policy="per_epoch", batch_size=25)
+        args = cfg.model_spec(), cfg.train_config(), cfg.build_dataset(), cfg.rule()
+        assert args[2].counts()["train"] % 25, "fixture assumption: the last batch is short"
+        assert_fit_equals_one_recording_every_batch(monkeypatch, *args)
+
+    def test_a_fit_records_once_and_replays_every_later_full_batch(self, monkeypatch):
+        records, replays = [], []
+        real_record, real_replay = rulemix.train._Step.record, rulemix.autodiff.Tape.replay
+        monkeypatch.setattr(rulemix.train._Step, "record", lambda s, rng: records.append(s.x.shape[0]) or real_record(s, rng))
+        monkeypatch.setattr(rulemix.autodiff.Tape, "replay", lambda t: replays.append(1) or real_replay(t))
+        cfg = pinned_config("pendulum", batch_size=25)
+        dataset = cfg.build_dataset()
+        fit(cfg.model_spec(), cfg.train_config(), dataset, cfg.rule())
+        n = dataset.counts()["train"]
+        assert records == [25] + [n % 25] * 2  # the first full batch, then each epoch's short one
+        assert len(replays) == 2 * (n // 25) - 1
+
+    def test_a_rule_that_does_not_replay_records_every_batch(self, monkeypatch):
+        # a rule from outside the package may compute on the batch outside the tape: it is never replayed
+        replays = []
+        real_replay = rulemix.autodiff.Tape.replay
+        monkeypatch.setattr(rulemix.autodiff.Tape, "replay", lambda t: replays.append(1) or real_replay(t))
+        rule = MeanBelowFeatureRule(feature=0)
+        ds = identity_dataset()
+        spec, _ = tiny_model(np.random.default_rng(0))
+        assert_fit_equals_one_recording_every_batch(monkeypatch, spec, TrainConfig(max_epochs=2, patience=1), ds, rule)
+        assert replays == []
+
+    def test_a_dataset_of_integers_trains_as_its_float64_copy(self):
+        rng = np.random.default_rng(8)
+        x = rng.integers(-3, 4, (150, 5))
+        ints = Dataset(x=x, y=x[:, :1] - x[:, 1:2], split=assign_splits(150, (0.6, 0.2, 0.2)))
+        floats = Dataset(x=x.astype(np.float64), y=ints.y.astype(np.float64), split=ints.split)
+        spec, _ = tiny_model(np.random.default_rng(0), input_dim=5, output_dim=1)
+        cfg, rule = TrainConfig(max_epochs=2, patience=1), MonotonicRule(feature=0, direction="decrease")
+        assert params_sha256(fit(spec, cfg, ints, rule).params) == params_sha256(fit(spec, cfg, floats, rule).params)
+
+    def test_input_energy_indexed_from_the_split_equals_the_energy_of_the_batch(self):
+        rng = np.random.default_rng(5)
+        x, _ = identity_dataset(n=600, seed=5).subset("train")
+        prepared = ENERGY_RULE.prepare(x).values
+        for _ in range(300):
+            rows = rng.choice(x.shape[0], int(rng.integers(1, 34)), replace=False)
+            assert prepared[rows].tobytes() == ENERGY_RULE.prepare(x[rows]).values.tobytes()
+
+
+def test_a_replayed_desk_step_allocates_no_parameter_sized_array():
+    # the acceptance desk spec; a parameter vector is 28,692 float64
+    spec = ModelSpec(input_dim=4, output_dim=4, shared_units=(64, 16), encoder_units=(64, 64, 64),
+                     decision_units=(64,))
+    x, y = identity_dataset(n=400, seed=6).subset("train")
+    params = init_params(spec, np.random.default_rng(6))
+    n_params = sum(v.size for v in params.values())
+    adam = AdamState.for_params(params)
+    scale = compute_loss_scale(spec, params, x, y, ENERGY_RULE, np.random.default_rng(7))
+    step = rulemix.train._Step(spec, ENERGY_RULE, rulemix.train.MODES["controlled"], 1.0, adam, x, y,
+                               rule_inputs(ENERGY_RULE, x), 32)
+    rows = np.arange(32)
+    train_step(spec, adam, x, y, ENERGY_RULE, "controlled", 0.3, scale, 1.0, None, step, rows)  # records
+    peak = traced_peak(lambda: train_step(spec, adam, x, y, ENERGY_RULE, "controlled", 0.7, scale, 1.0, None,
+                                          step, rows + 32))
+    assert peak < 8 * n_params, (peak, 8 * n_params)
