@@ -96,25 +96,23 @@ def out_array(buffers: list[np.ndarray] | None, i: int, shape: tuple[int, int]) 
 
 
 def dense_forward(h: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray, str]], label: str = "dense",
-                  buffers: list[np.ndarray] | None = None, keep: bool = False) -> np.ndarray | list[np.ndarray]:
+                  buffers: list[np.ndarray] | None = None) -> np.ndarray:
     """A stack of dense layers: per layer ``h @ w + b``, then the activation (linear, relu or sigmoid).
 
     ``layers`` holds ``(weight, bias, activation)`` per layer; a layer that
     does not fit raises ShapeError naming ``{label}.{i}``. Layer ``i`` writes
-    into ``out_array(buffers, i, ...)``. Returns every layer's output with
-    ``keep``, else the last one, holding no earlier layer's output.
+    into ``out_array(buffers, i, ...)``, so ``buffers`` keeps every layer's
+    output. Returns the last one; with no ``buffers``, no earlier layer's
+    output is held.
     """
     if not layers:
         raise ValueError(f"{label}: a dense block needs at least one layer")
-    outs = []
     for i, (wv, bv, act) in enumerate(layers):
         _check_affine(f"{label}.{i}", h, wv, bv)
         if act not in ("linear", "relu", "sigmoid"):
             raise ValueError(f"unknown activation {act!r}")
         h = _dense_layer(h, wv, bv, act, out_array(buffers, i, (h.shape[0], wv.shape[1])))
-        if keep:
-            outs.append(h)
-    return outs if keep else h
+    return h
 
 
 def _dense_layer(h: np.ndarray, wv: np.ndarray, bv: np.ndarray, act: str, out: np.ndarray) -> np.ndarray:
@@ -143,10 +141,11 @@ class Coefficient:
     """A scalar that a recorded op reads again on every run of its kernel.
 
     ``Coefficient(value)`` is an input of a recorded step: set ``value``
-    before a replay. Arithmetic with numbers or other coefficients gives a
-    derived coefficient that evaluates the same Python expression, operand
-    for operand, whenever it is read, so a replayed op reads bit for bit the
-    number that recording the step again would compute. ``float()`` reads it.
+    before a replay. ``number - c`` and ``c * other`` (a number or a
+    coefficient) give a derived coefficient that evaluates the same Python
+    expression, operand for operand, whenever it is read, so a replayed op
+    reads bit for bit the number that recording the step again would
+    compute. ``float()`` reads it.
     """
 
     __slots__ = ("value", "_fn")
@@ -158,17 +157,11 @@ class Coefficient:
     def __float__(self) -> float:
         return float(self.value) if self._fn is None else self._fn()
 
-    def __sub__(self, other) -> "Coefficient":
-        return Coefficient(fn=lambda: float(self) - float(other))
-
     def __rsub__(self, other) -> "Coefficient":
         return Coefficient(fn=lambda: float(other) - float(self))
 
     def __mul__(self, other) -> "Coefficient":
         return Coefficient(fn=lambda: float(self) * float(other))
-
-    def __rmul__(self, other) -> "Coefficient":
-        return Coefficient(fn=lambda: float(other) * float(self))
 
 
 @dataclass
@@ -318,7 +311,8 @@ class Tape:
         """
         xv = self.value(x)
         values = [(self.value(w), self.value(b), act) for w, b, act in layers]
-        outs = dense_forward(xv, values, label, keep=True)  # each layer's output, rewritten by a replay
+        outs: list[np.ndarray] = []  # each layer's output, rewritten by a replay
+        dense_forward(xv, values, label, outs)
         runs = [(h, wv, bv, act, out) for h, (wv, bv, act), out in zip([xv, *outs[:-1]], values, outs)]
 
         def forward() -> None:  # the layers dense_forward checked, without the checks

@@ -47,8 +47,8 @@ class RuleSpec(Protocol):
     A rule may set ``replayable = True`` when its ``loss_node`` puts what it
     reads of the batch (``x``, ``prepare``'s result, ``valid``) on the tape
     over the very arrays it is given, or views of them, and derives anything
-    else with tape ops. ``fit`` then records its training step once and
-    replays it, refilling those arrays in place for each batch; a rule
+    else with tape ops. A training step then records once per batch size
+    and replays, refilling those arrays in place for each batch; a rule
     without it gets a freshly recorded step for every batch.
     """
 

@@ -15,14 +15,14 @@ perturbed copy through the same parameters and compares the paired outputs;
 ``task_only`` draws no pairs, so such a rule's ``train_rule`` is NaN there.
 
 Only the training step records the model on a gradient tape
-(``model.predict``, in ``_Step``). ``fit`` records it once, on its first
-full batch, and every later full batch refills the tape's inputs and
-replays it; a short last batch, and ``train_step`` called on its own,
-record a fresh tape through the same code. Gradients land in the flat
-vector Adam steps from. Passes that take no gradient (the loss scale,
-validation) run ``encode`` and ``decode`` over plain arrays
-(``model.forward_per_alpha``), and their losses go on a small tape whose
-leaves are the model's outputs.
+(``model.predict``, in ``_Step``). ``train_step`` records it once for each
+batch size in the map of steps its caller keeps, and every later batch of
+that size refills the tape's inputs and replays it: ``fit`` keeps one map,
+so its full batches and its short last batch each record once per fit.
+Gradients land in the flat vector Adam steps from. Passes that take no
+gradient (the loss scale, validation) run ``encode`` and ``decode`` over
+plain arrays (``model.forward_per_alpha``), and their losses go on a small
+tape whose leaves are the model's outputs.
 """
 
 from __future__ import annotations
@@ -205,41 +205,38 @@ class _Step:
     (``rules.rule_inputs``); the perturbed copy and its ``valid`` weights;
     and the strength and loss scale, as ``Coefficient`` inputs. The first run records the step through ``predict``, the rule's
     ``loss_node``, the task loss and the mode's total; every later run
-    replays the recorded kernels into the same arrays. A step with ``rows``
-    None reads the split's own arrays, for one run.
+    replays the recorded kernels into the same arrays. A rule that is not
+    ``replayable`` may compute on the batch outside the tape, so its step
+    records afresh on every run.
     """
 
     def __init__(self, spec: ModelSpec, rule: RuleSpec | None, mode: Mode, rule_weight: float, adam: AdamState,
-                 x: np.ndarray, y: np.ndarray, inputs, rows: int | None) -> None:
+                 x: np.ndarray, y: np.ndarray, inputs, rows: int) -> None:
         self.spec, self.rule, self.mode, self.rule_weight, self.adam = spec, rule, mode, rule_weight, adam
         self.split = (x, y, inputs)
-        if rows is None:
-            self.x, self.y, self.inputs = x, y, inputs
-        else:
-            self.x, self.y = np.empty((rows, x.shape[1])), np.empty((rows, y.shape[1]))
-            # a prepared quantity holds one row of ``values`` per input row
-            self.inputs = self.x if inputs is x else replace(
-                inputs, values=np.empty((rows, *inputs.values.shape[1:])))
+        self.x, self.y = np.empty((rows, x.shape[1])), np.empty((rows, y.shape[1]))
+        # a prepared quantity holds one row of ``values`` per input row
+        self.inputs = self.x if inputs is x else replace(inputs, values=np.empty((rows, *inputs.values.shape[1:])))
+        self.replays = rule is None or getattr(rule, "replayable", False)
         self.pairs = rule is not None and rule.needs_perturbation and mode.rule_term  # a perturbation per batch
         self.x_p = np.empty_like(self.x) if self.pairs else None
-        self.valid = np.empty((self.x.shape[0], 1)) if self.pairs else None
+        self.valid = np.empty((rows, 1)) if self.pairs else None
         self.alpha = Coefficient()
         self.scale = LossScale(rule0=Coefficient(), task0=Coefficient())
         self.tape: Tape | None = None
         self.task_node = self.rule_node = self.total_node = None  # node ids, once recorded
 
-    def run(self, rows: np.ndarray | None, alpha: float, scale: LossScale | None,
+    def run(self, rows: np.ndarray | list[int], alpha: float, scale: LossScale | None,
             rng: np.random.Generator | None) -> StepResult:
-        if rows is not None:
-            x, y, inputs = self.split
-            np.take(x, rows, axis=0, out=self.x)
-            np.take(y, rows, axis=0, out=self.y)
-            if inputs is not x:
-                np.take(inputs.values, rows, axis=0, out=self.inputs.values)
+        x, y, inputs = self.split
+        np.take(x, rows, axis=0, out=self.x)
+        np.take(y, rows, axis=0, out=self.y)
+        if inputs is not x:
+            np.take(inputs.values, rows, axis=0, out=self.inputs.values)
         self.alpha.value = alpha
         if scale is not None:
             self.scale.rule0.value, self.scale.task0.value = scale.rule0, scale.task0
-        if self.tape is None:
+        if self.tape is None or not self.replays:
             self.record(rng)
         else:
             if self.pairs:
@@ -294,23 +291,30 @@ def train_step(
     scale: LossScale | None,
     rule_weight: float = 1.0,
     rng: np.random.Generator | None = None,
-    step: _Step | None = None,
-    rows: np.ndarray | None = None,
+    steps: dict[int, _Step] | None = None,
+    rows: np.ndarray | list[int] | None = None,
 ) -> StepResult:
     """One minibatch update of ``adam.params``, in place, as ``MODES[mode]`` says; returns the loss components.
 
-    Called on its own, the batch is every row of ``x`` and ``y``, checked as
-    matrices and recorded on a fresh tape. ``fit`` passes the batch's
-    ``rows`` of its training split ``x``, ``y`` and the ``step`` it made for
-    batches of that size from these arguments, which records on its first
-    run and replays after.
+    The batch is the ``rows`` of ``x`` and ``y`` (indices; None for every
+    row), copied into arrays of the step's own. ``steps`` maps a batch size
+    to the step recorded for it; a caller that keeps one map for a split
+    passes the same arguments with it on every call, and each size then
+    records once and replays after. A size the map lacks, or a call with no
+    map, checks the arguments and builds the step over ``x`` and ``y``.
     """
+    steps = {} if steps is None else steps
+    rows = np.arange(len(x)) if rows is None else rows
+    step = steps.get(len(rows))
     if step is None:
-        if x.shape[0] == 0:
-            raise ValueError("empty batch")
+        if len(rows) == 0:
+            raise ValueError("empty batch: rows selects no row")
+        if np.asarray(rows).dtype == bool:
+            raise ValueError("rows must be row indices, not a boolean mask")
         record = _mode(mode, rule, scale is not None)
         x, y = as_matrix(x, "input"), as_matrix(y, "target")
-        step = _Step(spec, rule, record, rule_weight, adam, x, y, rule_inputs(rule, x), None)
+        step = steps[len(rows)] = _Step(spec, rule, record, rule_weight, adam, x, y, rule_inputs(rule, x),
+                                        len(rows))
     return step.run(rows, alpha, scale, rng)
 
 
@@ -446,9 +450,7 @@ def fit(
     best_scale = scale
     epochs_since_best = 0
     n = x_tr.shape[0]
-    inputs = rule_inputs(rule, x_tr)  # computed once, for every batch
-    replays = rule is None or getattr(rule, "replayable", False)
-    full = None  # the step recorded on the first full batch, which every later one replays
+    steps: dict[int, _Step] = {}  # each batch size's recorded step, which every later batch of that size replays
 
     epoch_start = np.empty_like(adam.theta)
     for epoch in range(1, cfg.max_epochs + 1):
@@ -458,15 +460,9 @@ def fit(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             alpha = sample_alpha(cfg.beta, rng) if mode.alpha is None else mode.alpha
-            if full is not None and idx.size == cfg.batch_size:
-                step = full
-            else:  # the first full batch, a short last one, or a rule that does not replay: a fresh record
-                step = _Step(spec, rule, mode, cfg.rule_weight, adam, x_tr, y_tr, inputs, idx.size)
-                if replays and idx.size == cfg.batch_size:
-                    full = step
             try:
                 result = train_step(
-                    spec, adam, x_tr, y_tr, rule, cfg.mode, alpha, scale, cfg.rule_weight, rng, step, idx,
+                    spec, adam, x_tr, y_tr, rule, cfg.mode, alpha, scale, cfg.rule_weight, rng, steps, idx,
                 )
             except TrainingAborted as exc:
                 raise TrainingAborted(f"epoch {epoch}, batch at row {start}: {exc}") from exc

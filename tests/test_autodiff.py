@@ -530,7 +530,8 @@ class TestDenseBlock:
         for buf in buffers:
             assert not any(np.shares_memory(buf, v) for v in leaves)
         assert kept[2].tobytes() == want.tobytes()
-        kept_all = dense_forward(x, layers, "blk", keep=True)
+        kept_all = []
+        dense_forward(x, layers, "blk", kept_all)
         assert [v.tobytes() for v in kept_all] == [v.tobytes() for v in buffers]
         for value, old in zip(leaves, before):
             assert value.tobytes() == old.tobytes()

@@ -12,6 +12,7 @@ import pytest
 import rulemix.autodiff
 import rulemix.train
 import rulemix.model
+import rulemix.rules
 from helpers import (MeanBelowFeatureRule, ReferenceAdamState, full_pass_task_losses, reference_adam_update,
                      tiny_model)
 from rulemix.autodiff import Arrays
@@ -21,7 +22,7 @@ from rulemix.errors import ConfigError, TrainingAborted
 from rulemix.model import ModelSpec, encode, forward_per_alpha, init_params
 from rulemix.optim import AdamState
 from rulemix.pendulum import DEFAULT_PARAMS
-from rulemix.rules import EnergyDampingRule, MonotonicRule, ThresholdRule, rule_inputs
+from rulemix.rules import EnergyDampingRule, MonotonicRule, ThresholdRule
 from rulemix.tabular import CorrGroupSpec, synth_monotone_regression
 from rulemix.train import (
     LossScale,
@@ -684,15 +685,13 @@ def replay_against_fresh(spec, rule, mode, x, y, plan, batch_size, seed=0):
     params = init_params(spec, np.random.default_rng(seed))
     replayed, fresh = AdamState.for_params(params), AdamState.for_params(params)
     rng_r, rng_f = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    record, inputs = rulemix.train.MODES[mode], rule_inputs(rule, x)
-    full = rulemix.train._Step(spec, rule, record, 0.5, replayed, x, y, inputs, batch_size)
+    steps = {}
     for k, (alpha, scale, rows) in enumerate(plan):
-        step = full if rows.size == batch_size else rulemix.train._Step(
-            spec, rule, record, 0.5, replayed, x, y, inputs, rows.size)
-        got = train_step(spec, replayed, x, y, rule, mode, alpha, scale, 0.5, rng_r, step, rows)
+        got = train_step(spec, replayed, x, y, rule, mode, alpha, scale, 0.5, rng_r, steps, rows)
         want = train_step(spec, fresh, x[rows], y[rows], rule, mode, alpha, scale, 0.5, rng_f)
         assert step_results_hex(got) == step_results_hex(want), k
         assert replayed.theta.tobytes() == fresh.theta.tobytes(), k
+    full = steps[batch_size]
     assert full.tape is not None and len(full.tape) > 0
 
 
@@ -712,7 +711,7 @@ def assert_fit_equals_one_recording_every_batch(monkeypatch, spec, cfg, dataset,
     got = fit(spec, cfg, dataset, rule)
     real = rulemix.train.train_step
 
-    def recording_every_batch(spec, adam, x, y, rule, mode, alpha, scale, rule_weight, rng, step, rows):
+    def recording_every_batch(spec, adam, x, y, rule, mode, alpha, scale, rule_weight, rng, steps, rows):
         return real(spec, adam, x[rows], y[rows], rule, mode, alpha, scale, rule_weight, rng)
 
     monkeypatch.setattr(rulemix.train, "train_step", recording_every_batch)
@@ -760,8 +759,13 @@ class TestReplay:
         dataset = cfg.build_dataset()
         fit(cfg.model_spec(), cfg.train_config(), dataset, cfg.rule())
         n = dataset.counts()["train"]
-        assert records == [25] + [n % 25] * 2  # the first full batch, then each epoch's short one
-        assert len(replays) == 2 * (n // 25) - 1
+        assert records == [25, n % 25]  # one per batch size: the first full batch, then the first short one
+        assert len(replays) == 2 * (n // 25)  # every other batch of the 2 epochs
+        records.clear(), replays.clear()
+        cfg = pinned_config("pendulum", batch_size=n + 1)  # every batch is short: one size, recorded once
+        fit(cfg.model_spec(), cfg.train_config(), dataset, cfg.rule())
+        assert records == [n]
+        assert len(replays) == 1
 
     def test_a_rule_that_does_not_replay_records_every_batch(self, monkeypatch):
         # a rule from outside the package may compute on the batch outside the tape: it is never replayed
@@ -773,6 +777,14 @@ class TestReplay:
         spec, _ = tiny_model(np.random.default_rng(0))
         assert_fit_equals_one_recording_every_batch(monkeypatch, spec, TrainConfig(max_epochs=2, patience=1), ds, rule)
         assert replays == []
+
+    def test_every_replayable_rule_class_has_a_family_here(self):
+        # a fit replays a rule's step only once these tests prove the replay equal to a fresh record
+        replayable = {name for name, cls in vars(rulemix.rules).items()
+                      if isinstance(cls, type) and getattr(cls, "replayable", False) is True}
+        assert replayable, "fixture assumption: the package defines replayable rules"
+        missing = replayable - {type(rule).__name__ for rule in RULES.values()}
+        assert not missing, f"replayable rules with no family in RULES: {sorted(missing)}"
 
     def test_a_dataset_of_integers_trains_as_its_float64_copy(self):
         rng = np.random.default_rng(8)
@@ -792,6 +804,44 @@ class TestReplay:
             assert prepared[rows].tobytes() == ENERGY_RULE.prepare(x[rows]).values.tobytes()
 
 
+ROW_CASES = {
+    "permutation": lambda n: np.random.default_rng(4).permutation(n),
+    "subset": lambda n: np.random.default_rng(4).permutation(n)[:10],
+    "list": lambda n: [7, 0, 3, 5, 2],
+}
+
+
+class TestTrainStepRows:
+    """``train_step(x, y, rows=...)`` trains on exactly ``x[rows]``, ``y[rows]`` and only reads ``x`` and ``y``."""
+
+    @pytest.mark.parametrize("mode, family", [("task_only", None), ("controlled", "energy"),
+                                              ("controlled", "monotonic, guarded")])
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_equals_a_step_on_the_rows_taken(self, case, mode, family):
+        x, y = identity_dataset(n=120, seed=1).subset("train")
+        if family and family.startswith("monotonic"):
+            y = y[:, :1] - y[:, 1:2]
+        rule, rows = RULES[family] if family else None, ROW_CASES[case](x.shape[0])
+        spec, _ = tiny_model(np.random.default_rng(0), output_dim=y.shape[1])
+        params = init_params(spec, np.random.default_rng(0))
+        scale = LossScale(0.3, 1.7) if rulemix.train.MODES[mode].scaled else None
+        taken, given = AdamState.for_params(params), AdamState.for_params(params)
+        x_before, y_before = x.tobytes(), y.tobytes()
+        got = train_step(spec, given, x, y, rule, mode, 0.4, scale, 1.0, np.random.default_rng(2), rows=rows)
+        want = train_step(spec, taken, x[rows], y[rows], rule, mode, 0.4, scale, 1.0, np.random.default_rng(2))
+        assert step_results_hex(got) == step_results_hex(want)
+        assert given.theta.tobytes() == taken.theta.tobytes()
+        assert (x.tobytes(), y.tobytes()) == (x_before, y_before)
+
+    @pytest.mark.parametrize("rows, problem", [(np.array([], dtype=np.int64), "empty batch"), ([], "empty batch"),
+                                               (np.ones(72, dtype=bool), "not a boolean mask")])
+    def test_refuses_rows_that_select_no_batch(self, rows, problem):
+        x, y = identity_dataset(n=120, seed=1).subset("train")
+        spec, params = tiny_model(np.random.default_rng(0))
+        with pytest.raises(ValueError, match=problem):
+            train_step(spec, AdamState.for_params(params), x, y, None, "task_only", 0.0, None, rows=rows)
+
+
 def test_a_replayed_desk_step_allocates_no_parameter_sized_array():
     # the acceptance desk spec; a parameter vector is 28,692 float64
     spec = ModelSpec(input_dim=4, output_dim=4, shared_units=(64, 16), encoder_units=(64, 64, 64),
@@ -801,10 +851,9 @@ def test_a_replayed_desk_step_allocates_no_parameter_sized_array():
     n_params = sum(v.size for v in params.values())
     adam = AdamState.for_params(params)
     scale = compute_loss_scale(spec, params, x, y, ENERGY_RULE, np.random.default_rng(7))
-    step = rulemix.train._Step(spec, ENERGY_RULE, rulemix.train.MODES["controlled"], 1.0, adam, x, y,
-                               rule_inputs(ENERGY_RULE, x), 32)
+    steps = {}
     rows = np.arange(32)
-    train_step(spec, adam, x, y, ENERGY_RULE, "controlled", 0.3, scale, 1.0, None, step, rows)  # records
+    train_step(spec, adam, x, y, ENERGY_RULE, "controlled", 0.3, scale, 1.0, None, steps, rows)  # records
     peak = traced_peak(lambda: train_step(spec, adam, x, y, ENERGY_RULE, "controlled", 0.7, scale, 1.0, None,
-                                          step, rows + 32))
+                                          steps, rows + 32))
     assert peak < 8 * n_params, (peak, 8 * n_params)
