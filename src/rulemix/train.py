@@ -304,18 +304,18 @@ def train_step(
     map, checks the arguments and builds the step over ``x`` and ``y``.
     """
     steps = {} if steps is None else steps
-    rows = np.arange(len(x)) if rows is None else rows
-    step = steps.get(len(rows))
+    step = steps.get(np.shape(x)[0] if rows is None else len(rows))
     if step is None:
+        record = _mode(mode, rule, scale is not None)
+        x, y = as_matrix(x, "input"), as_matrix(y, "target")  # a 1-D x is one row
+        rows = np.arange(x.shape[0]) if rows is None else rows
         if len(rows) == 0:
             raise ValueError("empty batch: rows selects no row")
         if np.asarray(rows).dtype == bool:
             raise ValueError("rows must be row indices, not a boolean mask")
-        record = _mode(mode, rule, scale is not None)
-        x, y = as_matrix(x, "input"), as_matrix(y, "target")
         step = steps[len(rows)] = _Step(spec, rule, record, rule_weight, adam, x, y, rule_inputs(rule, x),
                                         len(rows))
-    return step.run(rows, alpha, scale, rng)
+    return step.run(np.arange(step.x.shape[0]) if rows is None else rows, alpha, scale, rng)
 
 
 def evaluate_task_loss(

@@ -833,6 +833,15 @@ class TestTrainStepRows:
         assert given.theta.tobytes() == taken.theta.tobytes()
         assert (x.tobytes(), y.tobytes()) == (x_before, y_before)
 
+    def test_a_vector_is_one_row(self):
+        x = identity_dataset(n=120, seed=1).subset("train")[0][0]
+        spec, params = tiny_model(np.random.default_rng(0))
+        vector, matrix = AdamState.for_params(params), AdamState.for_params(params)
+        got = train_step(spec, vector, x, x.copy(), None, "task_only", 0.0, None)
+        want = train_step(spec, matrix, x[None], x[None], None, "task_only", 0.0, None)
+        assert step_results_hex(got) == step_results_hex(want)
+        assert vector.theta.tobytes() == matrix.theta.tobytes()
+
     @pytest.mark.parametrize("rows, problem", [(np.array([], dtype=np.int64), "empty batch"), ([], "empty batch"),
                                                (np.ones(72, dtype=bool), "not a boolean mask")])
     def test_refuses_rows_that_select_no_batch(self, rows, problem):
