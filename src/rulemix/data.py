@@ -208,12 +208,62 @@ def read_table(path: str | Path) -> tuple[list[str], np.ndarray, list[str]]:
     """The header, the numbers and the labels of a ``write_table`` file with a label column.
 
     The one reader of numeric CSVs; the tables read back (datasets and
-    sweeps) end in their split column. Each row is converted as it is
-    read, so of a row's text only its label is kept. Every error is one
+    sweeps) end in their split column. A plain table, as ``write_table``
+    writes it, parses its numbers in one ``np.loadtxt`` call
+    (``_read_plain_table``); any other table, and any plain one that
+    ``loadtxt`` refuses, goes through the csv module row by row
+    (``_read_csv_table``), which words every error. Every error is one
     ``ValueError`` naming the file, and the line and column where there is
     one: text that is not UTF-8 or not CSV, a table without rows, a row of
     the wrong length, and a cell that is not a finite number.
     """
+    header, table, labels = _read_plain_table(path) or _read_csv_table(path)
+    finite = np.isfinite(table)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}:{i + 2}: non-finite value {str(table[i, j])!r} in column {header[j]!r}")
+    return header, table, labels
+
+
+# what a plain table lacks: '"' and '\r', which make the csv module's rows differ from the lines; NUL, which
+# the csv module refuses before Python 3.11; and \x1c-\x1f, which numpy strips around a number as
+# whitespace where float() refuses them
+_NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
+
+
+def _read_plain_table(path: str | Path) -> tuple[list[str], np.ndarray, list[str]] | None:
+    """The table of a plain file, read as ``_read_csv_table`` would read it; None for any other file.
+
+    A plain file is text that decodes, ends every line in ``\\n``, holds
+    none of ``_NOT_PLAIN``, has at least one data row and gives every line
+    the header's number of commas (at least one), and no line longer
+    than the csv module's field limit. Its rows are then its lines split
+    at the commas, so the numbers take one ``loadtxt`` call and each label
+    is the text after a line's last comma. ``loadtxt`` reads a cell as
+    ``float`` does or refuses it (``1_000``, an empty cell, a non-ASCII
+    digit); a refusal returns None.
+    """
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    lines = text.split("\n")
+    if lines.pop() or len(lines) < 2 or any(c in text for c in _NOT_PLAIN):
+        return None
+    commas = lines[0].count(",")
+    if not commas or any(line.count(",") != commas for line in lines) or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    rows = lines[1:]
+    try:
+        table = np.loadtxt(rows, delimiter=",", usecols=range(commas), comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return lines[0].split(","), table, [line.rpartition(",")[2] for line in rows]
+
+
+def _read_csv_table(path: str | Path) -> tuple[list[str], np.ndarray, list[str]]:
+    """The table read row by row through the csv module; every error names the file and the line."""
     values, labels = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -233,12 +283,7 @@ def read_table(path: str | Path) -> tuple[list[str], np.ndarray, list[str]]:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     if not values:
         raise ValueError(f"{path}: no data rows")
-    table = np.array(values)
-    finite = np.isfinite(table)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise ValueError(f"{path}:{i + 2}: non-finite value {str(table[i, j])!r} in column {header[j]!r}")
-    return header, table, labels
+    return header, np.array(values), labels
 
 
 def write_dataset_csv(path: str | Path, dataset: Dataset, columns: list[str]) -> None:

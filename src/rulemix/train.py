@@ -211,9 +211,10 @@ class _Step:
     """
 
     def __init__(self, spec: ModelSpec, rule: RuleSpec | None, mode: Mode, rule_weight: float, adam: AdamState,
-                 x: np.ndarray, y: np.ndarray, inputs, rows: int) -> None:
+                 x: np.ndarray, y: np.ndarray, inputs, rows: int, given: tuple) -> None:
         self.spec, self.rule, self.mode, self.rule_weight, self.adam = spec, rule, mode, rule_weight, adam
         self.split = (x, y, inputs)
+        self.given = given  # the x and y objects the caller passed, before as_matrix
         self.x, self.y = np.empty((rows, x.shape[1])), np.empty((rows, y.shape[1]))
         # a prepared quantity holds one row of ``values`` per input row
         self.inputs = self.x if inputs is x else replace(inputs, values=np.empty((rows, *inputs.values.shape[1:])))
@@ -297,24 +298,31 @@ def train_step(
     """One minibatch update of ``adam.params``, in place, as ``MODES[mode]`` says; returns the loss components.
 
     The batch is the ``rows`` of ``x`` and ``y`` (indices; None for every
-    row), copied into arrays of the step's own. ``steps`` maps a batch size
-    to the step recorded for it; a caller that keeps one map for a split
-    passes the same arguments with it on every call, and each size then
-    records once and replays after. A size the map lacks, or a call with no
-    map, checks the arguments and builds the step over ``x`` and ``y``.
+    row, and a 1-D ``x`` is one row), copied into arrays of the step's own.
+    ``steps`` maps a batch size to the step recorded for it; a caller that
+    keeps one map for a split passes the same arguments with it on every
+    call, and each size then records once and replays after. A size the
+    map lacks, or a call with no map, checks the arguments and builds the
+    step over ``x`` and ``y``. A size the map holds refuses an ``x`` or
+    ``y`` other than the objects its step was built from, and a boolean
+    ``rows``: checks on identity and dtype, whatever the batch size.
     """
     steps = {} if steps is None else steps
-    step = steps.get(np.shape(x)[0] if rows is None else len(rows))
+    rows = None if rows is None else np.asarray(rows)  # what np.take converts a list to
+    if rows is not None and rows.dtype == bool:
+        raise ValueError("rows must be row indices, not a boolean mask")
+    step = steps.get((np.shape(x)[0] if np.ndim(x) > 1 else 1) if rows is None else len(rows))
     if step is None:
         record = _mode(mode, rule, scale is not None)
+        given = x, y
         x, y = as_matrix(x, "input"), as_matrix(y, "target")  # a 1-D x is one row
         rows = np.arange(x.shape[0]) if rows is None else rows
         if len(rows) == 0:
             raise ValueError("empty batch: rows selects no row")
-        if np.asarray(rows).dtype == bool:
-            raise ValueError("rows must be row indices, not a boolean mask")
         step = steps[len(rows)] = _Step(spec, rule, record, rule_weight, adam, x, y, rule_inputs(rule, x),
-                                        len(rows))
+                                        len(rows), given)
+    elif x is not step.given[0] or y is not step.given[1]:
+        raise ValueError("steps holds a step recorded over another x and y: keep one map per split")
     return step.run(np.arange(step.x.shape[0]) if rows is None else rows, alpha, scale, rng)
 
 

@@ -851,6 +851,48 @@ class TestTrainStepRows:
             train_step(spec, AdamState.for_params(params), x, y, None, "task_only", 0.0, None, rows=rows)
 
 
+class TestTrainStepMapHit:
+    """A size the map holds replays only for the ``x`` and ``y`` its step was built from, and index rows."""
+
+    @staticmethod
+    def split_and_map(n_rows: int):
+        x, y = identity_dataset(n=120, seed=1).subset("train")
+        spec, params = tiny_model(np.random.default_rng(0))
+        adam, steps = AdamState.for_params(params), {}
+        train_step(spec, adam, x, y, None, "task_only", 0.0, None, steps=steps, rows=np.arange(n_rows))
+        return spec, adam, x, y, steps
+
+    @pytest.mark.parametrize("mask", [np.arange(72) % 3 == 0, [True, False] * 36], ids=["array", "list"])
+    def test_a_boolean_mask_of_a_recorded_size_is_refused(self, mask):
+        spec, adam, x, y, steps = self.split_and_map(72)
+        theta = adam.theta.copy()
+        with pytest.raises(ValueError, match="not a boolean mask"):
+            train_step(spec, adam, x, y, None, "task_only", 0.0, None, steps=steps, rows=mask)
+        assert adam.theta.tobytes() == theta.tobytes()
+
+    @pytest.mark.parametrize("other", ["x", "y"])
+    def test_another_split_of_a_recorded_size_is_refused(self, other):
+        spec, adam, x, y, steps = self.split_and_map(8)
+        x2, y2 = (x.copy(), y) if other == "x" else (x, y.copy())
+        theta = adam.theta.copy()
+        with pytest.raises(ValueError, match="another x and y"):
+            train_step(spec, adam, x2, y2, None, "task_only", 0.0, None, steps=steps, rows=np.arange(8))
+        assert adam.theta.tobytes() == theta.tobytes()
+
+    def test_a_vector_is_keyed_as_one_row(self):
+        """With a map that holds a step of as many rows as the vector has features, the vector trains as itself."""
+        spec, mapped, x, y, steps = self.split_and_map(4)
+        _, fresh, *_ = self.split_and_map(4)
+        vector, target = x[50], y[50]
+        assert vector.shape == (4,) and 4 in steps
+        for _ in range(2):  # records a one-row step, then replays it
+            got = train_step(spec, mapped, vector, target, None, "task_only", 0.0, None, steps=steps)
+            want = train_step(spec, fresh, vector[None], target[None], None, "task_only", 0.0, None)
+            assert step_results_hex(got) == step_results_hex(want)
+            assert mapped.theta.tobytes() == fresh.theta.tobytes()
+        assert sorted(steps) == [1, 4]
+
+
 def test_a_replayed_desk_step_allocates_no_parameter_sized_array():
     # the acceptance desk spec; a parameter vector is 28,692 float64
     spec = ModelSpec(input_dim=4, output_dim=4, shared_units=(64, 16), encoder_units=(64, 64, 64),

@@ -16,8 +16,9 @@ elsewhere (e.g. ``git clone`` and ``git checkout <rev>``):
 workload. The file holds each side's env line, every end-to-end metric of
 every pair, each side's median and quartiles (``statistics.quantiles``,
 inclusive method), how many pairs the change won, the median, minimum and
-maximum of the per-pair ratio change / parent, and the parameter and
-sweep-CSV digests of each seed, with a flag saying whether they agree.
+maximum of the per-pair ratio change / parent, a ``verdict`` (see ``verdict``),
+and the parameter and sweep-CSV digests of each seed, with a flag saying
+whether they agree.
 Next to each side's env line it records ``git describe --always --dirty``
 of that checkout, since the env line's ``git_sha`` is the checkout's HEAD
 and reads the same on both sides when the change is an uncommitted tree.
@@ -87,10 +88,36 @@ def change_wins(better: str, parent: float, change: float) -> bool:
     return change < parent if better == "lower" else change > parent
 
 
+def verdict(better: str, bound: float, parent: list[float], change: list[float]) -> str:
+    """What the pairs show of one metric, ``bound`` being the fraction of the parent's median it may worsen by.
+
+    - "gain": the change wins at least nine tenths of the pairs, ties
+      counting for neither, and its median is better than the parent's by
+      more than the parent's interquartile range;
+    - "regression": the change's median is worse than the parent's by more
+      than the bound;
+    - "unresolved": the parent's interquartile range is wider than the
+      bound, and not every change run is better than every parent run;
+    - "within bound" otherwise.
+    """
+    p, c = summary(parent), summary(change)
+    gain = (p["median"] - c["median"]) if better == "lower" else (c["median"] - p["median"])
+    wins = sum(change_wins(better, a, b) for a, b in zip(parent, change))
+    if wins >= 0.9 * len(parent) and gain > p["iqr"]:
+        return "gain"
+    if -gain > bound * abs(p["median"]):
+        return "regression"
+    best_parent, worst_change = (min(parent), max(change)) if better == "lower" else (max(parent), min(change))
+    every_run_better = change_wins(better, best_parent, worst_change)
+    if p["iqr"] > bound * abs(p["median"]) and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
 def bench_workload(
-    sides: dict[str, Path], better: dict[str, str], workload: str, seeds: list[int], seconds: float, log,
+    sides: dict[str, Path], end_to_end: dict[str, dict], workload: str, seeds: list[int], seconds: float, log,
 ) -> dict:
-    """``better`` maps each end-to-end metric to "lower" or "higher"."""
+    """``end_to_end`` maps each end-to-end metric to its ``BENCHMARK.json`` record: "better" and "bound"."""
     pairs = []
     for i, seed in enumerate(seeds):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -101,7 +128,8 @@ def bench_workload(
             log(f"{workload} seed={seed} {side}: " + " ".join(f"{k}={v['value']:.6g}" for k, v in m.items()))
         pairs.append({"seed": seed, "first": order[0], **runs})
     metrics = {}
-    for name, direction in better.items():
+    for name, declared in end_to_end.items():
+        direction = declared["better"]
         per_side = {s: [p[s]["result"]["metrics"][name]["value"] for p in pairs] for s in sides}
         metrics[name] = {
             "unit": pairs[0]["parent"]["result"]["metrics"][name]["unit"],
@@ -114,6 +142,7 @@ def bench_workload(
             "change": summary(per_side["change"]),
             "change_wins": sum(change_wins(direction, a, b) for a, b in zip(per_side["parent"], per_side["change"])),
             "ratio": ratios(per_side["parent"], per_side["change"]),
+            "verdict": verdict(direction, declared["bound"], per_side["parent"], per_side["change"]),
         }
     digests = []
     for p in pairs:
@@ -130,7 +159,7 @@ def bench_workload(
 
 def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    end_to_end = {m["name"]: m for m in benchmark["end_to_end"]}
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     p.add_argument("--change", required=True, type=Path, help="checkout of the change")
@@ -145,7 +174,7 @@ def main(argv=None) -> int:
     log = lambda line: print(line, file=sys.stderr, flush=True)
     out = {"workloads": {}}
     for workload, seeds in zip(args.workload, args.seeds):
-        out["workloads"][workload] = bench_workload(sides, better, workload, seeds, args.seconds, log)
+        out["workloads"][workload] = bench_workload(sides, end_to_end, workload, seeds, args.seconds, log)
         # written after each workload, so an interrupted run keeps what it measured
         args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
