@@ -128,8 +128,8 @@ def test_a_line_mutated_reads_as_the_csv_loop_reads_it(table, mutation, data):
         assert outcome(path, reference=False) == outcome(path, reference=True)
 
 
-def test_each_mutation_leaves_numpys_path_or_reads_as_written():
-    """The mutations reach the csv loop: each one's table is refused by the plain path or equals the loop's."""
+def test_every_cell_mutation_but_padding_and_non_finite_values_takes_the_csv_loop():
+    """So the differential tests above compare the two paths on the mutations, not the csv loop with itself."""
     header, numbers, labels = ["x0", "y", "split"], np.array([[0.5, 1.0], [0.25, -0.0]]), ["train", "val"]
     lines = written_text(header, numbers, labels).split("\n")[:-1]
     refused = []
