@@ -89,13 +89,17 @@ def written_text(header, numbers, labels) -> str:
         return path.read_text()
 
 
+def with_cell_mutated(lines: list[str], i: int, j: int, mutation: str) -> list[str]:
+    cells = lines[i].split(",")
+    cells[j] = CELL_MUTATIONS[mutation](cells[j])
+    return [*lines[:i], ",".join(cells).replace("\x01,", ""), *lines[i + 1 :]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(table=tables())
 def test_a_written_table_takes_numpys_path_and_reads_back_bit_for_bit(table):
     header, numbers, labels = table
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "table.csv"
-        write_table(path, header, [numbers], np.array(labels, dtype=object))
+    with table_file(written_text(header, numbers, labels)) as path:
         assert _read_plain_table(path) is not None
         got_header, got, got_labels = read_table(path)
         assert outcome(path, reference=False) == outcome(path, reference=True)
@@ -110,10 +114,7 @@ def test_a_cell_mutated_reads_as_the_csv_loop_reads_it(table, mutation, data):
     lines = written_text(header, numbers, labels).split("\n")[:-1]
     i = data.draw(st.integers(1, len(lines) - 1), label="line")
     j = data.draw(st.integers(0, numbers.shape[1] - 1), label="cell")
-    cells = lines[i].split(",")
-    cells[j] = CELL_MUTATIONS[mutation](cells[j])
-    lines[i] = ",".join(cells).replace("\x01,", "")
-    with table_file("\n".join(lines) + "\n") as path:
+    with table_file("\n".join(with_cell_mutated(lines, i, j, mutation)) + "\n") as path:
         assert outcome(path, reference=False) == outcome(path, reference=True)
 
 
@@ -129,14 +130,12 @@ def test_a_line_mutated_reads_as_the_csv_loop_reads_it(table, mutation, data):
 
 
 def test_every_cell_mutation_but_padding_and_non_finite_values_takes_the_csv_loop():
-    """So the differential tests above compare the two paths on the mutations, not the csv loop with itself."""
+    """Which cell mutations numpy's path hands to the csv loop; it reads the others, compared with the loop above."""
     header, numbers, labels = ["x0", "y", "split"], np.array([[0.5, 1.0], [0.25, -0.0]]), ["train", "val"]
     lines = written_text(header, numbers, labels).split("\n")[:-1]
     refused = []
-    for name, mutate in CELL_MUTATIONS.items():
-        cells = lines[2].split(",")
-        cells[0] = mutate(cells[0])
-        with table_file("\n".join([*lines[:2], ",".join(cells).replace("\x01,", "")]) + "\n") as path:
+    for name in CELL_MUTATIONS:
+        with table_file("\n".join(with_cell_mutated(lines, 2, 0, name)) + "\n") as path:
             if _read_plain_table(path) is None:
                 refused.append(name)
     # numpy reads a padded cell and a non-finite one as float() does; every other mutation takes the csv loop
