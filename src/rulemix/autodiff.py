@@ -514,18 +514,27 @@ class Tape:
         tape, and parameters with no path to the loss, get zeros. A
         parameter's first gradient is written into its array (straight from
         a dense block's kernels), and each later one added in place, which
-        rounds as ``prev + pg``. Returns ``into``.
+        rounds as ``prev + pg``. Returns ``into``. A ``loss`` that is not a
+        node id of the tape, and an ``into`` without an array of the right
+        shape for a parameter before the loss, raise ShapeError naming it.
         """
-        lv = self.value(loss)
+        nodes = self.nodes
+        if not 0 <= loss < len(nodes):
+            raise ShapeError(f"backprop: loss {loss} is not a node of this tape of {len(nodes)} nodes")
+        lv = nodes[loss].value
         if lv.shape != (1, 1):
             raise ShapeError(f"backprop: loss must be 1x1, got shape {lv.shape}")
-        nodes = self.nodes
         if into is None:
             into = {name: np.empty_like(nodes[nid].value) for name, nid in self._params.items()}
         dest: list[np.ndarray | None] = [None] * (loss + 1)  # the array a parameter's gradient lands in
         for name, nid in self._params.items():
             if nid <= loss:
-                dest[nid] = into[name]
+                d = into.get(name)
+                if not isinstance(d, np.ndarray) or d.shape != nodes[nid].value.shape:
+                    got = "nothing" if d is None else f"shape {d.shape}" if isinstance(d, np.ndarray) else type(d)
+                    raise ShapeError(f"backprop: into[{name!r}] must be an array of shape {nodes[nid].value.shape}, "
+                                     f"got {got}")
+                dest[nid] = d
         grads: list[np.ndarray | None] = [None] * (loss + 1)
         grads[loss] = np.ones((1, 1))
         for nid in range(loss, -1, -1):

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,9 @@ import numpy as np
 from .autodiff import Arrays
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TASKS, ExperimentConfig, checked, config_from_dict, load_config, sweep_splits
-from .data import Dataset, check_paths, staged_writes, swept_rows, write_dataset_csv, write_rows_cache, write_table
+from .data import (
+    Dataset, TableMemo, check_paths, staged_writes, swept_rows, write_dataset_csv, write_rows_cache, write_table,
+)
 from .errors import CheckpointError, ConfigError, GenerationError, SimulationBlowup, TrainingAborted, WorkerDied
 from .evaluate import EXTENDED_ALPHA_RANGE, alpha_grid, alpha_sweep, select_alpha, sweep_from_csv, sweep_to_csv
 from .model import encode, forward_per_alpha
@@ -105,6 +108,10 @@ def cmd_sweep(args) -> int:
     out = Path(args.out) if args.out else Path(args.checkpoint).with_suffix(".sweep.csv")
     inputs = {"--checkpoint": args.checkpoint, "--data-csv": args.data_csv}
     check_paths(inputs, [("--out", out), ("--embeddings-out", args.embeddings_out)])
+    if args.data_csv and not Path(args.data_csv).exists():
+        raise ConfigError(f"--data-csv {args.data_csv} does not exist")
+    if args.data_csv and Path(args.data_csv).is_dir():
+        raise ConfigError(f"--data-csv {args.data_csv} is a directory")
     if missing := [Path(p) for p in (out, args.embeddings_out) if p and not Path(p).parent.is_dir()]:
         raise FileNotFoundError(f"{missing[0]}: output directory {missing[0].parent} does not exist")
     ck: Checkpoint = load_checkpoint(args.checkpoint)
@@ -128,10 +135,13 @@ def cmd_sweep(args) -> int:
     rule = cfg.rule()
     if rule is None:
         raise ConfigError("sweep needs a rule for verification; config has rule.kind=none")
-    # a --data-csv is other data on purpose: it is neither checked nor cached
+    # a --data-csv is other data on purpose: its rows are not checked against the checkpoint's digests
+    # nor cached; its table is memoized by the CSV's bytes
     digests = None if args.data_csv else ck.data_sha256
     cache_dir = Path(args.checkpoint).parent
-    rows, built = swept_rows(cfg.build_dataset, splits, digests, cache_dir)
+    memo = TableMemo(cache_dir) if args.data_csv else None
+    build = partial(cfg.build_dataset, read=memo.read) if memo else cfg.build_dataset
+    rows, built = swept_rows(build, splits, digests, cache_dir)
     records = []
     for split in splits:
         x, y = rows[split]
@@ -157,11 +167,14 @@ def cmd_sweep(args) -> int:
     print(f"wrote {out} records={len(records)} alphas={len(grid)} splits={','.join(splits)}")
     if args.embeddings_out:
         print(f"wrote {args.embeddings_out} rows={x.shape[0]}")
-    if digests is not None and built:
-        try:
-            write_rows_cache(cache_dir, digests, rows, built)
-        except OSError as exc:  # a missing cache only costs the next sweep a rebuild
-            print(f"note: rows cache not written: {exc}", file=sys.stderr)
+    try:  # a missing cache only costs the next sweep a rebuild of the rows, or a parse of the CSV
+        with staged_writes() as stage:
+            if memo is not None:
+                memo.write(stage)
+            elif digests is not None:
+                write_rows_cache(stage, cache_dir, digests, rows, built)
+    except OSError as exc:
+        print(f"note: {'table memo' if memo else 'rows cache'} not written: {exc}", file=sys.stderr)
     return 0
 
 

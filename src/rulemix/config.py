@@ -14,12 +14,12 @@ import inspect
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
-from .data import SPLITS, Dataset, read_dataset_csv
+from .data import SPLITS, Dataset, read_dataset_csv, read_table
 from .errors import ConfigError
 from .evaluate import METRICS, alpha_grid
 from .model import ModelSpec
@@ -275,18 +275,19 @@ class ExperimentConfig:
     def pendulum_params(self) -> PendulumParams:
         return self._dataset_args["params"]
 
-    def build_dataset(self, splits: tuple[str, ...] = SPLITS) -> Dataset:
+    def build_dataset(self, splits: tuple[str, ...] = SPLITS, read: Callable = read_table) -> Dataset:
         """The experiment's dataset; every row of ``splits`` is present.
 
         Rows of other splits may be absent: the pendulum build skips the
         trajectories that feed only those. CSV input and the tabular tasks
-        are built whole. A CSV for a classification model must hold targets
-        in [0, 1], which the cross-entropy loss and metric read as
-        probabilities; the first one outside is a ConfigError naming the
-        file and line.
+        are built whole; ``read`` reads a CSV's table (a ``--data-csv``
+        sweep passes its ``TableMemo.read``). A CSV for a classification
+        model must hold targets in [0, 1], which the cross-entropy loss and
+        metric read as probabilities; the first one outside is a ConfigError
+        naming the file and line.
         """
         if self._csv is not None:
-            dataset = read_dataset_csv(self._csv, n_targets=self._spec.output_dim)
+            dataset = read_dataset_csv(self._csv, n_targets=self._spec.output_dim, read=read)
             if self._spec.task == "classification":
                 outside = np.argwhere((dataset.y < 0.0) | (dataset.y > 1.0))  # the reader refused NaN already
                 if outside.size:

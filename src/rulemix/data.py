@@ -1,14 +1,19 @@
-"""Dataset container, the numeric CSV table format, the rows cache, output checks and staged writes.
+"""Dataset container, the numeric CSV table format, the sweep's caches, output checks and staged writes.
 
 A checkpoint stores each split's ``rows_sha256``. A sweep reads the rows from
 ``rows-<sha256>.npz`` beside it when that file hashes to the digest, else
-rebuilds them, fails if they hash differently, and caches them.
+rebuilds them, fails if they hash differently, and caches them. A sweep of a
+``--data-csv`` reads the table from ``table-<sha256>.npz`` beside the
+checkpoint, keyed by the CSV's bytes, else parses those bytes and memoizes
+the table (``TableMemo``).
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import json
 import os
 import secrets
 import zipfile
@@ -87,15 +92,43 @@ def _rows_cache(directory: Path, digest: str) -> Path:
     return directory / f"rows-{digest}.npz"
 
 
+# what np.load raises on a cache file that is missing, unreadable, truncated or not an archive of arrays
+_CACHE_LOAD_ERRORS = (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile)
+
+
 def _read_cached_rows(path: Path, digest: str) -> tuple[np.ndarray, np.ndarray] | None:
     """The (x, y) at ``path`` if they hash to ``digest``, which covers their shapes; else None."""
     try:
         with np.load(path, allow_pickle=False) as archive:
             x = np.ascontiguousarray(archive["x"], dtype=np.float64)
             y = np.ascontiguousarray(archive["y"], dtype=np.float64)
-    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+    except _CACHE_LOAD_ERRORS:
         return None
     return (x, y) if rows_sha256(x, y) == digest else None
+
+
+def _memo_sha256(digest: str, numbers: np.ndarray, text: bytes) -> str:
+    """Digest of a memoized table: the file digest it is stored under, the numbers' shape and bytes, the text."""
+    h = hashlib.sha256(digest.encode())
+    h.update(repr(numbers.shape).encode())
+    h.update(numbers)
+    h.update(text)
+    return h.hexdigest()
+
+
+def _read_memo(path: Path, digest: str) -> tuple[list[str], np.ndarray, list[str]] | None:
+    """The header, numbers and labels memoized at ``path`` for the file digest ``digest``, if intact; else None."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            numbers = np.ascontiguousarray(archive["numbers"], dtype=np.float64)
+            text = archive["text"].tobytes()
+            stored = str(archive["sha256"])
+    except _CACHE_LOAD_ERRORS:
+        return None
+    if stored != _memo_sha256(digest, numbers, text):
+        return None
+    header, labels = json.loads(text)
+    return header, numbers, labels
 
 
 def swept_rows(
@@ -127,14 +160,49 @@ def swept_rows(
 
 
 def write_rows_cache(
-    cache_dir: Path, digests: dict[str, str], rows: dict[str, tuple[np.ndarray, np.ndarray]], splits: tuple[str, ...],
+    stage: Callable[[Path], Path], cache_dir: Path, digests: dict[str, str],
+    rows: dict[str, tuple[np.ndarray, np.ndarray]], splits: tuple[str, ...],
 ) -> None:
-    """Cache the rows of ``splits`` in ``cache_dir`` for the next sweep, all files or none."""
-    with staged_writes() as stage:
-        for split in splits:
-            x, y = rows[split]
-            with open(stage(_rows_cache(cache_dir, digests[split])), "wb") as fh:
-                np.savez(fh, x=x, y=y)
+    """Cache the rows of ``splits`` in ``cache_dir`` for the next sweep, through a ``staged_writes`` stage."""
+    for split in splits:
+        x, y = rows[split]
+        with open(stage(_rows_cache(cache_dir, digests[split])), "wb") as fh:
+            np.savez(fh, x=x, y=y)
+
+
+class TableMemo:
+    """``read_table`` memoized in ``directory`` by the sha256 of a file's bytes.
+
+    ``read`` reads a file once and returns the table stored under its digest
+    in ``table-<sha256>.npz``, or else parses the bytes it read. A stored
+    table carries a digest of itself, so a memo that is unreadable,
+    truncated or edited is a miss. ``write`` stages the tables parsed
+    since; a caller writes them only once the tables passed every later
+    check, so only tables that a command used are memoized.
+    """
+
+    def __init__(self, directory: Path) -> None:
+        self.directory = directory
+        self.parsed: dict[str, tuple[list[str], np.ndarray, list[str]]] = {}
+
+    def _path(self, digest: str) -> Path:
+        return self.directory / f"table-{digest}.npz"
+
+    def read(self, path: str | Path) -> tuple[list[str], np.ndarray, list[str]]:
+        data = Path(path).read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        stored = _read_memo(self._path(digest), digest)
+        if stored is None:
+            self.parsed[digest] = _parse_table(path, data)
+            return self.parsed[digest]
+        return _finite_table(path, *stored)
+
+    def write(self, stage: Callable[[Path], Path]) -> None:
+        for digest, (header, numbers, labels) in self.parsed.items():
+            text = json.dumps([header, labels]).encode()
+            with open(stage(self._path(digest)), "wb") as fh:
+                np.savez(fh, numbers=numbers, text=np.frombuffer(text, np.uint8),
+                         sha256=_memo_sha256(digest, numbers, text))
 
 
 def check_paths(inputs: dict[str, str | Path | None], outputs: list[tuple[str, str | Path | None]]) -> None:
@@ -215,14 +283,29 @@ def read_table(path: str | Path) -> tuple[list[str], np.ndarray, list[str]]:
     (``_read_csv_table``), which words every error. Every error is one
     ``ValueError`` naming the file, and the line and column where there is
     one: text that is not UTF-8 or not CSV, a table without rows, a row of
-    the wrong length, and a cell that is not a finite number.
+    the wrong length, and a cell that is not a finite number. The table is a
+    function of the file's bytes alone, which ``TableMemo`` keys it by.
     """
-    header, table, labels = _read_plain_table(path) or _read_csv_table(path)
+    return _parse_table(path, Path(path).read_bytes())
+
+
+def _parse_table(path: str | Path, data: bytes) -> tuple[list[str], np.ndarray, list[str]]:
+    """``read_table`` of the file ``path`` whose bytes are ``data``, which are read as the file would be."""
+    return _finite_table(path, *(_read_plain_table(path, data) or _read_csv_table(path, data)))
+
+
+def _finite_table(path: str | Path, header: list[str], table: np.ndarray, labels: list[str]):
+    """The table, if every number in it is finite; else the ``ValueError`` naming the first other cell."""
     finite = np.isfinite(table)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise ValueError(f"{path}:{i + 2}: non-finite value {str(table[i, j])!r} in column {header[j]!r}")
     return header, table, labels
+
+
+def _text(data: bytes) -> io.TextIOWrapper:
+    """``data`` as the text handle ``open(path, newline="")`` gives on a file of those bytes."""
+    return io.TextIOWrapper(io.BytesIO(data), newline="")
 
 
 # what a plain table lacks: '"' and '\r', which make the csv module's rows differ from the lines; NUL, which
@@ -231,7 +314,7 @@ def read_table(path: str | Path) -> tuple[list[str], np.ndarray, list[str]]:
 _NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
 
 
-def _read_plain_table(path: str | Path) -> tuple[list[str], np.ndarray, list[str]] | None:
+def _read_plain_table(path: str | Path, data: bytes) -> tuple[list[str], np.ndarray, list[str]] | None:
     """The table of a plain file, read as ``_read_csv_table`` would read it; None for any other file.
 
     A plain file is text that decodes, ends every line in ``\\n``, holds
@@ -244,8 +327,7 @@ def _read_plain_table(path: str | Path) -> tuple[list[str], np.ndarray, list[str
     digit); a refusal returns None.
     """
     try:
-        with open(path, newline="") as fh:
-            text = fh.read()
+        text = _text(data).read()
     except UnicodeDecodeError:
         return None
     lines = text.split("\n")
@@ -262,10 +344,10 @@ def _read_plain_table(path: str | Path) -> tuple[list[str], np.ndarray, list[str
     return lines[0].split(","), table, [line.rpartition(",")[2] for line in rows]
 
 
-def _read_csv_table(path: str | Path) -> tuple[list[str], np.ndarray, list[str]]:
+def _read_csv_table(path: str | Path, data: bytes) -> tuple[list[str], np.ndarray, list[str]]:
     """The table read row by row through the csv module; every error names the file and the line."""
     values, labels = [], []
-    with open(path, newline="") as fh:
+    with _text(data) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -291,9 +373,9 @@ def write_dataset_csv(path: str | Path, dataset: Dataset, columns: list[str]) ->
     write_table(path, columns, [dataset.x, dataset.y], dataset.split)
 
 
-def read_dataset_csv(path: str | Path, n_targets: int) -> Dataset:
-    """Inverse of write_dataset_csv given the number of target columns."""
-    header, table, split = read_table(path)
+def read_dataset_csv(path: str | Path, n_targets: int, read: Callable = read_table) -> Dataset:
+    """Inverse of write_dataset_csv given the number of target columns; ``read`` reads the table."""
+    header, table, split = read(path)
     d = len(header) - n_targets - 1
     if d < 1:
         raise ValueError(f"{path}: header has too few columns for {n_targets} targets")

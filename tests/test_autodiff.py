@@ -138,6 +138,27 @@ class TestBackprop:
         grads = tape.backprop(tape.add(out1, out2))
         np.testing.assert_allclose(grads["w"], xv.T + 2.0 * xv.T, rtol=1e-15)
 
+    @pytest.mark.parametrize(
+        "loss,b,error",
+        [
+            (None, None, "into['b'] must be an array of shape (1, 2), got nothing"),
+            (None, np.empty((2, 1)), "into['b'] must be an array of shape (1, 2), got shape (2, 1)"),
+            (None, [[0.0, 0.0]], "into['b'] must be an array of shape (1, 2), got <class 'list'>"),
+            (-1, np.empty((1, 2)), "loss -1 is not a node of this tape of 6 nodes"),
+            (99, np.empty((1, 2)), "loss 99 is not a node of this tape of 6 nodes"),
+        ],
+    )
+    def test_a_bad_loss_or_into_is_one_shape_error_naming_it(self, loss, b, error):
+        tape = Tape()
+        x = tape.leaf(np.ones((4, 3)))
+        node = tape.dense(x, [(tape.param("w", np.ones((3, 2))), tape.param("b", np.zeros((1, 2))), "relu")], "blk")
+        total = tape.mse(node, tape.constant(np.zeros((4, 2))))
+        into = {"w": np.full((3, 2), 7.0)} | ({} if b is None else {"b": b})
+        with pytest.raises(ShapeError) as info:
+            tape.backprop(total if loss is None else loss, into=into)
+        assert str(info.value) == f"backprop: {error}"
+        assert (into["w"] == 7.0).all()  # refused before any gradient is written
+
 
 class TestPrimitiveGradients:
     """Every primitive agrees with central differences at h=1e-4."""

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows on desk-size configs."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -14,6 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rulemix.data
 from helpers import SimulatedTrajectories, assert_reaped, force_sweep_workers, force_workers
 from rulemix.autodiff import Tape
 from rulemix.checkpoint import load_checkpoint
@@ -817,6 +819,14 @@ def rows_caches(directory):
     return sorted(p.name for p in directory.iterdir() if p.name.startswith("rows-"))
 
 
+def table_memos(directory):
+    return sorted(p.name for p in directory.iterdir() if p.name.startswith("table-"))
+
+
+def memo_name(csv_path):
+    return f"table-{hashlib.sha256(Path(csv_path).read_bytes()).hexdigest()}.npz"
+
+
 def without_digests(ck, path):
     """A copy of checkpoint ``ck`` at ``path`` as written before it stored row digests."""
     with np.load(ck, allow_pickle=False) as archive:
@@ -897,10 +907,12 @@ class TestSweepRowsCache:
         assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
         assert rows_caches(legacy_dir) == []
 
-    def test_data_csv_is_neither_checked_nor_cached(self, ten, tmp_path):
+    def test_data_csv_is_not_checked_and_is_memoized_by_its_bytes(self, ten, tmp_path):
         ck, data = ten
-        assert main(["sweep", "--checkpoint", str(ck), "--out", str(tmp_path / "s.csv"), "--data-csv", str(data)]) == 0
-        assert rows_caches(ck.parent) == []
+        # rows other than those the model was trained beside
+        other = with_line_edited(data, tmp_path / "other.csv", lambda line: "0.125" + line[line.index(",") :])
+        assert main(["sweep", "--checkpoint", str(ck), "--out", str(tmp_path / "s.csv"), "--data-csv", str(other)]) == 0
+        assert rows_caches(ck.parent) == [] and table_memos(ck.parent) == [memo_name(other)]
 
     def test_seed_replicates_share_one_cache_file_per_split(self, tmp_path, simulated):
         cfg = tiny_pendulum_config(tmp_path, data={"n_pairs": 800, "n_trajectories": 10})
@@ -925,6 +937,128 @@ class TestSweepRowsCache:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("note: rows cache not written:"), err
         assert out.exists() and sorted(p.name for p in ck.parent.iterdir()) == sorted([ck.name, blocker.name])
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Records the path of every table a sweep parses rather than reads from its memo."""
+    parsed, real = [], rulemix.data._parse_table
+    monkeypatch.setattr(rulemix.data, "_parse_table", lambda path, data: parsed.append(Path(path)) or real(path, data))
+    return parsed
+
+
+def first_val_line(csv_path) -> int:
+    return next(i for i, line in enumerate(Path(csv_path).read_text().splitlines(), start=1) if line.endswith(",val"))
+
+
+def with_line_edited(src, dst, edit):
+    """A copy of the CSV ``src`` at ``dst`` whose first val line is ``edit(line)``."""
+    lines = Path(src).read_text().splitlines()
+    i = first_val_line(src) - 1
+    lines[i] = edit(lines[i])
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+class TestSweepTableMemo:
+    """A ``--data-csv`` sweep memoizes the CSV's table beside the checkpoint, keyed by the CSV's bytes."""
+
+    def sweep(self, ck, data, out, *flags):
+        return main(["sweep", "--checkpoint", str(ck), "--out", str(out), "--data-csv", str(data), *flags])
+
+    def test_second_sweep_parses_nothing_and_writes_the_same_bytes(self, ten, tmp_path, parses):
+        ck, data = ten
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert self.sweep(ck, data, first) == 0
+        assert parses == [data] and table_memos(ck.parent) == [memo_name(data)]
+        parses.clear()
+        assert self.sweep(ck, data, second) == 0
+        assert parses == [] and first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit,error",
+        [
+            (lambda line: line.rsplit(",", 1)[0], ":{line}: expected 9 columns, got 8"),
+            (lambda line: "nan" + line[line.index(",") :], ":{line}: non-finite value 'nan' in column 'theta1'"),
+        ],
+        ids=["ragged", "non-finite"],
+    )
+    def test_a_csv_that_fails_to_parse_is_never_memoized(self, ten, tmp_path, capsys, parses, edit, error):
+        ck, data = ten
+        bad = with_line_edited(data, tmp_path / "bad.csv", edit)
+        errs = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert self.sweep(ck, bad, tmp_path / "s.csv") == 1
+            errs.append(capsys.readouterr().err.strip().splitlines())
+        assert errs[0] == errs[1] == [f"error: ValueError: {bad}{error.format(line=first_val_line(data))}"]
+        assert parses == [bad, bad] and table_memos(ck.parent) == [] and not (tmp_path / "s.csv").exists()
+
+    def test_an_edited_csv_misses_the_memo(self, ten, tmp_path, parses):
+        ck, data = ten
+        copy = shutil.copyfile(data, tmp_path / "data.csv")
+        assert self.sweep(ck, copy, tmp_path / "before.csv") == 0
+        with_line_edited(data, copy, lambda line: "0.125" + line[line.index(",") :])
+        parses.clear()
+        assert self.sweep(ck, copy, tmp_path / "after.csv") == 0
+        assert parses == [copy] and len(table_memos(ck.parent)) == 2 and memo_name(copy) in table_memos(ck.parent)
+        fresh = tmp_path / "fresh" / ck.name
+        fresh.parent.mkdir()
+        shutil.copyfile(ck, fresh)
+        assert self.sweep(fresh, copy, tmp_path / "fresh.csv") == 0  # a parse with no memo beside it
+        assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+        assert (tmp_path / "after.csv").read_bytes() != (tmp_path / "before.csv").read_bytes()
+
+    @pytest.mark.parametrize("damage", ["truncated", "edited"])
+    def test_a_truncated_or_edited_memo_falls_back_to_a_parse(self, ten, tmp_path, parses, damage):
+        ck, data = ten
+        first, second, third = (tmp_path / f"{name}.csv" for name in ("first", "second", "third"))
+        assert self.sweep(ck, data, first) == 0
+        memo = ck.parent / memo_name(data)
+        if damage == "truncated":
+            memo.write_bytes(memo.read_bytes()[: memo.stat().st_size // 2])
+        else:
+            with np.load(memo) as archive:
+                arrays = {key: archive[key].copy() for key in archive.files}
+            arrays["numbers"][0, 0] += 1e-9
+            with open(memo, "wb") as fh:
+                np.savez(fh, **arrays)
+        parses.clear()
+        assert self.sweep(ck, data, second) == 0
+        assert parses == [data] and first.read_bytes() == second.read_bytes()
+        parses.clear()
+        assert self.sweep(ck, data, third) == 0  # the memo was rewritten
+        assert parses == [] and first.read_bytes() == third.read_bytes()
+
+    def test_a_memo_path_that_is_a_directory_is_a_note_and_the_sweep_succeeds(self, ten, tmp_path, capsys):
+        ck, data = ten
+        blocker = ck.parent / memo_name(data)
+        blocker.mkdir()  # neither readable nor replaceable as a file
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert self.sweep(ck, data, out) == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("note: table memo not written:"), err
+        assert out.exists() and sorted(p.name for p in ck.parent.iterdir()) == sorted([ck.name, blocker.name])
+
+    @pytest.mark.parametrize("failure", ["unknown label", "empty split", "no pair crosses the guard"])
+    def test_a_sweep_that_fails_after_the_parse_leaves_no_memo(self, ten, tmp_path, capsys, parses, failure):
+        ck, data = ten
+        flags, bad = [], tmp_path / "bad.csv"
+        if failure == "unknown label":
+            with_line_edited(data, bad, lambda line: line.rsplit(",", 1)[0] + ",vall")
+        elif failure == "empty split":
+            bad.write_text("".join(line for line in data.read_text().splitlines(True) if not line.endswith(",val\n")))
+            flags = ["--splits", "val"]
+        else:  # pendulum inputs stay far below 100, so no perturbation crosses the guard
+            shutil.copyfile(data, bad)
+            rule = {"kind": "monotonic", "feature": 0, "direction": "decrease", "guard": 100.0}
+            ck = with_stored_config(ck, ck.parent / "guarded.npz", lambda raw: {**raw, "rule": rule})
+        capsys.readouterr()
+        assert self.sweep(ck, bad, tmp_path / "s.csv", *flags) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert parses == [bad] and table_memos(ck.parent) == [] and not (tmp_path / "s.csv").exists()
 
 
 class TestSweepInWorkers:
@@ -995,6 +1129,20 @@ class TestSweepOutputs:
         assert {p: p.read_bytes() for p in (ck, data)} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "data.csv"]
         assert list((tmp_path / "adir").iterdir()) == [] and sorted(ck.parent.iterdir()) == [ck]
+
+    @pytest.mark.parametrize("data,state", [("nofile.csv", "does not exist"), ("adir", "is a directory")])
+    def test_missing_or_directory_data_csv_is_one_line_naming_the_flag_before_the_load(
+        self, ten, tmp_path, capsys, monkeypatch, data, state
+    ):
+        ck, _ = ten
+        (tmp_path / "adir").mkdir()
+        loaded = []
+        monkeypatch.setattr("rulemix.cli.load_checkpoint", lambda path: loaded.append(path))
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["sweep", "--checkpoint", str(ck), "--out", "s.csv", "--data-csv", data]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: ConfigError: --data-csv {data} {state}"]
+        assert loaded == [] and sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
 
     def test_failed_embeddings_write_leaves_no_file(self, ten, tmp_path, capsys, monkeypatch):
         ck, _ = ten
@@ -1498,6 +1646,7 @@ def params_digest(params: dict[str, np.ndarray]) -> str:
 SIGINT_SCRIPT = """
 import os, sys, time
 import rulemix.pendulum
+import rulemix.data
 from rulemix.cli import main
 
 rulemix.pendulum.FORK_MIN_STEPS = 0  # two build workers, as helpers.force_workers makes them
