@@ -14,7 +14,6 @@ import json
 import math
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +21,7 @@ import numpy as np
 from .autodiff import Arrays
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TASKS, ExperimentConfig, checked, config_from_dict, load_config, sweep_splits
-from .data import (
-    Dataset, TableMemo, check_paths, staged_writes, swept_rows, write_dataset_csv, write_rows_cache, write_table,
-)
+from .data import Dataset, SweepCache, check_paths, staged_writes, write_dataset_csv, write_table
 from .errors import CheckpointError, ConfigError, GenerationError, SimulationBlowup, TrainingAborted, WorkerDied
 from .evaluate import EXTENDED_ALPHA_RANGE, alpha_grid, alpha_sweep, select_alpha, sweep_from_csv, sweep_to_csv
 from .model import encode, forward_per_alpha
@@ -136,12 +133,8 @@ def cmd_sweep(args) -> int:
     if rule is None:
         raise ConfigError("sweep needs a rule for verification; config has rule.kind=none")
     # a --data-csv is other data on purpose: its rows are not checked against the checkpoint's digests
-    # nor cached; its table is memoized by the CSV's bytes
-    digests = None if args.data_csv else ck.data_sha256
-    cache_dir = Path(args.checkpoint).parent
-    memo = TableMemo(cache_dir) if args.data_csv else None
-    build = partial(cfg.build_dataset, read=memo.read) if memo else cfg.build_dataset
-    rows, built = swept_rows(build, splits, digests, cache_dir)
+    cache = SweepCache(Path(args.checkpoint).parent)
+    rows = cache.rows(cfg.build_dataset, splits, None if args.data_csv else ck.data_sha256)
     records = []
     for split in splits:
         x, y = rows[split]
@@ -167,14 +160,10 @@ def cmd_sweep(args) -> int:
     print(f"wrote {out} records={len(records)} alphas={len(grid)} splits={','.join(splits)}")
     if args.embeddings_out:
         print(f"wrote {args.embeddings_out} rows={x.shape[0]}")
-    try:  # a missing cache only costs the next sweep a rebuild of the rows, or a parse of the CSV
-        with staged_writes() as stage:
-            if memo is not None:
-                memo.write(stage)
-            elif digests is not None:
-                write_rows_cache(stage, cache_dir, digests, rows, built)
+    try:  # a missing cache file only costs the next sweep a rebuild of the rows, or a parse of the CSV
+        cache.write()
     except OSError as exc:
-        print(f"note: {'table memo' if memo else 'rows cache'} not written: {exc}", file=sys.stderr)
+        print(f"note: sweep cache not written: {exc}", file=sys.stderr)
     return 0
 
 

@@ -281,10 +281,10 @@ class ExperimentConfig:
         Rows of other splits may be absent: the pendulum build skips the
         trajectories that feed only those. CSV input and the tabular tasks
         are built whole; ``read`` reads a CSV's table (a ``--data-csv``
-        sweep passes its ``TableMemo.read``). A CSV for a classification
-        model must hold targets in [0, 1], which the cross-entropy loss and
-        metric read as probabilities; the first one outside is a ConfigError
-        naming the file and line.
+        sweep passes its ``SweepCache.read_table``). A CSV for a
+        classification model must hold targets in [0, 1], which the
+        cross-entropy loss and metric read as probabilities; the first one
+        outside is a ConfigError naming the file and line.
         """
         if self._csv is not None:
             dataset = read_dataset_csv(self._csv, n_targets=self._spec.output_dim, read=read)

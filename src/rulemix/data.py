@@ -1,11 +1,12 @@
-"""Dataset container, the numeric CSV table format, the sweep's caches, output checks and staged writes.
+"""Dataset container, the numeric CSV table format, the sweep's cache, output checks and staged writes.
 
-A checkpoint stores each split's ``rows_sha256``. A sweep reads the rows from
-``rows-<sha256>.npz`` beside it when that file hashes to the digest, else
+A checkpoint stores each split's ``rows_sha256``. A sweep reads the rows
+from ``rows-<sha256>.npz`` beside it when those hash to the digest, else
 rebuilds them, fails if they hash differently, and caches them. A sweep of a
 ``--data-csv`` reads the table from ``table-<sha256>.npz`` beside the
-checkpoint, keyed by the CSV's bytes, else parses those bytes and memoizes
-the table (``TableMemo``).
+checkpoint, keyed by the CSV's bytes, else parses those bytes, memoizes the
+table and removes the memo of the CSV's earlier bytes. Both are files of one
+store, ``SweepCache``.
 """
 
 from __future__ import annotations
@@ -88,121 +89,111 @@ def rows_sha256(x: np.ndarray, y: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _rows_cache(directory: Path, digest: str) -> Path:
-    return directory / f"rows-{digest}.npz"
-
-
 # what np.load raises on a cache file that is missing, unreadable, truncated or not an archive of arrays
 _CACHE_LOAD_ERRORS = (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile)
 
 
-def _read_cached_rows(path: Path, digest: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (x, y) at ``path`` if they hash to ``digest``, which covers their shapes; else None."""
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            x = np.ascontiguousarray(archive["x"], dtype=np.float64)
-            y = np.ascontiguousarray(archive["y"], dtype=np.float64)
-    except _CACHE_LOAD_ERRORS:
-        return None
-    return (x, y) if rows_sha256(x, y) == digest else None
-
-
-def _memo_sha256(digest: str, numbers: np.ndarray, text: bytes) -> str:
-    """Digest of a memoized table: the file digest it is stored under, the numbers' shape and bytes, the text."""
-    h = hashlib.sha256(digest.encode())
-    h.update(repr(numbers.shape).encode())
-    h.update(numbers)
-    h.update(text)
+def _cache_sha256(kind: str, key: str, arrays: dict[str, np.ndarray]) -> str:
+    """Digest of a cache file: its kind and key, then each array's name, dtype, shape and bytes."""
+    h = hashlib.sha256(f"{kind}-{key}".encode())
+    for name, a in arrays.items():
+        h.update(repr((name, a.dtype.str, a.shape)).encode())
+        h.update(np.ascontiguousarray(a))
     return h.hexdigest()
 
 
-def _read_memo(path: Path, digest: str) -> tuple[list[str], np.ndarray, list[str]] | None:
-    """The header, numbers and labels memoized at ``path`` for the file digest ``digest``, if intact; else None."""
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            numbers = np.ascontiguousarray(archive["numbers"], dtype=np.float64)
-            text = archive["text"].tobytes()
-            stored = str(archive["sha256"])
-    except _CACHE_LOAD_ERRORS:
-        return None
-    if stored != _memo_sha256(digest, numbers, text):
-        return None
-    header, labels = json.loads(text)
-    return header, numbers, labels
+class SweepCache:
+    """A sweep's inputs, stored in ``directory`` as ``<kind>-<key>.npz`` by what identifies them.
 
-
-def swept_rows(
-    build: Callable[[tuple[str, ...]], Dataset], splits: tuple[str, ...],
-    digests: dict[str, str] | None, cache_dir: Path,
-) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], tuple[str, ...]]:
-    """Each swept split's (x, y), and the splits that ``build`` made rather than the cache held.
-
-    With ``digests``, a split is read from its cache file in ``cache_dir``
-    when that hashes to the split's digest; a built split must hash to it.
-    """
-    rows = {}
-    for split in splits if digests is not None else ():
-        cached = _read_cached_rows(_rows_cache(cache_dir, digests[split]), digests[split])
-        if cached is not None:
-            rows[split] = cached
-    built = tuple(split for split in splits if split not in rows)
-    if built:
-        dataset = build(built)
-        for split in built:
-            if digests is not None and (digest := dataset.sha256(split)) != digests[split]:
-                raise ConfigError(
-                    f"split {split!r}: the rows rebuilt from the checkpoint's config have sha256 "
-                    f"{digest[:12]}..., the model was trained beside {digests[split][:12]}...: "
-                    "the data or the simulator changed since training"
-                )
-            rows[split] = dataset.subset(split)
-    return rows, built
-
-
-def write_rows_cache(
-    stage: Callable[[Path], Path], cache_dir: Path, digests: dict[str, str],
-    rows: dict[str, tuple[np.ndarray, np.ndarray]], splits: tuple[str, ...],
-) -> None:
-    """Cache the rows of ``splits`` in ``cache_dir`` for the next sweep, through a ``staged_writes`` stage."""
-    for split in splits:
-        x, y = rows[split]
-        with open(stage(_rows_cache(cache_dir, digests[split])), "wb") as fh:
-            np.savez(fh, x=x, y=y)
-
-
-class TableMemo:
-    """``read_table`` memoized in ``directory`` by the sha256 of a file's bytes.
-
-    ``read`` reads a file once and returns the table stored under its digest
-    in ``table-<sha256>.npz``, or else parses the bytes it read. A stored
-    table carries a digest of itself, so a memo that is unreadable,
-    truncated or edited is a miss. ``write`` stages the tables parsed
-    since; a caller writes them only once the tables passed every later
-    check, so only tables that a command used are memoized.
+    ``rows`` reads each swept split from ``rows-<split digest>.npz`` and
+    builds the rest; the build reads a CSV of rows the checkpoint holds no
+    digest for through ``read_table``, which keys its table by the sha256 of
+    the CSV's bytes as ``table-<sha256>.npz``. Every file holds named arrays
+    and a digest of itself (``_cache_sha256``), so one that is unreadable,
+    truncated, edited, renamed or of an older format is a miss. ``write``
+    stores what missed, once the caller's outputs are in place.
     """
 
     def __init__(self, directory: Path) -> None:
         self.directory = directory
-        self.parsed: dict[str, tuple[list[str], np.ndarray, list[str]]] = {}
+        self.missed: list[tuple[str, str, dict[str, np.ndarray]]] = []
 
-    def _path(self, digest: str) -> Path:
-        return self.directory / f"table-{digest}.npz"
+    def _path(self, kind: str, key: str) -> Path:
+        return self.directory / f"{kind}-{key}.npz"
 
-    def read(self, path: str | Path) -> tuple[list[str], np.ndarray, list[str]]:
+    def get(self, kind: str, key: str) -> dict[str, np.ndarray] | None:
+        """The arrays stored under ``kind`` and ``key`` if their file is intact; else None."""
+        try:
+            with np.load(self._path(kind, key), allow_pickle=False) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            stored = str(arrays.pop("sha256"))
+        except _CACHE_LOAD_ERRORS:
+            return None
+        return arrays if stored == _cache_sha256(kind, key, arrays) else None
+
+    def put(self, stage: Callable[[Path], Path], kind: str, key: str, arrays: dict[str, np.ndarray]) -> None:
+        """Store ``arrays`` under ``kind`` and ``key`` through a ``staged_writes`` stage."""
+        with open(stage(self._path(kind, key)), "wb") as fh:
+            np.savez(fh, sha256=_cache_sha256(kind, key, arrays), **arrays)
+
+    def rows(self, build: Callable[..., Dataset], splits: tuple[str, ...],
+             digests: dict[str, str] | None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Each swept split's (x, y): from its file if those rows hash to the split's digest, else built.
+
+        ``build(splits, read=...)`` builds the splits the cache lacks, which
+        must hash to their digests. Without ``digests`` the rows are neither
+        checked nor stored; a CSV they are read from is memoized instead.
+        """
+        rows = {}
+        for split in splits if digests is not None else ():
+            if (stored := self.get("rows", digests[split])) is not None:
+                x, y = (np.ascontiguousarray(stored[name], dtype=np.float64) for name in ("x", "y"))
+                if rows_sha256(x, y) == digests[split]:
+                    rows[split] = x, y
+        built = tuple(split for split in splits if split not in rows)
+        if built:
+            dataset = build(built, read=self.read_table if digests is None else read_table)
+            for split in built:
+                rows[split] = x, y = dataset.subset(split)
+                if digests is not None and (digest := rows_sha256(x, y)) != digests[split]:
+                    raise ConfigError(
+                        f"split {split!r}: the rows rebuilt from the checkpoint's config have sha256 "
+                        f"{digest[:12]}..., the model was trained beside {digests[split][:12]}...: "
+                        "the data or the simulator changed since training"
+                    )
+                if digests is not None:
+                    self.missed.append(("rows", digest, {"x": x, "y": y}))
+        return rows
+
+    def read_table(self, path: str | Path) -> tuple[list[str], np.ndarray, list[str]]:
+        """``read_table`` of ``path``, read once: the table stored under its bytes' sha256, else their parse."""
         data = Path(path).read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        stored = _read_memo(self._path(digest), digest)
-        if stored is None:
-            self.parsed[digest] = _parse_table(path, data)
-            return self.parsed[digest]
-        return _finite_table(path, *stored)
+        key = hashlib.sha256(data).hexdigest()
+        if (stored := self.get("table", key)) is not None:
+            header, labels = json.loads(bytes(stored["text"]))
+            return _finite_table(path, header, np.ascontiguousarray(stored["numbers"], dtype=np.float64), labels)
+        data = _decoded(data)  # rebinding releases the bytes once they decode
+        header, numbers, labels = _parse_table(path, data)
+        text = np.frombuffer(json.dumps([header, labels]).encode(), np.uint8)
+        source = np.frombuffer(str(Path(path).resolve()).encode(), np.uint8)
+        self.missed.append(("table", key, {"numbers": numbers, "text": text, "source": source}))
+        return header, numbers, labels
 
-    def write(self, stage: Callable[[Path], Path]) -> None:
-        for digest, (header, numbers, labels) in self.parsed.items():
-            text = json.dumps([header, labels]).encode()
-            with open(stage(self._path(digest)), "wb") as fh:
-                np.savez(fh, numbers=numbers, text=np.frombuffer(text, np.uint8),
-                         sha256=_memo_sha256(digest, numbers, text))
+    def write(self) -> None:
+        """Store what missed; then remove each file that an earlier version of a stored file's source left.
+
+        Only a file this cache wrote is removed: it is named ``<kind>-*.npz``,
+        is intact and records the same source. Raises the first ``OSError``.
+        """
+        with staged_writes() as stage:
+            for kind, key, arrays in self.missed:
+                self.put(stage, kind, key, arrays)
+        for kind, key, arrays in self.missed:
+            for path in self.directory.glob(f"{kind}-*.npz") if "source" in arrays else ():
+                other = path.name[len(kind) + 1 : -len(".npz")]
+                stored = self.get(kind, other) if other != key else None
+                if stored is not None and np.array_equal(stored.get("source"), arrays["source"]):
+                    path.unlink(missing_ok=True)
 
 
 def check_paths(inputs: dict[str, str | Path | None], outputs: list[tuple[str, str | Path | None]]) -> None:
@@ -284,13 +275,14 @@ def read_table(path: str | Path) -> tuple[list[str], np.ndarray, list[str]]:
     ``ValueError`` naming the file, and the line and column where there is
     one: text that is not UTF-8 or not CSV, a table without rows, a row of
     the wrong length, and a cell that is not a finite number. The table is a
-    function of the file's bytes alone, which ``TableMemo`` keys it by.
+    function of the file's bytes alone, which ``SweepCache.read_table`` keys
+    it by.
     """
-    return _parse_table(path, Path(path).read_bytes())
+    return _parse_table(path, _decoded(Path(path).read_bytes()))
 
 
-def _parse_table(path: str | Path, data: bytes) -> tuple[list[str], np.ndarray, list[str]]:
-    """``read_table`` of the file ``path`` whose bytes are ``data``, which are read as the file would be."""
+def _parse_table(path: str | Path, data: str | bytes) -> tuple[list[str], np.ndarray, list[str]]:
+    """``read_table`` of the file ``path`` whose ``_decoded`` bytes are ``data``."""
     return _finite_table(path, *(_read_plain_table(path, data) or _read_csv_table(path, data)))
 
 
@@ -303,9 +295,17 @@ def _finite_table(path: str | Path, header: list[str], table: np.ndarray, labels
     return header, table, labels
 
 
-def _text(data: bytes) -> io.TextIOWrapper:
-    """``data`` as the text handle ``open(path, newline="")`` gives on a file of those bytes."""
-    return io.TextIOWrapper(io.BytesIO(data), newline="")
+def _text(data: str | bytes) -> io.TextIOBase:
+    """The text handle ``open(path, newline="")`` gives on a file of the bytes ``data``, or of the text ``data``."""
+    return io.StringIO(data, newline="") if isinstance(data, str) else io.TextIOWrapper(io.BytesIO(data), newline="")
+
+
+def _decoded(data: bytes) -> str | bytes:
+    """The text of a file whose bytes are ``data``; bytes that do not decode are kept for ``_read_csv_table``."""
+    try:
+        return _text(data).read()
+    except UnicodeDecodeError:
+        return data
 
 
 # what a plain table lacks: '"' and '\r', which make the csv module's rows differ from the lines; NUL, which
@@ -314,24 +314,22 @@ def _text(data: bytes) -> io.TextIOWrapper:
 _NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
 
 
-def _read_plain_table(path: str | Path, data: bytes) -> tuple[list[str], np.ndarray, list[str]] | None:
+def _read_plain_table(path: str | Path, data: str | bytes) -> tuple[list[str], np.ndarray, list[str]] | None:
     """The table of a plain file, read as ``_read_csv_table`` would read it; None for any other file.
 
-    A plain file is text that decodes, ends every line in ``\\n``, holds
-    none of ``_NOT_PLAIN``, has at least one data row and gives every line
-    the header's number of commas (at least one), and no line longer
-    than the csv module's field limit. Its rows are then its lines split
-    at the commas, so the numbers take one ``loadtxt`` call and each label
-    is the text after a line's last comma. ``loadtxt`` reads a cell as
-    ``float`` does or refuses it (``1_000``, an empty cell, a non-ASCII
-    digit); a refusal returns None.
+    A plain file is text that decodes (``data`` is a str), ends every line
+    in ``\\n``, holds none of ``_NOT_PLAIN``, has at least one data row and
+    gives every line the header's number of commas (at least one), and no
+    line longer than the csv module's field limit. Its rows are then its
+    lines split at the commas, so the numbers take one ``loadtxt`` call and
+    each label is the text after a line's last comma. ``loadtxt`` reads a
+    cell as ``float`` does or refuses it (``1_000``, an empty cell, a
+    non-ASCII digit); a refusal returns None.
     """
-    try:
-        text = _text(data).read()
-    except UnicodeDecodeError:
+    if isinstance(data, bytes):
         return None
-    lines = text.split("\n")
-    if lines.pop() or len(lines) < 2 or any(c in text for c in _NOT_PLAIN):
+    lines = data.split("\n")
+    if lines.pop() or len(lines) < 2 or any(c in data for c in _NOT_PLAIN):
         return None
     commas = lines[0].count(",")
     if not commas or any(line.count(",") != commas for line in lines) or max(map(len, lines)) > csv.field_size_limit():
@@ -344,7 +342,7 @@ def _read_plain_table(path: str | Path, data: bytes) -> tuple[list[str], np.ndar
     return lines[0].split(","), table, [line.rpartition(",")[2] for line in rows]
 
 
-def _read_csv_table(path: str | Path, data: bytes) -> tuple[list[str], np.ndarray, list[str]]:
+def _read_csv_table(path: str | Path, data: str | bytes) -> tuple[list[str], np.ndarray, list[str]]:
     """The table read row by row through the csv module; every error names the file and the line."""
     values, labels = [], []
     with _text(data) as fh:

@@ -935,7 +935,7 @@ class TestSweepRowsCache:
         capsys.readouterr()
         assert main(["sweep", "--checkpoint", str(ck), "--out", str(out)]) == 0
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("note: rows cache not written:"), err
+        assert len(err) == 1 and err[0].startswith("note: sweep cache not written:"), err
         assert out.exists() and sorted(p.name for p in ck.parent.iterdir()) == sorted([ck.name, blocker.name])
 
 
@@ -1001,7 +1001,7 @@ class TestSweepTableMemo:
         with_line_edited(data, copy, lambda line: "0.125" + line[line.index(",") :])
         parses.clear()
         assert self.sweep(ck, copy, tmp_path / "after.csv") == 0
-        assert parses == [copy] and len(table_memos(ck.parent)) == 2 and memo_name(copy) in table_memos(ck.parent)
+        assert parses == [copy] and table_memos(ck.parent) == [memo_name(copy)]  # the earlier memo was removed
         fresh = tmp_path / "fresh" / ck.name
         fresh.parent.mkdir()
         shutil.copyfile(ck, fresh)
@@ -1038,8 +1038,28 @@ class TestSweepTableMemo:
         capsys.readouterr()
         assert self.sweep(ck, data, out) == 0
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("note: table memo not written:"), err
+        assert len(err) == 1 and err[0].startswith("note: sweep cache not written:"), err
         assert out.exists() and sorted(p.name for p in ck.parent.iterdir()) == sorted([ck.name, blocker.name])
+
+    def test_a_failed_removal_of_the_earlier_memo_is_the_one_note(self, ten, tmp_path, capsys, monkeypatch):
+        ck, data = ten
+        copy = shutil.copyfile(data, tmp_path / "data.csv")
+        assert self.sweep(ck, copy, tmp_path / "before.csv") == 0
+        earlier = ck.parent / memo_name(copy)
+        with_line_edited(data, copy, lambda line: "0.125" + line[line.index(",") :])
+        real_unlink = Path.unlink
+
+        def unlink(path, missing_ok=False):
+            if path == earlier:
+                raise PermissionError(f"[Errno 1] Operation not permitted: '{path}'")
+            real_unlink(path, missing_ok)
+
+        monkeypatch.setattr(Path, "unlink", unlink)
+        capsys.readouterr()
+        assert self.sweep(ck, copy, tmp_path / "after.csv") == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"note: sweep cache not written: [Errno 1] Operation not permitted: '{earlier}'"]
+        assert table_memos(ck.parent) == sorted([earlier.name, memo_name(copy)])
 
     @pytest.mark.parametrize("failure", ["unknown label", "empty split", "no pair crosses the guard"])
     def test_a_sweep_that_fails_after_the_parse_leaves_no_memo(self, ten, tmp_path, capsys, parses, failure):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rulemix.data
-from rulemix.data import SPLITS, _read_plain_table, read_table, write_table
+from rulemix.data import SPLITS, _decoded, _read_plain_table, read_table, write_table
 
 AWKWARD = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
@@ -100,7 +100,7 @@ def with_cell_mutated(lines: list[str], i: int, j: int, mutation: str) -> list[s
 def test_a_written_table_takes_numpys_path_and_reads_back_bit_for_bit(table):
     header, numbers, labels = table
     with table_file(written_text(header, numbers, labels)) as path:
-        assert _read_plain_table(path, path.read_bytes()) is not None
+        assert _read_plain_table(path, _decoded(path.read_bytes())) is not None
         got_header, got, got_labels = read_table(path)
         assert outcome(path, reference=False) == outcome(path, reference=True)
     assert got_header == header and got_labels == labels
@@ -136,7 +136,7 @@ def test_every_cell_mutation_but_padding_and_non_finite_values_takes_the_csv_loo
     refused = []
     for name in CELL_MUTATIONS:
         with table_file("\n".join(with_cell_mutated(lines, 2, 0, name)) + "\n") as path:
-            if _read_plain_table(path, path.read_bytes()) is None:
+            if _read_plain_table(path, _decoded(path.read_bytes())) is None:
                 refused.append(name)
     # numpy reads a padded cell and a non-finite one as float() does; every other mutation takes the csv loop
     assert sorted(refused) == sorted(set(CELL_MUTATIONS) - {"leading nbsp", "leading space", "inf", "-inf", "nan",
