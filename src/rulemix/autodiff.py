@@ -16,6 +16,9 @@ A dense block (a stack of affine layers, each followed by its activation)
 runs through one kernel, :func:`dense_forward`. On a tape the block is one
 node, :meth:`Tape.dense`, whose values and gradients equal those of the
 per-layer chain of ``affine``, ``relu`` and ``sigmoid`` nodes bit for bit.
+Under the default coupling the strength scales the first decision layer's
+two products rather than its input: :func:`paired_product` computes the
+products once, and :func:`blend` weighs and sums them at each strength.
 :class:`Arrays` has the forward methods of ``Tape`` that the model calls,
 over plain arrays and through the same kernels, so one model function runs
 either recorded for a gradient or as bare inference.
@@ -119,11 +122,76 @@ def _dense_layer(h: np.ndarray, wv: np.ndarray, bv: np.ndarray, act: str, out: n
     """``h @ wv + bv``, then the activation, written into ``out``, which it returns; the caller checked the shapes."""
     np.matmul(h, wv, out=out)
     np.add(out, bv, out=out)
+    return _activate(out, act)
+
+
+def _activate(out: np.ndarray, act: str) -> np.ndarray:
+    """The activation (linear, relu or sigmoid) of ``out``, in place; returns ``out``."""
     if act == "relu":
         _relu(out, out)
     elif act == "sigmoid":
         _sigmoid(out, out)
     return out
+
+
+def _activation_grad(g: np.ndarray, out: np.ndarray, act: str) -> np.ndarray:
+    """The gradient at an activation's input, from ``g`` at its output ``out``."""
+    if act == "relu":
+        return g * (out > 0.0)  # ReLU'(0) = 0; the same mask as the input's
+    if act == "sigmoid":
+        return g * out * (1.0 - out)
+    return g
+
+
+def paired_product(av: np.ndarray, bv: np.ndarray, wv: np.ndarray, buffers: list[np.ndarray] | None = None):
+    """``av @ wv[:k]`` above ``bv @ wv[k:]``, ``k`` being ``av``'s width: a (2n, m) matrix.
+
+    Each of two n-row inputs times its own rows of one weight: the two terms
+    of the product ``concat(av, bv) @ wv``, stacked by rows so that each is
+    contiguous. Written into ``out_array(buffers, 0, ...)``.
+    """
+    n, k = av.shape
+    if bv.shape[0] != n or k + bv.shape[1] != wv.shape[0]:
+        raise ShapeError(f"paired_product: inputs {av.shape} and {bv.shape} do not fit weight {wv.shape}")
+    out = out_array(buffers, 0, (2 * n, wv.shape[1]))
+    _paired_product(av, bv, wv[:k], wv[k:], out[:n], out[n:])
+    return out
+
+
+def _paired_product(av: np.ndarray, bv: np.ndarray, wa: np.ndarray, wb: np.ndarray, pa: np.ndarray,
+                    pb: np.ndarray) -> None:
+    """``av @ wa`` into ``pa`` and ``bv @ wb`` into ``pb``; the caller checked the shapes."""
+    np.matmul(av, wa, out=pa)
+    np.matmul(bv, wb, out=pb)
+
+
+def blend(pv: np.ndarray, ca: float, cb: float, bv: np.ndarray, act: str, buffers: list[np.ndarray] | None = None):
+    """The activation of ``pv[:n] * ca + pv[n:] * cb + bv``, ``pv`` having 2n rows and the bias ``bv``'s width.
+
+    Applied to ``paired_product(a, b, w)`` it is the dense layer ``(w, bv)``
+    over ``concat(a * ca, b * cb)``, rounded differently. Writes into
+    ``out_array(buffers, 0, ...)``, with ``out_array(buffers, 1, ...)`` as scratch.
+    """
+    n = pv.shape[0] // 2
+    if bv.shape != (1, pv.shape[1]) or pv.shape[0] != 2 * n:
+        raise ShapeError(f"blend: products {pv.shape} do not fit bias {bv.shape}")
+    if act not in ("linear", "relu", "sigmoid"):
+        raise ValueError(f"unknown activation {act!r}")
+    out, scratch = out_array(buffers, 0, (n, pv.shape[1])), out_array(buffers, 1, (n, pv.shape[1]))
+    return _blend(pv[:n], pv[n:], ca, cb, bv, act, out, scratch)
+
+
+def _blend(pa: np.ndarray, pb: np.ndarray, ca: float, cb: float, bv: np.ndarray, act: str, out: np.ndarray,
+           scratch: np.ndarray) -> np.ndarray:
+    """``pa * ca + pb * cb + bv``, then the activation, into ``out``, which it returns.
+
+    The caller checked the shapes; ``scratch`` has ``out``'s shape.
+    """
+    np.multiply(pa, ca, out=out)
+    np.multiply(pb, cb, out=scratch)
+    np.add(out, scratch, out=out)
+    np.add(out, bv, out=out)
+    return _activate(out, act)
 
 
 def scaled_concat(av: np.ndarray, ca: float, bv: np.ndarray, cb: float, buffers: list[np.ndarray] | None = None):
@@ -326,11 +394,7 @@ class Tape:
             grads = []
             for i in range(len(outs) - 1, -1, -1):
                 wv, _, act = values[i]
-                out = outs[i]
-                if act == "relu":
-                    g = g * (out > 0.0)  # ReLU'(0) = 0; the same mask as the affine output's
-                elif act == "sigmoid":
-                    g = g * out * (1.0 - out)
+                g = _activation_grad(g, outs[i], act)
                 h = outs[i - 1] if i else xv
                 w_into, b_into = (None, None) if into is None else (into[1 + 2 * i], into[2 + 2 * i])
                 grads += [np.add.reduce(g, axis=0, keepdims=True, out=b_into), np.matmul(h.T, g, out=w_into)]
@@ -367,6 +431,56 @@ class Tape:
             return g[:, :na] * float(ca) if wants_a else None, g[:, na:] * float(cb) if wants_b else None
 
         return self._record(buffers[0], (a, b), bwd, lambda: scaled_concat(av, float(ca), bv, float(cb), buffers))
+
+    def paired_product(self, a: int, b: int, w: int) -> int:
+        """``paired_product`` of the values of ``a``, ``b`` and the weight ``w``, as one node.
+
+        The backward pass writes the weight's gradient, one row half per
+        input, straight into the array ``backprop`` hands it, if any.
+        """
+        av, bv, wv = self.value(a), self.value(b), self.value(w)
+        out = paired_product(av, bv, wv)
+        n, k = av.shape
+        wa, wb, pa, pb = wv[:k], wv[k:], out[:n], out[n:]
+        wants_a, wants_b = self._wants_grad(a), self._wants_grad(b)
+
+        def bwd(g: np.ndarray, into: Sequence[np.ndarray | None] | None = None) -> tuple[np.ndarray | None, ...]:
+            gw = np.empty(wv.shape) if into is None or into[2] is None else into[2]
+            ga, gb = g[:n], g[n:]
+            np.matmul(av.T, ga, out=gw[:k])
+            np.matmul(bv.T, gb, out=gw[k:])
+            return ga @ wa.T if wants_a else None, gb @ wb.T if wants_b else None, gw
+
+        node = Node(out, (a, b, w), bwd, forward=lambda: _paired_product(av, bv, wa, wb, pa, pb),
+                    writes_grads=len({a, b, w}) == 3)
+        return self._append(node)
+
+    def blend(self, p: int, ca, cb, bias: int, act: str) -> int:
+        """``blend`` of the products ``p``, as one node; ``ca`` and ``cb`` are numbers or ``Coefficient`` objects.
+
+        The backward pass sends ``ca`` and ``cb`` times the activation's
+        input gradient to the two halves of ``p``, and writes the bias
+        gradient straight into the array ``backprop`` hands it, if any.
+        """
+        pv, bv = self.value(p), self.value(bias)
+        buffers: list[np.ndarray] = []
+        out = blend(pv, float(ca), float(cb), bv, act, buffers)
+        n = out.shape[0]
+        pa, pb, scratch = pv[:n], pv[n:], buffers[1]
+        wants_p = self._wants_grad(p)
+
+        def bwd(g: np.ndarray, into: Sequence[np.ndarray | None] | None = None) -> tuple[np.ndarray | None, ...]:
+            g = _activation_grad(g, out, act)
+            gp = None
+            if wants_p:
+                gp = np.empty(pv.shape)
+                np.multiply(g, float(ca), out=gp[:n])
+                np.multiply(g, float(cb), out=gp[n:])
+            return gp, np.add.reduce(g, axis=0, keepdims=True, out=None if into is None else into[1])
+
+        node = Node(out, (p, bias), bwd, forward=lambda: _blend(pa, pb, float(ca), float(cb), bv, act, out, scratch),
+                    writes_grads=p != bias)
+        return self._append(node)
 
     def add(self, a: int, b: int) -> int:
         av, bv = self.value(a), self.value(b)
@@ -616,6 +730,12 @@ class Arrays:
 
     def concat(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.scaled_concat(a, 1.0, b, 1.0)
+
+    def paired_product(self, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return paired_product(a, b, w, self._next())
+
+    def blend(self, p: np.ndarray, ca: float, cb: float, bias: np.ndarray, act: str) -> np.ndarray:
+        return blend(p, float(ca), float(cb), bias, act, self._next())
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.shape != b.shape:

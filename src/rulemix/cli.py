@@ -24,7 +24,7 @@ from .config import TASKS, ExperimentConfig, checked, config_from_dict, load_con
 from .data import Dataset, SweepCache, check_paths, staged_writes, write_dataset_csv, write_table
 from .errors import CheckpointError, ConfigError, GenerationError, SimulationBlowup, TrainingAborted, WorkerDied
 from .evaluate import EXTENDED_ALPHA_RANGE, alpha_grid, alpha_sweep, select_alpha, sweep_from_csv, sweep_to_csv
-from .model import encode, forward_per_alpha
+from .model import couple, encode, encoders, forward_per_alpha
 from .pendulum import PENDULUM_CSV_COLUMNS
 from .train import fit
 
@@ -150,8 +150,11 @@ def cmd_sweep(args) -> int:
         x, _ = rows[splits[-1]]
         encoded = encode(Arrays(), ck.spec, ck.params, x)
         fwd = next(forward_per_alpha(ck.spec, ck.params, encoded, [args.embeddings_alpha]))
-        latents = {key: v for key, v in {"z": fwd.latent, "z_rule": fwd.z_rule, "z_data": fwd.z_data}.items()
-                   if v is not None}
+        z, z_rule, z_data = fwd.latent, fwd.z_rule, fwd.z_data
+        if z is None:  # scaled_concat decodes from the latents' products: the latents are encoded and blended here
+            z_rule, z_data = encoders(Arrays(), ck.spec, ck.params, x)
+            z = couple(Arrays(), z_rule, z_data, args.embeddings_alpha, "scaled_concat")
+        latents = {key: v for key, v in {"z": z, "z_rule": z_rule, "z_data": z_data}.items() if v is not None}
         names = [f"{key}{j}" for key, mat in latents.items() for j in range(mat.shape[1])]
     with staged_writes() as stage:  # either every output is written or none is
         sweep_to_csv(records, stage(out))

@@ -25,12 +25,20 @@ METRICS = ("mae", "cross_entropy", "error_rate")  # each lower-is-better, as sel
 EXTENDED_ALPHA_RANGE = (-0.2, 1.4)  # reaches beyond the training range on both sides
 MAX_ALPHA_POINTS = 100_001  # step 1e-5 over [0, 1]; a finer grid is a typo, not a sweep
 # A sweep whose decodes take fewer multiply-adds (``decode_macs`` per row,
-# times rows, passes and strengths) runs in the calling process. On a 2-core
-# x86-64 host with one BLAS thread, in a process holding 40 MB, a 2-worker
-# desk-spec sweep of 21 strengths broke even between 71M (8.0 ms serial,
-# 10.9 ms forked) and 106M (12.0 ms serial, 11.3 ms forked), medians of 31
-# sweeps each; one of 81 strengths already gained at 17M.
-FORK_MIN_MACS = 150_000_000
+# times rows, passes and strengths) runs in the calling process. Desk-spec
+# sweeps on a 2-core x86-64 host with one BLAS thread, 2 workers against one
+# process, medians of 15 alternating sweeps:
+#   21 strengths x 1,000 rows    6.7M  forked 12.3 ms  serial 10.7 ms
+#   21 strengths x 2,000 rows   13.4M  forked 20.4 ms  serial 21.4 ms
+#   21 strengths x 3,000 rows   20.2M  forked 32.7 ms  serial 34.5 ms
+#   21 strengths x 6,000 rows   40.3M  forked 62.2 ms  serial 76.5 ms  (train-desk)
+#   81 strengths x 250 rows      6.5M  forked 12.8 ms  serial 11.0 ms
+#   81 strengths x 500 rows     13.0M  forked 17.0 ms  serial 18.5 ms
+#   81 strengths x 1,000 rows   25.9M  forked 21.3 ms  serial 25.9 ms  (sweep-cli val)
+#   81 strengths x 3,000 rows   77.8M  forked 58.7 ms  serial 82.9 ms  (sweep-cli test)
+# An earlier run of 9 had 81 x 500 rows lose (18.2 against 14.9 ms) and 21 x
+# 3,000 break even (35.9 against 35.1 ms), so the gate sits above 13.4M.
+FORK_MIN_MACS = 20_000_000
 
 
 def task_metric(kind: str, y_hat: np.ndarray, y: np.ndarray) -> float:
@@ -82,9 +90,14 @@ class SweepRecord:
 
 
 def decode_macs(spec: ModelSpec) -> int:
-    """Multiply-adds of one row's decode at one strength: the decision block and any alpha-fed encoder."""
-    layers = spec.decision_layers() + spec.blocks().get("encoder", ())
-    return sum(layer.fan_in * layer.fan_out for layer in layers)
+    """Multiply-adds of one row's decode at one strength: the decision block and any alpha-fed encoder.
+
+    Under ``scaled_concat`` ``encode`` computed the first decision layer's
+    products, so that layer's blend counts one per output element.
+    """
+    first, *rest = spec.decision_layers()
+    blend = first.fan_out if spec.coupling == "scaled_concat" else first.fan_in * first.fan_out
+    return blend + sum(layer.fan_in * layer.fan_out for layer in (*rest, *spec.blocks().get("encoder", ())))
 
 
 def alpha_sweep(
@@ -101,7 +114,10 @@ def alpha_sweep(
     """Evaluate the frozen model at each strength; parameters are never touched.
 
     The input (and, for rules that need perturbation, its perturbed copy) is
-    encoded once, then decoded at each strength (``forward_per_alpha``). For
+    encoded once, then decoded at each strength (``forward_per_alpha``).
+    Under ``scaled_concat`` the encoding holds the first decision layer's two
+    products, so a strength costs that layer's blend and the layers after
+    it, not a product over the concatenated latents. For
     such rules one seeded perturbation set is drawn up front and reused at
     every grid point so records are comparable across strengths. A rule's
     ``prepare``, if it has one, runs once on the input.

@@ -4,7 +4,11 @@ The forward pass is shared-layer -> (rule encoder, data encoder) -> couple ->
 decision block. Under the default ``scaled_concat`` coupling the latent
 blocks are weighted by the rule strength ``alpha`` before concatenation, so
 alpha=0 routes exclusively through the data passage and alpha=1 through the
-rule passage. ``single`` builds one encoder and ignores alpha (the baseline
+rule passage. As the first decision layer is linear before its activation,
+it is computed as ``alpha * (z_rule @ W_rule) + (1 - alpha) * (z_data @
+W_data) + b``, with ``W_rule`` and ``W_data`` the two row halves of its
+weight: the products do not read alpha, so ``encode`` computes them.
+``single`` builds one encoder and ignores alpha (the baseline
 architecture); ``input_concat_alpha`` feeds alpha as an extra input feature
 to one width-matched encoder instead of using two passages.
 
@@ -193,10 +197,14 @@ def mlp_forward(
     params: dict[str, np.ndarray],
     block: str,
     x: int | np.ndarray,
+    start: int = 0,
 ) -> int | np.ndarray:
-    """Run one block through ``ops.dense``; raises ShapeError naming the failing layer."""
+    """Run one block, its layers numbered from ``start``, through ``ops.dense``.
+
+    Raises ShapeError naming the failing layer.
+    """
     dense = []
-    for i, layer in enumerate(layers):
+    for i, layer in enumerate(layers, start):
         w, b = f"{block}.{i}.w", f"{block}.{i}.b"
         dense.append((ops.param(w, params[w]), ops.param(b, params[b]), layer.activation))
     return ops.dense(x, dense, block)
@@ -204,7 +212,12 @@ def mlp_forward(
 
 def couple(ops: Tape | Arrays, z_rule: int | np.ndarray, z_data: int | np.ndarray, alpha: float | Coefficient,
            mode: str) -> int | np.ndarray:
-    """Merge the two latent blocks; only scaled_concat consumes alpha."""
+    """Merge the two latent blocks; only scaled_concat consumes alpha.
+
+    ``decode`` couples under ``concat`` and ``add``. Under ``scaled_concat``
+    it blends the latents' products instead, so this merge only serves a
+    caller that wants the blended latent itself (the embeddings export).
+    """
     zr, zd = ops.value(z_rule), ops.value(z_data)
     if zr.shape != zd.shape:
         raise ShapeError(f"couple: latent shapes differ, {zr.shape} vs {zd.shape}")
@@ -219,10 +232,16 @@ def couple(ops: Tape | Arrays, z_rule: int | np.ndarray, z_data: int | np.ndarra
 
 @dataclass
 class Forward:
-    """One prediction pass: node ids on a ``Tape``, or the arrays themselves from ``Arrays``."""
+    """One prediction pass: node ids on a ``Tape``, or the arrays themselves from ``Arrays``.
+
+    ``latent`` is what the decision block reads, and ``z_rule`` and ``z_data``
+    the two latents under ``concat`` and ``add``. Under ``scaled_concat`` all
+    three are None: the first decision layer reads the latents' products
+    (see ``encode``), and ``encoders`` gives the latents themselves.
+    """
 
     output: int | np.ndarray
-    latent: int | np.ndarray
+    latent: int | np.ndarray | None
     z_rule: int | np.ndarray | None = None
     z_data: int | np.ndarray | None = None
 
@@ -235,33 +254,59 @@ def _strength(alpha: float | Coefficient) -> float | Coefficient:
     return alpha if isinstance(alpha, Coefficient) else value
 
 
-def encode(ops: Tape | Arrays, spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray | int) -> tuple:
-    """Every layer that does not read alpha: the shared block, and the encoders.
+def encoders(ops: Tape | Arrays, spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray | int) -> tuple:
+    """The shared block and the passages' encoders, as the spec lays them out.
 
     Returns (z_rule, z_data) for two passages, (z,) for ``single``, and the
     shared block's output (or the input), as (h,), for ``input_concat_alpha``,
-    whose encoder reads alpha.
+    whose one encoder reads alpha.
     """
     blocks = spec.blocks()
     x = x if isinstance(x, int) else ops.constant(x, "input")
     if ops.value(x).shape[1] != spec.input_dim:
         raise ShapeError(f"input has {ops.value(x).shape[1]} columns, model expects {spec.input_dim}")
     h = mlp_forward(ops, blocks["shared"], params, "shared", x) if "shared" in blocks else x
-    if spec.coupling == "input_concat_alpha":
-        return (h,)
-    if spec.coupling == "single":
-        return (mlp_forward(ops, blocks["data"], params, "data", h),)
-    return mlp_forward(ops, blocks["rule"], params, "rule", h), mlp_forward(ops, blocks["data"], params, "data", h)
+    passages = [name for name in ("rule", "data") if name in blocks]
+    return tuple(mlp_forward(ops, blocks[name], params, name, h) for name in passages) if passages else (h,)
+
+
+def encode(ops: Tape | Arrays, spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray | int) -> tuple:
+    """Every layer that does not read alpha: ``encoders``, and under ``scaled_concat`` the products after them.
+
+    Returns what ``encoders`` returns, except under ``scaled_concat``:
+    (products,), where ``products`` is ``paired_product(z_rule, z_data,
+    decision.0.w)``, each latent times its own rows of the first decision
+    layer's weight. That is all ``decode`` reads, so an encoding over
+    ``Arrays`` holds the products, not the latents.
+    """
+    latents = encoders(ops, spec, params, x)
+    if spec.coupling != "scaled_concat":
+        return latents
+    return (ops.paired_product(*latents, ops.param("decision.0.w", params["decision.0.w"])),)
 
 
 def decode(ops: Tape | Arrays, spec: ModelSpec, params: dict[str, np.ndarray], latents: tuple,
            alpha: float | Coefficient) -> Forward:
     """The layers after ``encode``: the alpha-fed encoder or the coupling, then the decision block.
 
+    Under ``scaled_concat`` the strength enters after the products: the first
+    decision layer is ``blend(products, alpha, 1 - alpha, decision.0.b)``,
+    which equals that layer over ``scaled_concat(z_rule, alpha, z_data, 1 -
+    alpha)`` up to rounding, and costs a few passes over its output rather
+    than a matrix product.
+
     On a tape, ``alpha`` may be a ``Coefficient``: every op that reads it
     reads it anew when the tape replays.
     """
     alpha = _strength(alpha)
+    if spec.coupling == "scaled_concat":
+        (products,) = latents
+        first, *rest = spec.decision_layers()
+        bias = ops.param("decision.0.b", params["decision.0.b"])
+        y = ops.blend(products, alpha, 1.0 - alpha, bias, first.activation)
+        if rest:
+            y = mlp_forward(ops, rest, params, "decision", y, start=1)
+        return Forward(output=y, latent=None)
     z_rule = z_data = None
     if spec.coupling == "input_concat_alpha":
         (h,) = latents
@@ -299,7 +344,9 @@ def forward_per_alpha(
     an input ``x``, an encoding that kept only the layer being computed of
     each block; ``decode`` runs on it per strength. Both are ``predict``'s
     own functions, run over ``Arrays``, so the outputs equal those of
-    ``predict`` bit for bit.
+    ``predict`` bit for bit. Under ``scaled_concat`` the encoding holds the
+    first decision layer's products, so a strength costs that layer's blend
+    and the decision layers after it.
 
     Each strength writes into the arrays of the strength before it: read
     (or copy) a strength's arrays before advancing. The latents and the

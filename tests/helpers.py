@@ -16,7 +16,7 @@ import rulemix.pendulum
 from rulemix.autodiff import Node, Tape
 from rulemix.errors import TrainingAborted
 from rulemix.evaluate import SweepRecord, task_metric
-from rulemix.model import ModelSpec, init_params, predict, predict_values
+from rulemix.model import ModelSpec, encoders, init_params, mlp_forward, predict, predict_values
 from rulemix.pendulum import PendulumParams, energy
 from rulemix.rules import PerturbedBatch, perturb_batch, verification_ratio
 
@@ -170,6 +170,19 @@ def direct_sweep(spec, params, x, y, rule, alphas, metric_kind, split="test", pe
             ver = verification_ratio(rule, x, y_hat, y_hat_p, pert.valid)
         records.append(SweepRecord(float(alpha), task_metric(metric_kind, y_hat, y), ver, split))
     return records
+
+
+def concatenated_predict(tape: Tape, spec: ModelSpec, params: dict[str, np.ndarray], x, alpha: float) -> int:
+    """Output node of a ``scaled_concat`` model whose first decision layer is one product over the blended latents.
+
+    The latents are weighted and placed side by side (``scaled_concat``), then
+    the whole decision block runs as one ``dense`` node: the same function as
+    ``predict``, which computes each latent's product with its rows of the
+    weight before the strength enters, rounded the other way.
+    """
+    z_rule, z_data = encoders(tape, spec, params, x)
+    z = tape.scaled_concat(z_rule, alpha, z_data, 1.0 - alpha)
+    return mlp_forward(tape, spec.decision_layers(), params, "decision", z)
 
 
 def full_pass_task_losses(spec, params, x, y, alphas) -> list[float]:

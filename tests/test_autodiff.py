@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import grad_check_fd, tape_sum
-from rulemix.autodiff import Tape, _sigmoid, as_matrix, dense_forward, scaled_concat
+from rulemix.autodiff import Arrays, Tape, _sigmoid, as_matrix, blend, dense_forward, paired_product, scaled_concat
 from rulemix.errors import ShapeError
 from rulemix.model import LayerSpec, mlp_forward
 from rulemix.pendulum import DEFAULT_PARAMS, energy, energy_gradient
@@ -359,6 +359,86 @@ class TestOutputBuffers:
         tape = Tape()
         with pytest.raises(ShapeError, match="scaled_concat"):
             tape.scaled_concat(tape.constant(np.ones((2, 3))), 0.5, tape.constant(np.ones((3, 3))), 0.5)
+
+
+class TestPairedProductBlend:
+    """``blend`` of a ``paired_product``: a dense layer whose input is two latents weighted by two strengths."""
+
+    @staticmethod
+    def inputs(seed, rows=5, k=3, m=4):
+        rng = RNG(seed)
+        return {"z_rule": rng.uniform(-1, 1, (rows, k)), "z_data": rng.uniform(-1, 1, (rows, k)),
+                "w": rng.uniform(-1, 1, (2 * k, m)), "b": rng.uniform(-1, 1, (1, m))}
+
+    @staticmethod
+    def build(tape, ids, alpha, act):
+        products = tape.paired_product(ids["z_rule"], ids["z_data"], ids["w"])
+        return tape.blend(products, alpha, 1.0 - alpha, ids["b"], act)
+
+    @pytest.mark.parametrize("alpha", [-0.2, 0.3, 1.4])
+    @pytest.mark.parametrize("act", ["linear", "relu", "sigmoid"])
+    def test_gradients_agree_with_central_differences(self, act, alpha):
+        # both row halves of the weight, the bias and both latents are parameters here
+        params = self.inputs(50)
+        target = RNG(51).uniform(-1, 1, (5, 4))
+        err = fd_check_primitive(lambda t, ids: t.mse(self.build(t, ids, alpha, act), t.constant(target)), params)
+        assert err < FD_TOL
+        tape = Tape()
+        ids = {name: tape.param(name, value) for name, value in params.items()}
+        grads = tape.backprop(tape.mse(self.build(tape, ids, alpha, act), tape.constant(target)))
+        assert all(np.any(g != 0.0) for g in (grads["w"][:3], grads["w"][3:], *grads.values())), act
+
+    @pytest.mark.parametrize("act", ["linear", "relu", "sigmoid"])
+    def test_equals_the_layer_over_the_scaled_concat_within_a_few_ulps(self, act):
+        p = self.inputs(52)
+        want = dense_forward(scaled_concat(p["z_rule"], 0.35, p["z_data"], 1.0 - 0.35), [(p["w"], p["b"], act)])
+        got = blend(paired_product(p["z_rule"], p["z_data"], p["w"]), 0.35, 1.0 - 0.35, p["b"], act)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_arrays_equal_the_tape_and_write_into_the_previous_arrays(self):
+        p = self.inputs(53)
+        tape = Tape()
+        node = self.build(tape, {name: tape.param(name, value) for name, value in p.items()}, 0.6, "relu")
+        buffers = []
+        outs = []
+        for _ in range(2):
+            ops = Arrays(buffers)
+            outs.append(ops.blend(ops.paired_product(p["z_rule"], p["z_data"], p["w"]), 0.6, 1.0 - 0.6, p["b"], "relu"))
+        assert outs[0] is outs[1]
+        assert outs[1].tobytes() == tape.value(node).tobytes()
+
+    def test_two_passes_sharing_the_weight_accumulate_into_views_of_one_flat_vector(self):
+        # the first gradient to reach the weight and bias is written into the arrays handed in, the second added
+        p = self.inputs(54)
+        target = RNG(55).uniform(-1, 1, (5, 4))
+        grads = []
+        for split in (True, False):
+            flat = np.full(p["w"].size + p["b"].size, 7.0)
+            into = {"w": flat[:p["w"].size].reshape(p["w"].shape), "b": flat[p["w"].size:].reshape(p["b"].shape)}
+            tape = Tape()
+            w, b = tape.param("w", p["w"]), tape.param("b", p["b"])
+            outs = []
+            for first, second in (("z_rule", "z_data"), ("z_data", "z_rule")):
+                za, zb = tape.leaf(p[first]), tape.leaf(p[second])
+                if split:
+                    outs.append(self.build(tape, {"z_rule": za, "z_data": zb, "w": w, "b": b}, 0.4, "sigmoid"))
+                else:
+                    outs.append(tape.dense(tape.scaled_concat(za, 0.4, zb, 1.0 - 0.4), [(w, b, "sigmoid")]))
+            assert tape.backprop(tape.mse(tape.add(*outs), tape.constant(target)), into) is into
+            grads.append(flat)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=1e-12, atol=1e-14)
+
+    def test_shapes_that_do_not_fit_are_refused(self):
+        p = self.inputs(56)
+        with pytest.raises(ShapeError, match="paired_product"):
+            paired_product(p["z_rule"], p["z_data"][:, :2], p["w"])
+        with pytest.raises(ShapeError, match="paired_product"):
+            paired_product(p["z_rule"], p["z_data"][:4], p["w"])
+        products = paired_product(p["z_rule"], p["z_data"], p["w"])
+        with pytest.raises(ShapeError, match="blend"):
+            blend(products, 0.5, 0.5, p["b"][:, :3], "relu")
+        with pytest.raises(ValueError, match="unknown activation"):
+            blend(products, 0.5, 0.5, p["b"], "tanh")
 
 
 class TestGradCheckHarness:

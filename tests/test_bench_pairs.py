@@ -50,6 +50,12 @@ def test_verdict(parent, change, verdict, better):
     assert bench_pairs.verdict(better, 0.25, parent, change) == verdict
 
 
+def stub_run(side: str, values: dict[str, float]) -> dict:
+    """What ``run_once`` returns for one run of ``side`` whose metrics read ``values``."""
+    return {"env": {"side": side}, "info": {"params_sha256": "p", "sweep_csv_sha256": "s"},
+            "result": {"failed": 0, "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}}
+
+
 def test_each_metric_of_a_workload_carries_its_verdict(monkeypatch):
     """``bench_workload`` over stubbed runner lines: one metric gains, one regresses, one holds."""
     values = {
@@ -63,8 +69,7 @@ def test_each_metric_of_a_workload_carries_its_verdict(monkeypatch):
         side = checkout.name
         value = {name: runs[calls[side]] for name, runs in values[side].items()}
         calls[side] += 1
-        return {"env": {"side": side}, "info": {"params_sha256": "p", "sweep_csv_sha256": "s"},
-                "result": {"failed": 0, "metrics": {k: {"value": v, "unit": "s"} for k, v in value.items()}}}
+        return stub_run(side, value)
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs, "git_describe", lambda checkout: checkout.name)
@@ -75,3 +80,28 @@ def test_each_metric_of_a_workload_carries_its_verdict(monkeypatch):
     verdicts = {name: metric["verdict"] for name, metric in out["metrics"].items()}
     assert verdicts == {"sweep_s": "gain", "peak_rss_mb": "regression", "setup_s": "within bound"}
     assert [p["first"] for p in out["metrics"]["sweep_s"]["pairs"]] == ["parent", "change"] * 5
+
+
+def test_a_checkout_outside_git_is_described_as_null_before_the_first_pair(tmp_path, monkeypatch):
+    sides = {side: tmp_path / side for side in ("parent", "change")}
+    for checkout in sides.values():
+        checkout.mkdir()
+    events = []
+    describe = bench_pairs.git_describe
+
+    def spied_describe(checkout):
+        events.append(("describe", checkout.name))
+        return describe(checkout)
+
+    def run_once(checkout, workload, seed, seconds):
+        events.append(("run", checkout.name))
+        return stub_run(checkout.name, {"sweep_s": 1.0})
+
+    monkeypatch.setattr(bench_pairs, "git_describe", spied_describe)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    declared = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    out = bench_pairs.bench_workload(sides, {"sweep_s": declared["sweep_s"]}, "w", [1, 2], 1.0, lambda line: None)
+    assert out["git_describe"] == {"parent": None, "change": None}
+    assert events[:2] == [("describe", "parent"), ("describe", "change")]
+    assert [e for e, _ in events[2:]] == ["run"] * 4
+    json.dumps(out)  # the record is written as it is

@@ -23,7 +23,11 @@ from rulemix.cli import main
 from rulemix.config import config_from_dict
 from rulemix.data import Dataset
 from rulemix.evaluate import sweep_from_csv
-from rulemix.model import predict
+from rulemix.model import couple, encoders, init_params, predict
+
+# sha256 of the latents CSV that ``test_exported_latents_keep_their_bytes`` exports, recorded while the
+# first decision layer was still one product over the blended latents
+EMBEDDINGS_SHA256 = "14ea9764050ed82240fb6814a24b21c26728a4deff67c3835f168070861ca27c"
 
 
 def tiny_pendulum_config(tmp_path, **overrides):
@@ -1218,14 +1222,30 @@ class TestEmbeddingsExport:
         tape = Tape()
         fwd = predict(tape, ck.spec, ck.params, x, 0.3)
         nodes = {"z": fwd.latent}
-        if fwd.z_rule is not None:
-            nodes.update(z_rule=fwd.z_rule, z_data=fwd.z_data)
-        assert (fwd.z_rule is None) == (coupling != "scaled_concat")
+        if coupling == "scaled_concat":  # decoded from the latents' products: the latents are coupled on the tape here
+            assert fwd.latent is fwd.z_rule is fwd.z_data is None
+            z_rule, z_data = encoders(tape, ck.spec, ck.params, x)
+            nodes = {"z": couple(tape, z_rule, z_data, 0.3, coupling), "z_rule": z_rule, "z_data": z_data}
         header, *rows = emb.read_text().splitlines()
         assert header.split(",") == [f"{k}{j}" for k, n in nodes.items() for j in range(tape.value(n).shape[1])]
         want = np.concatenate([tape.value(n) for n in nodes.values()], axis=1)
         got = np.array([[float(v) for v in row.split(",")] for row in rows])
         assert got.tobytes() == want.tobytes()
+
+    def test_exported_latents_keep_their_bytes(self, trained, tmp_path):
+        # parameters drawn from a fixed seed, so the pin does not move when training rounds differently
+        ck = tmp_path / "init.npz"
+        with np.load(trained[0], allow_pickle=False) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        spec = load_checkpoint(trained[0]).spec
+        arrays.update({f"param:{k}": v for k, v in init_params(spec, np.random.default_rng(11)).items()})
+        with open(ck, "wb") as fh:
+            np.savez(fh, **arrays)
+        emb = tmp_path / "latents.csv"
+        argv = ["sweep", "--checkpoint", str(ck), "--out", str(tmp_path / "sweep.csv"),
+                "--embeddings-out", str(emb), "--embeddings-alpha", "0.3"]
+        assert main(argv) == 0
+        assert hashlib.sha256(emb.read_bytes()).hexdigest() == EMBEDDINGS_SHA256
 
 
 class TestAblate:
@@ -1609,15 +1629,16 @@ def regime_data(tmp_path) -> dict[str, dict]:
 
 
 # (exit code, the parameters left at their initial values, params_sha256 of the checkpoint), recorded while
-# every batch of a fit recorded its own tape. At beta 1e-300 every strength is 0 or 1, and at 1 the
+# every batch of a fit recorded its own tape; the digests re-recorded when the strength came to enter the
+# first decision layer after its two products. At beta 1e-300 every strength is 0 or 1, and at 1 the
 # hinge's gradient reaches the rule encoder from a row and its copy with opposite signs: their bias
 # terms cancel exactly, so the rule biases never move while its weights do.
 REGIME_OUTCOMES = {
-    "constant target": (0, [], "678ed193c7e798a6569662ce80306f6262286c38beee0276e2c1732514a02d02"),
-    "zero-variance rule feature": (0, [], "61056e9bd35008eebaa345f8c9e335e8645ddff7402e69c706ce2e13f6df45bc"),
-    "batch_size above the train rows": (0, [], "3d63b597859e9bc15cfb0afe4bebbb5b58fbef5722220518de5675595ba916dc"),
-    "beta 1e-300": (0, ["rule.0.b", "rule.1.b"], "2e8b973adfad8c622f846954324523ca18c5aa7405c0f9d06b805f3ad2e3a25c"),
-    "beta 1e300": (0, [], "a16a70592e6a76622c8fc969c40c79f00672eda821f7c22c4071ca2ba19e52bd"),
+    "constant target": (0, [], "6f8f47c899539c3a412ed2333f84c5d40b7642ac865055e4331efe671884c04c"),
+    "zero-variance rule feature": (0, [], "ac3913351511b86ad869981a3868513054a6fceeb275b58c287585bdd9e146aa"),
+    "batch_size above the train rows": (0, [], "0d07d97c07d77a038532d21d24734c93bcf2a3d782274b5302f9052c60817cf6"),
+    "beta 1e-300": (0, ["rule.0.b", "rule.1.b"], "aa09561ba600839826cebdd33e8d7cb5ee0b8f00cccf77c70e21670cd276ac12"),
+    "beta 1e300": (0, [], "7b9d9b41f6545471cd97aa60344b31e9f3cc56fc54cb0d46cc13f129e3f0c9f8"),
 }
 
 

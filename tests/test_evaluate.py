@@ -287,7 +287,7 @@ class TestSweepGates:
             got = alpha_sweep(spec, params, x, y, rule, alpha_grid(), metric)
             assert got == direct_sweep(spec, params, x, y, rule, alpha_grid(), metric)
 
-        # 21 strengths x 50 rows x the decision block's weights: the sweep's multiply-adds
+        # 21 strengths x 50 rows x one decode's multiply-adds: the sweep's multiply-adds
         run.macs = len(alpha_grid()) * x.shape[0] * rulemix.evaluate.decode_macs(spec)
         return run
 
@@ -319,7 +319,9 @@ class TestSweepGates:
     @pytest.mark.parametrize("coupling", COUPLINGS)
     def test_decode_work_counts_the_decision_block_and_an_alpha_fed_encoder(self, coupling):
         spec = ModelSpec(input_dim=4, output_dim=2, coupling=coupling, encoder_units=(8, 5), decision_units=(7,))
-        decision = (5 if coupling in ("single", "add") else 10) * 7 + 7 * 2
+        # under scaled_concat the first layer's products are encoded once: its blend costs one per unit
+        first = {"scaled_concat": 7, "single": 5 * 7, "add": 5 * 7}.get(coupling, 10 * 7)
+        decision = first + 7 * 2
         # the width-matched encoder reads h and alpha: 5 inputs, then widths (u, 10)
         (u, _) = width_matched_units(4, (8, 5)) if coupling == "input_concat_alpha" else (0, 0)
         encoder = 5 * u + u * 10 if coupling == "input_concat_alpha" else 0
@@ -369,9 +371,11 @@ class TestSweepBuffers:
         output, latent = first.output, first.latent
         second = next(passes)
         assert np.shares_memory(second.output, output)
-        # under single the latent is the encoder's output, computed once for every strength
-        assert np.shares_memory(second.latent, latent)
-        assert (second.z_rule is None) == (coupling not in ("scaled_concat", "concat", "add"))
+        # under single the latent is the encoder's output, computed once for every strength;
+        # scaled_concat decodes from the latents' products and makes no latent
+        assert (latent is None) == (coupling == "scaled_concat")
+        assert latent is None or np.shares_memory(second.latent, latent)
+        assert (second.z_rule is None) == (coupling not in ("concat", "add"))
         if second.z_rule is not None:  # the encoding is computed once
             assert second.z_rule is first.z_rule and second.z_data is first.z_data
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import tiny_model
+from helpers import concatenated_predict, tiny_model
 from rulemix.autodiff import Tape
 from rulemix.errors import ShapeError
 from rulemix.model import (
@@ -235,3 +235,37 @@ class TestSpecLayout:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="data.1.b: non-finite"):
             check_params(spec, {**params, "data.1.b": bad})
+
+
+# scaled_concat models that the first decision layer's split must leave the same function
+ORACLE_SPECS = {
+    "no hidden decision layer, sigmoid output": ModelSpec(
+        input_dim=3, output_dim=1, task="classification", encoder_units=(6, 4), decision_units=()),
+    "one hidden decision layer": ModelSpec(
+        input_dim=4, output_dim=4, shared_units=(5,), encoder_units=(8, 6), decision_units=(8,)),
+    "two hidden decision layers": ModelSpec(
+        input_dim=4, output_dim=2, encoder_units=(8, 6), decision_units=(7, 5)),
+}
+
+
+@pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.35, 1.0, 1.4])
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_outputs_and_gradients_match_the_concatenated_product_within_a_few_ulps(name, alpha):
+    spec = ORACLE_SPECS[name]
+    rng = np.random.default_rng(17)
+    params = init_params(spec, rng)
+    x = rng.uniform(-1, 1, (9, spec.input_dim))
+    y = rng.uniform(0, 1, (9, spec.output_dim))
+    runs = []
+    for build in (lambda t: predict(t, spec, params, x, alpha).output,
+                  lambda t: concatenated_predict(t, spec, params, x, alpha)):
+        tape = Tape()
+        out = build(tape)
+        loss = tape.bce(out, tape.constant(y)) if spec.task == "classification" else tape.mse(out, tape.constant(y))
+        runs.append((tape.value(out), tape.backprop(loss)))
+    (got, got_grads), (want, want_grads) = runs
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    np.testing.assert_array_equal(got, predict_values(spec, params, x, alpha))
+    assert got_grads.keys() == want_grads.keys()
+    for name in want_grads:
+        np.testing.assert_allclose(got_grads[name], want_grads[name], rtol=1e-12, atol=1e-14, err_msg=name)

@@ -22,6 +22,8 @@ whether they agree.
 Next to each side's env line it records ``git describe --always --dirty``
 of that checkout, since the env line's ``git_sha`` is the checkout's HEAD
 and reads the same on both sides when the change is an uncommitted tree.
+It is read before the first pair runs, and is null for a checkout that is
+not a git repository (e.g. a ``git archive`` export).
 """
 
 from __future__ import annotations
@@ -59,12 +61,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"env": env, "info": info, "result": result}
 
 
-def git_describe(checkout: Path) -> str:
-    """``git describe --always --dirty`` of the checkout: its commit, and whether its tree differs."""
+def git_describe(checkout: Path) -> str | None:
+    """``git describe --always --dirty`` of the checkout: its commit, and whether its tree differs.
+
+    None when git cannot describe it, as for a directory outside any git repository.
+    """
     proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: git describe exited {proc.returncode}:\n{proc.stderr}")
-    return proc.stdout.strip()
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def summary(values: list[float]) -> dict:
@@ -118,6 +121,7 @@ def bench_workload(
     sides: dict[str, Path], end_to_end: dict[str, dict], workload: str, seeds: list[int], seconds: float, log,
 ) -> dict:
     """``end_to_end`` maps each end-to-end metric to its ``BENCHMARK.json`` record: "better" and "bound"."""
+    described = {s: git_describe(sides[s]) for s in sides}  # before the pairs: the checkouts may change later
     pairs = []
     for i, seed in enumerate(seeds):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -153,8 +157,7 @@ def bench_workload(
         row["failed"] = {s: p[s]["result"]["failed"] for s in sides}
         digests.append(row)
     return {"seconds": seconds, "n_pairs": len(pairs), "metrics": metrics, "digests": digests,
-            "env": {s: pairs[0][s]["env"] for s in sides},
-            "git_describe": {s: git_describe(sides[s]) for s in sides}}
+            "env": {s: pairs[0][s]["env"] for s in sides}, "git_describe": described}
 
 
 def main(argv=None) -> int:
