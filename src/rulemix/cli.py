@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import signal
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from .config import TASKS, ExperimentConfig, checked, config_from_dict, load_con
 from .data import Dataset, SweepCache, check_paths, staged_writes, write_dataset_csv, write_table
 from .errors import CheckpointError, ConfigError, GenerationError, SimulationBlowup, TrainingAborted, WorkerDied
 from .evaluate import EXTENDED_ALPHA_RANGE, alpha_grid, alpha_sweep, select_alpha, sweep_from_csv, sweep_to_csv
-from .model import couple, encode, encoders, forward_per_alpha
+from .model import couple, encoders
 from .pendulum import PENDULUM_CSV_COLUMNS
 from .train import fit
 
@@ -148,13 +150,10 @@ def cmd_sweep(args) -> int:
         )
     if args.embeddings_out:  # computed before anything is written
         x, _ = rows[splits[-1]]
-        encoded = encode(Arrays(), ck.spec, ck.params, x)
-        fwd = next(forward_per_alpha(ck.spec, ck.params, encoded, [args.embeddings_alpha]))
-        z, z_rule, z_data = fwd.latent, fwd.z_rule, fwd.z_data
-        if z is None:  # scaled_concat decodes from the latents' products: the latents are encoded and blended here
-            z_rule, z_data = encoders(Arrays(), ck.spec, ck.params, x)
-            z = couple(Arrays(), z_rule, z_data, args.embeddings_alpha, "scaled_concat")
-        latents = {key: v for key, v in {"z": z, "z_rule": z_rule, "z_data": z_data}.items() if v is not None}
+        encoded = encoders(Arrays(), ck.spec, ck.params, x)
+        latents = {"z": couple(Arrays(), ck.spec, ck.params, encoded, args.embeddings_alpha)}
+        if len(encoded) == 2:  # two passages: their latents too
+            latents.update(z_rule=encoded[0], z_data=encoded[1])
         names = [f"{key}{j}" for key, mat in latents.items() for j in range(mat.shape[1])]
     with staged_writes() as stage:  # either every output is written or none is
         sweep_to_csv(records, stage(out))
@@ -316,14 +315,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    terminated = []
+
+    def terminate(signum, frame):  # SIGTERM takes Ctrl-C's path, so writes are undone and workers reaped
+        terminated.append(signum)
+        raise KeyboardInterrupt
+
+    main_thread = threading.current_thread() is threading.main_thread()  # the one thread that may set a handler
+    previous = signal.signal(signal.SIGTERM, terminate) if main_thread else None  # put back on return
     try:
         return args.func(args)
     except _HANDLED as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except KeyboardInterrupt:  # Ctrl-C: staged writes are already undone
-        print("error: interrupted", file=sys.stderr)
-        return 130  # the shell's code for a process ended by SIGINT
+    except KeyboardInterrupt:  # Ctrl-C or SIGTERM: staged writes are already undone
+        print(f"error: {'terminated' if terminated else 'interrupted'}", file=sys.stderr)
+        return 143 if terminated else 130  # the shell's codes for a process ended by SIGTERM and SIGINT
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -139,8 +139,8 @@ def alpha_sweep(
         perturbed = itertools.repeat(None) if pert is None else forward_per_alpha(spec, params, latents_p, share)
         rows = []
         for alpha, out, out_p in zip(share, forward_per_alpha(spec, params, latents, share), perturbed):
-            ver = verification_ratio(rule, inputs, out.output, None if out_p is None else out_p.output, valid)
-            rows.append((float(alpha), task_metric(metric_kind, out.output, y), ver))
+            ver = verification_ratio(rule, inputs, out, out_p, valid)
+            rows.append((float(alpha), task_metric(metric_kind, out, y), ver))
         return rows
 
     n = len(alphas)

@@ -1,22 +1,24 @@
 """Two-passage architecture: rule and data encoders blended by a strength knob.
 
-The forward pass is shared-layer -> (rule encoder, data encoder) -> couple ->
-decision block. Under the default ``scaled_concat`` coupling the latent
-blocks are weighted by the rule strength ``alpha`` before concatenation, so
-alpha=0 routes exclusively through the data passage and alpha=1 through the
-rule passage. As the first decision layer is linear before its activation,
-it is computed as ``alpha * (z_rule @ W_rule) + (1 - alpha) * (z_data @
-W_data) + b``, with ``W_rule`` and ``W_data`` the two row halves of its
-weight: the products do not read alpha, so ``encode`` computes them.
-``single`` builds one encoder and ignores alpha (the baseline
-architecture); ``input_concat_alpha`` feeds alpha as an extra input feature
-to one width-matched encoder instead of using two passages.
+The forward pass is shared layer -> (rule encoder, data encoder) ->
+decision block. Under the default ``scaled_concat`` coupling the strength
+``alpha`` weights the two latents, so alpha=0 routes exclusively through
+the data passage and alpha=1 through the rule passage. As the first
+decision layer is linear before its activation, it is computed as ``alpha *
+(z_rule @ W_rule) + (1 - alpha) * (z_data @ W_data) + b``, with ``W_rule``
+and ``W_data`` the two row halves of its weight: the products do not read
+alpha, so ``encode`` computes them. Under the other couplings ``couple``
+builds the latent the decision block reads: ``concat`` and ``add`` merge
+the two latents, ``single`` builds one encoder and ignores alpha (the
+baseline architecture), and ``input_concat_alpha`` feeds alpha as an extra
+input feature to one width-matched encoder instead of using two passages.
 
 The network is written once, in ``encode`` (every layer that does not read
-alpha) and ``decode`` (the rest), against the forward methods shared by
-``autodiff.Tape`` and ``autodiff.Arrays``. ``predict`` runs both on a tape
-for training; over plain arrays, ``encode`` runs once per input and
-``forward_per_alpha`` runs ``decode`` on its latents once per strength.
+alpha) and ``decode`` (the rest, ending at the output), against the forward
+methods shared by ``autodiff.Tape`` and ``autodiff.Arrays``. ``predict``
+runs both on a tape for training; over plain arrays, ``encode`` runs once
+per input and ``forward_per_alpha`` runs ``decode`` on its latents once per
+strength.
 """
 
 from __future__ import annotations
@@ -210,42 +212,6 @@ def mlp_forward(
     return ops.dense(x, dense, block)
 
 
-def couple(ops: Tape | Arrays, z_rule: int | np.ndarray, z_data: int | np.ndarray, alpha: float | Coefficient,
-           mode: str) -> int | np.ndarray:
-    """Merge the two latent blocks; only scaled_concat consumes alpha.
-
-    ``decode`` couples under ``concat`` and ``add``. Under ``scaled_concat``
-    it blends the latents' products instead, so this merge only serves a
-    caller that wants the blended latent itself (the embeddings export).
-    """
-    zr, zd = ops.value(z_rule), ops.value(z_data)
-    if zr.shape != zd.shape:
-        raise ShapeError(f"couple: latent shapes differ, {zr.shape} vs {zd.shape}")
-    if mode == "scaled_concat":
-        return ops.scaled_concat(z_rule, alpha, z_data, 1.0 - alpha)
-    if mode == "concat":
-        return ops.concat(z_rule, z_data)
-    if mode == "add":
-        return ops.add(z_rule, z_data)
-    raise ValueError(f"unknown coupling {mode!r}")
-
-
-@dataclass
-class Forward:
-    """One prediction pass: node ids on a ``Tape``, or the arrays themselves from ``Arrays``.
-
-    ``latent`` is what the decision block reads, and ``z_rule`` and ``z_data``
-    the two latents under ``concat`` and ``add``. Under ``scaled_concat`` all
-    three are None: the first decision layer reads the latents' products
-    (see ``encode``), and ``encoders`` gives the latents themselves.
-    """
-
-    output: int | np.ndarray
-    latent: int | np.ndarray | None
-    z_rule: int | np.ndarray | None = None
-    z_data: int | np.ndarray | None = None
-
-
 def _strength(alpha: float | Coefficient) -> float | Coefficient:
     """``alpha`` as a float, or as it is if it is a ``Coefficient`` a recorded step refills; finite either way."""
     value = float(alpha)
@@ -285,40 +251,54 @@ def encode(ops: Tape | Arrays, spec: ModelSpec, params: dict[str, np.ndarray], x
     return (ops.paired_product(*latents, ops.param("decision.0.w", params["decision.0.w"])),)
 
 
+def couple(ops: Tape | Arrays, spec: ModelSpec, params: dict[str, np.ndarray], latents: tuple,
+           alpha: float | Coefficient) -> int | np.ndarray:
+    """What the decision block reads, built from what ``encoders`` returned, under every coupling.
+
+    The alpha-fed encoder under ``input_concat_alpha``, the one latent under
+    ``single``, and the merge of the two latents otherwise. ``decode`` calls
+    this under every coupling but ``scaled_concat``, whose first decision
+    layer blends the latents' products instead.
+    """
+    if spec.coupling == "input_concat_alpha":
+        (h,) = latents
+        alpha_col = ops.column(ops.value(h).shape[0], alpha)
+        return mlp_forward(ops, spec.blocks()["encoder"], params, "encoder", ops.concat(h, alpha_col))
+    if spec.coupling == "single":
+        (z,) = latents
+        return z
+    z_rule, z_data = latents
+    zr, zd = ops.value(z_rule), ops.value(z_data)
+    if zr.shape != zd.shape:
+        raise ShapeError(f"couple: latent shapes differ, {zr.shape} vs {zd.shape}")
+    if spec.coupling == "scaled_concat":
+        return ops.scaled_concat(z_rule, alpha, z_data, 1.0 - alpha)
+    if spec.coupling == "concat":
+        return ops.concat(z_rule, z_data)
+    return ops.add(z_rule, z_data)
+
+
 def decode(ops: Tape | Arrays, spec: ModelSpec, params: dict[str, np.ndarray], latents: tuple,
-           alpha: float | Coefficient) -> Forward:
-    """The layers after ``encode``: the alpha-fed encoder or the coupling, then the decision block.
+           alpha: float | Coefficient) -> int | np.ndarray:
+    """The layers after ``encode``, ending at the output: ``couple``, then the decision block.
 
     Under ``scaled_concat`` the strength enters after the products: the first
     decision layer is ``blend(products, alpha, 1 - alpha, decision.0.b)``,
-    which equals that layer over ``scaled_concat(z_rule, alpha, z_data, 1 -
-    alpha)`` up to rounding, and costs a few passes over its output rather
-    than a matrix product.
+    which equals that layer over ``couple``'s ``scaled_concat(z_rule, alpha,
+    z_data, 1 - alpha)`` up to rounding, and costs a few passes over its
+    output rather than a matrix product.
 
     On a tape, ``alpha`` may be a ``Coefficient``: every op that reads it
     reads it anew when the tape replays.
     """
     alpha = _strength(alpha)
-    if spec.coupling == "scaled_concat":
-        (products,) = latents
-        first, *rest = spec.decision_layers()
-        bias = ops.param("decision.0.b", params["decision.0.b"])
-        y = ops.blend(products, alpha, 1.0 - alpha, bias, first.activation)
-        if rest:
-            y = mlp_forward(ops, rest, params, "decision", y, start=1)
-        return Forward(output=y, latent=None)
-    z_rule = z_data = None
-    if spec.coupling == "input_concat_alpha":
-        (h,) = latents
-        alpha_col = ops.column(ops.value(h).shape[0], alpha)
-        z = mlp_forward(ops, spec.blocks()["encoder"], params, "encoder", ops.concat(h, alpha_col))
-    elif spec.coupling == "single":
-        (z,) = latents
-    else:
-        z_rule, z_data = latents
-        z = couple(ops, z_rule, z_data, alpha, spec.coupling)
-    y = mlp_forward(ops, spec.decision_layers(), params, "decision", z)
-    return Forward(output=y, latent=z, z_rule=z_rule, z_data=z_data)
+    if spec.coupling != "scaled_concat":
+        return mlp_forward(ops, spec.decision_layers(), params, "decision", couple(ops, spec, params, latents, alpha))
+    (products,) = latents
+    first, *rest = spec.decision_layers()
+    bias = ops.param("decision.0.b", params["decision.0.b"])
+    y = ops.blend(products, alpha, 1.0 - alpha, bias, first.activation)
+    return mlp_forward(ops, rest, params, "decision", y, start=1) if rest else y
 
 
 def predict(
@@ -327,8 +307,8 @@ def predict(
     params: dict[str, np.ndarray],
     x: np.ndarray | int,
     alpha: float | Coefficient,
-) -> Forward:
-    """Full forward pass recorded on the tape; returns output/latent node ids."""
+) -> int:
+    """Full forward pass recorded on the tape; returns the output's node id."""
     return decode(tape, spec, params, encode(tape, spec, params, x), alpha)
 
 
@@ -337,8 +317,8 @@ def forward_per_alpha(
     params: dict[str, np.ndarray],
     latents: tuple,
     alphas: Iterable[float],
-) -> Iterator[Forward]:
-    """Inference passes at each strength in turn, with no tape.
+) -> Iterator[np.ndarray]:
+    """The output at each strength in turn, with no tape.
 
     ``latents`` is what ``encode(Arrays(), spec, params, x)`` returned for
     an input ``x``, an encoding that kept only the layer being computed of
@@ -349,7 +329,7 @@ def forward_per_alpha(
     and the decision layers after it.
 
     Each strength writes into the arrays of the strength before it: read
-    (or copy) a strength's arrays before advancing. The latents and the
+    (or copy) a strength's output before advancing. The latents and the
     parameters are never written.
     """
     buffers: list[list[np.ndarray]] = []
@@ -365,4 +345,4 @@ def predict_values(
 ) -> np.ndarray:
     """Inference-only forward pass; the model is never mutated."""
     tape = Tape()
-    return tape.value(predict(tape, spec, params, x, alpha).output)
+    return tape.value(predict(tape, spec, params, x, alpha))

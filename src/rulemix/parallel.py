@@ -24,11 +24,14 @@ killed first if the caller itself fails.
 
 Ctrl-C in a terminal sends SIGINT to every process of the foreground
 group, children included. A child ignores it, so only the caller raises
-``KeyboardInterrupt``; it then kills and reaps its children. SIGINT is
-blocked from before each fork until the child ignores it and the caller
-has registered the child, and while the caller reaps: an interrupt in
-those windows waits, rather than reaching a child's at-fork hooks or
-cutting the reaping short.
+``KeyboardInterrupt``; it then kills and reaps its children. A child
+restores SIGTERM's default action, so one killed on its own still reads as
+``WorkerDied``, while a caller whose SIGTERM handler raises (as
+``cli.main`` installs) kills and reaps its children as on Ctrl-C. SIGINT
+and SIGTERM are blocked from before each fork until the child has set its
+handlers and the caller has registered the child, and while the caller
+reaps: a signal in those windows waits, rather than reaching a child's
+at-fork hooks or cutting the reaping short.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ import threading
 from typing import Callable, Sequence
 
 from .errors import WorkerDied
+
+_HELD = {signal.SIGINT, signal.SIGTERM}  # blocked across each fork and while reaping
 
 
 def os_threads() -> int | None:
@@ -80,10 +85,12 @@ def _run(fn: Callable, tasks: Sequence[tuple]) -> tuple[list, BaseException | No
 def _child(fn: Callable, share: Sequence[tuple], read: int, write: int, mask: set) -> None:
     """Ignore SIGINT, run ``share``, send its outcome through ``write`` and exit, whatever happens.
 
-    ``mask`` is the signal mask to restore, once SIGINT is ignored; ``read`` is the caller's end of the pipe.
+    ``mask`` is the signal mask to restore, once SIGINT is ignored and SIGTERM
+    has its default action; ``read`` is the caller's end of the pipe.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         os.close(read)
         results, exc = _run(fn, share)
@@ -117,7 +124,7 @@ def forked_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
     try:
         for share in shares[:-1]:
             read, write = os.pipe()
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD)
             try:
                 pid = os.fork()
                 if pid == 0:
@@ -129,11 +136,11 @@ def forked_map(fn: Callable, tasks: Sequence[tuple], workers: int) -> list:
                 raise
             finally:  # the child never gets here: it exits in _child
                 os.close(write)
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # an interrupt held back raises now
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a signal held back is handled now
         own = _run(fn, shares[-1])
         outcomes = [_receive(pid, unread.pop(pid)) for pid in children] + [own]
     finally:
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD)
         try:
             for pid in children:
                 if pid in unread:  # the caller failed before reading this child, so it need not finish

@@ -145,7 +145,7 @@ def _task_loss(spec: ModelSpec, y_hat: np.ndarray, y: np.ndarray) -> float:
 
 def _output(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray, alpha: float) -> np.ndarray:
     """The model's output at one strength, from the inference path."""
-    return next(forward_per_alpha(spec, params, encode(Arrays(), spec, params, x), (alpha,))).output
+    return next(forward_per_alpha(spec, params, encode(Arrays(), spec, params, x), (alpha,)))
 
 
 def _mode(name: str, rule: RuleSpec | None, has_scale: bool = True) -> Mode:
@@ -269,14 +269,14 @@ class _Step:
     def record(self, rng: np.random.Generator | None) -> None:
         spec, rule, params = self.spec, self.rule, self.adam.params
         tape = self.tape = Tape()
-        fwd = predict(tape, spec, params, tape.leaf(self.x), self.alpha)
+        out = predict(tape, spec, params, tape.leaf(self.x), self.alpha)
         if rule is not None and not rule.needs_perturbation:  # on the tape in every mode, for the report
-            self.rule_node = rule.loss_node(tape, self.inputs, fwd.output)
+            self.rule_node = rule.loss_node(tape, self.inputs, out)
         elif self.pairs:
             self._perturb(rng)
-            fwd_p = predict(tape, spec, params, tape.leaf(self.x_p), self.alpha)
-            self.rule_node = rule.loss_node(tape, self.inputs, fwd.output, fwd_p.output, self.valid)
-        self.task_node = _task_loss_node(tape, spec, fwd.output, tape.leaf(self.y))
+            out_p = predict(tape, spec, params, tape.leaf(self.x_p), self.alpha)
+            self.rule_node = rule.loss_node(tape, self.inputs, out, out_p, self.valid)
+        self.task_node = _task_loss_node(tape, spec, out, tape.leaf(self.y))
         self.total_node = self.mode.total(tape, self.task_node, self.rule_node, self.alpha, self.scale,
                                           self.rule_weight)
 
@@ -333,9 +333,9 @@ def evaluate_task_loss(
     y: np.ndarray,
     alphas: tuple[float, ...],
 ) -> list[float]:
-    """Task loss at each strength; the input is encoded once where the coupling allows."""
+    """Task loss at each strength; the input is encoded once, then decoded per strength."""
     passes = forward_per_alpha(spec, params, encode(Arrays(), spec, params, x), alphas)
-    return [_task_loss(spec, out.output, y) for out in passes]
+    return [_task_loss(spec, out, y) for out in passes]
 
 
 def evaluate_rule_loss(

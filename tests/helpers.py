@@ -190,7 +190,7 @@ def full_pass_task_losses(spec, params, x, y, alphas) -> list[float]:
     losses = []
     for alpha in alphas:
         tape = Tape()
-        out = predict(tape, spec, params, x, alpha).output
+        out = predict(tape, spec, params, x, alpha)
         target = tape.constant(y, "target")
         node = tape.bce(out, target) if spec.task == "classification" else tape.mse(out, target)
         losses.append(tape.scalar(node))

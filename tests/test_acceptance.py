@@ -139,7 +139,7 @@ def test_criterion_01_gradients_match_finite_differences():
 
         def f_mse(p, spec=spec, x=x, y=y, alpha=alpha):
             tape = Tape()
-            out = predict(tape, spec, p, x, alpha).output
+            out = predict(tape, spec, p, x, alpha)
             loss = tape.mse(out, tape.constant(y))
             return tape.scalar(loss), tape.backprop(loss)
 
@@ -154,7 +154,7 @@ def test_criterion_01_gradients_match_finite_differences():
 
         def f_bce(p, spec=spec, x=x, y=y, alpha=alpha):
             tape = Tape()
-            out = predict(tape, spec, p, x, alpha).output
+            out = predict(tape, spec, p, x, alpha)
             loss = tape.bce(out, tape.constant(y))
             return tape.scalar(loss), tape.backprop(loss)
 
@@ -168,10 +168,10 @@ def test_criterion_01_gradients_match_finite_differences():
 
         def f_energy(p, spec=spec, x=x, alpha=alpha):
             tape = Tape()
-            fwd = predict(tape, spec, p, x, alpha)
+            out = predict(tape, spec, p, x, alpha)
             from rulemix.rules import energy_rule_node
 
-            loss = energy_rule_node(tape, DESK_RULE, x, fwd.output)
+            loss = energy_rule_node(tape, DESK_RULE, x, out)
             return tape.scalar(loss), tape.backprop(loss)
 
         err, n, s = kink_aware_grad_check(f_energy, params)
@@ -186,11 +186,11 @@ def test_criterion_01_gradients_match_finite_differences():
 
         def f_mono(p, spec=spec, x=x, rule=rule, pert=pert, alpha=alpha):
             tape = Tape()
-            fwd = predict(tape, spec, p, x, alpha)
-            fwd_p = predict(tape, spec, p, pert.x_p, alpha)
+            out = predict(tape, spec, p, x, alpha)
+            out_p = predict(tape, spec, p, pert.x_p, alpha)
             from rulemix.rules import monotonic_rule_node
 
-            loss = monotonic_rule_node(tape, rule, fwd.output, fwd_p.output, pert.valid)
+            loss = monotonic_rule_node(tape, rule, out, out_p, pert.valid)
             return tape.scalar(loss), tape.backprop(loss)
 
         err, n, s = kink_aware_grad_check(f_mono, params)
@@ -240,8 +240,8 @@ def test_criterion_03_gating_decouples_passages():
         y = rng.uniform(-1, 1, (16, 4))
         for alpha, frozen, active in ((0.0, "rule.", "data."), (1.0, "data.", "rule.")):
             tape = Tape()
-            fwd = predict(tape, spec, params, x, alpha)
-            grads = tape.backprop(tape.mse(fwd.output, tape.constant(y)))
+            out = predict(tape, spec, params, x, alpha)
+            grads = tape.backprop(tape.mse(out, tape.constant(y)))
             for name, g in grads.items():
                 if name.startswith(frozen):
                     assert np.all(g == 0.0), f"{name} has nonzero gradient at alpha={alpha}"

@@ -7,6 +7,7 @@ import json
 import math
 import shutil
 import tempfile
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,22 @@ from rulemix.cli import main
 from rulemix.config import config_from_dict
 from rulemix.data import Dataset
 from rulemix.evaluate import sweep_from_csv
-from rulemix.model import couple, encoders, init_params, predict
+from rulemix.model import COUPLINGS, couple, encoders, init_params
 
-# sha256 of the latents CSV that ``test_exported_latents_keep_their_bytes`` exports, recorded while the
-# first decision layer was still one product over the blended latents
-EMBEDDINGS_SHA256 = "14ea9764050ed82240fb6814a24b21c26728a4deff67c3835f168070861ca27c"
+# sha256 of the latents CSV that ``test_exported_latents_keep_their_bytes`` exports, by coupling and
+# --embeddings-alpha; recorded while the export still read the latents from the decode of one strength
+EMBEDDINGS_SHA256 = {
+    ("scaled_concat", "0.3"): "14ea9764050ed82240fb6814a24b21c26728a4deff67c3835f168070861ca27c",
+    ("scaled_concat", "-0.2"): "0f9b107258f3d2773770243f89db7acc6bd4531fe4ab25019c6f5d70eef6ae46",
+    ("concat", "0.3"): "bba5ce1826a8cd0e025854dd48aa30895e590185d785777c301195386f0b5e26",
+    ("concat", "-0.2"): "bba5ce1826a8cd0e025854dd48aa30895e590185d785777c301195386f0b5e26",
+    ("add", "0.3"): "6e890778b7e8b555a237d1b6584e02616688af1a6ac72ad2a4ab513056641e85",
+    ("add", "-0.2"): "6e890778b7e8b555a237d1b6584e02616688af1a6ac72ad2a4ab513056641e85",
+    ("input_concat_alpha", "0.3"): "5f6a17061b80646290a6f9f9eb379e9674519b0fca34abeab937aab4fed16f52",
+    ("input_concat_alpha", "-0.2"): "69984d4804b91d297bb497be8f981ed67e5b8025b774c824ebbff740afe0e007",
+    ("single", "0.3"): "2c36848908686c54a6c495df4f2c19733758fa0d5243c33cbdfade30940a75e5",
+    ("single", "-0.2"): "2c36848908686c54a6c495df4f2c19733758fa0d5243c33cbdfade30940a75e5",
+}
 
 
 def tiny_pendulum_config(tmp_path, **overrides):
@@ -203,6 +215,37 @@ class TestGenData:
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data.csv")]) == 130
         assert capsys.readouterr().err.strip().splitlines() == ["error: interrupted"]
         assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]  # no target, no .tmp
+
+    def test_main_handles_sigterm_while_it_runs_in_the_main_thread_and_then_puts_the_old_handler_back(
+        self, tmp_path, monkeypatch
+    ):
+        import signal
+        import threading
+
+        during, codes = [], []  # the SIGTERM handler in force while a command writes; the exit codes
+
+        def writing(path, dataset, columns):
+            during.append(signal.getsignal(signal.SIGTERM))
+
+        def gen_data(out):
+            codes.append(main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / out)]))
+
+        def own(signum, frame):
+            pass
+
+        monkeypatch.setattr("rulemix.cli.write_dataset_csv", writing)
+        cfg = tiny_pendulum_config(tmp_path)
+        previous = signal.signal(signal.SIGTERM, own)
+        try:
+            gen_data("a.csv")
+            assert signal.getsignal(signal.SIGTERM) is own
+            thread = threading.Thread(target=gen_data, args=("b.csv",))  # only the main thread may set a handler
+            thread.start()
+            thread.join()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert codes == [0, 0]
+        assert during[0] is not own and during[1] is own
 
 
 class TestTrainSweepSelect:
@@ -1209,7 +1252,7 @@ class TestLegacyMode:
 
 
 class TestEmbeddingsExport:
-    @pytest.mark.parametrize("coupling", ["scaled_concat", "input_concat_alpha", "single"])
+    @pytest.mark.parametrize("coupling", COUPLINGS)
     def test_exported_latents_equal_those_of_a_predict_tape(self, tmp_path, coupling):
         cfg = tiny_pendulum_config(tmp_path, model={"coupling": coupling})
         assert main(["train", "--config", str(cfg)]) == 0
@@ -1220,32 +1263,37 @@ class TestEmbeddingsExport:
         ck = load_checkpoint(ck_path)
         x, _ = config_from_dict(ck.config).build_dataset().subset("test")
         tape = Tape()
-        fwd = predict(tape, ck.spec, ck.params, x, 0.3)
-        nodes = {"z": fwd.latent}
-        if coupling == "scaled_concat":  # decoded from the latents' products: the latents are coupled on the tape here
-            assert fwd.latent is fwd.z_rule is fwd.z_data is None
-            z_rule, z_data = encoders(tape, ck.spec, ck.params, x)
-            nodes = {"z": couple(tape, z_rule, z_data, 0.3, coupling), "z_rule": z_rule, "z_data": z_data}
+        encoded = encoders(tape, ck.spec, ck.params, x)
+        nodes = {"z": couple(tape, ck.spec, ck.params, encoded, 0.3)}
+        if coupling in ("scaled_concat", "concat", "add"):  # two passages: their latents follow
+            nodes.update(z_rule=encoded[0], z_data=encoded[1])
         header, *rows = emb.read_text().splitlines()
         assert header.split(",") == [f"{k}{j}" for k, n in nodes.items() for j in range(tape.value(n).shape[1])]
         want = np.concatenate([tape.value(n) for n in nodes.values()], axis=1)
         got = np.array([[float(v) for v in row.split(",")] for row in rows])
         assert got.tobytes() == want.tobytes()
 
-    def test_exported_latents_keep_their_bytes(self, trained, tmp_path):
-        # parameters drawn from a fixed seed, so the pin does not move when training rounds differently
+    @pytest.mark.parametrize("alpha", ["0.3", "-0.2"])
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    def test_exported_latents_keep_their_bytes(self, trained, tmp_path, coupling, alpha):
+        # the trained checkpoint laid out for ``coupling``, with parameters drawn from a fixed seed, so the
+        # pin does not move when training rounds differently
         ck = tmp_path / "init.npz"
         with np.load(trained[0], allow_pickle=False) as archive:
-            arrays = {k: archive[k] for k in archive.files}
-        spec = load_checkpoint(trained[0]).spec
+            arrays = {k: archive[k] for k in archive.files if not k.startswith("param:")}
+        spec = replace(load_checkpoint(trained[0]).spec, coupling=coupling)
+        config = json.loads(str(arrays["config_json"]))
+        config["model"]["coupling"] = coupling
+        arrays["model_json"] = np.array(json.dumps(asdict(spec), sort_keys=True))
+        arrays["config_json"] = np.array(json.dumps(config, sort_keys=True))
         arrays.update({f"param:{k}": v for k, v in init_params(spec, np.random.default_rng(11)).items()})
         with open(ck, "wb") as fh:
             np.savez(fh, **arrays)
         emb = tmp_path / "latents.csv"
         argv = ["sweep", "--checkpoint", str(ck), "--out", str(tmp_path / "sweep.csv"),
-                "--embeddings-out", str(emb), "--embeddings-alpha", "0.3"]
+                "--embeddings-out", str(emb), "--embeddings-alpha", alpha]
         assert main(argv) == 0
-        assert hashlib.sha256(emb.read_bytes()).hexdigest() == EMBEDDINGS_SHA256
+        assert hashlib.sha256(emb.read_bytes()).hexdigest() == EMBEDDINGS_SHA256[coupling, alpha]
 
 
 class TestAblate:
@@ -1681,10 +1729,11 @@ def params_digest(params: dict[str, np.ndarray]) -> str:
 
 # ----------------------------------------------------------------------
 # Ctrl-C in a terminal: SIGINT reaches every process of the foreground group,
-# the forked build workers included
+# the forked build workers included; kill and timeout send SIGTERM to the
+# command alone
 # ----------------------------------------------------------------------
 
-SIGINT_SCRIPT = """
+FORKED_BUILD_SCRIPT = """
 import os, sys, time
 import rulemix.pendulum
 import rulemix.data
@@ -1725,9 +1774,12 @@ def group_members(pgid: int) -> dict[int, str]:
     return found
 
 
-@pytest.mark.skipif(not hasattr(__import__("os"), "fork") or not Path("/proc/self/stat").exists(),
-                    reason="needs fork and /proc")
-def test_sigint_to_the_process_group_of_a_forked_build_is_one_line_and_leaves_nothing(tmp_path):
+def signal_a_forked_build(tmp_path, send) -> tuple[int, int, str]:
+    """Run a ``gen-data`` build of two processes in a session of its own and ``send(proc)`` once it forked.
+
+    Returns the build's pid (its session's process group), exit code and stderr, as soon as the build's
+    own process has ended: its stderr goes to a file, so a worker that outlives it holds up nothing.
+    """
     import os
     import signal
     import subprocess
@@ -1735,29 +1787,58 @@ def test_sigint_to_the_process_group_of_a_forked_build_is_one_line_and_leaves_no
     import time
 
     cfg = tiny_pendulum_config(tmp_path, data={"n_pairs": 100_000, "n_trajectories": 2})  # seconds per share
-    out, marker = tmp_path / "data.csv", tmp_path / "forked"
+    out, marker, stderr = tmp_path / "data.csv", tmp_path / "forked", tmp_path / "stderr"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.Popen(
-        [sys.executable, "-c", SIGINT_SCRIPT, str(marker), "gen-data", "--config", str(cfg), "--out", str(out)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
-    )
+    with open(stderr, "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", FORKED_BUILD_SCRIPT, str(marker), "gen-data", "--config", str(cfg),
+             "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=err, start_new_session=True,
+        )
     try:
         deadline = time.monotonic() + 60
         while not marker.exists() and proc.poll() is None and time.monotonic() < deadline:
             time.sleep(0.005)
         assert marker.exists(), "the build forked no worker"
-        os.killpg(proc.pid, signal.SIGINT)
-        _, err = proc.communicate(timeout=60)
+        send(proc)
+        proc.wait(timeout=60)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-    assert proc.returncode == 130, err
+    return proc.pid, proc.returncode, stderr.read_text()
+
+
+needs_fork_and_proc = pytest.mark.skipif(
+    not hasattr(__import__("os"), "fork") or not Path("/proc/self/stat").exists(), reason="needs fork and /proc")
+
+
+@needs_fork_and_proc
+def test_sigint_to_the_process_group_of_a_forked_build_is_one_line_and_leaves_nothing(tmp_path):
+    import os
+    import signal
+    import time
+
+    pid, code, err = signal_a_forked_build(tmp_path, lambda proc: os.killpg(proc.pid, signal.SIGINT))
+    assert code == 130, err
     assert err.splitlines() == ["error: interrupted"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "forked"]  # no output, no .tmp
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "forked", "stderr"]  # no output, no .tmp
     # no member runs on; an orphaned zombie may linger until init reaps it
-    assert [state for state in group_members(proc.pid).values() if state != "Z"] == []
+    assert [state for state in group_members(pid).values() if state != "Z"] == []
     deadline = time.monotonic() + 10
-    while group_members(proc.pid) and time.monotonic() < deadline:
+    while group_members(pid) and time.monotonic() < deadline:
         time.sleep(0.05)
-    assert group_members(proc.pid) == {}
+    assert group_members(pid) == {}
+
+
+@needs_fork_and_proc
+def test_sigterm_to_a_forked_build_takes_the_ctrl_c_path_and_leaves_no_worker(tmp_path):
+    import signal
+    import time
+
+    pid, code, err = signal_a_forked_build(tmp_path, lambda proc: proc.send_signal(signal.SIGTERM))
+    assert code == 143, err
+    assert err.splitlines() == ["error: terminated"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "forked", "stderr"]  # no output, no .tmp
+    time.sleep(0.2)
+    assert group_members(pid) == {}  # the worker was killed and reaped before the command ended

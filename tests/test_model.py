@@ -12,7 +12,9 @@ from rulemix.model import (
     check_params,
     couple,
     dense_chain,
+    encoders,
     init_params,
+    mlp_forward,
     predict,
     predict_values,
     width_matched_units,
@@ -25,9 +27,10 @@ class TestCouple:
         self.zr = rng.uniform(-1, 1, (3, 4))
         self.zd = rng.uniform(-1, 1, (3, 4))
 
-    def run_couple(self, alpha, mode):
+    def run_couple(self, alpha, coupling):
+        spec = ModelSpec(input_dim=2, output_dim=1, coupling=coupling, encoder_units=(4,))
         tape = Tape()
-        out = couple(tape, tape.constant(self.zr), tape.constant(self.zd), alpha, mode)
+        out = couple(tape, spec, {}, (tape.constant(self.zr), tape.constant(self.zd)), alpha)
         return tape.value(out)
 
     def test_alpha_zero_zeroes_rule_half(self):
@@ -47,15 +50,30 @@ class TestCouple:
         np.testing.assert_allclose(out[:, 4:], 0.5 * self.zr, rtol=1e-15)
 
     def test_concat_and_add_ignore_alpha(self):
-        for mode in ("concat", "add"):
-            a = self.run_couple(0.1, mode)
-            b = self.run_couple(0.9, mode)
+        for coupling in ("concat", "add"):
+            a = self.run_couple(0.1, coupling)
+            b = self.run_couple(0.9, coupling)
             np.testing.assert_array_equal(a, b)
 
     def test_shape_mismatch_rejected(self):
+        spec = ModelSpec(input_dim=2, output_dim=1, coupling="add", encoder_units=(4,))
         tape = Tape()
         with pytest.raises(ShapeError):
-            couple(tape, tape.constant(np.ones((2, 3))), tape.constant(np.ones((2, 4))), 0.5, "add")
+            couple(tape, spec, {}, (tape.constant(np.ones((2, 3))), tape.constant(np.ones((2, 4)))), 0.5)
+
+    def test_single_passes_its_latent_through_and_the_alpha_fed_encoder_reads_alpha_as_a_column(self):
+        rng = np.random.default_rng(1)
+        spec = ModelSpec(input_dim=4, output_dim=1, coupling="single", encoder_units=(4,))
+        tape = Tape()
+        z = tape.constant(self.zr)
+        assert couple(tape, spec, {}, (z,), 0.3) == z
+        spec = ModelSpec(input_dim=4, output_dim=1, coupling="input_concat_alpha", encoder_units=(6, 4))
+        params = init_params(spec, rng)
+        tape = Tape()
+        got = tape.value(couple(tape, spec, params, (tape.constant(self.zr),), 0.3))
+        with_alpha = np.hstack([self.zr, np.full((3, 1), 0.3)])
+        want = tape.value(mlp_forward(tape, spec.blocks()["encoder"], params, "encoder", tape.constant(with_alpha)))
+        np.testing.assert_array_equal(got, want)
 
 
 class TestPredict:
@@ -77,8 +95,8 @@ class TestPredict:
         x = rng.uniform(-1, 1, (6, 4))
         y = rng.uniform(-1, 1, (6, 4))
         tape = Tape()
-        fwd = predict(tape, spec, params, x, 0.0)
-        grads = tape.backprop(tape.mse(fwd.output, tape.constant(y)))
+        out = predict(tape, spec, params, x, 0.0)
+        grads = tape.backprop(tape.mse(out, tape.constant(y)))
         for name, g in grads.items():
             if name.startswith("rule."):
                 assert np.all(g == 0.0), name
@@ -96,9 +114,9 @@ class TestPredict:
                          encoder_units=(6, 4), decision_units=(5,))
         params = init_params(spec, rng)
         tape = Tape()
-        fwd = predict(tape, spec, params, rng.uniform(-1, 1, (7, 3)), 0.3)
-        encoder = tape.nodes[fwd.latent]
-        towards_input, *towards_params = encoder.backward(np.ones_like(tape.value(fwd.latent)))
+        z = couple(tape, spec, params, encoders(tape, spec, params, rng.uniform(-1, 1, (7, 3))), 0.3)
+        encoder = tape.nodes[z]
+        towards_input, *towards_params = encoder.backward(np.ones_like(tape.value(z)))
         assert (towards_input is not None) == wanted == tape.nodes[encoder.parents[0]].wants_grad
         assert len(towards_params) == 2 * len(spec.blocks()["encoder"])
         assert all(g is not None for g in towards_params)
@@ -109,8 +127,8 @@ class TestPredict:
         x = rng.uniform(-1, 1, (6, 4))
         y = rng.uniform(-1, 1, (6, 4))
         tape = Tape()
-        fwd = predict(tape, spec, params, x, 1.0)
-        grads = tape.backprop(tape.mse(fwd.output, tape.constant(y)))
+        out = predict(tape, spec, params, x, 1.0)
+        grads = tape.backprop(tape.mse(out, tape.constant(y)))
         for name, g in grads.items():
             if name.startswith("data."):
                 assert np.all(g == 0.0), name
@@ -257,7 +275,7 @@ def test_outputs_and_gradients_match_the_concatenated_product_within_a_few_ulps(
     x = rng.uniform(-1, 1, (9, spec.input_dim))
     y = rng.uniform(0, 1, (9, spec.output_dim))
     runs = []
-    for build in (lambda t: predict(t, spec, params, x, alpha).output,
+    for build in (lambda t: predict(t, spec, params, x, alpha),
                   lambda t: concatenated_predict(t, spec, params, x, alpha)):
         tape = Tape()
         out = build(tape)

@@ -1,11 +1,11 @@
-"""The network is written once, in ``model.encode`` and ``model.decode``.
+"""The network is written once, in ``model.encode``, ``model.couple`` and ``model.decode``.
 
-Training records those two functions on a ``Tape``; inference runs them over
+Training records these functions on a ``Tape``; inference runs them over
 ``autodiff.Arrays``. A second copy of the topology (say, a tape-free forward
 pass written out by hand) would have to branch on the coupling again. This
 test reads ``model.py`` and fails on any read of an attribute named
 ``coupling`` outside ``OWNERS``: ``ModelSpec``, which validates the coupling
-and lays out the parameters, and the two functions that run the network.
+and lays out the parameters, and the three functions that run the network.
 
 A read is attributed to the module-level function or class around it, and
 one at module level to ``<module>``.
@@ -15,7 +15,7 @@ import ast
 from pathlib import Path
 
 MODEL = Path(__file__).resolve().parents[1] / "src" / "rulemix" / "model.py"
-OWNERS = {"ModelSpec", "encode", "decode"}
+OWNERS = {"ModelSpec", "encode", "couple", "decode"}
 
 
 def coupling_reads(tree: ast.Module) -> list[tuple[str, int]]:
@@ -28,10 +28,10 @@ def coupling_reads(tree: ast.Module) -> list[tuple[str, int]]:
     return found
 
 
-def test_only_the_spec_encode_and_decode_read_the_coupling():
+def test_only_the_spec_encode_couple_and_decode_read_the_coupling():
     reads = coupling_reads(ast.parse(MODEL.read_text()))
     strays = sorted(f"model.py:{line} in {owner}" for owner, line in reads if owner not in OWNERS)
-    assert not strays, f"branch on the coupling in encode or decode only: {strays}"
+    assert not strays, f"branch on the coupling in encode, couple or decode only: {strays}"
     assert {owner for owner, _ in reads} == OWNERS  # each owner still reads it, so the list cannot go stale
 
 

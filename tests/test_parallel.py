@@ -155,6 +155,25 @@ def test_a_child_ignores_sigint_and_the_caller_keeps_its_handler(forks):
     assert_reaped(forks)
 
 
+def test_a_child_dies_of_sigterm_whatever_handler_the_caller_installed(forks):
+    # cli.main's handler raises KeyboardInterrupt; a child that kept it would end with exit status 0
+    def sigterm(k):
+        if k == 0:
+            os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(1)  # time for a handler to run, had the default action not been restored
+        return k
+
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+    try:
+        with pytest.raises(WorkerDied) as caught:
+            forked_map(sigterm, [(0,), (1,)], 2)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert str(caught.value) == f"worker process {forks[0]} ended without a result (signal SIGTERM)"
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, set()) == set()  # nothing left blocked in the caller
+    assert_reaped(forks)
+
+
 def test_an_interrupted_caller_kills_and_reaps_its_children(forks):
     caller = os.getpid()
 
