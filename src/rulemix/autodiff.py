@@ -44,6 +44,23 @@ import numpy as np
 from .errors import ShapeError
 
 PROB_CLAMP = 1e-12  # probabilities are clipped to [PROB_CLAMP, 1 - PROB_CLAMP] before a log
+# Rows per tile of ``blend``. On a 2-core x86-64 host with one BLAS thread, a
+# blend of 6,000 x 64 products took 1.41-1.71 ms untiled and 1.04-1.54,
+# 1.01-1.53, 1.07-1.58 and 1.27-1.66 ms in tiles of 256, 512, 1,024 and
+# 2,048 rows (medians of 200, two runs), all with equal bits. On two
+# threads each tile's ufuncs hand the GIL over, so small tiles cost more.
+# Desk-spec sweeps on two threads (medians of 25 alternating runs):
+#   tile rows                  128       256       512     1,024
+#   21 strengths x 6,000    55.7 ms   41.7 ms   33.4 ms   32.7 ms
+#   81 strengths x 3,000    92.4 ms   57.7 ms   46.4 ms   43.9 ms
+#   81 strengths x 1,000    38.4 ms   29.1 ms   23.8 ms   22.9 ms
+# A tile is a scratch array per share of strengths; the peak resident set
+# of a benchmark sweep process rose by 0.13-0.26 MB with tiles of 512 rows
+# and by 0.44-0.54 MB with 1,024 (two runs each), hence 512 rows of 64: a
+# tile holds that many elements whatever the width, as each ufunc call has
+# a fixed cost, and tiles of 512 rows over a one-unit blend of 4,006 rows
+# slowed the benchmark's `train-perturb` sweep by a fifth.
+BLEND_TILE = 512 * 64
 
 
 def as_matrix(value, name: str = "tensor") -> np.ndarray:
@@ -144,18 +161,18 @@ def _activation_grad(g: np.ndarray, out: np.ndarray, act: str) -> np.ndarray:
 
 
 def paired_product(av: np.ndarray, bv: np.ndarray, wv: np.ndarray, buffers: list[np.ndarray] | None = None):
-    """``av @ wv[:k]`` above ``bv @ wv[k:]``, ``k`` being ``av``'s width: a (2n, m) matrix.
+    """``(av @ wv[:k], bv @ wv[k:])``, ``k`` being ``av``'s width: the two terms of ``concat(av, bv) @ wv``.
 
-    Each of two n-row inputs times its own rows of one weight: the two terms
-    of the product ``concat(av, bv) @ wv``, stacked by rows so that each is
-    contiguous. Written into ``out_array(buffers, 0, ...)``.
+    Each of two n-row inputs times its own rows of one weight, each product
+    written into its own array: ``out_array(buffers, 0, ...)`` and
+    ``out_array(buffers, 1, ...)``.
     """
     n, k = av.shape
     if bv.shape[0] != n or k + bv.shape[1] != wv.shape[0]:
         raise ShapeError(f"paired_product: inputs {av.shape} and {bv.shape} do not fit weight {wv.shape}")
-    out = out_array(buffers, 0, (2 * n, wv.shape[1]))
-    _paired_product(av, bv, wv[:k], wv[k:], out[:n], out[n:])
-    return out
+    pa, pb = out_array(buffers, 0, (n, wv.shape[1])), out_array(buffers, 1, (n, wv.shape[1]))
+    _paired_product(av, bv, wv[:k], wv[k:], pa, pb)
+    return pa, pb
 
 
 def _paired_product(av: np.ndarray, bv: np.ndarray, wa: np.ndarray, wb: np.ndarray, pa: np.ndarray,
@@ -165,33 +182,46 @@ def _paired_product(av: np.ndarray, bv: np.ndarray, wa: np.ndarray, wb: np.ndarr
     np.matmul(bv, wb, out=pb)
 
 
-def blend(pv: np.ndarray, ca: float, cb: float, bv: np.ndarray, act: str, buffers: list[np.ndarray] | None = None):
-    """The activation of ``pv[:n] * ca + pv[n:] * cb + bv``, ``pv`` having 2n rows and the bias ``bv``'s width.
+def blend(products: tuple[np.ndarray, np.ndarray], ca: float, cb: float, bv: np.ndarray, act: str,
+          buffers: list[np.ndarray] | None = None):
+    """The activation of ``pa * ca + pb * cb + bv``, ``products`` being ``(pa, pb)`` and the bias ``bv``'s width.
 
     Applied to ``paired_product(a, b, w)`` it is the dense layer ``(w, bv)``
     over ``concat(a * ca, b * cb)``, rounded differently. Writes into
-    ``out_array(buffers, 0, ...)``, with ``out_array(buffers, 1, ...)`` as scratch.
+    ``out_array(buffers, 0, ...)``, with ``out_array(buffers, 1, ...)`` as a
+    scratch row tile.
     """
-    n = pv.shape[0] // 2
-    if bv.shape != (1, pv.shape[1]) or pv.shape[0] != 2 * n:
-        raise ShapeError(f"blend: products {pv.shape} do not fit bias {bv.shape}")
+    pa, pb = products
+    if pb.shape != pa.shape or bv.shape != (1, pa.shape[1]):
+        raise ShapeError(f"blend: products {pa.shape} and {pb.shape} do not fit bias {bv.shape}")
     if act not in ("linear", "relu", "sigmoid"):
         raise ValueError(f"unknown activation {act!r}")
-    out, scratch = out_array(buffers, 0, (n, pv.shape[1])), out_array(buffers, 1, (n, pv.shape[1]))
-    return _blend(pv[:n], pv[n:], ca, cb, bv, act, out, scratch)
+    tile = (max(1, BLEND_TILE // pa.shape[1]), pa.shape[1])  # BLEND_TILE elements, whatever the products' rows
+    out, scratch = out_array(buffers, 0, pa.shape), out_array(buffers, 1, tile)
+    return _blend(pa, pb, ca, cb, bv, act, out, scratch)
 
 
 def _blend(pa: np.ndarray, pb: np.ndarray, ca: float, cb: float, bv: np.ndarray, act: str, out: np.ndarray,
            scratch: np.ndarray) -> np.ndarray:
     """``pa * ca + pb * cb + bv``, then the activation, into ``out``, which it returns.
 
-    The caller checked the shapes; ``scratch`` has ``out``'s shape.
+    Runs over row tiles of ``scratch``'s height, which hold ``pb * cb``:
+    every op is elementwise, so the values do not depend on the tiling, and
+    a tile's passes stay in cache. The caller checked the shapes; only the
+    rows of ``scratch`` that a tile needs are written, so a scratch taller
+    than the products costs address space, not memory.
     """
-    np.multiply(pa, ca, out=out)
-    np.multiply(pb, cb, out=scratch)
-    np.add(out, scratch, out=out)
-    np.add(out, bv, out=out)
-    return _activate(out, act)
+    step = scratch.shape[0]
+    for start in range(0, out.shape[0], step):
+        rows = slice(start, start + step)
+        tile = out[rows]
+        part = scratch[:tile.shape[0]]
+        np.multiply(pa[rows], ca, out=tile)
+        np.multiply(pb[rows], cb, out=part)
+        np.add(tile, part, out=tile)
+        np.add(tile, bv, out=tile)
+        _activate(tile, act)
+    return out
 
 
 def scaled_concat(av: np.ndarray, ca: float, bv: np.ndarray, cb: float, buffers: list[np.ndarray] | None = None):
@@ -439,9 +469,10 @@ class Tape:
         input, straight into the array ``backprop`` hands it, if any.
         """
         av, bv, wv = self.value(a), self.value(b), self.value(w)
-        out = paired_product(av, bv, wv)
         n, k = av.shape
-        wa, wb, pa, pb = wv[:k], wv[k:], out[:n], out[n:]
+        out = np.empty((2 * n, wv.shape[1]))  # the two products stacked by rows: one node's value
+        pa, pb = paired_product(av, bv, wv, [out[:n], out[n:]])
+        wa, wb = wv[:k], wv[k:]
         wants_a, wants_b = self._wants_grad(a), self._wants_grad(b)
 
         def bwd(g: np.ndarray, into: Sequence[np.ndarray | None] | None = None) -> tuple[np.ndarray | None, ...]:
@@ -463,10 +494,11 @@ class Tape:
         gradient straight into the array ``backprop`` hands it, if any.
         """
         pv, bv = self.value(p), self.value(bias)
+        n = pv.shape[0] // 2
+        pa, pb = pv[:n], pv[n:]
         buffers: list[np.ndarray] = []
-        out = blend(pv, float(ca), float(cb), bv, act, buffers)
-        n = out.shape[0]
-        pa, pb, scratch = pv[:n], pv[n:], buffers[1]
+        out = blend((pa, pb), float(ca), float(cb), bv, act, buffers)
+        scratch = buffers[1]
         wants_p = self._wants_grad(p)
 
         def bwd(g: np.ndarray, into: Sequence[np.ndarray | None] | None = None) -> tuple[np.ndarray | None, ...]:
@@ -693,8 +725,12 @@ class Arrays:
     tape's bit for bit, as both run the same kernels. With ``buffers``, the
     k-th call that makes a matrix writes into ``buffers[k]`` (a list, added
     when missing; see ``out_array``), so a pass that repeats the calls of the
-    pass before it writes into that pass's arrays. With no buffers every
-    matrix is fresh, and a dense block keeps only the layer being computed.
+    pass before it writes into that pass's arrays, and a caller may fill
+    ``buffers`` beforehand with the arrays it wants written. With no buffers
+    every matrix is fresh, and a dense block keeps only the layer being
+    computed. ``paired_product`` returns its two products as two arrays,
+    which ``blend`` takes as a pair (a tape stacks them in one node), and
+    ``product``, which ``Tape`` lacks, computes either of them alone.
     """
 
     def __init__(self, buffers: list[list[np.ndarray]] | None = None) -> None:
@@ -719,7 +755,9 @@ class Arrays:
         return as_matrix(value, name)
 
     def column(self, rows: int, c) -> np.ndarray:
-        return np.full((rows, 1), float(c))
+        out = out_array(self._next(), 0, (rows, 1))
+        out.fill(float(c))
+        return out
 
     def dense(self, x: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray, str]],
               label: str = "dense") -> np.ndarray:
@@ -731,10 +769,16 @@ class Arrays:
     def concat(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.scaled_concat(a, 1.0, b, 1.0)
 
-    def paired_product(self, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def paired_product(self, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return paired_product(a, b, w, self._next())
 
-    def blend(self, p: np.ndarray, ca: float, cb: float, bias: np.ndarray, act: str) -> np.ndarray:
+    def product(self, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """``a @ w``: one of the two products of ``paired_product`` on its own."""
+        if a.shape[1] != w.shape[0]:
+            raise ShapeError(f"product: input {a.shape} does not fit weight {w.shape}")
+        return np.matmul(a, w, out=out_array(self._next(), 0, (a.shape[0], w.shape[1])))
+
+    def blend(self, p: tuple[np.ndarray, np.ndarray], ca: float, cb: float, bias: np.ndarray, act: str) -> np.ndarray:
         return blend(p, float(ca), float(cb), bias, act, self._next())
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

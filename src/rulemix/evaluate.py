@@ -8,37 +8,52 @@ optionally restricted to points above a verification floor.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import PROB_CLAMP, Arrays
+from .autodiff import PROB_CLAMP
 from .data import read_table, write_table
 from .errors import ConfigError, InfeasibleSelectionError
-from .model import ModelSpec, encode, forward_per_alpha, predict_values  # noqa: F401  (evaluate.predict_values stays importable)
-from .parallel import forked_map, worker_count
+from .model import ModelSpec, decode_buffers, encode_all, forward_per_alpha, passages
+from .model import predict_values  # noqa: F401  (evaluate.predict_values stays importable)
+from .parallel import threaded_map, worker_count
 from .rules import RuleSpec, perturb_batch, rule_inputs, verification_ratio
 
 METRICS = ("mae", "cross_entropy", "error_rate")  # each lower-is-better, as select_alpha assumes
 EXTENDED_ALPHA_RANGE = (-0.2, 1.4)  # reaches beyond the training range on both sides
 MAX_ALPHA_POINTS = 100_001  # step 1e-5 over [0, 1]; a finer grid is a typo, not a sweep
-# A sweep whose decodes take fewer multiply-adds (``decode_macs`` per row,
-# times rows, passes and strengths) runs in the calling process. Desk-spec
-# sweeps on a 2-core x86-64 host with one BLAS thread, 2 workers against one
-# process, medians of 15 alternating sweeps:
-#   21 strengths x 1,000 rows    6.7M  forked 12.3 ms  serial 10.7 ms
-#   21 strengths x 2,000 rows   13.4M  forked 20.4 ms  serial 21.4 ms
-#   21 strengths x 3,000 rows   20.2M  forked 32.7 ms  serial 34.5 ms
-#   21 strengths x 6,000 rows   40.3M  forked 62.2 ms  serial 76.5 ms  (train-desk)
-#   81 strengths x 250 rows      6.5M  forked 12.8 ms  serial 11.0 ms
-#   81 strengths x 500 rows     13.0M  forked 17.0 ms  serial 18.5 ms
-#   81 strengths x 1,000 rows   25.9M  forked 21.3 ms  serial 25.9 ms  (sweep-cli val)
-#   81 strengths x 3,000 rows   77.8M  forked 58.7 ms  serial 82.9 ms  (sweep-cli test)
-# An earlier run of 9 had 81 x 500 rows lose (18.2 against 14.9 ms) and 21 x
-# 3,000 break even (35.9 against 35.1 ms), so the gate sits above 13.4M.
-FORK_MIN_MACS = 20_000_000
+# A phase of a sweep runs on threads when one of its tasks takes at least
+# its gate's multiply-adds: a passage's encoding of the rows (``encode_macs``
+# per row), or one strength's decode of every input (``decode_macs`` per row
+# and input). Tasks on 2 threads against 1 on a 2-core x86-64 host with one
+# BLAS thread, medians of 21 alternating runs:
+#   encoding                  rows   per task   2 threads   1 thread
+#     desk spec, one input     500     6.7M      1.27 ms    1.19 ms
+#                            1,000    13.3M      2.10       2.51
+#                            6,000    79.9M     10.04      13.57
+#     (100, 16) encoders     2,000     4.4M      0.95       1.22
+#       one input            4,000     8.9M      3.75       2.73
+#                            6,000    13.3M      5.07       4.75
+#       two inputs           4,000     8.9M      3.93       5.68
+#   decode at 21 strengths     500     0.16M     3.82       4.04
+#                            1,000     0.32M     5.65       4.87
+#                            2,000     0.64M     8.39       9.56
+#                            6,000     1.92M    21.20      31.38
+#   decode at 81 strengths   1,000     0.32M    22.45      21.96
+#                            2,000     0.64M    33.72      38.68
+#                            3,000     0.96M    47.08      60.29
+# Where two threads each write a large array of their own, what they cost
+# depends on whether malloc hands back pages already mapped: the (100, 16)
+# encodings that lost took 3 to 6 times the page faults of one thread, and
+# in other runs the same encodings won or lost. Decodes of 0.16M and 0.32M
+# lost by up to 1.6x and won by up to 0.76x in earlier runs. The host's
+# second core is not always free either, so both gates sit above the
+# break-even points. Decodes of the (100, 16) encoders' one-unit products
+# (1 to 12 thousand per strength) took 1.2 to 1.9x as long on threads.
+ENCODE_THREAD_MIN_MACS = 10_000_000
+DECODE_THREAD_MIN_MACS = 500_000
 
 
 def task_metric(kind: str, y_hat: np.ndarray, y: np.ndarray) -> float:
@@ -100,6 +115,16 @@ def decode_macs(spec: ModelSpec) -> int:
     return blend + sum(layer.fan_in * layer.fan_out for layer in (*rest, *spec.blocks().get("encoder", ())))
 
 
+def encode_macs(spec: ModelSpec) -> int:
+    """Multiply-adds of one row's encoding by one passage: its encoder and, under ``scaled_concat``, its product."""
+    names = passages(spec)
+    if not names:
+        return 0
+    first = spec.decision_layers()[0]
+    product = first.fan_in // 2 * first.fan_out if spec.coupling == "scaled_concat" else 0
+    return sum(layer.fan_in * layer.fan_out for layer in spec.blocks()[names[0]]) + product
+
+
 def alpha_sweep(
     spec: ModelSpec,
     params: dict[str, np.ndarray],
@@ -122,32 +147,37 @@ def alpha_sweep(
     every grid point so records are comparable across strengths. A rule's
     ``prepare``, if it has one, runs once on the input.
 
-    The strengths are decoded in contiguous shares, one forked process per
-    usable core (``parallel.forked_map``), when the decodes take at least
-    ``FORK_MIN_MACS`` multiply-adds and ``parallel.worker_count`` allows
-    children that call BLAS (this process runs one OS thread); otherwise in
-    the calling process. The records and the first error, in grid order, do
-    not depend on the number of processes.
+    Both phases run on threads (``parallel.threaded_map``), one per usable
+    core, when a task is worth it and ``parallel.worker_count`` allows
+    threads that call BLAS (this process runs one OS thread); otherwise in
+    the calling thread. The encoding's tasks are the passages of each input
+    (``model.encode_all``), on threads when a passage's encoding takes at
+    least ``ENCODE_THREAD_MIN_MACS`` multiply-adds. The decode's tasks are
+    the strengths, dealt round-robin to the threads, on threads when a
+    strength's decode takes at least ``DECODE_THREAD_MIN_MACS``. The calling
+    thread makes the arrays each share of strengths decodes into
+    (``model.decode_buffers``). The records and the first error, in grid
+    order, do not depend on the number of threads.
     """
     pert = perturb_batch(x, rule, np.random.default_rng(perturb_seed)) if rule.needs_perturbation else None
-    inputs = rule_inputs(rule, x)
-    latents = encode(Arrays(), spec, params, x)
-    latents_p, valid = (None, None) if pert is None else (encode(Arrays(), spec, params, pert.x_p), pert.valid)
+    inputs, valid = rule_inputs(rule, x), None if pert is None else pert.valid
+    sources = [x] if pert is None else [x, pert.x_p]
+    passage_work = x.shape[0] * encode_macs(spec)
+    tasks = len(passages(spec)) * len(sources)
+    encodings = encode_all(spec, params, sources,
+                           worker_count(tasks, blas=True) if passage_work >= ENCODE_THREAD_MIN_MACS else 1)
 
-    def decode_share(share: list[float]) -> list[tuple[float, float, float]]:
-        """(alpha, task metric, verification) at each strength of ``share``, in its own buffers."""
-        perturbed = itertools.repeat(None) if pert is None else forward_per_alpha(spec, params, latents_p, share)
-        rows = []
-        for alpha, out, out_p in zip(share, forward_per_alpha(spec, params, latents, share), perturbed):
-            ver = verification_ratio(rule, inputs, out, out_p, valid)
-            rows.append((float(alpha), task_metric(metric_kind, out, y), ver))
-        return rows
+    def decode_at(alpha: float, buffers: list[list[list[np.ndarray]]]) -> tuple[float, float, float]:
+        """(alpha, task metric, verification), each input decoded into its arrays of the strength's share."""
+        out, *perturbed = [next(forward_per_alpha(spec, params, e, (alpha,), b)) for e, b in zip(encodings, buffers)]
+        ver = verification_ratio(rule, inputs, out, perturbed[0] if perturbed else None, valid)
+        return float(alpha), task_metric(metric_kind, out, y), ver
 
-    n = len(alphas)
-    macs = n * x.shape[0] * (1 if pert is None else 2) * decode_macs(spec)
-    workers = worker_count(n, blas=True) if macs >= FORK_MIN_MACS else 1
-    shares = [(list(alphas[k * n // workers:(k + 1) * n // workers]),) for k in range(workers)]
-    return [SweepRecord(*row, split) for rows in forked_map(decode_share, shares, workers) for row in rows]
+    strength_work = x.shape[0] * len(sources) * decode_macs(spec)
+    workers = worker_count(len(alphas), blas=True) if strength_work >= DECODE_THREAD_MIN_MACS else 1
+    shares = [[decode_buffers(spec, params, enc) for enc in encodings] for _ in range(workers)]
+    rows = threaded_map(decode_at, [(alpha, shares[i % workers]) for i, alpha in enumerate(alphas)], workers)
+    return [SweepRecord(*row, split) for row in rows]
 
 
 SWEEP_COLUMNS = ["alpha", "task_metric", "verification", "split"]

@@ -18,7 +18,9 @@ alpha) and ``decode`` (the rest, ending at the output), against the forward
 methods shared by ``autodiff.Tape`` and ``autodiff.Arrays``. ``predict``
 runs both on a tape for training; over plain arrays, ``encode`` runs once
 per input and ``forward_per_alpha`` runs ``decode`` on its latents once per
-strength.
+strength. For a sweep, ``encode_all`` runs ``encode`` with each passage as a
+task of ``parallel.threaded_map``, and ``decode_buffers`` makes the arrays a
+thread's decodes write into.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 
 from .autodiff import Arrays, Coefficient, Tape, as_matrix  # noqa: F401  (perfbench traces model.as_matrix)
 from .errors import ShapeError
+from .parallel import threaded_map
 
 COUPLINGS = ("scaled_concat", "concat", "add", "input_concat_alpha", "single")
 TASKS = ("regression", "classification")
@@ -220,6 +223,11 @@ def _strength(alpha: float | Coefficient) -> float | Coefficient:
     return alpha if isinstance(alpha, Coefficient) else value
 
 
+def passages(spec: ModelSpec) -> tuple[str, ...]:
+    """The encoders that do not read alpha: ("rule", "data"), ("data",) under ``single``, none if alpha is an input."""
+    return tuple(name for name in ("rule", "data") if name in spec.blocks())
+
+
 def encoders(ops: Tape | Arrays, spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray | int) -> tuple:
     """The shared block and the passages' encoders, as the spec lays them out.
 
@@ -232,8 +240,8 @@ def encoders(ops: Tape | Arrays, spec: ModelSpec, params: dict[str, np.ndarray],
     if ops.value(x).shape[1] != spec.input_dim:
         raise ShapeError(f"input has {ops.value(x).shape[1]} columns, model expects {spec.input_dim}")
     h = mlp_forward(ops, blocks["shared"], params, "shared", x) if "shared" in blocks else x
-    passages = [name for name in ("rule", "data") if name in blocks]
-    return tuple(mlp_forward(ops, blocks[name], params, name, h) for name in passages) if passages else (h,)
+    names = passages(spec)
+    return tuple(mlp_forward(ops, blocks[name], params, name, h) for name in names) if names else (h,)
 
 
 def encode(ops: Tape | Arrays, spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray | int) -> tuple:
@@ -242,8 +250,9 @@ def encode(ops: Tape | Arrays, spec: ModelSpec, params: dict[str, np.ndarray], x
     Returns what ``encoders`` returns, except under ``scaled_concat``:
     (products,), where ``products`` is ``paired_product(z_rule, z_data,
     decision.0.w)``, each latent times its own rows of the first decision
-    layer's weight. That is all ``decode`` reads, so an encoding over
-    ``Arrays`` holds the products, not the latents.
+    layer's weight: one node on a tape, a pair of arrays over ``Arrays``.
+    That is all ``decode`` reads, so an encoding over ``Arrays`` holds the
+    products, not the latents.
     """
     latents = encoders(ops, spec, params, x)
     if spec.coupling != "scaled_concat":
@@ -312,11 +321,109 @@ def predict(
     return decode(tape, spec, params, encode(tape, spec, params, x), alpha)
 
 
+@dataclass
+class _Passage:
+    """One passage's encoder over ``h`` and, once ``encode`` pairs the latents, its half of the product: one task."""
+
+    h: np.ndarray
+    layers: list[tuple[np.ndarray, np.ndarray, str]]
+    label: str
+    weight: np.ndarray | None = None  # its rows of the first decision layer's weight, under ``scaled_concat``
+
+    def widths(self) -> list[int]:
+        """The width of each array the task writes, in order."""
+        return [w.shape[1] for w, _, _ in self.layers] + ([] if self.weight is None else [self.weight.shape[1]])
+
+    def run(self, buffers: list[list[np.ndarray]]) -> np.ndarray:
+        ops = Arrays(buffers)
+        z = ops.dense(self.h, self.layers, self.label)
+        return z if self.weight is None else ops.product(z, self.weight)
+
+
+class _Deferred(Arrays):
+    """``Arrays`` that leaves each passage to a ``_Passage``: ``encode`` over it runs the shared block alone."""
+
+    def __init__(self, names: tuple[str, ...]) -> None:
+        super().__init__()
+        self._names = names
+
+    def dense(self, x: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray, str]],
+              label: str = "dense") -> np.ndarray | _Passage:
+        return _Passage(x, list(layers), label) if label in self._names else super().dense(x, layers, label)
+
+    def paired_product(self, a: _Passage, b: _Passage, w: np.ndarray) -> tuple[_Passage, _Passage]:
+        k = a.widths()[-1]
+        a.weight, b.weight = w[:k], w[k:]
+        return a, b
+
+
+def encode_all(spec: ModelSpec, params: dict[str, np.ndarray], xs: Sequence[np.ndarray],
+               workers: int = 1) -> list[tuple]:
+    """``[encode(Arrays(), spec, params, x) for x in xs]``, each passage of each input one task on ``workers`` threads.
+
+    ``encode`` runs in the calling thread over ``Arrays`` that defer each
+    passage: the shared block runs at once, and a passage's encoder, with
+    its half of the first decision layer's product under ``scaled_concat``,
+    becomes a task (``Arrays.product``) that ``parallel.threaded_map`` runs.
+    The kernels are those of ``encode``, so the bits are the same. The
+    calling thread makes every array the tasks write: for each task an
+    array of its latent or product's size, which it keeps, and for each
+    share of tasks two arrays that the layers before it alternate between,
+    a layer no wider than the last going to the task's own array instead.
+    So at the desk spec two passages encoded at once take no more arrays
+    than ``encode`` holds, and no worker thread allocates a large array: its
+    memory would come from its own malloc arena, which cannot reuse the
+    pages the calling thread freed.
+    """
+    deferred = _Deferred(passages(spec))
+    encodings = [encode(deferred, spec, params, x) for x in xs]
+    tasks = [p for enc in encodings for item in enc for p in (item if isinstance(item, tuple) else (item,))
+             if isinstance(p, _Passage)]
+    workers = max(1, min(workers, len(tasks)))
+    slots = []  # the array each of a task's outputs goes to, and the elements each array needs
+    for p in tasks:
+        widths, last = p.widths(), len(p.widths()) - 1
+        # 0: the task's own array, which the last output ends in; 1 and 2: its share's arrays, which the
+        # layers before it alternate between, a layer as wide as the last at most sharing the task's own
+        slot = [0 if (last - j) % 2 == 0 and w <= widths[last] else 1 + (last - j) % 2 for j, w in enumerate(widths)]
+        needs = [max((p.h.shape[0] * w for j, w in enumerate(widths) if slot[j] == k), default=0) for k in range(3)]
+        slots.append((slot, needs))
+    shares = [[np.empty(max((needs[k] for _, needs in slots[i::workers]), default=0)) for k in (1, 2)]
+              for i in range(workers)]
+    jobs = []
+    for i, (p, (slot, needs)) in enumerate(zip(tasks, slots)):
+        arrays, rows = [np.empty(needs[0]), *shares[i % workers]], p.h.shape[0]  # task i runs in share i % workers
+        views = [arrays[k][:rows * w].reshape(rows, w) for k, w in zip(slot, p.widths())]
+        jobs.append((p, [views[:len(p.layers)], views[len(p.layers):]]))  # the dense block's call, the product's
+    done = dict(zip(map(id, tasks), threaded_map(_Passage.run, jobs, workers)))
+
+    def result(item):
+        return done[id(item)] if isinstance(item, _Passage) else item
+
+    return [tuple(tuple(map(result, item)) if isinstance(item, tuple) else result(item) for item in enc)
+            for enc in encodings]
+
+
+def decode_buffers(spec: ModelSpec, params: dict[str, np.ndarray], latents: tuple) -> list[list[np.ndarray]]:
+    """Every array ``decode`` writes over ``latents``, made in the calling thread: ``forward_per_alpha``'s buffers.
+
+    A decode of none of the rows lays the arrays out. Each array of no rows
+    there gets the latents' rows; the others, such as the blend's row tile,
+    keep their shape.
+    """
+    head = tuple(tuple(a[:0] for a in z) if isinstance(z, tuple) else z[:0] for z in latents)
+    rows = (latents[0][0] if isinstance(latents[0], tuple) else latents[0]).shape[0]
+    layout: list[list[np.ndarray]] = []
+    decode(Arrays(layout), spec, params, head, 0.0)
+    return [[np.empty((a.shape[0] or rows, a.shape[1])) for a in arrays] for arrays in layout]
+
+
 def forward_per_alpha(
     spec: ModelSpec,
     params: dict[str, np.ndarray],
     latents: tuple,
     alphas: Iterable[float],
+    buffers: list[list[np.ndarray]] | None = None,
 ) -> Iterator[np.ndarray]:
     """The output at each strength in turn, with no tape.
 
@@ -328,11 +435,12 @@ def forward_per_alpha(
     first decision layer's products, so a strength costs that layer's blend
     and the decision layers after it.
 
-    Each strength writes into the arrays of the strength before it: read
-    (or copy) a strength's output before advancing. The latents and the
-    parameters are never written.
+    Each strength writes into the arrays of the strength before it, or into
+    ``buffers`` (``decode_buffers``) from the first: read (or copy) a
+    strength's output before advancing. The latents and the parameters are
+    never written.
     """
-    buffers: list[list[np.ndarray]] = []
+    buffers = [] if buffers is None else buffers
     for alpha in alphas:
         yield decode(Arrays(buffers), spec, params, latents, alpha)
 

@@ -1,6 +1,7 @@
 """Fixtures shared by several test modules."""
 
 import os
+import threading
 
 import pytest
 
@@ -18,3 +19,16 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", recording)
     return pids
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """Every thread started while the test runs, in order."""
+    real, started = threading.Thread.start, []
+
+    def recording(self):
+        real(self)
+        started.append(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started

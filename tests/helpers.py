@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
@@ -388,9 +389,9 @@ def spearman_rank_corr(a, b) -> float:
 
 
 # ----------------------------------------------------------------------
-# pendulum builds and strength sweeps on a chosen number of processes, and
-# a record of the trajectories they simulate that forked workers write to
-# as well
+# pendulum builds on a chosen number of processes, strength sweeps on a
+# chosen number of threads, and a record of the trajectories the builds
+# simulate that forked workers write to as well
 # ----------------------------------------------------------------------
 
 
@@ -409,9 +410,16 @@ def force_workers(monkeypatch, workers: int) -> None:
 
 
 def force_sweep_workers(monkeypatch, workers: int) -> None:
-    """Make every strength sweep decode in ``workers`` processes, at most one per strength."""
-    monkeypatch.setattr(rulemix.evaluate, "FORK_MIN_MACS", 0)
+    """Make every strength sweep run on ``workers`` threads, at most one per strength."""
+    monkeypatch.setattr(rulemix.evaluate, "ENCODE_THREAD_MIN_MACS", 0)
+    monkeypatch.setattr(rulemix.evaluate, "DECODE_THREAD_MIN_MACS", 0)
     monkeypatch.setattr(rulemix.evaluate, "worker_count", lambda n_tasks, blas=False: max(1, min(n_tasks, workers)))
+
+
+def assert_joined(threads, baseline: int) -> None:
+    """Every thread of ``threads`` has ended, and this process runs ``baseline`` Python threads again."""
+    assert [thread for thread in threads if thread.is_alive()] == []
+    assert threading.active_count() == baseline
 
 
 class SimulatedTrajectories:

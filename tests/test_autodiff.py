@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import grad_check_fd, tape_sum
-from rulemix.autodiff import Arrays, Tape, _sigmoid, as_matrix, blend, dense_forward, paired_product, scaled_concat
+from rulemix.autodiff import (
+    BLEND_TILE, Arrays, Tape, _sigmoid, as_matrix, blend, dense_forward, paired_product, scaled_concat,
+)
 from rulemix.errors import ShapeError
 from rulemix.model import LayerSpec, mlp_forward
 from rulemix.pendulum import DEFAULT_PARAMS, energy, energy_gradient
@@ -394,6 +396,21 @@ class TestPairedProductBlend:
         want = dense_forward(scaled_concat(p["z_rule"], 0.35, p["z_data"], 1.0 - 0.35), [(p["w"], p["b"], act)])
         got = blend(paired_product(p["z_rule"], p["z_data"], p["w"]), 0.35, 1.0 - 0.35, p["b"], act)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("width", [1, 3, 64])
+    @pytest.mark.parametrize("act", ["linear", "relu", "sigmoid"])
+    def test_each_row_tile_is_the_elementwise_formula_bit_for_bit(self, width, act):
+        rows = 3 * (BLEND_TILE // width) + 5  # three whole tiles and part of a fourth
+        rng = RNG(57)
+        pa, pb = rng.normal(0, 3, (rows, width)), rng.normal(0, 3, (rows, width))
+        bias = rng.normal(0, 1, (1, width))
+        want = pa * 0.35 + pb * (1.0 - 0.35)  # each product rounded, then their sum
+        want += bias
+        if act == "relu":
+            want = np.where(want > 0, want, 0.0)
+        elif act == "sigmoid":
+            _sigmoid(want, want)
+        assert blend((pa, pb), 0.35, 1.0 - 0.35, bias, act).tobytes() == want.tobytes()
 
     def test_arrays_equal_the_tape_and_write_into_the_previous_arrays(self):
         p = self.inputs(53)

@@ -7,6 +7,7 @@ import json
 import math
 import shutil
 import tempfile
+import threading
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rulemix.data
-from helpers import SimulatedTrajectories, assert_reaped, force_sweep_workers, force_workers
+from helpers import SimulatedTrajectories, assert_joined, assert_reaped, force_sweep_workers, force_workers
 from rulemix.autodiff import Tape
 from rulemix.checkpoint import load_checkpoint
 from rulemix.cli import main
@@ -1129,35 +1130,38 @@ class TestSweepTableMemo:
 
 
 class TestSweepInWorkers:
-    """``rulemix sweep`` with the strengths decoded in forked shares: the bytes and errors of one process."""
+    """``rulemix sweep`` encoding and decoding on threads: the bytes and errors of one thread."""
 
-    def test_csv_bytes_equal_those_of_one_process(self, trained, tmp_path, monkeypatch, forks):
+    def test_csv_bytes_equal_those_of_one_thread(self, trained, tmp_path, monkeypatch, threads):
         ck, data = trained
         written = {}
-        for workers in (1, 2):
+        baseline = threading.active_count()
+        for workers in (1, 2, 3):
             force_sweep_workers(monkeypatch, workers)
             out = tmp_path / f"sweep{workers}.csv"
             flags = ["--data-csv", str(data), "--extended", "--step", "0.02"]
             assert main(["sweep", "--checkpoint", str(ck), "--out", str(out), *flags]) == 0
             written[workers] = out.read_bytes()
-        assert len(forks) == 2  # one worker for each of the val and test splits
-        assert written[2] == written[1] and len(sweep_from_csv(tmp_path / "sweep2.csv")) == 2 * 81
-        assert_reaped(forks)
+        # per split, the two passages on two threads, then the strengths on all of them
+        assert len(threads) == 2 * (1 + 1) + 2 * (1 + 2)
+        assert_joined(threads, baseline)
+        assert written[3] == written[2] == written[1] and len(sweep_from_csv(tmp_path / "sweep2.csv")) == 2 * 81
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_guard_no_pair_crosses_is_one_error_line(self, trained, tmp_path, capsys, monkeypatch, forks, workers):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_guard_no_pair_crosses_is_one_error_line(self, trained, tmp_path, capsys, monkeypatch, threads, workers):
         ck, data = trained
         # pendulum inputs stay far below 100, so no perturbation crosses the guard
         rule = {"kind": "monotonic", "feature": 0, "direction": "decrease", "guard": 100.0}
         guarded = with_stored_config(ck, tmp_path / "guarded.npz", lambda raw: {**raw, "rule": rule})
         force_sweep_workers(monkeypatch, workers)
         out = tmp_path / "sweep.csv"
+        baseline = threading.active_count()
         capsys.readouterr()
         assert main(["sweep", "--checkpoint", str(guarded), "--out", str(out), "--data-csv", str(data)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: UndefinedRatioError: no valid perturbation pairs to verify"]
-        assert not out.exists() and len(forks) == workers - 1
-        assert_reaped(forks)
+        assert not out.exists() and len(threads) == 2 * (workers - 1)  # the first split's encoding and decode
+        assert_joined(threads, baseline)
 
 
 class TestSweepOutputs:
@@ -1842,3 +1846,80 @@ def test_sigterm_to_a_forked_build_takes_the_ctrl_c_path_and_leaves_no_worker(tm
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "forked", "stderr"]  # no output, no .tmp
     time.sleep(0.2)
     assert group_members(pid) == {}  # the worker was killed and reaped before the command ended
+
+
+THREADED_SWEEP_SCRIPT = """
+import sys, threading, time
+import rulemix.evaluate
+import rulemix.model
+from rulemix.cli import main
+
+# two threads for every phase, as helpers.force_sweep_workers makes them
+rulemix.evaluate.ENCODE_THREAD_MIN_MACS = rulemix.evaluate.DECODE_THREAD_MIN_MACS = 0
+rulemix.evaluate.worker_count = lambda n_tasks, blas=False: min(n_tasks, 2)
+real, marker = rulemix.model._strength, sys.argv[1]
+
+
+def slow(alpha):  # 81 strengths of 0.05 s on two threads: a decode of 2 s that a signal lands in
+    if threading.current_thread() is not threading.main_thread():
+        open(marker, "w").close()  # a worker thread is decoding
+    time.sleep(0.05)
+    return real(alpha)
+
+
+rulemix.model._strength = slow
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def signal_a_threaded_sweep(trained, tmp_path, send) -> tuple[int, str, float]:
+    """Run ``rulemix sweep`` over 81 strengths on two threads and ``send(proc)`` once a worker thread decodes.
+
+    Returns the exit code, stderr, and the seconds from the signal to the command's end.
+    """
+    import os
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    ck, data = trained
+    marker, stderr, out = tmp_path / "decoding", tmp_path / "stderr", tmp_path / "sweep.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    with open(stderr, "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", THREADED_SWEEP_SCRIPT, str(marker), "sweep", "--checkpoint", str(ck),
+             "--data-csv", str(data), "--extended", "--step", "0.02", "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=err, start_new_session=True,
+        )
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert marker.exists(), "no worker thread decoded"
+        sent = time.monotonic()
+        send(proc)
+        proc.wait(timeout=60)
+        took = time.monotonic() - sent
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    return proc.returncode, stderr.read_text(), took
+
+
+@pytest.mark.parametrize("how,code,line", [("SIGTERM", 143, "error: terminated"),
+                                           ("SIGINT", 130, "error: interrupted")])
+def test_a_signal_during_a_threaded_decode_is_one_line_and_writes_nothing(trained, tmp_path, how, code, line):
+    import os
+    import signal
+
+    if how == "SIGTERM":  # as kill and timeout send it, to the command alone
+        send = lambda proc: proc.send_signal(signal.SIGTERM)  # noqa: E731
+    else:  # as Ctrl-C sends it, to the foreground process group
+        send = lambda proc: os.killpg(proc.pid, signal.SIGINT)  # noqa: E731
+    got, err, took = signal_a_threaded_sweep(trained, tmp_path, send)
+    assert got == code, err
+    assert err.splitlines() == [line]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["decoding", "stderr"]  # no output, no staged temporary
+    assert took < 1.5  # each thread stopped at its next strength: the rest of the 2 s decode did not run

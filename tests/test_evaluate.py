@@ -2,7 +2,9 @@
 
 import math
 import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import rulemix.evaluate
 import rulemix.model
 import rulemix.parallel
 import rulemix.rules
-from helpers import assert_reaped, direct_sweep, force_sweep_workers, spearman_rank_corr, tiny_model
+from helpers import assert_joined, direct_sweep, force_sweep_workers, spearman_rank_corr, tiny_model
 from rulemix.errors import ConfigError, InfeasibleSelectionError, UndefinedRatioError
 from rulemix.evaluate import (
     EXTENDED_ALPHA_RANGE,
@@ -27,7 +29,7 @@ from rulemix.evaluate import (
 )
 from rulemix.autodiff import Arrays
 from rulemix.model import (
-    COUPLINGS, ModelSpec, encode, forward_per_alpha, init_params, predict_values, width_matched_units,
+    COUPLINGS, ModelSpec, encode, forward_per_alpha, init_params, passages, predict_values, width_matched_units,
 )
 from rulemix.pendulum import DEFAULT_PARAMS
 from rulemix.rules import EnergyDampingRule, MonotonicRule, ThresholdRule
@@ -182,23 +184,21 @@ class TestSweepMatchesFullPasses:
         assert got == want
 
     @pytest.mark.parametrize("coupling", COUPLINGS)
-    def test_encoders_run_once_unless_they_read_alpha(self, coupling, monkeypatch, tmp_path, forks):
+    def test_encoders_run_once_unless_they_read_alpha(self, coupling, monkeypatch, threads):
         spec, params, x, y, rule, metric = self.make(coupling, "monotonic")
-        log = tmp_path / "dense_calls"
-        log.write_text("")
+        calls = []
         original = rulemix.autodiff.dense_forward
 
         def counting(h, layers, label, *args, **kwargs):
-            with open(log, "a") as fh:  # a forked worker appends to the same file
-                fh.write(label + "\n")
+            if h.shape[0]:  # decode_buffers lays its arrays out with a decode of no rows
+                calls.append(label)  # list.append holds the GIL: threads do not lose entries
             return original(h, layers, label, *args, **kwargs)
 
         monkeypatch.setattr(rulemix.autodiff, "dense_forward", counting)
         force_sweep_workers(monkeypatch, 2)
         alpha_sweep(spec, params, x, y, rule, alpha_grid(), metric)
-        assert len(forks) == 1
-        calls = log.read_text().splitlines()
-        # the input and its perturbed copy: two encodings, two decodes per strength, over both processes;
+        assert len(threads) == expected_threads(spec, rule, 2, len(alpha_grid()))
+        # the input and its perturbed copy: two encodings, two decodes per strength, over both threads;
         # the shared block never reads alpha, so it runs once per input under every coupling
         n = len(alpha_grid())
         assert calls.count("shared") == 2
@@ -209,8 +209,14 @@ class TestSweepMatchesFullPasses:
             assert calls.count("data") == 2
 
 
+def expected_threads(spec, rule, workers, strengths) -> int:
+    """Threads a sweep on ``workers`` threads starts: one task per passage and input, then one per strength."""
+    jobs = len(passages(spec)) * (2 if rule.needs_perturbation else 1)
+    return (min(workers, jobs) - 1 if jobs else 0) + min(workers, strengths) - 1
+
+
 class TestSweepInWorkers:
-    """Strengths decoded in forked shares give the records, and raise the errors, of one process."""
+    """Sweeps encoded and decoded on threads give the records, and raise the errors, of one thread."""
 
     make = TestSweepMatchesFullPasses.make
 
@@ -221,82 +227,192 @@ class TestSweepInWorkers:
     @pytest.mark.parametrize("family", sorted(SWEEP_RULES))
     @pytest.mark.parametrize("coupling", COUPLINGS)
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_records_equal_per_alpha_predict_values(self, workers, coupling, family, grid, monkeypatch, forks):
+    def test_records_equal_per_alpha_predict_values(self, workers, coupling, family, grid, monkeypatch, threads):
         spec, params, x, y, rule, metric = self.make(coupling, family)
         alphas = self.GRIDS[grid]
         force_sweep_workers(monkeypatch, workers)
+        baseline = threading.active_count()
         got = alpha_sweep(spec, params, x, y, rule, alphas, metric, split="val", perturb_seed=5)
-        assert len(forks) == min(workers, len(alphas)) - 1
+        assert len(threads) == expected_threads(spec, rule, workers, len(alphas))
+        assert_joined(threads, baseline)
         assert got == direct_sweep(spec, params, x, y, rule, alphas, metric, split="val", perturb_seed=5)
-        assert_reaped(forks)
 
-    def raised(self, workers, monkeypatch, forks, rule, alphas) -> tuple[type, str]:
+    def raised(self, workers, monkeypatch, threads, rule, alphas) -> tuple[type, str]:
         spec, params, x, y, _, metric = self.make("scaled_concat", "monotonic")
         force_sweep_workers(monkeypatch, workers)
+        baseline = threading.active_count()
         with pytest.raises(ValueError) as info:
             alpha_sweep(spec, params, x, y, rule, alphas, metric)
-        assert_reaped(forks)
+        assert_joined(threads, baseline)
         return type(info.value), str(info.value)
 
-    def test_a_guard_no_pair_crosses_raises_as_in_one_process(self, monkeypatch, forks):
+    def test_a_guard_no_pair_crosses_raises_as_in_one_thread(self, monkeypatch, threads):
         rule = MonotonicRule(feature=0, direction="increase", guard=100.0)  # inputs stay below 2
         alphas = alpha_grid()
-        one = self.raised(1, monkeypatch, forks, rule, alphas)
+        one = self.raised(1, monkeypatch, threads, rule, alphas)
         assert one == (UndefinedRatioError, "no valid perturbation pairs to verify")
-        assert self.raised(2, monkeypatch, forks, rule, alphas) == one
-        assert len(forks) == 1
+        assert threads == []
+        assert self.raised(2, monkeypatch, threads, rule, alphas) == one
+        assert len(threads) == 2  # one for the encoding, one for the decode
 
-    @pytest.mark.parametrize("at", [1, 2])  # in the forked worker's share, in the caller's
+    @pytest.mark.parametrize("at", [0, 1, 2, 3])  # shares deal round-robin: 0 and 2 in the worker thread's
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_a_non_finite_strength_raises_as_in_one_process(self, monkeypatch, forks, bad, at):
+    def test_a_non_finite_strength_raises_as_in_one_thread(self, monkeypatch, threads, bad, at):
         rule = SWEEP_RULES["monotonic"][0]
         alphas = [0.0, 0.5, 1.0, 1.4]
         alphas[at] = bad
-        one = self.raised(1, monkeypatch, forks, rule, alphas)
+        one = self.raised(1, monkeypatch, threads, rule, alphas)
         assert one == (ValueError, "rule strength must be finite")
-        assert self.raised(2, monkeypatch, forks, rule, alphas) == one
-        assert len(forks) == 1
+        assert self.raised(2, monkeypatch, threads, rule, alphas) == one
+        assert len(threads) == 2
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_the_first_error_in_grid_order_is_raised(self, monkeypatch, forks, workers):
+    @pytest.mark.parametrize("refused", [(0.5, 1.0), (1.0, 0.5), (0.5, 1.4), (1.4, 0.5)])
+    def test_the_first_error_in_grid_order_is_raised(self, monkeypatch, threads, workers, refused):
         real = rulemix.model._strength
+        first, second = refused  # second is refused first: the thread that raises it must not win
 
         def refusing(alpha):
-            if alpha in (0.5, 1.0):
+            if alpha == second:
+                raise ValueError(f"strength {alpha} refused")
+            if alpha == first:
+                time.sleep(0.05)
                 raise ValueError(f"strength {alpha} refused")
             return real(alpha)
 
         monkeypatch.setattr(rulemix.model, "_strength", refusing)
-        raised = self.raised(workers, monkeypatch, forks, SWEEP_RULES["monotonic"][0], [0.0, 0.5, 1.0, 1.4])
-        assert raised == (ValueError, "strength 0.5 refused")
-        assert len(forks) == workers - 1
+        raised = self.raised(workers, monkeypatch, threads, SWEEP_RULES["monotonic"][0], [0.0, 0.5, 1.0, 1.4])
+        assert raised == (ValueError, f"strength {min(refused)} refused")
+        assert len(threads) == 2 * (workers - 1)
+
+    def test_an_interrupt_during_a_threaded_decode_joins_every_thread(self, monkeypatch, threads):
+        spec, params, x, y, rule, metric = self.make("scaled_concat", "monotonic")
+        real = rulemix.model._strength
+        decoded = []
+
+        def interrupting(alpha):
+            decoded.append(alpha)
+            if threading.current_thread() is not threading.main_thread():
+                os.kill(os.getpid(), signal.SIGINT)  # blocked in a worker: the caller takes it
+                time.sleep(0.2)
+            return real(alpha)
+
+        monkeypatch.setattr(rulemix.model, "_strength", interrupting)
+        force_sweep_workers(monkeypatch, 2)
+        baseline = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            alpha_sweep(spec, params, x, y, rule, alpha_grid(), metric)
+        assert_joined(threads, baseline)
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, set()) == set()  # nothing left blocked in the caller
+        assert len(decoded) < 2 * 2 * len(alpha_grid())  # the worker stopped at its next strength
+
+
+class TestSweepMemory:
+    """Worker threads write only arrays the calling thread made, so threads add no memory but their shares' arrays.
+
+    Memory a thread allocates comes from a malloc arena of its own, whose freed pages the calling thread
+    cannot reuse, and unlike a forked worker's it counts in the process's resident memory.
+    """
+
+    make = TestSweepMatchesFullPasses.make
+
+    @pytest.mark.parametrize("family", sorted(SWEEP_RULES))
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    def test_worker_threads_write_only_arrays_the_caller_made(self, coupling, family, monkeypatch, threads):
+        spec, params, x, y, rule, metric = self.make(coupling, family)
+        real, made = rulemix.autodiff.out_array, []
+
+        def recording(buffers, i, shape):
+            before = buffers[i] if buffers is not None and i < len(buffers) else None
+            out = real(buffers, i, shape)
+            if out is not before:
+                made.append((threading.current_thread().name, shape))
+            return out
+
+        monkeypatch.setattr(rulemix.autodiff, "out_array", recording)
+        force_sweep_workers(monkeypatch, 2)
+        alpha_sweep(spec, params, x, y, rule, alpha_grid(), metric)
+        assert [thread.name for thread in threads][-1:] == ["rulemix-0"]  # the decode ran on a thread
+        assert [shape for name, shape in made if name != threading.main_thread().name] == []
+
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    def test_decode_buffers_hold_every_array_a_decode_writes(self, coupling):
+        spec, params, x, *_ = self.make(coupling, "energy")
+        (latents,) = rulemix.model.encode_all(spec, params, [x])
+        buffers = rulemix.model.decode_buffers(spec, params, latents)
+        made = [a for arrays in buffers for a in arrays]
+        outs = list(forward_per_alpha(spec, params, latents, [0.3], buffers))
+        assert [a for arrays in buffers for a in arrays] == made  # each array the one made, none added
+        assert any(np.shares_memory(outs[0], a) for a in made)
+        assert outs[0].tobytes() == next(forward_per_alpha(spec, params, encode(Arrays(), spec, params, x),
+                                                            [0.3])).tobytes()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("family", ["energy", "monotonic"])
+    def test_a_threaded_sweep_peaks_at_one_worker_plus_its_shares_arrays(self, family, workers, monkeypatch):
+        import tracemalloc
+
+        rule, out_dim, task, metric = SWEEP_RULES[family]
+        spec = ModelSpec(input_dim=4, output_dim=out_dim, task=task, shared_units=(64, 16),
+                         encoder_units=(64, 64, 64), decision_units=(64,))  # the desk spec
+        rng = np.random.default_rng(3)
+        params = init_params(spec, rng)
+        x = rng.uniform(0.5, 1.5, (3000, 4))
+        y = (rng.uniform(size=(3000, out_dim)) > 0.5).astype(float) if task == "classification" else x.copy()
+        # what one share of strengths decodes into, per input: the arrays each extra worker needs
+        (latents,) = rulemix.model.encode_all(spec, params, [x])
+        share = sum(a.nbytes for arrays in rulemix.model.decode_buffers(spec, params, latents) for a in arrays)
+        share *= 2 if rule.needs_perturbation else 1
+
+        def peak(n_workers):
+            force_sweep_workers(monkeypatch, n_workers)
+            tracemalloc.start()
+            try:
+                alpha_sweep(spec, params, x, y, rule, alpha_grid(), metric)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(1)
+        assert peak(workers) <= one + (workers - 1) * share + 256 * 1024
 
 
 class TestSweepGates:
-    """A sweep forks only for enough work, in a process that runs one OS thread."""
+    """Each phase of a sweep runs on threads only for enough work per task, in a process that runs one OS thread."""
 
     @pytest.fixture
     def sweep(self, monkeypatch):
         if len(os.sched_getaffinity(0)) < 2:
-            pytest.skip("one usable core: a sweep never forks")
+            pytest.skip("one usable core: a sweep never starts a thread")
         monkeypatch.setattr(rulemix.parallel, "os_threads", lambda: 1)  # as with OPENBLAS_NUM_THREADS=1
         spec, params, x, y, rule, metric = TestSweepMatchesFullPasses().make("scaled_concat", "energy")
 
-        def run(min_macs=0):
-            monkeypatch.setattr(rulemix.evaluate, "FORK_MIN_MACS", min_macs)
+        def run(encode_min=0, decode_min=0):
+            monkeypatch.setattr(rulemix.evaluate, "ENCODE_THREAD_MIN_MACS", encode_min)
+            monkeypatch.setattr(rulemix.evaluate, "DECODE_THREAD_MIN_MACS", decode_min)
             got = alpha_sweep(spec, params, x, y, rule, alpha_grid(), metric)
             assert got == direct_sweep(spec, params, x, y, rule, alpha_grid(), metric)
 
-        # 21 strengths x 50 rows x one decode's multiply-adds: the sweep's multiply-adds
-        run.macs = len(alpha_grid()) * x.shape[0] * rulemix.evaluate.decode_macs(spec)
+        # the multiply-adds of one task: a passage's encoding of the 50 rows, one strength's decode of them
+        run.encode = x.shape[0] * rulemix.evaluate.encode_macs(spec)
+        run.decode = x.shape[0] * rulemix.evaluate.decode_macs(spec)
         return run
 
-    def test_enough_work_in_one_thread_forks(self, sweep, forks):
-        sweep(min_macs=sweep.macs)
-        assert len(forks) == 1
-        assert_reaped(forks)
+    def test_enough_work_in_one_os_thread_runs_on_threads(self, sweep, threads):
+        baseline = threading.active_count()
+        sweep(encode_min=sweep.encode, decode_min=sweep.decode)
+        assert len(threads) == 2  # one for the encoding, one for the decode
+        assert_joined(threads, baseline)
 
-    def test_a_live_thread_keeps_the_sweep_in_one_process(self, sweep, forks):
+    def test_each_phase_below_its_gate_stays_in_the_calling_thread(self, sweep, threads):
+        sweep(encode_min=sweep.encode + 1, decode_min=sweep.decode)
+        assert [thread.name for thread in threads] == ["rulemix-0"]  # the decode's
+        sweep(encode_min=sweep.encode, decode_min=sweep.decode + 1)
+        assert len(threads) == 2  # and then the encoding's
+        sweep(encode_min=sweep.encode + 1, decode_min=sweep.decode + 1)
+        assert len(threads) == 2
+
+    def test_a_live_thread_keeps_the_sweep_in_the_calling_thread(self, sweep, threads):
         release = threading.Event()
         thread = threading.Thread(target=release.wait, args=(30,))
         thread.start()
@@ -305,16 +421,12 @@ class TestSweepGates:
         finally:
             release.set()
             thread.join(30)
-        assert forks == []
+        assert threads == [thread]
 
-    def test_other_os_threads_keep_the_sweep_in_one_process(self, sweep, forks, monkeypatch):
+    def test_other_os_threads_keep_the_sweep_in_the_calling_thread(self, sweep, threads, monkeypatch):
         monkeypatch.setattr(rulemix.parallel, "os_threads", lambda: 2)  # a BLAS pool that Python does not see
         sweep()
-        assert forks == []
-
-    def test_work_below_the_gate_stays_in_one_process(self, sweep, forks):
-        sweep(min_macs=sweep.macs + 1)
-        assert forks == []
+        assert threads == []
 
     @pytest.mark.parametrize("coupling", COUPLINGS)
     def test_decode_work_counts_the_decision_block_and_an_alpha_fed_encoder(self, coupling):
@@ -326,6 +438,14 @@ class TestSweepGates:
         (u, _) = width_matched_units(4, (8, 5)) if coupling == "input_concat_alpha" else (0, 0)
         encoder = 5 * u + u * 10 if coupling == "input_concat_alpha" else 0
         assert rulemix.evaluate.decode_macs(spec) == decision + encoder
+
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    def test_encode_work_counts_one_passage_and_its_product(self, coupling):
+        spec = ModelSpec(input_dim=4, output_dim=2, coupling=coupling, shared_units=(6,), encoder_units=(8, 5),
+                         decision_units=(7,))
+        passage = 6 * 8 + 8 * 5  # the shared block runs in the calling thread: not counted
+        want = {"scaled_concat": passage + 5 * 7, "input_concat_alpha": 0}.get(coupling, passage)
+        assert rulemix.evaluate.encode_macs(spec) == want
 
 
 # (task_metric, verification) as hex floats at each strength of PINNED_SWEEP_ALPHAS, for the

@@ -1,4 +1,4 @@
-"""``parallel.forked_map``: results in task order, errors as a loop raises them, no process left behind."""
+"""``parallel.forked_map`` and ``threaded_map``: results in task order, errors as a loop raises them, no worker left."""
 
 import os
 import signal
@@ -10,9 +10,9 @@ import time
 import pytest
 
 import rulemix.parallel
-from helpers import assert_reaped
+from helpers import assert_joined, assert_reaped
 from rulemix.errors import WorkerDied
-from rulemix.parallel import forked_map, os_threads, worker_count
+from rulemix.parallel import forked_map, os_threads, threaded_map, worker_count
 
 
 def power(base, exponent):
@@ -188,3 +188,126 @@ def test_an_interrupted_caller_kills_and_reaps_its_children(forks):
     assert time.monotonic() - started < 20
     assert len(forks) == 2
     assert_reaped(forks)
+
+
+# ----------------------------------------------------------------------
+# threaded_map: the contract of forked_map, on threads of this process
+# ----------------------------------------------------------------------
+
+
+def thread_name(k):
+    return k, threading.current_thread().name
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7, 9])
+def test_threads_return_results_in_task_order(threads, workers):
+    baseline = threading.active_count()
+    got = threaded_map(thread_name, [(k,) for k in range(7)], workers)
+    assert [k for k, _ in got] == list(range(7))
+    used = min(workers, 7)  # at most one thread per task
+    assert len(threads) == used - 1
+    # share k runs tasks k, k + workers, ...: the caller runs the last share, a thread each other one
+    assert [name for _, name in got] == [
+        threading.main_thread().name if k % used == used - 1 else f"rulemix-{k % used}" for k in range(7)
+    ]
+    assert_joined(threads, baseline)
+
+
+def test_threads_raise_the_first_error_in_task_order(threads):
+    def failing(k):
+        if k == 1:  # in a thread's share, raised after task 2
+            time.sleep(0.05)
+            raise ValueError("task 1")
+        if k == 2:  # in the caller's share
+            raise ValueError("task 2")
+        return k
+
+    baseline = threading.active_count()
+    with pytest.raises(ValueError, match="task 1"):
+        threaded_map(failing, [(k,) for k in range(6)], 3)
+    assert_joined(threads, baseline)
+
+
+def test_a_thread_stops_at_its_next_task_once_an_earlier_task_failed(threads):
+    ran, begun = [], threading.Event()
+
+    def failing(k):
+        ran.append(k)
+        if k == 0:  # in the thread's share: fails while the caller runs task 1
+            begun.wait(10)
+            raise ValueError("task 0")
+        begun.set()
+        time.sleep(0.05)
+        return k
+
+    with pytest.raises(ValueError, match="task 0"):
+        threaded_map(failing, [(k,) for k in range(8)], 2)
+    assert sorted(ran) == [0, 1]  # task 1, begun before task 0 failed, ran to its end; tasks 2 to 7 did not start
+
+
+def test_an_interrupted_caller_stops_and_joins_its_threads(threads):
+    def interrupted(k):
+        if threading.current_thread() is threading.main_thread():
+            os.kill(os.getpid(), signal.SIGINT)
+            time.sleep(5)  # the handler's KeyboardInterrupt ends this
+        time.sleep(0.05)
+        return k
+
+    baseline = threading.active_count()
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        threaded_map(interrupted, [(k,) for k in range(60)], 3)
+    assert time.monotonic() - started < 2  # each thread stopped at its next task, not after its 20
+    assert_joined(threads, baseline)
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, set()) == set()  # nothing left blocked in the caller
+
+
+def test_a_thread_starts_with_sigint_and_sigterm_blocked(threads):
+    got = threaded_map(lambda k: signal.pthread_sigmask(signal.SIG_BLOCK, set()), [(0,), (1,)], 2)
+    assert got == [{signal.SIGINT, signal.SIGTERM}, set()]  # so signals reach the caller, which handles them
+
+
+def test_a_base_exception_in_a_thread_reaches_the_caller(threads):
+    def exiting(k):
+        if threading.current_thread() is not threading.main_thread():
+            raise SystemExit(3)
+        return k
+
+    baseline = threading.active_count()
+    with pytest.raises(SystemExit):
+        threaded_map(exiting, [(0,), (1,)], 2)
+    assert_joined(threads, baseline)
+
+
+def test_a_threaded_map_leaves_later_forked_maps_their_workers(threads, forks):
+    threaded_map(thread_name, [(k,) for k in range(4)], 2)
+    assert worker_count(5000) == len(os.sched_getaffinity(0))  # no thread of the map is left to turn forks off
+    assert [value for value, _ in forked_map(power, [(2, 3), (3, 2)], 2)] == [8, 9]
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("failing", [(), (137,), (5, 61, 190), (0,)])
+def test_threads_keep_order_and_the_first_error_under_frequent_switches(threads, failing):
+    # more threads than cores, switching every microsecond: a lost update to the shared results or to the
+    # first failure would show as a wrong list or the wrong error
+    def task(k):
+        if k in failing:
+            raise ValueError(f"task {k}")
+        return sum(range(k % 50)), threading.current_thread().name
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        baseline = threading.active_count()
+        for _ in range(20):
+            if failing:
+                with pytest.raises(ValueError, match=f"task {min(failing)}$"):
+                    threaded_map(task, [(k,) for k in range(200)], 5)
+            else:
+                got = threaded_map(task, [(k,) for k in range(200)], 5)
+                assert [value for value, _ in got] == [sum(range(k % 50)) for k in range(200)]
+                assert {name for _, name in got} == {threading.main_thread().name, *(f"rulemix-{k}" for k in range(4))}
+        assert_joined(threads, baseline)
+    finally:
+        sys.setswitchinterval(interval)
